@@ -4,42 +4,7 @@
 
 use idio_core::experiments::FigureResult;
 use idio_core::sweep::{CellMetrics, SuiteTiming};
-
-/// Escapes a string for JSON.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Shortest roundtrip representation Rust offers.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains("inf") {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        // JSON has no infinities; encode as null.
-        "null".to_string()
-    }
-}
+use idio_engine::json;
 
 /// Renders one figure result as a JSON object:
 ///
@@ -68,17 +33,17 @@ fn json_f64(v: f64) -> String {
 pub fn figure_to_json(fig: &FigureResult) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"id\": {},\n", json_string(fig.id)));
-    out.push_str(&format!("  \"title\": {},\n", json_string(&fig.title)));
+    out.push_str(&format!("  \"id\": {},\n", json::string(fig.id)));
+    out.push_str(&format!("  \"title\": {},\n", json::string(&fig.title)));
 
-    let cols: Vec<String> = fig.columns.iter().map(|c| json_string(c)).collect();
+    let cols: Vec<String> = fig.columns.iter().map(|c| json::string(c)).collect();
     out.push_str(&format!("  \"columns\": [{}],\n", cols.join(", ")));
 
     let rows: Vec<String> = fig
         .rows
         .iter()
         .map(|row| {
-            let cells: Vec<String> = row.iter().map(|c| json_string(c)).collect();
+            let cells: Vec<String> = row.iter().map(|c| json::string(c)).collect();
             format!("    [{}]", cells.join(", "))
         })
         .collect();
@@ -91,9 +56,15 @@ pub fn figure_to_json(fig: &FigureResult) -> String {
             let samples: Vec<String> = ts
                 .samples()
                 .iter()
-                .map(|s| format!("[{}, {}]", json_f64(s.at.as_us_f64()), json_f64(s.value)))
+                .map(|s| {
+                    format!(
+                        "[{}, {}]",
+                        json::float(s.at.as_us_f64()),
+                        json::float(s.value)
+                    )
+                })
                 .collect();
-            format!("    {}: [{}]", json_string(name), samples.join(", "))
+            format!("    {}: [{}]", json::string(name), samples.join(", "))
         })
         .collect();
     out.push_str(&format!("  \"series\": {{\n{}\n  }}\n", series.join(",\n")));
@@ -109,7 +80,7 @@ pub fn figure_to_json(fig: &FigureResult) -> String {
 pub fn cell_metrics_line(cell: &CellMetrics) -> String {
     format!(
         "{{\"cell\":{},\"metrics\":{}}}",
-        json_string(&cell.label),
+        json::string(&cell.label),
         cell.metrics.to_json()
     )
 }
@@ -139,7 +110,7 @@ pub fn figures_to_json(figs: &[FigureResult]) -> String {
 /// Kept separate from the figure JSON: figure output is a deterministic
 /// function of the configuration, timing is host noise.
 pub fn suite_timing_to_json(timing: &SuiteTiming) -> String {
-    let ms = |d: std::time::Duration| json_f64(d.as_secs_f64() * 1e3);
+    let ms = |d: std::time::Duration| json::float(d.as_secs_f64() * 1e3);
     let figures: Vec<String> = timing
         .figures
         .iter()
@@ -158,7 +129,7 @@ pub fn suite_timing_to_json(timing: &SuiteTiming) -> String {
                         .map(|e| {
                             format!(
                                 "{{\"name\": {}, \"count\": {}, \"wall_ms\": {}}}",
-                                json_string(e.name),
+                                json::string(e.name),
                                 e.count,
                                 ms(e.wall)
                             )
@@ -166,7 +137,7 @@ pub fn suite_timing_to_json(timing: &SuiteTiming) -> String {
                         .collect();
                     format!(
                         "      {{\"label\": {}, \"wall_ms\": {}, \"events\": [{}]}}",
-                        json_string(&c.label),
+                        json::string(&c.label),
                         ms(c.wall),
                         events.join(", ")
                     )
@@ -174,7 +145,7 @@ pub fn suite_timing_to_json(timing: &SuiteTiming) -> String {
                 .collect();
             format!(
                 "    {{\"id\": {}, \"cpu_ms\": {}, \"cells\": [\n{}\n    ]}}",
-                json_string(f.id),
+                json::string(f.id),
                 ms(f.cpu_total()),
                 cells.join(",\n")
             )
@@ -194,19 +165,6 @@ pub fn suite_timing_to_json(timing: &SuiteTiming) -> String {
 mod tests {
     use super::*;
     use idio_core::experiments;
-
-    #[test]
-    fn escaping_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn numbers_are_valid_json() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(2.0), "2.0"); // "2" would also be valid; keep decimal
-        assert_eq!(json_f64(f64::INFINITY), "null");
-    }
 
     #[test]
     fn table_round_trips_structurally() {

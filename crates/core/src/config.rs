@@ -1,5 +1,7 @@
 //! Full-system configuration (Table I defaults plus workload wiring).
 
+use std::borrow::Cow;
+
 use idio_cache::addr::CoreId;
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
 use idio_cache::hierarchy::InvalidateScope;
@@ -43,11 +45,15 @@ pub struct WorkloadSpec {
     pub core: CoreId,
     /// Which Table II workload.
     pub kind: NfKind,
-    /// Arrival pattern of this instance's flow.
+    /// Arrival pattern of this instance's flow, used only when the config
+    /// has no [`SystemConfig::tenants`] (the workload then runs as a
+    /// one-flow tenant on its own queue); otherwise the owning tenant's
+    /// `traffic` drives the queue.
     pub traffic: TrafficPattern,
-    /// Frame size in bytes.
+    /// Frame size in bytes (one-flow tenant only, like `traffic`).
     pub packet_len: u16,
-    /// DSCP marking applied by the (simulated) sender.
+    /// DSCP marking applied by the (simulated) sender (one-flow tenant
+    /// only, like `traffic`).
     pub dscp: Dscp,
     /// The queue's mbuf pool. `None` is the legacy implicit status quo
     /// (per-slot buffers, no pool telemetry); `Some(PoolSpec::Dram)` is
@@ -62,12 +68,15 @@ pub struct WorkloadSpec {
 /// (queues/cores) fed by a *single* aggregate traffic source whose flows
 /// are spread across the group.
 ///
-/// In tenant mode the per-workload [`WorkloadSpec::traffic`] is ignored:
+/// Tenants are the only way traffic enters a [`crate::system::System`]:
 /// arrivals come from one [`idio_net::gen::MultiFlowGen`] per tenant (or a
-/// replayed trace), dealt round-robin over `flows` distinct five-tuples.
-/// Under [`FlowSteering::Perfect`] flow `i` is pinned to the tenant's
-/// `workloads[i % len]` queue via the flow director; under
+/// replayed trace), dealt round-robin over `flows` distinct five-tuples,
+/// and the per-workload [`WorkloadSpec::traffic`] of a tenant's queues is
+/// not used. Under [`FlowSteering::Perfect`] flow `i` is pinned to the
+/// tenant's `workloads[i % len]` queue via the flow director; under
 /// [`FlowSteering::Atr`] flows spread by RSS until the NIC learns them.
+/// A config without tenants gets one one-flow tenant per workload (see
+/// [`SystemConfig::tenants`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Stable tenant name (report key; must be unique within a config).
@@ -81,11 +90,12 @@ pub struct TenantSpec {
     /// than materialised. Ignored when `replay` is set (the trace brings
     /// its own flows).
     pub flows: u32,
-    /// First UDP destination port. Small flow counts use the legacy
+    /// First UDP destination port. Small flow counts use the narrow
     /// derivation (flow `i` targets `base_port + i`; tenants must then use
-    /// disjoint port ranges); counts past the port range (or churning
-    /// tenants) spill the flow index into the source address, keyed by the
-    /// tenant's index, and cannot alias other tenants.
+    /// disjoint port ranges, and any number of them may exist); counts
+    /// past the port range (or churning tenants) spill the flow index into
+    /// the source address, keyed by the tenant's index, so they cannot
+    /// alias other tenants (only the first 240 tenants may be wide).
     pub base_port: u16,
     /// Flow lifetime: each active-flow slot retires its flow and starts a
     /// fresh five-tuple after this long (staggered across slots), so the
@@ -191,14 +201,11 @@ pub struct SystemConfig {
     pub workloads: Vec<WorkloadSpec>,
     /// Optional antagonist co-runner.
     pub antagonist: Option<AntagonistSpec>,
-    /// Trace replays: workload index → recorded arrivals that replace the
-    /// workload's analytic traffic pattern (see `idio_net::trace`).
-    /// Ignored in tenant mode (use [`TenantSpec::replay`] there).
-    pub trace_replays: std::collections::BTreeMap<usize, Vec<Arrival>>,
-    /// Tenant groups. Empty = legacy mode (one flow per workload, each
-    /// workload driven by its own `traffic`); non-empty = tenant mode
-    /// (arrivals come from per-tenant multi-flow sources, spread across
-    /// each tenant's queues via the flow director / RSS).
+    /// Tenant groups: per-tenant multi-flow (or replayed) sources, spread
+    /// across each tenant's queues via the flow director / RSS. Empty =
+    /// every workload `q` is a one-flow tenant on queue `q`, carrying its
+    /// own `traffic`, `packet_len` and `dscp` on UDP port `5000 + q`. To
+    /// replay a trace, give it a tenant with [`TenantSpec::replay`].
     pub tenants: Vec<TenantSpec>,
     /// Flow Director operating mode.
     pub steering: FlowSteering,
@@ -260,7 +267,6 @@ impl SystemConfig {
             invalidate_scope: InvalidateScope::IncludeLlc,
             workloads,
             antagonist: None,
-            trace_replays: std::collections::BTreeMap::new(),
             tenants: Vec::new(),
             steering: FlowSteering::default(),
             duration: SimTime::from_ms(10),
@@ -381,14 +387,6 @@ impl SystemConfig {
                 return Err(format!("workload {i}: recycle pool with zero slots"));
             }
         }
-        for (&idx, arrivals) in &self.trace_replays {
-            if idx >= self.workloads.len() {
-                return Err(format!("trace replay for nonexistent workload {idx}"));
-            }
-            if arrivals.windows(2).any(|w| w[0].at > w[1].at) {
-                return Err(format!("trace replay {idx} is not time-ordered"));
-            }
-        }
         for &q in self.queue_policies.keys() {
             if q >= self.workloads.len() {
                 return Err(format!("policy override for nonexistent queue {q}"));
@@ -427,9 +425,33 @@ impl SystemConfig {
         Ok(())
     }
 
+    /// The tenants the system wires: [`SystemConfig::tenants`], or — when
+    /// there are none — one one-flow tenant per workload `q`, on queue `q`
+    /// at UDP port `5000 + q` with the workload's own traffic, frame
+    /// length and DSCP.
+    pub(crate) fn effective_tenants(&self) -> Cow<'_, [TenantSpec]> {
+        if !self.tenants.is_empty() {
+            return Cow::Borrowed(&self.tenants);
+        }
+        let one_flow = |(q, w): (usize, &WorkloadSpec)| TenantSpec {
+            name: format!("workload{q}"),
+            workloads: vec![q],
+            flows: 1,
+            base_port: 5000 + q as u16,
+            churn: None,
+            train: 1,
+            traffic: w.traffic,
+            packet_len: w.packet_len,
+            dscp: w.dscp,
+            replay: None,
+            policy: None,
+        };
+        Cow::Owned(self.workloads.iter().enumerate().map(one_flow).collect())
+    }
+
     /// Whether tenant `t` uses the wide (source-address-spilling) flow
     /// derivation: churn always does; so does a flow count that exceeds
-    /// the tenant's port range. Everything else keeps the legacy
+    /// the tenant's port range. Everything else keeps the narrow
     /// port-offset derivation byte-for-byte.
     pub(crate) fn tenant_is_wide(t: &TenantSpec) -> bool {
         t.churn.is_some() || u32::from(t.base_port) + t.flows > 65536

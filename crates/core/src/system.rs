@@ -21,8 +21,8 @@ use idio_engine::stats::{LatencyRecorder, RateSampler};
 use idio_engine::telemetry::{Histogram, MetricsRegistry, Tracer, DEFAULT_TRACE_CAPACITY};
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::{DramModel, DramOp};
-use idio_net::gen::{Arrival, FlowSet, FlowSpec, MultiFlowGen, TrafficGen, TrafficPattern};
-use idio_net::packet::Packet;
+use idio_net::gen::{Arrival, FlowSet, MultiFlowGen, TrafficPattern};
+use idio_net::packet::{FiveTuple, Packet};
 use idio_nic::flow_director::{QueueId, SteeringSource};
 use idio_nic::nic::{Nic, NicConfig, RingLayout};
 use idio_nic::ring::RxSlot;
@@ -89,7 +89,7 @@ enum Event {
         buf: Addr,
         lines: u32,
         arrival: SimTime,
-        flow: idio_net::packet::FiveTuple,
+        flow: FiveTuple,
     },
     /// The antagonist's next dependent access.
     AntagonistNext,
@@ -151,11 +151,9 @@ struct DmaBatch {
     domain: u16,
 }
 
-/// A packet-arrival stream: analytic single-flow generator (legacy
-/// one-flow-per-workload wiring), multi-flow tenant generator, or trace
+/// A tenant's packet-arrival stream: a multi-flow generator or a trace
 /// replay.
 enum ArrivalSource {
-    Gen(Box<TrafficGen>),
     Multi(Box<MultiFlowGen>),
     Replay(std::vec::IntoIter<Arrival>),
 }
@@ -165,7 +163,6 @@ impl Iterator for ArrivalSource {
 
     fn next(&mut self) -> Option<Arrival> {
         match self {
-            ArrivalSource::Gen(g) => g.next(),
             ArrivalSource::Multi(g) => g.next(),
             ArrivalSource::Replay(it) => it.next(),
         }
@@ -192,7 +189,8 @@ struct FdTenant {
 /// wrong queue and therefore polluted the wrong core's caches.
 struct FdState {
     /// One entry per arrival source; `None` for replay tenants (their
-    /// flows are not derivable, so they keep the legacy pin-all path).
+    /// flows are not derivable, so every flow seen in the trace is
+    /// pinned up front).
     tenants: Vec<Option<FdTenant>>,
     /// Per home queue: `[perfect, atr, collision, rss, mis_steered]`
     /// packet counts.
@@ -202,7 +200,7 @@ struct FdState {
 impl FdState {
     /// The tenant and home queue a five-tuple belongs to (O(1) per
     /// tenant: streaming sets are invertible).
-    fn home_of(&self, flow: &idio_net::packet::FiveTuple) -> Option<QueueId> {
+    fn home_of(&self, flow: &FiveTuple) -> Option<QueueId> {
         for t in self.tenants.iter().flatten() {
             if let Some(slot) = t.set.slot_of(flow) {
                 return Some(t.queues[slot as usize % t.queues.len()]);
@@ -445,166 +443,116 @@ impl System {
             });
             regions.push(q);
         }
-        let queue_cores: Vec<CoreId> = cfg.workloads.iter().map(|w| w.core).collect();
+        let mut queue_core: Vec<CoreId> = cfg.workloads.iter().map(|w| w.core).collect();
         // Resolve the policy layers (system default → per-tenant →
         // per-queue) once, into a dense per-queue domain array. The NIC
         // stamps each packet's domain into its DMA plan; the hot path
         // does a single index into the table.
         let policy = cfg.policy_table();
-        let mut nic = if cfg.workloads.is_empty() {
-            // Antagonist-only runs still need a (dormant) NIC.
+        let mut queue_policy_domain = policy.queue_domains().to_vec();
+        if cfg.workloads.is_empty() {
+            // Antagonist-only runs still need a (dormant) NIC queue.
             let q = map.alloc_queue(cfg.ring_size);
-            Nic::new(
-                NicConfig {
-                    ring_size: cfg.ring_size,
-                    queue_core: vec![CoreId::new(0)],
-                    classifier: cfg.classifier.clone(),
-                    dma: cfg.dma,
-                    perfect_filter_entries: cfg.perfect_filter_entries,
-                    filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
-                    atr_lifetime: cfg.atr_lifetime,
-                    queue_policy_domain: vec![0],
-                },
-                vec![RingLayout {
-                    buf_base: q.buf_base,
-                    desc_base: q.desc_base,
-                }],
-            )
-        } else {
-            Nic::new(
-                NicConfig {
-                    ring_size: cfg.ring_size,
-                    queue_core: queue_cores,
-                    classifier: cfg.classifier.clone(),
-                    dma: cfg.dma,
-                    perfect_filter_entries: cfg.perfect_filter_entries,
-                    filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
-                    atr_lifetime: cfg.atr_lifetime,
-                    queue_policy_domain: policy.queue_domains().to_vec(),
-                },
-                layouts,
-            )
-        };
+            layouts.push(RingLayout {
+                buf_base: q.buf_base,
+                desc_base: q.desc_base,
+            });
+            queue_core.push(CoreId::new(0));
+            queue_policy_domain.push(0);
+        }
+        let mut nic = Nic::new(
+            NicConfig {
+                ring_size: cfg.ring_size,
+                queue_core,
+                classifier: cfg.classifier.clone(),
+                dma: cfg.dma,
+                perfect_filter_entries: cfg.perfect_filter_entries,
+                filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
+                atr_lifetime: cfg.atr_lifetime,
+                queue_policy_domain,
+            },
+            layouts,
+        );
 
-        // --- traffic generators & flow pinning --------------------------------
-        let mut gens = Vec::new();
-        let mut fd: Option<FdState> = None;
-        if cfg.tenants.is_empty() {
-            // Legacy wiring: one flow per workload, pinned to its queue.
-            for (qi, w) in cfg.workloads.iter().enumerate() {
-                if let Some(arrivals) = cfg.trace_replays.get(&qi) {
-                    // Replay: pin every flow appearing in the trace to this
-                    // workload's queue, and clip to the traffic horizon.
-                    let clipped: Vec<Arrival> = arrivals
-                        .iter()
-                        .copied()
-                        .take_while(|a| a.at < cfg.duration)
-                        .collect();
-                    if cfg.steering == FlowSteering::Perfect {
-                        let mut seen = std::collections::HashSet::new();
-                        for a in &clipped {
-                            if seen.insert(a.packet.flow) {
-                                nic.flow_director_mut()
-                                    .install_perfect(a.packet.flow, QueueId(qi as u16));
-                            }
-                        }
-                    }
-                    gens.push(ArrivalSource::Replay(clipped.into_iter()));
-                } else {
-                    let flow =
-                        FlowSpec::udp_to_port(5000 + qi as u16, w.packet_len).with_dscp(w.dscp);
-                    if cfg.steering == FlowSteering::Perfect {
-                        nic.flow_director_mut()
-                            .install_perfect(flow.tuple, QueueId(qi as u16));
-                    }
-                    gens.push(ArrivalSource::Gen(Box::new(TrafficGen::new(
-                        flow,
-                        w.traffic,
-                        cfg.duration,
-                    ))));
-                }
-            }
-        } else {
-            // Tenant wiring: one aggregate source per tenant, its flows
-            // spread round-robin over the tenant's queues via the flow
-            // director (or left to RSS/ATR learning). Flow populations
-            // stream from a `FlowSet` — five-tuples derived on demand, so
-            // memory stays O(1) at any flow count. Perfect-filter slots
-            // are a shared resource: each tenant may pin at most its
-            // equal share of the NIC's table, sampled evenly across its
-            // flow index space; the rest of its flows steer via ATR
-            // learning and RSS (Sec. II-C's capacity pressure).
-            let pin_budget = (cfg.perfect_filter_entries / cfg.tenants.len()).max(1);
-            let mut fd_tenants: Vec<Option<FdTenant>> = Vec::new();
-            let mut fd_active = false;
-            for (ti, t) in cfg.tenants.iter().enumerate() {
-                let queues: Vec<QueueId> =
-                    t.workloads.iter().map(|&wi| QueueId(wi as u16)).collect();
-                if let Some(arrivals) = &t.replay {
-                    let clipped: Vec<Arrival> = arrivals
-                        .iter()
-                        .copied()
-                        .take_while(|a| a.at < cfg.duration)
-                        .collect();
-                    if cfg.steering == FlowSteering::Perfect {
-                        // Pin first-seen flows round-robin across the
-                        // tenant's queues.
-                        let mut seen = std::collections::HashSet::new();
-                        let mut next = 0usize;
-                        for a in &clipped {
-                            if seen.insert(a.packet.flow) {
-                                nic.flow_director_mut()
-                                    .install_perfect(a.packet.flow, queues[next % queues.len()]);
-                                next += 1;
-                            }
-                        }
-                    }
-                    fd_tenants.push(None);
-                    gens.push(ArrivalSource::Replay(clipped.into_iter()));
-                } else {
-                    let mut set =
-                        FlowSet::new(ti as u16, t.flows, t.base_port, t.packet_len, t.dscp)
-                            .with_train(t.train);
-                    if let Some(life) = t.churn {
-                        set = set.with_churn(life);
-                    }
-                    let pins = (t.flows as usize).min(pin_budget) as u32;
-                    let mut pinned = Vec::with_capacity(pins as usize);
-                    if cfg.steering == FlowSteering::Perfect {
-                        for p in 0..u64::from(pins) {
-                            // Stride the pins across the whole index space
-                            // so perfect coverage interleaves with
-                            // ATR/RSS-steered flows instead of truncating
-                            // at the budget boundary.
-                            let slot = (p * u64::from(t.flows) / u64::from(pins)) as u32;
-                            let q = queues[slot as usize % queues.len()];
+        // --- traffic sources & flow pinning -----------------------------------
+        // One aggregate source per tenant (a config without tenants runs
+        // each workload as a one-flow tenant on its own queue), its flows
+        // spread round-robin over the tenant's queues via the flow
+        // director (or left to RSS/ATR learning). Flow populations stream
+        // from a `FlowSet` — five-tuples derived on demand, so memory
+        // stays O(1) at any flow count. Perfect-filter slots are a shared
+        // resource: each tenant may pin at most its equal share of the
+        // NIC's table, sampled evenly across its flow index space; the
+        // rest of its flows steer via ATR learning and RSS (Sec. II-C's
+        // capacity pressure).
+        let tenants = cfg.effective_tenants();
+        let mut gens = Vec::with_capacity(tenants.len());
+        let pin_budget = (cfg.perfect_filter_entries / tenants.len().max(1)).max(1);
+        let mut fd_tenants: Vec<Option<FdTenant>> = Vec::with_capacity(tenants.len());
+        let mut fd_active = false;
+        for (ti, t) in tenants.iter().enumerate() {
+            let queues: Vec<QueueId> = t.workloads.iter().map(|&wi| QueueId(wi as u16)).collect();
+            if let Some(arrivals) = &t.replay {
+                let clipped: Vec<Arrival> = arrivals
+                    .iter()
+                    .copied()
+                    .take_while(|a| a.at < cfg.duration)
+                    .collect();
+                if cfg.steering == FlowSteering::Perfect {
+                    // Pin first-seen flows round-robin across the
+                    // tenant's queues.
+                    let mut seen = std::collections::HashSet::new();
+                    let mut next = 0usize;
+                    for a in &clipped {
+                        if seen.insert(a.packet.flow) {
                             nic.flow_director_mut()
-                                .install_perfect(set.tuple_of(slot), q);
-                            pinned.push((slot, slot));
+                                .install_perfect(a.packet.flow, queues[next % queues.len()]);
+                            next += 1;
                         }
                     }
-                    if set.is_wide() || t.flows as usize > pin_budget {
-                        fd_active = true;
-                    }
-                    fd_tenants.push(Some(FdTenant {
-                        set,
-                        queues,
-                        pinned,
-                    }));
-                    gens.push(ArrivalSource::Multi(Box::new(MultiFlowGen::streaming(
-                        set,
-                        t.traffic,
-                        cfg.duration,
-                    ))));
                 }
-            }
-            if fd_active {
-                fd = Some(FdState {
-                    tenants: fd_tenants,
-                    mix: vec![[0; 5]; cfg.workloads.len()],
-                });
+                fd_tenants.push(None);
+                gens.push(ArrivalSource::Replay(clipped.into_iter()));
+            } else {
+                let mut set = FlowSet::new(ti as u16, t.flows, t.base_port, t.packet_len, t.dscp)
+                    .with_train(t.train);
+                if let Some(life) = t.churn {
+                    set = set.with_churn(life);
+                }
+                let pins = (t.flows as usize).min(pin_budget) as u32;
+                let mut pinned = Vec::with_capacity(pins as usize);
+                if cfg.steering == FlowSteering::Perfect {
+                    for p in 0..u64::from(pins) {
+                        // Stride the pins across the whole index space so
+                        // perfect coverage interleaves with ATR/RSS-steered
+                        // flows instead of truncating at the budget
+                        // boundary.
+                        let slot = (p * u64::from(t.flows) / u64::from(pins)) as u32;
+                        let q = queues[slot as usize % queues.len()];
+                        nic.flow_director_mut()
+                            .install_perfect(set.tuple_of(slot), q);
+                        pinned.push((slot, slot));
+                    }
+                }
+                if set.is_wide() || t.flows as usize > pin_budget {
+                    fd_active = true;
+                }
+                fd_tenants.push(Some(FdTenant {
+                    set,
+                    queues,
+                    pinned,
+                }));
+                gens.push(ArrivalSource::Multi(Box::new(MultiFlowGen::streaming(
+                    set,
+                    t.traffic,
+                    cfg.duration,
+                ))));
             }
         }
+        let fd = fd_active.then(|| FdState {
+            tenants: fd_tenants,
+            mix: vec![[0; 5]; cfg.workloads.len()],
+        });
 
         // --- explicit mbuf pools ------------------------------------------------
         // RDCA sizing: a queue's pool budget is its equal share of the
@@ -984,8 +932,7 @@ impl System {
                     }
                 }
             }
-            self.pool_last_active[dma.queue.index()] = now;
-            self.pool_flushed[dma.queue.index()] = false;
+            self.mark_pool_active(now, dma.queue);
             let core = dma.dest_core.index();
             let seq = {
                 let st = self.nf_state(core, "Arrival");
@@ -1373,9 +1320,7 @@ impl System {
         // The self-invalidate instructions run as part of the packet's
         // service when the buffer is freed inline (drop path). Recycle
         // pools self-invalidate on every free regardless of policy caps.
-        let free_inval =
-            self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free();
-        if free_inval && work.action == PacketAction::Drop {
+        if work.action == PacketAction::Drop && self.invalidates_on_free(queue) {
             service += self.timing.invalidate(ctx.frame_lines());
         }
         let action = work.action;
@@ -1409,31 +1354,22 @@ impl System {
     }
 
     fn finish_packet(&mut self, now: SimTime, core: usize, slot: RxSlot, action: PacketAction) {
-        let queue = self.nf_state(core, "CoreWake").queue;
         match action {
             PacketAction::Drop => {
-                if self.queue_caps(queue).invalidate
-                    || self.nic.ring(queue).pool().invalidate_on_free()
-                {
-                    self.invalidate_buffer(now, core, slot.buf, slot.packet.lines());
-                }
-                // The free returns this buffer to the queue's pool at the
-                // completion event (not steer time), so a recycle pool's
-                // LIFO list sees the true release order.
-                self.nic.ring_mut(queue).release(slot.buf);
-                self.pool_last_active[queue.index()] = now;
-                self.pool_flushed[queue.index()] = false;
-                self.record_completion(now, core, &slot);
+                // Drop-type NFs never transmit: the packet completes (and
+                // its buffer is freed) here.
+                self.learn_flow(now, &slot.packet.flow, None);
+                let lines = slot.packet.lines();
+                self.complete_packet(now, core, slot.buf, lines, slot.arrived_at, "CoreWake");
             }
             PacketAction::Tx { lines } => {
                 // Post a TX descriptor; the NIC reads the descriptor, then
                 // the packet data, then writes the completion back.
                 let st = self.nf_state(core, "CoreWake");
-                let posted = st
-                    .tx_ring
+                let queue = st.queue;
+                st.tx_ring
                     .post(slot.buf, lines, now)
                     .expect("tx ring sized to the rx ring cannot overflow");
-                let _ = posted;
                 let sched = self.nic.tx_packet(now, lines);
                 self.queue.schedule_at(
                     sched.done(),
@@ -1449,31 +1385,71 @@ impl System {
         }
     }
 
-    fn record_completion(&mut self, now: SimTime, core: usize, slot: &RxSlot) {
-        // aRFS-style learning: when flow-director pressure is being
-        // modelled, completing a packet lets the driver program the NIC's
-        // filter table with the flow's *home* queue (where its consumer
-        // actually runs — not where this packet happened to land), so
-        // unpinned flows converge onto ATR steering after their first
-        // completion. Drop-type NFs never transmit, so the hook lives at
-        // completion rather than TX.
-        if let Some(fd) = &self.fd {
-            if let Some(home) = fd.home_of(&slot.packet.flow) {
-                self.nic
-                    .flow_director_mut()
-                    .learn(now, &slot.packet.flow, home);
-            }
+    /// Completion-time steering feedback. Under flow-director pressure the
+    /// driver programs the NIC's filter table with the flow's *home* queue
+    /// (where its consumer actually runs — not where this packet happened
+    /// to land), so unpinned flows converge onto ATR steering after their
+    /// first completion (aRFS-style). Otherwise, under
+    /// [`FlowSteering::Atr`], the NIC learns the queue a forwarded packet
+    /// was transmitted from (`tx_queue`; `None` for a drop).
+    fn learn_flow(&mut self, now: SimTime, flow: &FiveTuple, tx_queue: Option<QueueId>) {
+        let home = self.fd.as_ref().and_then(|fd| fd.home_of(flow));
+        let atr = tx_queue.filter(|_| self.cfg.steering == FlowSteering::Atr);
+        if let Some(q) = home.or(atr) {
+            self.nic.flow_director_mut().learn(now, flow, q);
         }
-        let st = self.nf_state(core, "CoreWake");
-        let lat = now.saturating_since(slot.arrived_at);
+    }
+
+    /// Whether freeing a buffer of `queue` self-invalidates it: the
+    /// queue's policy asks for it, or its pool recycles (recycle pools
+    /// self-invalidate on every free regardless of policy caps).
+    fn invalidates_on_free(&self, queue: QueueId) -> bool {
+        self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free()
+    }
+
+    /// Marks `queue`'s pool active (an RX accept or a buffer release),
+    /// restarting its idle-flush window.
+    fn mark_pool_active(&mut self, now: SimTime, queue: QueueId) {
+        self.pool_last_active[queue.index()] = now;
+        self.pool_flushed[queue.index()] = false;
+    }
+
+    /// Returns a consumed buffer to its queue's pool at the packet's
+    /// completion event — never at steer or TX-post time — so a recycle
+    /// pool's LIFO free list sees the true release order.
+    fn free_buffer(&mut self, now: SimTime, core: usize, queue: QueueId, buf: Addr, lines: u32) {
+        if self.invalidates_on_free(queue) {
+            self.invalidate_buffer(now, core, buf, lines);
+        }
+        self.nic.ring_mut(queue).release(buf);
+        self.mark_pool_active(now, queue);
+    }
+
+    /// Completes one packet on `core`: frees its buffer, records its
+    /// end-to-end latency and the burst trackers, and advances the CPU
+    /// pointer. Both completion points — a drop at the end of service and
+    /// a forwarded packet's TX completion — end here.
+    fn complete_packet(
+        &mut self,
+        now: SimTime,
+        core: usize,
+        buf: Addr,
+        lines: u32,
+        arrival: SimTime,
+        event: &'static str,
+    ) {
+        let queue = self.nf_state(core, event).queue;
+        self.free_buffer(now, core, queue, buf, lines);
+        let st = self.nf_state(core, event);
+        let lat = now.saturating_since(arrival);
         st.latency.record(lat);
         st.lat_hist.record(lat.as_ns());
         st.completed += 1;
         if let Some(b) = &mut self.bursts {
-            b.record_completion(slot.arrived_at, now);
+            b.record_completion(arrival, now);
         }
         if !self.core_bursts.is_empty() {
-            self.core_bursts[core].record_completion(slot.arrived_at, now);
+            self.core_bursts[core].record_completion(arrival, now);
         }
         self.advance_cpu_pointer(now, core);
     }
@@ -1485,17 +1461,9 @@ impl System {
         buf: Addr,
         lines: u32,
         arrival: SimTime,
-        flow: idio_net::packet::FiveTuple,
+        flow: FiveTuple,
     ) {
-        if let Some(home) = self.fd.as_ref().and_then(|fd| fd.home_of(&flow)) {
-            // Under flow-director pressure the driver refreshes the filter
-            // table with the flow's home queue (see record_completion).
-            self.nic.flow_director_mut().learn(now, &flow, home);
-        } else if self.cfg.steering == FlowSteering::Atr {
-            // ATR: the NIC observes the TX and learns which queue (and
-            // therefore core) serves this flow.
-            self.nic.flow_director_mut().learn(now, &flow, queue);
-        }
+        self.learn_flow(now, &flow, Some(queue));
         for l in 0..u64::from(lines) {
             let r = self.hier.pcie_read(buf.line().offset(l));
             self.charge_dram(now, r.effects);
@@ -1510,26 +1478,7 @@ impl System {
                 .pcie_write(done.desc.line().offset(l), DmaPlacement::Llc);
             self.charge_dram(now, w.effects);
         }
-        if self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free() {
-            self.invalidate_buffer(now, core, buf, lines);
-        }
-        // TX-completion-time free: the buffer re-enters the pool only now
-        // that the NIC has read it out, never at steer or post time.
-        self.nic.ring_mut(queue).release(buf);
-        self.pool_last_active[queue.index()] = now;
-        self.pool_flushed[queue.index()] = false;
-        let st = self.nf_state(core, "TxComplete");
-        let lat = now.saturating_since(arrival);
-        st.latency.record(lat);
-        st.lat_hist.record(lat.as_ns());
-        st.completed += 1;
-        if let Some(b) = &mut self.bursts {
-            b.record_completion(arrival, now);
-        }
-        if !self.core_bursts.is_empty() {
-            self.core_bursts[core].record_completion(arrival, now);
-        }
-        self.advance_cpu_pointer(now, core);
+        self.complete_packet(now, core, buf, lines, arrival, "TxComplete");
     }
 
     fn on_antagonist(&mut self, now: SimTime) {
@@ -2328,6 +2277,23 @@ mod tests {
         assert!(b.mlc + b.l1 > 0.8, "mostly private hits: {b:?}");
     }
 
+    /// A replay tenant owning queue `q`, playing back `arrivals`.
+    fn replay_tenant(q: usize, arrivals: Vec<idio_net::gen::Arrival>) -> crate::config::TenantSpec {
+        crate::config::TenantSpec {
+            name: format!("replay{q}"),
+            workloads: vec![q],
+            flows: 1,
+            base_port: 5000 + q as u16,
+            churn: None,
+            train: 1,
+            traffic: TrafficPattern::Steady { rate_gbps: 10.0 },
+            packet_len: 1514,
+            dscp: idio_net::packet::Dscp::BEST_EFFORT,
+            replay: Some(arrivals),
+            policy: None,
+        }
+    }
+
     #[test]
     fn trace_replay_reproduces_generator_run() {
         use idio_net::gen::{FlowSpec, TrafficGen};
@@ -2343,7 +2309,7 @@ mod tests {
         };
         let generated = System::new(mk_cfg()).run();
 
-        // The system builds workload 0's flow as udp_to_port(5000, len).
+        // The system runs workload 0 as a one-flow tenant on port 5000.
         let trace: Vec<_> = TrafficGen::new(
             FlowSpec::udp_to_port(5000, 1514),
             TrafficPattern::Steady { rate_gbps: 10.0 },
@@ -2351,15 +2317,22 @@ mod tests {
         )
         .collect();
         let mut cfg = mk_cfg();
-        cfg.trace_replays.insert(0, trace);
+        cfg.tenants = vec![replay_tenant(0, trace)];
         let replayed = System::new(cfg).run();
         assert_eq!(generated.totals, replayed.totals);
     }
 
     #[test]
     fn empty_trace_replay_is_harmless() {
+        use idio_net::gen::{FlowSpec, TrafficGen};
         let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
-        cfg.trace_replays.insert(0, Vec::new());
+        let live = TrafficGen::new(
+            FlowSpec::udp_to_port(5001, 1514),
+            TrafficPattern::Steady { rate_gbps: 10.0 },
+            cfg.duration,
+        )
+        .collect();
+        cfg.tenants = vec![replay_tenant(0, Vec::new()), replay_tenant(1, live)];
         let r = System::new(cfg).run();
         // Workload 0 sends nothing; workload 1 still flows.
         assert!(r.totals.rx_packets > 0);
@@ -2369,8 +2342,29 @@ mod tests {
     #[test]
     fn replay_for_unknown_workload_is_rejected() {
         let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
-        cfg.trace_replays.insert(7, Vec::new());
+        cfg.tenants = vec![replay_tenant(7, Vec::new())];
         assert!(cfg.validate().is_err());
+    }
+
+    /// Narrow tenants never encode their index in a five-tuple, so the
+    /// wide-set tag bound must not cap how many of them a config holds —
+    /// whether they are explicit tenants or one-flow workloads.
+    #[test]
+    fn more_than_240_narrow_tenants_build_and_run() {
+        let n = 241;
+        let mut cfg =
+            SystemConfig::touchdrop_scenario(n, TrafficPattern::Steady { rate_gbps: 1.0 });
+        cfg.ring_size = 64;
+        cfg.duration = SimTime::from_us(20);
+        cfg.drain_grace = Duration::from_us(20);
+        let one_flow = System::new(cfg.clone()).run();
+        // The same workloads as explicit one-flow tenants.
+        cfg.tenants = cfg.effective_tenants().into_owned();
+        assert_eq!(cfg.tenants.len(), n);
+        assert!(cfg.validate().is_ok());
+        let tenants = System::new(cfg).run();
+        assert!(tenants.totals.rx_packets >= n as u64, "every tenant sent");
+        assert_eq!(one_flow.totals, tenants.totals);
     }
 
     #[test]

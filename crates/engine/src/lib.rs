@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod json;
 pub mod queue;
 pub mod rng;
 pub mod stats;

@@ -45,39 +45,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
+use crate::json;
 use crate::time::SimTime;
 
 /// Default capacity of a [`Tracer`] ring buffer.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -381,17 +353,17 @@ impl MetricsSnapshot {
         let counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
+            .map(|(k, v)| format!("\"{}\":{v}", json::escape(k)))
             .collect();
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v)))
+            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), json::float(*v)))
             .collect();
         let hists: Vec<String> = self
             .histograms
             .iter()
-            .map(|(k, h)| format!("\"{}\":{}", json_escape(k), h.to_json()))
+            .map(|(k, h)| format!("\"{}\":{}", json::escape(k), h.to_json()))
             .collect();
         format!(
             "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
@@ -428,9 +400,9 @@ impl TraceRecord {
         format!(
             "{{\"t_ps\":{},\"c\":\"{}\",\"e\":\"{}\",\"d\":\"{}\"}}",
             self.at.as_ps(),
-            json_escape(self.component),
-            json_escape(self.event),
-            json_escape(&self.detail)
+            json::escape(self.component),
+            json::escape(self.event),
+            json::escape(&self.detail)
         )
     }
 }

@@ -233,7 +233,8 @@ impl Iterator for TrafficGen {
 pub const MAX_FLOW_SET_FLOWS: u32 = 1 << 24;
 
 /// Maximum tenant tag a wide [`FlowSet`] accepts (the tag occupies the
-/// first source-IP octet above the `11.0.0.0` base).
+/// first source-IP octet above the `11.0.0.0` base). Narrow sets ignore
+/// the tag and accept any value.
 pub const MAX_FLOW_SET_TAG: u16 = 239;
 
 /// Number of flow generations a churning [`FlowSet`] distinguishes before
@@ -312,16 +313,13 @@ impl FlowSet {
     /// # Panics
     ///
     /// Panics if `flows` is zero or exceeds [`MAX_FLOW_SET_FLOWS`], or if
-    /// `tag` exceeds [`MAX_FLOW_SET_TAG`].
+    /// the set is wide and `tag` exceeds [`MAX_FLOW_SET_TAG`] (narrow sets
+    /// never use the tag).
     pub fn new(tag: u16, flows: u32, base_port: u16, packet_len: u16, dscp: Dscp) -> Self {
         assert!(flows > 0, "a tenant needs at least one flow");
         assert!(
             flows <= MAX_FLOW_SET_FLOWS,
             "flow set of {flows} exceeds the {MAX_FLOW_SET_FLOWS} maximum"
-        );
-        assert!(
-            tag <= MAX_FLOW_SET_TAG,
-            "tenant tag {tag} exceeds the {MAX_FLOW_SET_TAG} maximum"
         );
         FlowSet {
             tag,
@@ -332,6 +330,18 @@ impl FlowSet {
             train: 1,
             churn: None,
         }
+        .checked_tag()
+    }
+
+    /// Rejects a tag past [`MAX_FLOW_SET_TAG`] once the set is wide: the
+    /// tag must fit the source-address octet only when it is used.
+    fn checked_tag(self) -> Self {
+        assert!(
+            !self.is_wide() || self.tag <= MAX_FLOW_SET_TAG,
+            "tenant tag {} exceeds the {MAX_FLOW_SET_TAG} maximum",
+            self.tag
+        );
+        self
     }
 
     /// Sets the packet-train length: how many consecutive packets each
@@ -351,11 +361,12 @@ impl FlowSet {
     ///
     /// # Panics
     ///
-    /// Panics if `lifetime` is zero.
+    /// Panics if `lifetime` is zero or the tag exceeds
+    /// [`MAX_FLOW_SET_TAG`].
     pub fn with_churn(mut self, lifetime: Duration) -> Self {
         assert!(lifetime > Duration::ZERO, "flow lifetime must be positive");
         self.churn = Some(lifetime);
-        self
+        self.checked_tag()
     }
 
     /// Number of concurrently-active flows.
@@ -450,29 +461,18 @@ impl FlowSet {
     }
 }
 
-/// How a [`MultiFlowGen`] produces its flow population.
-#[derive(Debug, Clone)]
-enum FlowBacking {
-    /// A materialised flow list (legacy small populations and replay).
-    Explicit(Vec<FlowSpec>),
-    /// A streaming [`FlowSet`] (O(1) memory at any flow count).
-    Stream(FlowSet),
-}
-
 /// A deterministic multi-flow generator: one aggregate arrival pattern
-/// dealt over a flow population.
+/// dealt over a streaming [`FlowSet`].
 ///
 /// The timing of the merged stream is *exactly* that of a single
 /// [`TrafficGen`] driven by `pattern` (so a tenant's aggregate offered
-/// load is independent of its flow count); only the five-tuple and DSCP
-/// rotate per packet. This is how a multi-tenant scenario spreads one
-/// tenant's load across many queues: each flow is pinned to a queue via
-/// the flow director (or hashed there by RSS), so consecutive packets
-/// fan out over the tenant's cores.
-///
-/// The population is either an explicit [`FlowSpec`] list (dealt
-/// round-robin) or a streaming [`FlowSet`], which adds packet trains and
-/// flow churn on top of the same rotation.
+/// load is independent of its flow count); only the five-tuple rotates
+/// per packet, round-robin over the set's active slots (in packet trains,
+/// with churn when the set has them). This is how a multi-tenant scenario
+/// spreads one tenant's load across many queues: each flow is pinned to a
+/// queue via the flow director (or hashed there by RSS), so consecutive
+/// packets fan out over the tenant's cores. A one-flow set is exactly the
+/// [`TrafficGen`] of that flow.
 ///
 /// Packet ids stay monotonic across the merged stream.
 ///
@@ -480,10 +480,12 @@ enum FlowBacking {
 ///
 /// ```
 /// use idio_engine::time::SimTime;
-/// use idio_net::gen::{FlowSpec, MultiFlowGen, TrafficPattern};
+/// use idio_net::gen::{FlowSet, MultiFlowGen, TrafficPattern};
+/// use idio_net::packet::Dscp;
 ///
-/// let flows: Vec<_> = (0..3).map(|i| FlowSpec::udp_to_port(6000 + i, 1514)).collect();
-/// let mut g = MultiFlowGen::new(flows, TrafficPattern::Steady { rate_gbps: 10.0 }, SimTime::from_us(50));
+/// let set = FlowSet::new(0, 3, 6000, 1514, Dscp::BEST_EFFORT);
+/// let pattern = TrafficPattern::Steady { rate_gbps: 10.0 };
+/// let mut g = MultiFlowGen::streaming(set, pattern, SimTime::from_us(50));
 /// let a = g.next().unwrap();
 /// let b = g.next().unwrap();
 /// assert_ne!(a.packet.flow, b.packet.flow);
@@ -492,36 +494,14 @@ enum FlowBacking {
 #[derive(Debug, Clone)]
 pub struct MultiFlowGen {
     inner: TrafficGen,
-    backing: FlowBacking,
-    /// Rotation cursor: index into the explicit list, or the active slot
-    /// of a streaming set.
+    set: FlowSet,
+    /// Rotation cursor: the active slot the next packet goes to.
     cursor: u32,
-    /// Packets left before the cursor rotates (streaming trains).
+    /// Packets left before the cursor rotates (packet trains).
     train_left: u32,
 }
 
 impl MultiFlowGen {
-    /// Creates a generator dealing `pattern` arrivals round-robin over an
-    /// explicit `flows` list until `until` (exclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flows` is empty or the flows disagree on frame length
-    /// (the aggregate pattern's wire timing is per-frame).
-    pub fn new(flows: Vec<FlowSpec>, pattern: TrafficPattern, until: SimTime) -> Self {
-        assert!(!flows.is_empty(), "a tenant needs at least one flow");
-        assert!(
-            flows.iter().all(|f| f.packet_len == flows[0].packet_len),
-            "flows of one generator must share a frame length"
-        );
-        MultiFlowGen {
-            inner: TrafficGen::new(flows[0], pattern, until),
-            backing: FlowBacking::Explicit(flows),
-            cursor: 0,
-            train_left: 1,
-        }
-    }
-
     /// Creates a generator dealing `pattern` arrivals over a streaming
     /// [`FlowSet`] until `until` (exclusive).
     pub fn streaming(set: FlowSet, pattern: TrafficPattern, until: SimTime) -> Self {
@@ -532,26 +512,9 @@ impl MultiFlowGen {
         };
         MultiFlowGen {
             inner: TrafficGen::new(timing, pattern, until),
-            backing: FlowBacking::Stream(set),
+            set,
             cursor: 0,
             train_left: set.train,
-        }
-    }
-
-    /// The explicit flow list, when one backs this generator (empty for
-    /// streaming sets — their population is derived, not stored).
-    pub fn flows(&self) -> &[FlowSpec] {
-        match &self.backing {
-            FlowBacking::Explicit(flows) => flows,
-            FlowBacking::Stream(_) => &[],
-        }
-    }
-
-    /// The streaming flow set, when one backs this generator.
-    pub fn flow_set(&self) -> Option<&FlowSet> {
-        match &self.backing {
-            FlowBacking::Explicit(_) => None,
-            FlowBacking::Stream(set) => Some(set),
         }
     }
 }
@@ -561,26 +524,16 @@ impl Iterator for MultiFlowGen {
 
     fn next(&mut self) -> Option<Arrival> {
         let a = self.inner.next()?;
-        let (tuple, dscp, len) = match &self.backing {
-            FlowBacking::Explicit(flows) => {
-                let spec = flows[self.cursor as usize];
-                self.cursor = (self.cursor + 1) % flows.len() as u32;
-                (spec.tuple, spec.dscp, spec.packet_len)
-            }
-            FlowBacking::Stream(set) => {
-                let idx = set.index_at(self.cursor, a.at);
-                let tuple = set.tuple_of(idx);
-                self.train_left -= 1;
-                if self.train_left == 0 {
-                    self.cursor = (self.cursor + 1) % set.flows;
-                    self.train_left = set.train;
-                }
-                (tuple, set.dscp, set.packet_len)
-            }
-        };
+        let set = &self.set;
+        let tuple = set.tuple_of(set.index_at(self.cursor, a.at));
+        self.train_left -= 1;
+        if self.train_left == 0 {
+            self.cursor = (self.cursor + 1) % set.flows;
+            self.train_left = set.train;
+        }
         Some(Arrival {
             at: a.at,
-            packet: Packet::new(a.packet.id, len, tuple, dscp),
+            packet: Packet::new(a.packet.id, set.packet_len, tuple, set.dscp),
         })
     }
 }
@@ -713,31 +666,39 @@ mod tests {
         let until = SimTime::from_us(60);
         let pattern = TrafficPattern::Steady { rate_gbps: 25.0 };
         let single: Vec<_> = TrafficGen::new(flow(), pattern, until).collect();
-        let flows: Vec<_> = (0..3)
-            .map(|i| FlowSpec::udp_to_port(6000 + i, 1514).with_dscp(Dscp::CLASS1_DEFAULT))
-            .collect();
-        let multi: Vec<_> = MultiFlowGen::new(flows.clone(), pattern, until).collect();
+        let set = FlowSet::new(0, 3, 6000, 1514, Dscp::CLASS1_DEFAULT);
+        let multi: Vec<_> = MultiFlowGen::streaming(set, pattern, until).collect();
         assert_eq!(multi.len(), single.len(), "same aggregate offered load");
         for (i, (s, m)) in single.iter().zip(&multi).enumerate() {
             assert_eq!(m.at, s.at, "arrival {i} keeps the aggregate schedule");
             assert_eq!(m.packet.id, i as u64, "ids monotonic across flows");
-            assert_eq!(m.packet.flow, flows[i % 3].tuple, "round-robin dealing");
+            let dealt = FlowSpec::udp_to_port(6000 + (i % 3) as u16, 1514);
+            assert_eq!(m.packet.flow, dealt.tuple, "round-robin dealing");
             assert_eq!(m.packet.dscp, Dscp::CLASS1_DEFAULT);
         }
     }
 
     #[test]
-    #[should_panic(expected = "share a frame length")]
-    fn multi_flow_rejects_mixed_frame_lengths() {
-        let flows = vec![
-            FlowSpec::udp_to_port(6000, 1514),
-            FlowSpec::udp_to_port(6001, 256),
-        ];
-        let _ = MultiFlowGen::new(
-            flows,
+    fn one_flow_set_is_the_single_flow_generator() {
+        // A workload without a tenant runs as a one-flow tenant: its
+        // stream must be exactly the single-flow generator's.
+        let until = SimTime::from_us(300);
+        let spec = BurstSpec::for_ring(64, 1024, 40.0, Duration::from_us(100));
+        for pattern in [
             TrafficPattern::Steady { rate_gbps: 10.0 },
-            SimTime::from_us(10),
-        );
+            TrafficPattern::Poisson {
+                rate_gbps: 10.0,
+                seed: 5,
+            },
+            TrafficPattern::Bursty(spec),
+        ] {
+            let f = FlowSpec::udp_to_port(5003, 1024).with_dscp(Dscp::CLASS1_DEFAULT);
+            let single: Vec<_> = TrafficGen::new(f, pattern, until).collect();
+            let set = FlowSet::new(3, 1, 5003, 1024, Dscp::CLASS1_DEFAULT);
+            let streamed: Vec<_> = MultiFlowGen::streaming(set, pattern, until).collect();
+            assert!(!single.is_empty());
+            assert_eq!(single, streamed, "{pattern:?}");
+        }
     }
 
     #[test]
@@ -771,9 +732,20 @@ mod tests {
         let flows: Vec<_> = (0..5)
             .map(|i| FlowSpec::udp_to_port(6000 + i, 1514).with_dscp(Dscp::CLASS1_DEFAULT))
             .collect();
-        let explicit: Vec<_> = MultiFlowGen::new(flows, pattern, until).collect();
+        // The explicit list dealt round-robin over one aggregate schedule.
+        let explicit: Vec<_> = TrafficGen::new(flows[0], pattern, until)
+            .enumerate()
+            .map(|(i, a)| {
+                let f = flows[i % flows.len()];
+                Arrival {
+                    at: a.at,
+                    packet: Packet::new(a.packet.id, f.packet_len, f.tuple, f.dscp),
+                }
+            })
+            .collect();
         let set = FlowSet::new(0, 5, 6000, 1514, Dscp::CLASS1_DEFAULT);
         let streamed: Vec<_> = MultiFlowGen::streaming(set, pattern, until).collect();
+        assert!(explicit.len() > 5);
         assert_eq!(explicit, streamed);
     }
 
@@ -845,6 +817,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "tenant tag 240 exceeds")]
     fn oversized_tenant_tag_rejected() {
-        let _ = FlowSet::new(240, 64, 5000, 1514, Dscp::BEST_EFFORT);
+        let _ = FlowSet::new(240, 100_000, 5000, 1514, Dscp::BEST_EFFORT);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant tag 240 exceeds")]
+    fn churn_rejects_an_oversized_tenant_tag() {
+        let _ =
+            FlowSet::new(240, 64, 5000, 1514, Dscp::BEST_EFFORT).with_churn(Duration::from_us(10));
+    }
+
+    #[test]
+    fn narrow_flow_sets_accept_any_tenant_tag() {
+        // Narrow sets never encode the tag, so tenant 240 and beyond are
+        // as valid as tenant 0.
+        let set = FlowSet::new(240, 64, 5000, 1514, Dscp::BEST_EFFORT);
+        assert!(!set.is_wide());
+        for idx in [0u32, 1, 63] {
+            assert_eq!(set.slot_of(&set.tuple_of(idx)), Some(idx), "index {idx}");
+            assert_eq!(
+                set.tuple_of(idx),
+                FlowSpec::udp_to_port(5000 + idx as u16, 1514).tuple
+            );
+        }
+        let _ = FlowSet::new(u16::MAX, 1, 5000, 1514, Dscp::BEST_EFFORT);
     }
 }

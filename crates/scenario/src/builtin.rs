@@ -6,7 +6,7 @@
 //! deliberately and re-bless.
 
 use idio_core::config::FlowSteering;
-use idio_core::net::gen::{Arrival, BurstSpec, FlowSpec, MultiFlowGen, TrafficPattern};
+use idio_core::net::gen::{Arrival, BurstSpec, FlowSet, MultiFlowGen, TrafficPattern};
 use idio_core::net::packet::Dscp;
 use idio_core::net::trace::{read_trace, write_trace};
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, SteeringPolicy};
@@ -204,11 +204,8 @@ fn mixed_rate() -> Scenario {
 /// nanosecond-quantised by the format, exactly as an external capture
 /// would be).
 fn replayed_arrivals() -> Vec<Arrival> {
-    let flows: Vec<FlowSpec> = (0..4)
-        .map(|i| FlowSpec::udp_to_port(5000 + i, 1024))
-        .collect();
-    let gen = MultiFlowGen::new(
-        flows,
+    let gen = MultiFlowGen::streaming(
+        FlowSet::new(0, 4, 5000, 1024, Dscp::BEST_EFFORT),
         TrafficPattern::Poisson {
             rate_gbps: 10.0,
             seed: 0x7ACE,

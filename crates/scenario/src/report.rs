@@ -16,42 +16,10 @@
 //! any `--jobs`.
 
 use idio_core::report::RunReport;
+use idio_engine::json;
 use idio_engine::telemetry::Histogram;
 
 use crate::spec::{Scenario, SloSpec};
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Packet-latency summary of one tenant in one run (nanoseconds), taken
 /// from the merged `core{i}.pkt_latency_ns` histograms of the tenant's
@@ -78,7 +46,7 @@ impl LatencyStats {
         format!(
             "{{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
             self.count,
-            json_f64(self.mean_ns),
+            json::float(self.mean_ns),
             self.p50_ns,
             self.p90_ns,
             self.p99_ns,
@@ -126,7 +94,7 @@ impl Interference {
             "{{\"p50_delta_ns\": {}, \"p99_delta_ns\": {}, \"p99_ratio\": {}}}",
             self.p50_delta_ns,
             self.p99_delta_ns,
-            json_f64(self.p99_ratio)
+            json::float(self.p99_ratio)
         )
     }
 }
@@ -212,14 +180,14 @@ impl SloOutcome {
 
     fn to_json(&self) -> String {
         let opt_u64 = |v: Option<u64>| v.map_or("null".into(), |x| x.to_string());
-        let violations: Vec<String> = self.violations.iter().map(|v| json_string(v)).collect();
+        let violations: Vec<String> = self.violations.iter().map(|v| json::string(v)).collect();
         format!(
             "{{\"pass\": {}, \"max_p99_ns\": {}, \"max_drop_rate\": {}, \"actual_p99_ns\": {}, \"actual_drop_rate\": {}, \"violations\": [{}]}}",
             self.pass(),
             opt_u64(self.max_p99_ns),
-            self.max_drop_rate.map_or("null".into(), json_f64),
+            self.max_drop_rate.map_or("null".into(), json::float),
             opt_u64(self.actual_p99_ns),
-            json_f64(self.actual_drop_rate),
+            json::float(self.actual_drop_rate),
             violations.join(", ")
         )
     }
@@ -284,7 +252,7 @@ impl TenantReport {
         // pre-policy-engine format (and its blessed goldens).
         let mut extra = String::new();
         if let Some(p) = &self.policy {
-            extra.push_str(&format!(",\n{pad}\"policy\": {}", json_string(p)));
+            extra.push_str(&format!(",\n{pad}\"policy\": {}", json::string(p)));
         }
         if let Some(s) = &self.slo {
             extra.push_str(&format!(",\n{pad}\"slo\": {}", s.to_json()));
@@ -311,14 +279,14 @@ impl TenantReport {
              {pad}\"solo_latency\": {solo},\n\
              {pad}\"interference\": {interference}{extra}\n\
              {indent}}}",
-            json_string(&self.name),
-            json_string(self.nf),
+            json::string(&self.name),
+            json::string(self.nf),
             cores.join(", "),
             self.rx_packets,
             self.rx_drops,
-            json_f64(self.drop_rate),
+            json::float(self.drop_rate),
             self.completed,
-            json_f64(self.throughput_gbps),
+            json::float(self.throughput_gbps),
             self.mlc_wb,
             self.steer.to_json(),
         )
@@ -378,9 +346,9 @@ impl ScenarioReport {
              \x20 \"totals\": {{\"rx_packets\": {}, \"rx_drops\": {}, \"completed\": {}}},\n\
              \x20 \"tenants\": [\n    {}\n  ]\n\
              }}",
-            json_string(&self.scenario),
-            json_string(&self.description),
-            json_string(self.policy),
+            json::string(&self.scenario),
+            json::string(&self.description),
+            json::string(self.policy),
             self.root_seed,
             self.duration_ns,
             self.rx_packets,

@@ -6,8 +6,9 @@
 //! cargo run -p idio-examples --release --bin trace-replay
 //! ```
 
-use idio_core::config::SystemConfig;
-use idio_core::net::gen::{FlowSpec, TrafficGen, TrafficPattern};
+use idio_core::config::{SystemConfig, TenantSpec};
+use idio_core::net::gen::{Arrival, FlowSpec, TrafficGen, TrafficPattern};
+use idio_core::net::packet::Dscp;
 use idio_core::net::trace::{read_trace, write_trace};
 use idio_core::policy::SteeringPolicy;
 use idio_core::system::System;
@@ -43,16 +44,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         replayed.len()
     );
 
-    // 3. Replay the identical traffic under both policies.
+    // 3. Replay the identical traffic under both policies: each core's
+    //    trace drives a replay tenant that owns that core's queue.
+    let replay_tenant = |q: usize, arrivals: &[Arrival]| TenantSpec {
+        name: format!("replay{q}"),
+        workloads: vec![q],
+        flows: 1,
+        base_port: 5000 + q as u16,
+        churn: None,
+        train: 1,
+        traffic: TrafficPattern::Steady { rate_gbps: 15.0 }, // unused by a replay
+        packet_len: 1514,
+        dscp: Dscp::BEST_EFFORT,
+        replay: Some(arrivals.to_vec()),
+        policy: None,
+    };
     for policy in [SteeringPolicy::Ddio, SteeringPolicy::Idio] {
         let mut cfg = SystemConfig::touchdrop_scenario(
             2,
-            TrafficPattern::Steady { rate_gbps: 15.0 }, // overridden below
+            TrafficPattern::Steady { rate_gbps: 15.0 }, // replaced by the tenants below
         );
         cfg.duration = horizon;
         cfg.drain_grace = Duration::from_ms(2);
-        cfg.trace_replays.insert(0, replayed.clone());
-        cfg.trace_replays.insert(1, traces[1].clone());
+        cfg.tenants = vec![replay_tenant(0, &replayed), replay_tenant(1, &traces[1])];
         let report = System::new(cfg.with_policy(policy)).run();
         println!(
             "[{policy}] completed {} / {} packets, mlc_wb {}, llc_wb {}, p99 {}",

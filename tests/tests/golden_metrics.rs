@@ -1,9 +1,10 @@
 //! Golden harness for per-cell `repro --metrics` output.
 //!
-//! Runs the same curated quick-scale figure subset as the figure-JSON
-//! goldens (`golden.rs`) and diffs every cell's final metrics snapshot —
-//! rendered exactly as `repro --metrics` prints it, one NDJSON line per
-//! cell in declaration order — against `tests/golden/metrics.ndjson`.
+//! Runs every experiment of the quick-scale suite ([`EXPERIMENTS`], the
+//! 95 cells `repro --quick` runs) and diffs every cell's final metrics
+//! snapshot — rendered exactly as `repro --quick --metrics` prints it, one
+//! NDJSON line per cell in declaration order — against
+//! `tests/golden/metrics.ndjson`.
 //! Metric regressions (a counter silently stops incrementing, a gauge
 //! changes scale) are caught the same way figure-table regressions
 //! already are. Re-bless intentional changes with:
@@ -14,21 +15,10 @@
 
 use std::path::PathBuf;
 
-use idio_bench::experiment_spec;
 use idio_bench::json::cell_metrics_line;
+use idio_bench::{experiment_spec, EXPERIMENTS};
 use idio_core::experiments::Scale;
 use idio_core::sweep::{run_figures_detailed, SweepOptions};
-
-/// Same subset as the figure goldens: one figure per simulation regime.
-const GOLDEN: &[&str] = &[
-    "table1",
-    "table2",
-    "fig5",
-    "fig11",
-    "direct-dram",
-    "fig13",
-    "copy-mode",
-];
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -42,13 +32,18 @@ fn blessing() -> bool {
 
 #[test]
 fn quick_suite_metrics_match_blessed_goldens() {
-    let specs = GOLDEN
+    let specs = EXPERIMENTS
         .iter()
         .map(|name| experiment_spec(name, Scale::quick()).expect("known name"))
         .collect();
-    // Default options: same root seed and declaration order as the repro
-    // binary, so the goldens match `repro --quick --metrics` lines.
-    let out = run_figures_detailed(specs, &SweepOptions::default());
+    // Same root seed and declaration order as the repro binary, so the
+    // goldens match `repro --quick --metrics` lines. Output is identical
+    // at any worker count; two workers halve the debug-build run time.
+    let opts = SweepOptions {
+        jobs: 2,
+        ..SweepOptions::default()
+    };
+    let out = run_figures_detailed(specs, &opts);
     let rendered: String = out
         .cells
         .iter()
