@@ -5,9 +5,10 @@
 //! * the **`repro` binary** (`cargo run -p idio-bench --release --bin
 //!   repro -- [fig...]`) regenerates every table and figure of the paper's
 //!   evaluation and prints them;
-//! * the **micro benches** (`cargo bench`, [`micro`]) run one scaled-down
-//!   experiment per figure so regressions in simulator behaviour or speed
-//!   are caught continuously.
+//! * the **`bench` binary** times the engine hot paths and the quick
+//!   figure suite against the tracked `BENCH_engine.json` baseline
+//!   ([`micro`] holds its measurement helpers), so regressions in
+//!   simulator speed are caught continuously.
 //!
 //! The actual experiment drivers live in [`idio_core::experiments`]; this
 //! crate only selects, times, and prints them.

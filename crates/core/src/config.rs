@@ -174,9 +174,10 @@ pub struct SystemConfig {
     /// dropped on next touch and the flow falls back to RSS until
     /// re-learned. `None` = entries never age (legacy behavior).
     pub atr_lifetime: Option<Duration>,
-    /// Idle window after which a `Recycle` pool self-invalidates its
-    /// buffers and releases its LLC footprint (checked at control ticks).
-    /// `None` = pools hold their footprint forever (legacy behavior).
+    /// Idle window after which a `Recycle` pool that holds no live
+    /// buffer self-invalidates its buffers and releases its LLC footprint
+    /// (checked at control ticks). `None` = pools hold their footprint
+    /// forever (legacy behavior).
     pub pool_idle_flush: Option<Duration>,
     /// NIC-side classifier settings.
     pub classifier: ClassifierConfig,

@@ -7,14 +7,23 @@
 //! per-core *status* register. Its **control plane** measures per-core MLC
 //! writeback pressure every 1 µs against a long-run average (8192 samples)
 //! and drives the Fig. 8 FSM.
+//!
+//! Beside it run the two LLC way allocators over the same telemetry: the
+//! IAT-style DDIO way tuner ([`IatTuner`]) and CAT way partitioning
+//! ([`CatPartition`], with its closed-loop [`CatController`]).
+
+use std::fmt::Write as _;
 
 use idio_cache::addr::CoreId;
+use idio_cache::hierarchy::Hierarchy;
 use idio_cache::set::WayMask;
-use idio_engine::time::Duration;
+use idio_engine::telemetry::{MetricsRegistry, Tracer};
+use idio_engine::time::{Duration, SimTime};
 use idio_nic::tlp::{AppClass, TlpMeta};
 
+use crate::config::WorkloadSpec;
 use crate::fsm::{MlcStatus, PrefetchFsm};
-use crate::policy::{PolicyCaps, PrefetchMode};
+use crate::policy::{CatMode, PolicyCaps, PolicyTable, PrefetchMode};
 
 /// Controller configuration (Sec. V-B and VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -490,6 +499,212 @@ impl CatController {
             domain_mask,
             shared: WayMask::range(ddio_ways, cursor),
         }
+    }
+}
+
+/// IAT-style DDIO way tuner: every 25 control intervals (25 µs) it
+/// grows the DDIO partition while inbound data is leaking to DRAM, and
+/// shrinks it back one way at a time only after a sustained quiet period
+/// (hysteresis, as IAT's monitoring loop does). Each tuning policy domain
+/// steps with its own quiet streak, unperturbed by domains that never
+/// tune; all of them evaluate together against one LLC-writeback counter.
+#[derive(Debug, Clone)]
+pub(crate) struct IatTuner {
+    ticks: u64,
+    /// LLC-writeback counter at the last evaluation.
+    last_wb: u64,
+    /// Per tuning domain: consecutive quiet evaluations.
+    quiet: Vec<u32>,
+}
+
+impl IatTuner {
+    /// The tuner for `policy`; `None` when no domain tunes the DDIO ways.
+    pub(crate) fn new(policy: &PolicyTable) -> Option<Self> {
+        let tuning = policy.domain_caps().iter().filter(|c| c.tune_ddio_ways);
+        let quiet = vec![0; tuning.count()];
+        (!quiet.is_empty()).then_some(IatTuner {
+            ticks: 0,
+            last_wb: 0,
+            quiet,
+        })
+    }
+
+    /// Control-tick step: re-sizes `hier`'s DDIO partition.
+    pub(crate) fn tick(&mut self, hier: &mut Hierarchy) {
+        self.ticks += 1;
+        if !self.ticks.is_multiple_of(25) {
+            return;
+        }
+        let wb = hier.stats().shared.llc_wb.get();
+        let delta = wb - self.last_wb;
+        self.last_wb = wb;
+        // Dynamic DDIO policies re-allocate a bounded slice of the LLC to
+        // I/O (growing further only squeezes the ways the consumed data
+        // bloats into).
+        let max_ways = 4.min(hier.config().llc.ways - 2);
+        for quiet in &mut self.quiet {
+            let ways = hier.ddio_ways();
+            if delta > 25 {
+                *quiet = 0;
+                if ways < max_ways {
+                    hier.set_ddio_ways(ways + 1);
+                }
+            } else if delta == 0 {
+                *quiet += 1;
+                // ~1 ms of silence before giving a way back.
+                if *quiet >= 40 && ways > 2 {
+                    hier.set_ddio_ways(ways - 1);
+                    *quiet = 0;
+                }
+            } else {
+                *quiet = 0;
+            }
+        }
+    }
+}
+
+/// CAT way partitioning of one run: the static masks and the closed-loop
+/// allocator, the per-core domain map they are applied through, and the
+/// `cat.*` metrics and tick-log section they export.
+#[derive(Debug, Clone)]
+pub(crate) struct CatPartition {
+    /// Closed-loop allocator, if some domain asked for `cat = auto`.
+    auto: Option<CatController>,
+    /// First policy domain hosted on each core (by queue order); `None`
+    /// for cores without a queue. Maps per-core MLC-WB counters onto
+    /// per-domain pressure, and picks each core's mask.
+    core_domain: Vec<Option<u16>>,
+    /// DDIO width the masks were last planned against; the IAT tuner
+    /// moving the partition boundary forces a re-plan.
+    planned_ddio: usize,
+    /// Control-tick scratch: per-domain MLC-WB pressure.
+    domain_wb: Vec<u64>,
+}
+
+impl CatPartition {
+    /// The partition `policy` asks for over the `workloads`' cores, with
+    /// its masks applied to `hier`; `None` when no domain uses CAT.
+    pub(crate) fn new(
+        policy: &PolicyTable,
+        workloads: &[WorkloadSpec],
+        hier: &mut Hierarchy,
+    ) -> Option<Self> {
+        if !policy.any_cat() {
+            return None;
+        }
+        let mut core_domain = vec![None; hier.config().num_cores];
+        for (q, w) in workloads.iter().enumerate() {
+            core_domain[w.core.index()].get_or_insert(policy.queue_domain(q));
+        }
+        let caps = policy.domain_caps();
+        let auto: Vec<bool> = caps.iter().map(|c| c.cat == CatMode::Auto).collect();
+        let mut cat = CatPartition {
+            auto: policy
+                .any_cat_auto()
+                .then(|| CatController::new(CatConfig::paper_default(), &auto)),
+            core_domain,
+            planned_ddio: 0,
+            domain_wb: Vec::with_capacity(auto.len()),
+        };
+        cat.apply_masks(hier, policy);
+        Some(cat)
+    }
+
+    /// (Re)derives every core's CAT mask from the policy table and the
+    /// allocator's current plan. Static domains pin their configured
+    /// mask; auto domains get their exclusive slice (falling back to the
+    /// shared pool when no slice fits); all remaining cores share the
+    /// pool, which excludes every auto slice — that exclusion is what
+    /// makes the slices exclusive. Without an auto allocator only static
+    /// masks are applied and other cores keep the default core mask.
+    fn apply_masks(&mut self, hier: &mut Hierarchy, policy: &PolicyTable) {
+        let (ddio, llc_ways) = (hier.ddio_ways(), hier.config().llc.ways);
+        self.planned_ddio = ddio;
+        let plan = self.auto.as_ref().map(|c| c.plan(llc_ways, ddio));
+        for (core, &domain) in self.core_domain.iter().enumerate() {
+            let mask = match domain.map(|d| (d, policy.caps(d).cat)) {
+                Some((_, CatMode::Static(m))) => Some(m),
+                Some((d, CatMode::Auto)) => {
+                    let p = plan.as_ref().expect("auto CAT domain without allocator");
+                    Some(p.domain_mask[d as usize].unwrap_or(p.shared))
+                }
+                Some((_, CatMode::Off)) | None => plan.as_ref().map(|p| p.shared),
+            };
+            hier.set_cat_mask(CoreId::new(core as u16), mask);
+        }
+    }
+
+    /// Control-tick step of the closed loop, run after the IAT tuner so a
+    /// freshly widened DDIO partition is reflected in this tick's plan:
+    /// folds the per-core MLC-WB counters `core_wb` into per-domain
+    /// pressure, lets the allocator adjust the slices, and re-plans the
+    /// masks when a slice or the DDIO width changed. Static-only
+    /// partitions have no step.
+    pub(crate) fn tick(
+        &mut self,
+        now: SimTime,
+        core_wb: &[u64],
+        hier: &mut Hierarchy,
+        policy: &PolicyTable,
+        tracer: &mut Tracer,
+    ) {
+        let Some(cat) = self.auto.as_mut() else {
+            return;
+        };
+        self.domain_wb.clear();
+        self.domain_wb.resize(policy.num_domains(), 0);
+        for (&wb, d) in core_wb.iter().zip(&self.core_domain) {
+            if let Some(d) = d {
+                self.domain_wb[*d as usize] += wb;
+            }
+        }
+        let (ddio, llc_ways) = (hier.ddio_ways(), hier.config().llc.ways);
+        let budget = llc_ways.saturating_sub(ddio + cat.config().min_shared);
+        if cat.tick(&self.domain_wb, budget) || ddio != self.planned_ddio {
+            tracer.record(now, "cat", "realloc", || {
+                let mut widths = String::new();
+                for d in 0..policy.num_domains() {
+                    if let Some(w) = cat.ways(d) {
+                        let _ = write!(widths, " d{d}={w}");
+                    }
+                }
+                format!("ddio={ddio}{widths} reallocs={}", cat.reallocations())
+            });
+            self.apply_masks(hier, policy);
+        }
+    }
+
+    /// Exports `cat.reallocations` and every CAT domain's width.
+    pub(crate) fn export(&self, metrics: &mut MetricsRegistry, policy: &PolicyTable) {
+        let auto = self.auto.as_ref();
+        metrics.counter_set("cat.reallocations", auto.map_or(0, |c| c.reallocations()));
+        for (d, caps) in policy.domain_caps().iter().enumerate() {
+            let ways = match caps.cat {
+                CatMode::Off => continue,
+                CatMode::Static(mask) => mask.count(),
+                CatMode::Auto => auto.and_then(|c| c.ways(d)).expect("auto CAT domain"),
+            };
+            metrics.counter_set(&format!("cat.domain{d}.ways"), ways as u64);
+        }
+    }
+
+    /// Appends the tick log's `cat` section: the auto allocator's
+    /// reallocation count and per-domain widths. Static-only partitions
+    /// have no section, since it describes the allocator.
+    pub(crate) fn tick_section(&self, line: &mut String, policy: &PolicyTable) {
+        let Some(cat) = &self.auto else {
+            return;
+        };
+        let reallocs = cat.reallocations();
+        let _ = write!(line, ",\"cat\":{{\"reallocs\":{reallocs},\"ways\":[");
+        for d in 0..policy.num_domains() {
+            let sep = if d > 0 { "," } else { "" };
+            let _ = match cat.ways(d) {
+                Some(w) => write!(line, "{sep}{w}"),
+                None => write!(line, "{sep}null"),
+            };
+        }
+        line.push_str("]}");
     }
 }
 

@@ -46,9 +46,11 @@
 pub mod config;
 pub mod controller;
 pub mod experiments;
+mod fd;
 pub mod fsm;
 pub mod layout;
 pub mod policy;
+mod pools;
 pub mod prefetcher;
 pub mod report;
 pub mod sweep;

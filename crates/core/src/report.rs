@@ -6,7 +6,7 @@
 //! per-burst processing times ("Exe Time").
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use idio_cache::addr::CoreId;
 use idio_cache::stats::HierarchyStats;
@@ -365,6 +365,21 @@ impl fmt::Display for RunReport {
         }
         Ok(())
     }
+}
+
+/// Per-column totals of per-core or per-queue count rows.
+pub(crate) fn column_sums<const N: usize>(rows: &[[u64; N]]) -> [u64; N] {
+    rows.iter()
+        .fold([0; N], |acc, r| std::array::from_fn(|i| acc[i] + r[i]))
+}
+
+/// Appends `{"k0":v0,"k1":v1,...}`: one keyed-count object of the tick
+/// log, rendered from the same key table its report metrics use.
+pub(crate) fn write_counts(line: &mut String, keys: &[&str], values: &[u64]) {
+    for (i, (key, v)) in keys.iter().zip(values).enumerate() {
+        let _ = write!(line, "{}\"{key}\":{v}", if i == 0 { '{' } else { ',' });
+    }
+    line.push('}');
 }
 
 #[cfg(test)]

@@ -10,38 +10,46 @@
 //! the paper's figures are drawn from.
 
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::Write as _;
 
 use idio_cache::addr::{Addr, CoreId, LineAddr, LINE_SIZE};
 use idio_cache::hierarchy::{DmaPlacement, Hierarchy, HitLevel, MemEffects};
 use idio_cache::maintenance::{allocate_invalidatable, invalidate_range, PageTable};
 use idio_engine::queue::EventQueue;
 use idio_engine::rng::SimRng;
-use idio_engine::stats::{LatencyRecorder, RateSampler};
+use idio_engine::stats::{LatencyRecorder, RateSampler, TimeSeries};
 use idio_engine::telemetry::{Histogram, MetricsRegistry, Tracer, DEFAULT_TRACE_CAPACITY};
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::{DramModel, DramOp};
 use idio_net::gen::{Arrival, FlowSet, MultiFlowGen, TrafficPattern};
 use idio_net::packet::{FiveTuple, Packet};
-use idio_nic::flow_director::{QueueId, SteeringSource};
+use idio_nic::flow_director::QueueId;
 use idio_nic::nic::{Nic, NicConfig, RingLayout};
 use idio_nic::ring::RxSlot;
 use idio_nic::tlp::TlpMeta;
 use idio_nic::tx::TxRing;
-use idio_pool::{BufPool, PoolMode};
+use idio_pool::BufPool;
 use idio_stack::antagonist::{AntagonistConfig, LlcAntagonist};
 use idio_stack::nf::{ChainStage, MemOp, NfKind, PacketAction, PacketCtx, PacketWork};
 use idio_stack::timing::CoreTiming;
 
 use crate::config::{FlowSteering, SystemConfig};
-use crate::controller::{CatConfig, CatController, IdioController, Placement};
+use crate::controller::{CatPartition, IatTuner, IdioController, Placement};
+use crate::fd::{FdAccounting, FdTenant};
 use crate::fsm::MlcStatus;
 use crate::layout::{AddressMap, QueueRegions};
-use crate::policy::{CatMode, PolicyCaps, PolicyTable};
+use crate::policy::{PolicyCaps, PolicyTable};
+use crate::pools::Pools;
 use crate::prefetcher::{HintArena, MlcPrefetcher};
 use crate::report::{
-    BurstTracker, EventTypeProfile, LatencySummary, RunReport, RunTotals, Timelines,
+    column_sums, write_counts, BurstTracker, EventTypeProfile, LatencySummary, RunReport,
+    RunTotals, Timelines,
 };
+
+/// Steering placements, in `System::steer` column order: the keys of the
+/// `steer.*` and `core{i}.steer.*` metrics and of the tick log's `steer`
+/// section.
+const STEER_KEYS: [&str; 3] = ["llc", "mlc", "dram"];
 
 /// Events of the full-system simulation.
 #[derive(Debug, Clone)]
@@ -56,27 +64,7 @@ enum Event {
     /// observable ordering is identical to the per-line events this
     /// replaces — the continuation keeps `batch_seq`, the batch's
     /// original queue sequence number, as its tie-break.
-    DmaPacket {
-        /// First buffer line; line `i` is `buf_line + i`.
-        buf_line: LineAddr,
-        /// Header-line TLP metadata; payload-line metadata is derived.
-        meta: TlpMeta,
-        arrival: SimTime,
-        /// Per-queue packet sequence number (for CPU-paced prefetching).
-        seq: u64,
-        /// Time line 0 reaches the root complex.
-        first: SimTime,
-        /// Gap between consecutive lines.
-        gap: Duration,
-        /// Total payload lines.
-        lines: u32,
-        /// Index of the next line to apply (continuation resume point).
-        next: u32,
-        /// The batch's original queue sequence number.
-        batch_seq: u64,
-        /// Resolved steering-policy domain of the packet's queue.
-        domain: u16,
-    },
+    DmaPacket(DmaBatch),
     /// A descriptor writeback becomes visible to the polling driver.
     DescWriteback { queue: QueueId, slot: u32 },
     /// A core's MLC prefetcher issues its next queued prefetch.
@@ -84,13 +72,7 @@ enum Event {
     /// A core wakes: finishes the in-flight packet and/or polls for more.
     CoreWake { core: usize },
     /// The NIC finished reading a forwarded packet out of memory.
-    TxComplete {
-        queue: QueueId,
-        buf: Addr,
-        lines: u32,
-        arrival: SimTime,
-        flow: FiveTuple,
-    },
+    TxComplete(TxDone),
     /// The antagonist's next dependent access.
     AntagonistNext,
     /// IDIO control-plane 1 µs tick.
@@ -124,11 +106,11 @@ impl Event {
             // The batch event keeps the per-line name: the handler bumps
             // the count by the extra lines it applies, so the
             // `engine.events.dma_line` metric still counts DMA lines.
-            Event::DmaPacket { .. } => 1,
+            Event::DmaPacket(_) => 1,
             Event::DescWriteback { .. } => 2,
             Event::PrefetchIssue { .. } => 3,
             Event::CoreWake { .. } => 4,
-            Event::TxComplete { .. } => 5,
+            Event::TxComplete(_) => 5,
             Event::AntagonistNext => 6,
             Event::ControlTick => 7,
             Event::SampleTick => 8,
@@ -136,19 +118,44 @@ impl Event {
     }
 }
 
-/// The unpacked fields of an [`Event::DmaPacket`] minus the resume
-/// point — the batch identity that continuations carry forward.
+// Every pending event is stored in the calendar queue: the payload batch
+// must not widen the enum.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
+
+/// One packet's batched payload DMA ([`Event::DmaPacket`]); a
+/// continuation is the same batch with `next` advanced.
 #[derive(Debug, Clone, Copy)]
 struct DmaBatch {
+    /// First buffer line; line `i` is `buf_line + i`.
     buf_line: LineAddr,
+    /// Header-line TLP metadata; payload-line metadata is derived.
     meta: TlpMeta,
     arrival: SimTime,
+    /// Per-queue packet sequence number (for CPU-paced prefetching).
     seq: u64,
+    /// Time line 0 reaches the root complex.
     first: SimTime,
+    /// Gap between consecutive lines.
     gap: Duration,
+    /// Total payload lines.
     lines: u32,
+    /// Index of the next line to apply (continuation resume point).
+    next: u32,
+    /// The batch's original queue sequence number.
     batch_seq: u64,
+    /// Resolved steering-policy domain of the packet's queue.
     domain: u16,
+}
+
+/// A forwarded packet whose transmission completes
+/// ([`Event::TxComplete`]).
+#[derive(Debug, Clone)]
+struct TxDone {
+    queue: QueueId,
+    buf: Addr,
+    lines: u32,
+    arrival: SimTime,
+    flow: FiveTuple,
 }
 
 /// A tenant's packet-arrival stream: a multi-flow generator or a trace
@@ -168,74 +175,6 @@ impl Iterator for ArrivalSource {
         }
     }
 }
-
-/// Flow-director bookkeeping for one streaming tenant: the flow set its
-/// arrivals derive from, its queue group, and which flow slots the driver
-/// holds perfect filters for.
-struct FdTenant {
-    set: FlowSet,
-    queues: Vec<QueueId>,
-    /// Pinned flow slots with the flow index last installed for each —
-    /// the driver's view of its own filters. Under churn, a slot whose
-    /// live index moved past the pinned one is refreshed at the next
-    /// control tick (install the new incarnation, evicting if full).
-    pinned: Vec<(u32, u32)>,
-}
-
-/// Flow-director-pressure accounting (active only when some tenant's flow
-/// population can outrun the NIC's steering state: wide/churning flow
-/// sets or more flows than perfect-filter budget). Tracks, per *home*
-/// queue, how arrivals were actually steered — and how many landed on the
-/// wrong queue and therefore polluted the wrong core's caches.
-struct FdState {
-    /// One entry per arrival source; `None` for replay tenants (their
-    /// flows are not derivable, so every flow seen in the trace is
-    /// pinned up front).
-    tenants: Vec<Option<FdTenant>>,
-    /// Per home queue: `[perfect, atr, collision, rss, mis_steered]`
-    /// packet counts.
-    mix: Vec<[u64; 5]>,
-}
-
-impl FdState {
-    /// The tenant and home queue a five-tuple belongs to (O(1) per
-    /// tenant: streaming sets are invertible).
-    fn home_of(&self, flow: &FiveTuple) -> Option<QueueId> {
-        for t in self.tenants.iter().flatten() {
-            if let Some(slot) = t.set.slot_of(flow) {
-                return Some(t.queues[slot as usize % t.queues.len()]);
-            }
-        }
-        None
-    }
-}
-
-/// An NF-path event was dispatched to a core with no NF configured on it.
-///
-/// Every queue is pinned to exactly one NF core at construction, so this can
-/// only happen when the configuration is mis-wired (a workload pinned to one
-/// core while its events address another). The error names both the core and
-/// the event being handled so the mismatch is directly actionable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnconfiguredNfCore {
-    /// The core the event addressed.
-    pub core: usize,
-    /// The event being handled when the lookup failed.
-    pub event: &'static str,
-}
-
-impl fmt::Display for UnconfiguredNfCore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} event dispatched to core{}, but no NF is configured there \
-             (check the workload core pinning in SystemConfig::workloads)",
-            self.event, self.core
-        )
-    }
-}
-
-impl std::error::Error for UnconfiguredNfCore {}
 
 /// Per-NF-core runtime state.
 #[derive(Debug)]
@@ -268,31 +207,17 @@ struct NfState {
     tx_ring: TxRing,
 }
 
-struct Samplers {
-    mlc_wb: RateSampler,
-    llc_wb: RateSampler,
-    dram_rd: RateSampler,
-    dram_wr: RateSampler,
-    dma_wr: RateSampler,
-    prefetch: RateSampler,
-    self_inval: RateSampler,
-    dma_llc_share: idio_engine::stats::TimeSeries,
-}
-
-impl Samplers {
-    fn new(interval: Duration) -> Self {
-        Samplers {
-            mlc_wb: RateSampler::new("mlc_wb", interval),
-            llc_wb: RateSampler::new("llc_wb", interval),
-            dram_rd: RateSampler::new("dram_rd", interval),
-            dram_wr: RateSampler::new("dram_wr", interval),
-            dma_wr: RateSampler::new("dma_wr", interval),
-            prefetch: RateSampler::new("prefetch", interval),
-            self_inval: RateSampler::new("self_inval", interval),
-            dma_llc_share: idio_engine::stats::TimeSeries::new("dma_llc_share"),
-        }
-    }
-}
+/// Names of the sampled rate timelines, in [`System::sampled_counters`]
+/// order (the [`Timelines`] fields of the same names).
+const RATES: [&str; 7] = [
+    "mlc_wb",
+    "llc_wb",
+    "dram_rd",
+    "dram_wr",
+    "dma_wr",
+    "prefetch",
+    "self_inval",
+];
 
 /// The full-system simulator.
 ///
@@ -327,13 +252,14 @@ pub struct System {
     antagonist: Option<(CoreId, LlcAntagonist)>,
     gens: Vec<ArrivalSource>,
     pending_arrival: Vec<Option<Packet>>,
-    samplers: Samplers,
+    /// One rate sampler per [`RATES`] counter (10 µs sampling).
+    rates: [RateSampler; RATES.len()],
+    /// Gauge: fraction of LLC capacity holding DMA-buffer lines.
+    dma_llc_share: TimeSeries,
     bursts: Option<BurstTracker>,
     /// Per-core burst trackers (exported as `core<i>.burst_exe_ns`).
     core_bursts: Vec<BurstTracker>,
     hard_stop: SimTime,
-    /// Line-address ranges of all DMA buffer pools (bloat classification).
-    dma_line_ranges: Vec<(u64, u64)>,
     /// Sample ticks seen (the occupancy gauge samples every 10th tick).
     sample_ticks: u64,
     /// Resolved layered policy table: system default → per-tenant →
@@ -341,21 +267,12 @@ pub struct System {
     /// [`SystemConfig::policy_table`]). The hot path indexes it by the
     /// domain id the NIC stamped into the packet's DMA plan.
     policy: PolicyTable,
-    /// IAT way-tuner state, one slot per policy domain: (control ticks,
-    /// LLC-WB snapshot, quiet streak). Only domains whose caps tune the
-    /// DDIO ways ever advance their slot, so an IAT tenant's tuner state
-    /// is isolated from coexisting non-IAT tenants.
-    iat: Vec<(u64, u64, u32)>,
-    /// Closed-loop CAT way allocator; present only when some policy
-    /// domain asked for `cat = auto`.
-    cat: Option<CatController>,
-    /// First policy domain hosted on each core (by queue order); `None`
-    /// for cores without a queue. Maps per-core MLC-WB counters onto
-    /// per-domain pressure for the CAT loop, and picks each core's mask.
-    core_domain: Vec<Option<u16>>,
-    /// DDIO width the CAT masks were last planned against; the IAT tuner
-    /// moving the partition boundary forces a re-plan.
-    cat_ddio: usize,
+    /// IAT-style DDIO way tuner; present only when some policy domain
+    /// tunes the DDIO ways.
+    iat: Option<IatTuner>,
+    /// CAT way partitioning; present only when some policy domain uses
+    /// CAT (static or auto).
+    cat: Option<CatPartition>,
     /// Run-level metrics registry (exported via [`RunReport::metrics`]).
     metrics: MetricsRegistry,
     /// Bounded event tracer (filter from [`SystemConfig::trace`]).
@@ -376,9 +293,6 @@ pub struct System {
     /// Control-tick scratch: the per-core MLC-WB snapshot, refilled in
     /// place every tick so the 1 µs control loop never allocates.
     ctrl_wbs: Vec<u64>,
-    /// Control-tick scratch: per-domain writeback pressure for the CAT
-    /// loop, folded in the same per-core pass that fills `ctrl_wbs`.
-    ctrl_domain_wb: Vec<u64>,
     /// Control-tick scratch: pre-tick FSM statuses (only filled while the
     /// `fsm` tracer is on).
     ctrl_fsm_before: Vec<MlcStatus>,
@@ -389,21 +303,12 @@ pub struct System {
     /// Steering-mix totals at the previous control tick (delta source for
     /// the tick log).
     tick_last_steer: [u64; 3],
-    /// Flow-director-pressure accounting; `None` whenever every tenant's
-    /// flows fit the NIC's steering state (legacy behavior, no new
-    /// metrics).
-    fd: Option<FdState>,
-    /// Flow-director mix totals at the previous control tick (delta
-    /// source for the tick log's `fd` section).
-    tick_last_fd: [u64; 5],
-    /// Per-queue last pool activity (RX accept or buffer release), for
-    /// the idle-flush window.
-    pool_last_active: Vec<SimTime>,
-    /// Whether each queue's pool is currently flushed (idle); cleared on
-    /// the next activity.
-    pool_flushed: Vec<bool>,
-    /// Per-queue idle-flush count (`pool.q{q}.idle_flushed`).
-    pool_idle_flushed: Vec<u64>,
+    /// Flow-director-pressure accounting; present only when some
+    /// tenant's flows can outrun the NIC's steering state.
+    fd: Option<FdAccounting>,
+    /// Explicit mbuf pools; present only when some workload configured
+    /// one.
+    pools: Option<Pools>,
 }
 
 impl System {
@@ -502,12 +407,10 @@ impl System {
                     // Pin first-seen flows round-robin across the
                     // tenant's queues.
                     let mut seen = std::collections::HashSet::new();
-                    let mut next = 0usize;
                     for a in &clipped {
                         if seen.insert(a.packet.flow) {
-                            nic.flow_director_mut()
-                                .install_perfect(a.packet.flow, queues[next % queues.len()]);
-                            next += 1;
+                            let q = queues[(seen.len() - 1) % queues.len()];
+                            nic.flow_director_mut().install_perfect(a.packet.flow, q);
                         }
                     }
                 }
@@ -549,10 +452,7 @@ impl System {
                 ))));
             }
         }
-        let fd = fd_active.then(|| FdState {
-            tenants: fd_tenants,
-            mix: vec![[0; 5]; cfg.workloads.len()],
-        });
+        let fd = fd_active.then(|| FdAccounting::new(fd_tenants, cfg.workloads.len()));
 
         // --- explicit mbuf pools ------------------------------------------------
         // RDCA sizing: a queue's pool budget is its equal share of the
@@ -639,13 +539,13 @@ impl System {
         // each parks at most one hint per line of its RX buffer slot.
         let hint_cap = match cfg.prefetcher.pacing {
             crate::prefetcher::PrefetchPacing::CpuPaced { .. } => {
-                cfg.ring_size as usize * (idio_nic::ring::DEFAULT_BUF_BYTES / LINE_SIZE) as usize
+                cfg.ring_size as usize * lines_per_buf as usize
             }
             crate::prefetcher::PrefetchPacing::Queued => 0,
         };
         let hints = HintArena::new(num_cores, hint_cap);
         let timing = CoreTiming::new(cfg.timing);
-        let samplers = Samplers::new(cfg.sample_interval);
+        let rates = RATES.map(|name| RateSampler::new(name, cfg.sample_interval));
         let bursts = cfg.workloads.first().and_then(|w| match w.traffic {
             TrafficPattern::Bursty(spec) => Some(BurstTracker::new(spec.period)),
             TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
@@ -658,7 +558,7 @@ impl System {
         };
         let hard_stop = cfg.duration + cfg.drain_grace;
 
-        let dma_line_ranges = regions
+        let dma_line_ranges: Vec<(u64, u64)> = regions
             .iter()
             .map(|r| {
                 let (lo, hi) = r.buf_range();
@@ -670,24 +570,9 @@ impl System {
         } else {
             Tracer::new(cfg.trace.clone(), DEFAULT_TRACE_CAPACITY)
         };
-        // CAT wiring: map each core to the first policy domain hosted on
-        // it (queue order), and stand up the closed-loop allocator when
-        // any domain asked for auto management.
-        let mut core_domain: Vec<Option<u16>> = vec![None; num_cores];
-        for (q, w) in cfg.workloads.iter().enumerate() {
-            let slot = &mut core_domain[w.core.index()];
-            if slot.is_none() {
-                *slot = Some(policy.queue_domain(q));
-            }
-        }
-        let cat = if policy.any_cat_auto() {
-            let auto: Vec<bool> = (0..policy.num_domains())
-                .map(|d| policy.caps(d as u16).cat == CatMode::Auto)
-                .collect();
-            Some(CatController::new(CatConfig::paper_default(), &auto))
-        } else {
-            None
-        };
+        let iat = IatTuner::new(&policy);
+        let cat = CatPartition::new(&policy, &cfg.workloads, &mut hier);
+        let pools = Pools::new(&cfg, &nic, &regions);
         let mut system = System {
             queue: EventQueue::new(),
             pending_arrival: vec![None; gens.len()],
@@ -701,16 +586,14 @@ impl System {
             timing,
             nf,
             antagonist,
-            samplers,
+            rates,
+            dma_llc_share: TimeSeries::new("dma_llc_share"),
             bursts,
             core_bursts,
             hard_stop,
-            dma_line_ranges,
             sample_ticks: 0,
-            iat: vec![(0, 0, 0); policy.num_domains()],
+            iat,
             cat,
-            core_domain,
-            cat_ddio: 0,
             policy,
             metrics: MetricsRegistry::new(),
             tracer,
@@ -719,55 +602,19 @@ impl System {
             steer: vec![[0; 3]; num_cores],
             hints,
             ctrl_wbs: Vec::with_capacity(num_cores),
-            ctrl_domain_wb: Vec::new(),
             ctrl_fsm_before: Vec::new(),
             tick_log: Vec::new(),
             tick_last_steer: [0; 3],
             fd,
-            tick_last_fd: [0; 5],
-            pool_last_active: vec![SimTime::ZERO; cfg.workloads.len()],
-            pool_flushed: vec![false; cfg.workloads.len()],
-            pool_idle_flushed: vec![0; cfg.workloads.len()],
+            pools,
             cfg,
         };
         // The occupancy gauge counts DMA-buffer lines resident in the
-        // LLC; tracking the ranges in the array keeps that a counter
-        // read instead of a full-LLC scan every sample tick.
-        system.hier.track_llc_ranges(&system.dma_line_ranges);
-        if system.policy.any_cat() {
-            system.apply_cat_masks();
-        }
+        // LLC; tracking the buffer ranges in the array keeps that a
+        // counter read instead of a full-LLC scan every sample tick.
+        system.hier.track_llc_ranges(&dma_line_ranges);
         system.schedule_initial();
         system
-    }
-
-    /// (Re)derives every core's CAT mask from the policy table and the
-    /// allocator's current plan. Static domains pin their configured
-    /// mask; auto domains get their exclusive slice (falling back to the
-    /// shared pool when no slice fits); all remaining cores share the
-    /// pool, which excludes every auto slice — that exclusion is what
-    /// makes the slices exclusive. Without an auto allocator only static
-    /// masks are applied and other cores keep the default core mask.
-    fn apply_cat_masks(&mut self) {
-        let ddio = self.hier.ddio_ways();
-        self.cat_ddio = ddio;
-        let plan = self
-            .cat
-            .as_ref()
-            .map(|c| c.plan(self.hier.config().llc.ways, ddio));
-        for core in 0..self.core_domain.len() {
-            let mode = self.core_domain[core].map(|d| self.policy.caps(d).cat);
-            let mask = match mode {
-                Some(CatMode::Static(m)) => Some(m),
-                Some(CatMode::Auto) => {
-                    let d = self.core_domain[core].unwrap() as usize;
-                    let p = plan.as_ref().expect("auto CAT domain without allocator");
-                    Some(p.domain_mask[d].unwrap_or(p.shared))
-                }
-                Some(CatMode::Off) | None => plan.as_ref().map(|p| p.shared),
-            };
-            self.hier.set_cat_mask(CoreId::new(core as u16), mask);
-        }
     }
 
     fn schedule_initial(&mut self) {
@@ -825,74 +672,34 @@ impl System {
 
     // ----- event handlers ---------------------------------------------------
 
-    /// Checked lookup of the NF state pinned to `core`, with the event being
-    /// handled attached for diagnostics. Every NF-path handler goes through
-    /// this (via [`Self::nf_state`]) instead of indexing `self.nf` directly,
-    /// so a mis-wired configuration fails with an error naming the core and
-    /// the event rather than a bare `Option::unwrap` panic.
-    fn try_nf_state(
-        &mut self,
-        core: usize,
-        event: &'static str,
-    ) -> Result<&mut NfState, UnconfiguredNfCore> {
-        self.nf
-            .get_mut(core)
-            .and_then(Option::as_mut)
-            .ok_or(UnconfiguredNfCore { core, event })
-    }
-
-    /// Infallible form of [`Self::try_nf_state`] for the event handlers,
-    /// which have no error channel to the engine loop.
+    /// Checked lookup of the NF state pinned to `core`. Every NF-path
+    /// handler goes through this instead of indexing `self.nf` directly.
     ///
     /// # Panics
     ///
-    /// Panics with the [`UnconfiguredNfCore`] diagnostic if `core` has no NF.
+    /// Panics if `core` has no NF. Every queue is pinned to exactly one NF
+    /// core at construction, so only a mis-wired configuration (a workload
+    /// pinned to one core while its events address another) gets here; the
+    /// message names both the core and the event being handled.
     #[track_caller]
     fn nf_state(&mut self, core: usize, event: &'static str) -> &mut NfState {
-        match self.try_nf_state(core, event) {
-            Ok(st) => st,
-            Err(e) => panic!("{e}"),
+        match self.nf.get_mut(core).and_then(Option::as_mut) {
+            Some(st) => st,
+            None => panic!(
+                "{event} event dispatched to core{core}, but no NF is configured there \
+                 (check the workload core pinning in SystemConfig::workloads)"
+            ),
         }
     }
 
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Arrival { gen } => self.on_arrival(now, gen),
-            Event::DmaPacket {
-                buf_line,
-                meta,
-                arrival,
-                seq,
-                first,
-                gap,
-                lines,
-                next,
-                batch_seq,
-                domain,
-            } => self.on_dma_packet(
-                DmaBatch {
-                    buf_line,
-                    meta,
-                    arrival,
-                    seq,
-                    first,
-                    gap,
-                    lines,
-                    batch_seq,
-                    domain,
-                },
-                next,
-            ),
+            Event::DmaPacket(batch) => self.on_dma_packet(batch),
             Event::DescWriteback { queue, slot } => self.on_desc_writeback(now, queue, slot),
             Event::PrefetchIssue { core } => self.on_prefetch_issue(now, core),
             Event::CoreWake { core } => self.on_core_wake(now, core),
-            Event::TxComplete {
-                queue,
-                buf,
-                lines,
-                arrival,
-                flow,
-            } => self.on_tx_complete(now, queue, buf, lines, arrival, flow),
+            Event::TxComplete(tx) => self.on_tx_complete(now, tx),
             Event::AntagonistNext => self.on_antagonist(now),
             Event::ControlTick => self.on_control_tick(now),
             Event::SampleTick => self.on_sample_tick(now),
@@ -906,33 +713,14 @@ impl System {
         // Resolve the packet's *home* queue (where its flow's NF runs)
         // before the NIC steers it; comparing against the steered queue
         // is what detects flow-director mis-steers.
-        let home = self.fd.as_ref().and_then(|fd| {
-            let t = fd.tenants.get(gen)?.as_ref()?;
-            let slot = t.set.slot_of(&packet.flow)?;
-            Some(t.queues[slot as usize % t.queues.len()])
-        });
+        let home = self.fd.as_ref().and_then(|fd| fd.home(gen, &packet.flow));
         if let Some(dma) = self.nic.rx_packet(now, packet) {
             if let (Some(home), Some(fd)) = (home, self.fd.as_mut()) {
-                let m = &mut fd.mix[home.index()];
-                match dma.steer {
-                    SteeringSource::PerfectMatch => m[0] += 1,
-                    SteeringSource::FilterTable => m[1] += 1,
-                    SteeringSource::FilterTableCollision => m[2] += 1,
-                    SteeringSource::Rss => m[3] += 1,
-                }
-                if dma.queue != home {
-                    // Mis-steer: the packet's lines land in (and its NF
-                    // work charges) the wrong core's caches.
-                    m[4] += 1;
-                    if self.tracer.enabled("fd") {
-                        let (src, got) = (dma.steer, dma.queue);
-                        self.tracer.record(now, "fd", "mis_steer", move || {
-                            format!("home=q{} got=q{} via={src:?}", home.index(), got.index())
-                        });
-                    }
-                }
+                fd.tally(now, home, dma.steer, dma.queue, &mut self.tracer);
             }
-            self.mark_pool_active(now, dma.queue);
+            if let Some(pools) = &mut self.pools {
+                pools.mark_active(now, dma.queue);
+            }
             let core = dma.dest_core.index();
             let seq = {
                 let st = self.nf_state(core, "Arrival");
@@ -946,7 +734,7 @@ impl System {
             let batch_seq = self.queue.next_seq();
             self.queue.schedule_at(
                 dma.payload.first,
-                Event::DmaPacket {
+                Event::DmaPacket(DmaBatch {
                     buf_line,
                     meta: dma.head_meta,
                     arrival: now,
@@ -957,7 +745,7 @@ impl System {
                     next: 0,
                     batch_seq,
                     domain: dma.policy_domain,
-                },
+                }),
             );
             self.queue.schedule_at(
                 dma.descriptor.done(),
@@ -985,7 +773,18 @@ impl System {
         }
     }
 
-    /// Applies one batched-DMA event from payload line `next` onward.
+    /// Writes a `bytes`-long descriptor at `addr` over PCIe, placed like
+    /// any DDIO write.
+    fn write_descriptor(&mut self, now: SimTime, addr: Addr, bytes: u64) {
+        for l in 0..bytes / LINE_SIZE {
+            let w = self
+                .hier
+                .pcie_write(addr.line().offset(l), DmaPlacement::Llc);
+            self.charge_dram(now, w.effects);
+        }
+    }
+
+    /// Applies one batched-DMA event from payload line `b.next` onward.
     ///
     /// Each line is applied at its own timestamp `first + gap * i`
     /// (identical DRAM queueing and burst accounting to the per-line
@@ -996,27 +795,16 @@ impl System {
     /// [`EventQueue::schedule_resume`](idio_engine::queue::EventQueue::schedule_resume),
     /// which preserves `batch_seq` so FIFO tie-breaks match the old
     /// per-line scheduling exactly.
-    fn on_dma_packet(&mut self, b: DmaBatch, next: u32) {
+    fn on_dma_packet(&mut self, b: DmaBatch) {
         let mut applied: u64 = 0;
-        for i in next..b.lines {
+        for i in b.next..b.lines {
             let at = b.first + b.gap * u64::from(i);
             if let Some(key) = self.queue.peek_key() {
                 if key < (at, b.batch_seq) {
                     self.queue.schedule_resume(
                         at,
                         b.batch_seq,
-                        Event::DmaPacket {
-                            buf_line: b.buf_line,
-                            meta: b.meta,
-                            arrival: b.arrival,
-                            seq: b.seq,
-                            first: b.first,
-                            gap: b.gap,
-                            lines: b.lines,
-                            next: i,
-                            batch_seq: b.batch_seq,
-                            domain: b.domain,
-                        },
+                        Event::DmaPacket(DmaBatch { next: i, ..b }),
                     );
                     break;
                 }
@@ -1086,25 +874,18 @@ impl System {
                 )
             });
         }
-        let dest = meta.dest_core.index();
-        match placement {
-            Placement::Llc => {
-                self.steer[dest][0] += 1;
-                let w = self.hier.pcie_write(line, DmaPlacement::Llc);
-                self.charge_dram(now, w.effects);
-            }
-            Placement::Dram => {
-                self.steer[dest][2] += 1;
-                let w = self.hier.pcie_write(line, DmaPlacement::Dram);
-                self.charge_dram(now, w.effects);
-            }
-            Placement::Mlc(core) => {
-                self.steer[dest][1] += 1;
-                let w = self.hier.pcie_write(line, DmaPlacement::Llc);
-                self.charge_dram(now, w.effects);
-                let ci = core.index();
-                self.hier_prefetch_hint(now, ci, line, seq);
-            }
+        // `STEER_KEYS` column and cache-side placement of the write; an
+        // MLC placement lands in the LLC and hints the core's prefetcher.
+        let (col, to) = match placement {
+            Placement::Llc => (0, DmaPlacement::Llc),
+            Placement::Mlc(_) => (1, DmaPlacement::Llc),
+            Placement::Dram => (2, DmaPlacement::Dram),
+        };
+        self.steer[meta.dest_core.index()][col] += 1;
+        let w = self.hier.pcie_write(line, to);
+        self.charge_dram(now, w.effects);
+        if let Placement::Mlc(core) = placement {
+            self.hier_prefetch_hint(now, core.index(), line, seq);
         }
     }
 
@@ -1200,12 +981,7 @@ impl System {
         // placed like any DDIO write (descriptors are not packet data and
         // are not steered).
         let desc = self.nic.ring(queue).desc_addr(slot);
-        for l in 0..(idio_nic::ring::DESC_BYTES / LINE_SIZE) {
-            let w = self
-                .hier
-                .pcie_write(desc.line().offset(l), DmaPlacement::Llc);
-            self.charge_dram(now, w.effects);
-        }
+        self.write_descriptor(now, desc, idio_nic::ring::DESC_BYTES);
         self.nic.ring_mut(queue).complete(slot);
 
         // Wake the pinned core if it is idle.
@@ -1373,13 +1149,13 @@ impl System {
                 let sched = self.nic.tx_packet(now, lines);
                 self.queue.schedule_at(
                     sched.done(),
-                    Event::TxComplete {
+                    Event::TxComplete(TxDone {
                         queue,
                         buf: slot.buf,
                         lines,
                         arrival: slot.arrived_at,
                         flow: slot.packet.flow,
-                    },
+                    }),
                 );
             }
         }
@@ -1407,13 +1183,6 @@ impl System {
         self.queue_caps(queue).invalidate || self.nic.ring(queue).pool().invalidate_on_free()
     }
 
-    /// Marks `queue`'s pool active (an RX accept or a buffer release),
-    /// restarting its idle-flush window.
-    fn mark_pool_active(&mut self, now: SimTime, queue: QueueId) {
-        self.pool_last_active[queue.index()] = now;
-        self.pool_flushed[queue.index()] = false;
-    }
-
     /// Returns a consumed buffer to its queue's pool at the packet's
     /// completion event — never at steer or TX-post time — so a recycle
     /// pool's LIFO free list sees the true release order.
@@ -1422,7 +1191,9 @@ impl System {
             self.invalidate_buffer(now, core, buf, lines);
         }
         self.nic.ring_mut(queue).release(buf);
-        self.mark_pool_active(now, queue);
+        if let Some(pools) = &mut self.pools {
+            pools.mark_active(now, queue);
+        }
     }
 
     /// Completes one packet on `core`: frees its buffer, records its
@@ -1454,31 +1225,18 @@ impl System {
         self.advance_cpu_pointer(now, core);
     }
 
-    fn on_tx_complete(
-        &mut self,
-        now: SimTime,
-        queue: QueueId,
-        buf: Addr,
-        lines: u32,
-        arrival: SimTime,
-        flow: FiveTuple,
-    ) {
-        self.learn_flow(now, &flow, Some(queue));
-        for l in 0..u64::from(lines) {
-            let r = self.hier.pcie_read(buf.line().offset(l));
+    fn on_tx_complete(&mut self, now: SimTime, tx: TxDone) {
+        self.learn_flow(now, &tx.flow, Some(tx.queue));
+        for l in 0..u64::from(tx.lines) {
+            let r = self.hier.pcie_read(tx.buf.line().offset(l));
             self.charge_dram(now, r.effects);
         }
-        let core = self.cfg.workloads[queue.index()].core.index();
+        let core = self.cfg.workloads[tx.queue.index()].core.index();
         // Completion descriptor writeback: an inbound PCIe write that
         // lands in the DDIO ways like any other device write.
         let done = self.nf_state(core, "TxComplete").tx_ring.complete();
-        for l in 0..(idio_nic::tx::TX_DESC_BYTES / LINE_SIZE) {
-            let w = self
-                .hier
-                .pcie_write(done.desc.line().offset(l), DmaPlacement::Llc);
-            self.charge_dram(now, w.effects);
-        }
-        self.complete_packet(now, core, buf, lines, arrival, "TxComplete");
+        self.write_descriptor(now, done.desc, idio_nic::tx::TX_DESC_BYTES);
+        self.complete_packet(now, core, tx.buf, tx.lines, tx.arrival, "TxComplete");
     }
 
     fn on_antagonist(&mut self, now: SimTime) {
@@ -1506,84 +1264,13 @@ impl System {
         }
     }
 
-    /// Control-tick driver refresh: for churning tenants, re-install the
-    /// perfect filter of any pinned slot whose flow turned over since the
-    /// filter was programmed (evicting the oldest co-resident entry when
-    /// its filter set is full, exactly as a real driver's install would).
-    /// The stale filter for the retired flow is left behind to age out or
-    /// be evicted — matching drivers that do not garbage-collect rules.
-    fn fd_refresh(&mut self, now: SimTime) {
-        let Some(fd) = self.fd.as_mut() else { return };
-        for t in fd.tenants.iter_mut().flatten() {
-            if t.set.churn().is_none() || t.pinned.is_empty() {
-                continue;
-            }
-            for (slot, last) in &mut t.pinned {
-                let idx = t.set.index_at(*slot, now);
-                if idx != *last {
-                    let q = t.queues[*slot as usize % t.queues.len()];
-                    self.nic
-                        .flow_director_mut()
-                        .install_perfect_evicting(t.set.tuple_of(idx), q);
-                    *last = idx;
-                }
-            }
-        }
-    }
-
-    /// Latency-aware recycler flush: a queue whose pool saw no RX or
-    /// buffer-release activity for the configured idle window
-    /// self-invalidates its DMA buffers, releasing the pool's LLC
-    /// footprint to other tenants until traffic resumes.
-    fn pool_idle_flush_tick(&mut self, now: SimTime) {
-        let Some(window) = self.cfg.pool_idle_flush else {
-            return;
-        };
-        let lines_per_buf = (idio_nic::ring::DEFAULT_BUF_BYTES / LINE_SIZE) as u32;
-        for q in 0..self.cfg.workloads.len() {
-            if self.pool_flushed[q] {
-                continue;
-            }
-            let queue = QueueId(q as u16);
-            if !matches!(self.nic.ring(queue).pool().mode(), PoolMode::Recycle { .. }) {
-                continue;
-            }
-            if now.saturating_since(self.pool_last_active[q]) <= window {
-                continue;
-            }
-            let core = self.cfg.workloads[q].core.index();
-            let buf_base = self.nf[core]
-                .as_ref()
-                .expect("pooled queue without an NF")
-                .regions
-                .buf_base;
-            self.invalidate_buffer(now, core, buf_base, self.cfg.ring_size * lines_per_buf);
-            self.pool_flushed[q] = true;
-            self.pool_idle_flushed[q] += 1;
-        }
-    }
-
     fn on_control_tick(&mut self, now: SimTime) {
-        // One pass over the per-core stats fills every control input at
-        // once: the controller's MLC-WB snapshot and (when the CAT loop
-        // runs) the per-domain pressure. Each per-core struct is touched
-        // once per tick, and all scratch buffers are reused across ticks
-        // so the 1 µs control loop never allocates.
-        let any_cat = self.cat.is_some();
+        // The controller's MLC-WB snapshot, refilled in place so the 1 µs
+        // control loop never allocates; the CAT loop folds it into
+        // per-domain pressure.
         self.ctrl_wbs.clear();
-        if any_cat {
-            self.ctrl_domain_wb.clear();
-            self.ctrl_domain_wb.resize(self.policy.num_domains(), 0);
-        }
-        for (core, c) in self.hier.stats().core.iter().enumerate() {
-            let wb = c.mlc_wb.get();
-            self.ctrl_wbs.push(wb);
-            if any_cat {
-                if let Some(d) = self.core_domain[core] {
-                    self.ctrl_domain_wb[d as usize] += wb;
-                }
-            }
-        }
+        self.ctrl_wbs
+            .extend(self.hier.stats().core.iter().map(|c| c.mlc_wb.get()));
         let fsm_watch = self.tracer.enabled("fsm");
         if fsm_watch {
             self.ctrl_fsm_before.clear();
@@ -1605,75 +1292,28 @@ impl System {
                 }
             }
         }
-        if self.policy.any_tunes_ddio_ways() {
-            // IAT-style tuner: every 25 control intervals (25 us), grow
-            // the DDIO partition while inbound data is leaking to DRAM;
-            // shrink it back one way at a time only after a sustained
-            // quiet period (hysteresis, as IAT's monitoring loop does).
-            // One tuner state per policy domain whose caps ask for it, so
-            // an IAT tenant's hysteresis is not perturbed by domains that
-            // never tune.
-            for d in 0..self.iat.len() {
-                if !self.policy.caps(d as u16).tune_ddio_ways {
-                    continue;
-                }
-                let iat = &mut self.iat[d];
-                iat.0 += 1;
-                if iat.0.is_multiple_of(25) {
-                    let wb = self.hier.stats().shared.llc_wb.get();
-                    let delta = wb - iat.1;
-                    iat.1 = wb;
-                    let ways = self.hier.ddio_ways();
-                    // Dynamic DDIO policies re-allocate a bounded slice of the
-                    // LLC to I/O (growing further only squeezes the ways the
-                    // consumed data bloats into).
-                    let max_ways = 4.min(self.hier.config().llc.ways - 2);
-                    if delta > 25 {
-                        iat.2 = 0;
-                        if ways < max_ways {
-                            self.hier.set_ddio_ways(ways + 1);
-                        }
-                    } else if delta == 0 {
-                        iat.2 += 1;
-                        // ~1 ms of silence before giving a way back.
-                        if iat.2 >= 40 && ways > 2 {
-                            self.hier.set_ddio_ways(ways - 1);
-                            iat.2 = 0;
-                        }
-                    } else {
-                        iat.2 = 0;
-                    }
-                }
-            }
+        if let Some(iat) = &mut self.iat {
+            iat.tick(&mut self.hier);
         }
-        // Closed-loop CAT: fold the per-core MLC-WB counters into
-        // per-domain pressure and let the allocator adjust the slices.
-        // Runs after the IAT tuner so a freshly widened DDIO partition is
-        // reflected in this tick's plan, not the next one's.
-        let llc_ways = self.hier.config().llc.ways;
-        let ddio = self.hier.ddio_ways();
-        let cat_ddio = self.cat_ddio;
-        let mut replan = false;
-        if let Some(cat) = self.cat.as_mut() {
-            // Domain pressure was folded in the stats pass above.
-            let budget = llc_ways.saturating_sub(ddio + cat.config().min_shared);
-            let changed = cat.tick(&self.ctrl_domain_wb, budget);
-            if changed || ddio != cat_ddio {
-                let widths: Vec<String> = (0..self.ctrl_domain_wb.len())
-                    .filter_map(|d| cat.ways(d).map(|w| format!("d{d}={w}")))
-                    .collect();
-                let reallocs = cat.reallocations();
-                self.tracer.record(now, "cat", "realloc", move || {
-                    format!("ddio={ddio} {} reallocs={reallocs}", widths.join(" "))
-                });
-                replan = true;
-            }
+        if let Some(cat) = &mut self.cat {
+            cat.tick(
+                now,
+                &self.ctrl_wbs,
+                &mut self.hier,
+                &self.policy,
+                &mut self.tracer,
+            );
         }
-        if replan {
-            self.apply_cat_masks();
+        if let Some(fd) = &mut self.fd {
+            fd.refresh(now, self.nic.flow_director_mut());
         }
-        self.fd_refresh(now);
-        self.pool_idle_flush_tick(now);
+        while let Some((core, base, lines)) = self
+            .pools
+            .as_mut()
+            .and_then(|p| p.next_idle_flush(now, &self.nic))
+        {
+            self.invalidate_buffer(now, core, base, lines);
+        }
         if self.cfg.tick_metrics {
             self.record_tick_metrics(now);
         }
@@ -1686,31 +1326,17 @@ impl System {
     /// Appends one NDJSON line describing this control tick to the
     /// tick-metrics timeline ([`SystemConfig::tick_metrics`]): the steering
     /// mix since the previous tick (delta line counts, not cumulative), the
-    /// per-core prefetch-FSM states as a compact `M`/`L` string, and — when
-    /// the closed-loop CAT allocator is running — its reallocation count
-    /// and per-domain way widths. The `cat` section follows the same
-    /// discipline as the `cat.*` metrics: present only when an allocator is
-    /// configured.
+    /// per-core prefetch-FSM states as a compact `M`/`L` string, then the
+    /// `cat`, `fd` and `pool` sections of whichever of those components
+    /// the run configured.
     fn record_tick_metrics(&mut self, now: SimTime) {
-        use std::fmt::Write as _;
-        let total = self.steer.iter().fold([0u64; 3], |acc, s| {
-            [acc[0] + s[0], acc[1] + s[1], acc[2] + s[2]]
-        });
-        let delta = [
-            total[0] - self.tick_last_steer[0],
-            total[1] - self.tick_last_steer[1],
-            total[2] - self.tick_last_steer[2],
-        ];
+        let total = column_sums(&self.steer);
+        let delta: [u64; 3] = std::array::from_fn(|i| total[i] - self.tick_last_steer[i]);
         self.tick_last_steer = total;
         let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"t_us\":{:.3},\"steer\":{{\"llc\":{},\"mlc\":{},\"dram\":{}}},\"fsm\":\"",
-            now.as_us_f64(),
-            delta[0],
-            delta[1],
-            delta[2],
-        );
+        let _ = write!(line, "{{\"t_us\":{:.3},\"steer\":", now.as_us_f64());
+        write_counts(&mut line, &STEER_KEYS, &delta);
+        line.push_str(",\"fsm\":\"");
         for i in 0..self.steer.len() {
             line.push(match self.ctrl.status(CoreId::new(i as u16)) {
                 MlcStatus::Mlc => 'M',
@@ -1718,97 +1344,42 @@ impl System {
             });
         }
         line.push('"');
-        if let Some(cat) = self.cat.as_ref() {
-            let _ = write!(
-                line,
-                ",\"cat\":{{\"reallocs\":{},\"ways\":[",
-                cat.reallocations()
-            );
-            for d in 0..self.policy.num_domains() {
-                if d > 0 {
-                    line.push(',');
-                }
-                match cat.ways(d) {
-                    Some(w) => {
-                        let _ = write!(line, "{w}");
-                    }
-                    None => line.push_str("null"),
-                }
-            }
-            line.push_str("]}");
+        if let Some(cat) = &self.cat {
+            cat.tick_section(&mut line, &self.policy);
         }
-        // Flow-director mix delta, present only under flow-director
-        // pressure accounting so legacy tick logs stay byte-identical.
-        if let Some(fd) = self.fd.as_ref() {
-            let total = fd
-                .mix
-                .iter()
-                .fold([0u64; 5], |acc, m| std::array::from_fn(|i| acc[i] + m[i]));
-            let d: [u64; 5] = std::array::from_fn(|i| total[i] - self.tick_last_fd[i]);
-            self.tick_last_fd = total;
-            let _ = write!(
-                line,
-                ",\"fd\":{{\"perfect\":{},\"atr\":{},\"collision\":{},\"rss\":{},\"mis\":{}}}",
-                d[0], d[1], d[2], d[3], d[4],
-            );
+        if let Some(fd) = &mut self.fd {
+            fd.tick_section(&mut line);
         }
-        // Pool occupancy follows the `cat` discipline: the section exists
-        // only when some workload configured an explicit pool, so legacy
-        // tick logs stay byte-identical.
-        if self.cfg.workloads.iter().any(|w| w.pool.is_some()) {
-            line.push_str(",\"pool\":{");
-            let mut first = true;
-            for (q, w) in self.cfg.workloads.iter().enumerate() {
-                if w.pool.is_none() {
-                    continue;
-                }
-                let p = self.nic.ring(QueueId(q as u16)).pool();
-                let s = p.stats();
-                if !first {
-                    line.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    line,
-                    "\"q{q}\":{{\"live\":{},\"recycled\":{},\"starved\":{},\"spilled\":{}}}",
-                    p.live_bufs(),
-                    s.recycled,
-                    s.starved,
-                    s.spilled,
-                );
-            }
-            line.push('}');
+        if let Some(pools) = &self.pools {
+            pools.tick_section(&mut line, &self.nic);
         }
         line.push('}');
         self.tick_log.push(line);
     }
 
+    /// The cumulative counters behind the [`RATES`] timelines.
+    fn sampled_counters(&self) -> [u64; RATES.len()] {
+        let h = self.hier.stats();
+        [
+            h.total_mlc_wb(),
+            h.shared.llc_wb.get(),
+            h.shared.dram_reads.get(),
+            h.shared.dram_writes.get(),
+            h.shared.pcie_writes.get(),
+            h.total_prefetch_fills(),
+            // Private-cache and LLC copies are mutually exclusive in the
+            // non-inclusive hierarchy, so the sum counts each dropped
+            // line exactly once.
+            h.total_self_invalidations() + h.shared.llc_self_invalidations.get(),
+        ]
+    }
+
     fn on_sample_tick(&mut self, now: SimTime) {
         const MTPS: f64 = 1e-6;
-        let h = self.hier.stats();
-        self.samplers
-            .mlc_wb
-            .sample_scaled(now, h.total_mlc_wb(), MTPS);
-        self.samplers
-            .llc_wb
-            .sample_scaled(now, h.shared.llc_wb.get(), MTPS);
-        self.samplers
-            .dram_rd
-            .sample_scaled(now, h.shared.dram_reads.get(), MTPS);
-        self.samplers
-            .dram_wr
-            .sample_scaled(now, h.shared.dram_writes.get(), MTPS);
-        self.samplers
-            .dma_wr
-            .sample_scaled(now, h.shared.pcie_writes.get(), MTPS);
-        self.samplers
-            .prefetch
-            .sample_scaled(now, h.total_prefetch_fills(), MTPS);
-        self.samplers.self_inval.sample_scaled(
-            now,
-            h.total_self_invalidations() + h.shared.llc_self_invalidations.get(),
-            MTPS,
-        );
+        let counters = self.sampled_counters();
+        for (s, v) in self.rates.iter_mut().zip(counters) {
+            s.sample_scaled(now, v, MTPS);
+        }
         // The occupancy gauge used to scan the LLC, so it sampled at a
         // tenth of the counter-sampling rate; the array now maintains
         // the count incrementally, but the cadence is kept so the
@@ -1817,8 +1388,7 @@ impl System {
         if self.sample_ticks.is_multiple_of(10) {
             let llc = self.hier.llc();
             let dma = llc.tracked_resident();
-            self.samplers
-                .dma_llc_share
+            self.dma_llc_share
                 .push(now, dma as f64 / llc.capacity_lines() as f64);
         }
         let next = now + self.cfg.sample_interval;
@@ -1830,31 +1400,28 @@ impl System {
     // ----- report -------------------------------------------------------------
 
     fn into_report(mut self) -> RunReport {
+        let [mlc_wb, llc_wb, dram_rd, dram_wr, pcie_wr, prefetch_fills, self_inval] =
+            self.sampled_counters();
         let h = self.hier.stats();
         let totals = RunTotals {
-            mlc_wb: h.total_mlc_wb(),
+            mlc_wb,
             mlc_inval_by_dma: h.total_mlc_inval_by_dma(),
-            llc_wb: h.shared.llc_wb.get(),
-            dram_rd: h.shared.dram_reads.get(),
-            dram_wr: h.shared.dram_writes.get(),
-            pcie_wr: h.shared.pcie_writes.get(),
-            prefetch_fills: h.total_prefetch_fills(),
-            // Private-cache and LLC copies are mutually exclusive in the
-            // non-inclusive hierarchy, so the sum counts each dropped line
-            // exactly once.
-            self_inval: h.total_self_invalidations() + h.shared.llc_self_invalidations.get(),
+            llc_wb,
+            dram_rd,
+            dram_wr,
+            pcie_wr,
+            prefetch_fills,
+            self_inval,
             rx_packets: self.nic.stats().rx_packets.get(),
             rx_drops: self.nic.stats().rx_drops.get(),
             completed_packets: self.nf.iter().flatten().map(|st| st.completed).sum(),
         };
-        let mut latency = Vec::new();
-        for (ci, st) in self.nf.iter_mut().enumerate() {
-            if let Some(st) = st {
-                if let Some(s) = LatencySummary::from_recorder(&mut st.latency) {
-                    latency.push((CoreId::new(ci as u16), s));
-                }
-            }
-        }
+        let latency = (self.nf.iter_mut().enumerate())
+            .filter_map(|(ci, st)| {
+                let s = LatencySummary::from_recorder(&mut st.as_mut()?.latency)?;
+                Some((CoreId::new(ci as u16), s))
+            })
+            .collect();
         let ps_per_cycle = self.timing.config().freq.ps_per_cycle();
         let antagonist_cpa = self
             .antagonist
@@ -1862,164 +1429,82 @@ impl System {
             .map(|(_, a)| a.stats().cycles_per_access(ps_per_cycle));
 
         // ---- fold final counters into the metrics registry -----------------
-        // Engine-level anomaly counters (were debug_assert!s; now always-on
-        // diagnostics identical across build profiles).
-        self.metrics.counter_set(
-            "engine.schedule_past_clamped",
-            self.queue.schedule_past_clamped(),
-        );
-        let backwards = [
-            &self.samplers.mlc_wb,
-            &self.samplers.llc_wb,
-            &self.samplers.dram_rd,
-            &self.samplers.dram_wr,
-            &self.samplers.dma_wr,
-            &self.samplers.prefetch,
-            &self.samplers.self_inval,
-        ]
-        .iter()
-        .map(|s| s.backwards_samples())
-        .sum();
-        self.metrics
-            .counter_set("stats.counter_backwards", backwards);
-        for (ti, name) in Event::NAMES.iter().enumerate() {
-            self.metrics
-                .counter_set(&format!("engine.events.{name}"), self.ev_counts[ti]);
-        }
-        // Component counters under stable dotted names.
-        self.metrics
-            .counter_set("nic.rx.packets", totals.rx_packets);
-        self.metrics.counter_set("nic.rx.drops", totals.rx_drops);
-        self.metrics.counter_set("nic.dma.lines", totals.pcie_wr);
-        self.metrics.counter_set("llc.wb", totals.llc_wb);
-        self.metrics.counter_set("dram.rd", totals.dram_rd);
-        self.metrics.counter_set("dram.wr", totals.dram_wr);
-        let steer_total = self.steer.iter().fold([0u64; 3], |acc, s| {
-            [acc[0] + s[0], acc[1] + s[1], acc[2] + s[2]]
+        let backwards = self.rates.iter().map(|s| s.backwards_samples()).sum();
+        let (accepted, dropped, issued) = self.prefetchers.iter().fold((0, 0, 0), |acc, p| {
+            let s = p.stats();
+            (
+                acc.0 + s.accepted.get(),
+                acc.1 + s.dropped.get(),
+                acc.2 + s.issued.get(),
+            )
         });
-        self.metrics.counter_set("steer.llc", steer_total[0]);
-        self.metrics.counter_set("steer.mlc", steer_total[1]);
-        self.metrics.counter_set("steer.dram", steer_total[2]);
-        // CAT partition outcome. Exported only when some domain uses CAT
-        // at all, so non-CAT runs keep a byte-identical metric set.
-        if self.policy.any_cat() {
-            self.metrics.counter_set(
-                "cat.reallocations",
-                self.cat.as_ref().map_or(0, |c| c.reallocations()),
-            );
-            for d in 0..self.policy.num_domains() {
-                let ways = match self.policy.caps(d as u16).cat {
-                    CatMode::Off => continue,
-                    CatMode::Static(m) => m.count(),
-                    CatMode::Auto => self
-                        .cat
-                        .as_ref()
-                        .and_then(|c| c.ways(d))
-                        .expect("auto CAT domain without allocator"),
-                };
-                self.metrics
-                    .counter_set(&format!("cat.domain{d}.ways"), ways as u64);
-            }
+        let m = &mut self.metrics;
+        for (name, v) in [
+            // Engine-level anomaly counters (were debug_assert!s; now
+            // always-on diagnostics identical across build profiles).
+            (
+                "engine.schedule_past_clamped",
+                self.queue.schedule_past_clamped(),
+            ),
+            ("stats.counter_backwards", backwards),
+            // Component counters under stable dotted names.
+            ("nic.rx.packets", totals.rx_packets),
+            ("nic.rx.drops", totals.rx_drops),
+            ("nic.dma.lines", totals.pcie_wr),
+            ("llc.wb", totals.llc_wb),
+            ("dram.rd", totals.dram_rd),
+            ("dram.wr", totals.dram_wr),
+            ("packets.completed", totals.completed_packets),
+            ("maint.self_inval", totals.self_inval),
+            ("prefetch.accepted", accepted),
+            ("prefetch.drops", dropped),
+            ("prefetch.issued", issued),
+            ("trace.records", self.tracer.total()),
+            ("trace.evicted", self.tracer.evicted()),
+        ] {
+            m.counter_set(name, v);
         }
-        // Flow-director pressure outcome. Exported only when the bounded
-        // steering state is actually under pressure (some tenant's flows
-        // exceed its filter budget, or churn/wide sets are in play), so
-        // fully-pinned runs keep a byte-identical metric set.
-        if let Some(fd) = self.fd.as_ref() {
-            let s = self.nic.flow_director().stats();
-            self.metrics.counter_set("fd.perfect_hits", s.perfect_hits);
-            self.metrics.counter_set("fd.atr_hits", s.atr_hits);
-            self.metrics
-                .counter_set("fd.atr_collisions", s.atr_collisions);
-            self.metrics
-                .counter_set("fd.rss_fallbacks", s.rss_fallbacks);
-            self.metrics
-                .counter_set("fd.perfect_installed", s.perfect_installed);
-            self.metrics
-                .counter_set("fd.perfect_updated", s.perfect_updated);
-            self.metrics
-                .counter_set("fd.perfect_evicted", s.perfect_evicted);
-            self.metrics
-                .counter_set("fd.perfect_rejected", s.perfect_rejected);
-            self.metrics.counter_set("fd.atr_learned", s.atr_learned);
-            self.metrics.counter_set("fd.atr_aged", s.atr_aged);
-            let mut mis = 0;
-            for (q, m) in fd.mix.iter().enumerate() {
-                self.metrics.counter_set(&format!("fd.q{q}.perfect"), m[0]);
-                self.metrics.counter_set(&format!("fd.q{q}.atr"), m[1]);
-                self.metrics
-                    .counter_set(&format!("fd.q{q}.collision"), m[2]);
-                self.metrics.counter_set(&format!("fd.q{q}.rss"), m[3]);
-                self.metrics.counter_set(&format!("fd.q{q}.mis"), m[4]);
-                mis += m[4];
-            }
-            self.metrics.counter_set("fd.mis_steered", mis);
+        for (name, &v) in Event::NAMES.iter().zip(&self.ev_counts) {
+            m.counter_set(&format!("engine.events.{name}"), v);
         }
-        self.metrics
-            .counter_set("packets.completed", totals.completed_packets);
-        self.metrics
-            .counter_set("maint.self_inval", totals.self_inval);
-        for (i, c) in h.core.iter().enumerate() {
-            self.metrics
-                .counter_set(&format!("core{i}.mlc.wb"), c.mlc_wb.get());
+        for (key, v) in STEER_KEYS.iter().zip(column_sums(&self.steer)) {
+            m.counter_set(&format!("steer.{key}"), v);
+        }
+        // Each configured component exports its own counters.
+        if let Some(cat) = &self.cat {
+            cat.export(m, &self.policy);
+        }
+        if let Some(fd) = &self.fd {
+            fd.export(m, self.nic.flow_director().stats());
+        }
+        if let Some(pools) = &self.pools {
+            pools.export(m, &self.nic);
         }
         // Per-core attribution: steering mix by destination core, queue
         // RX load/loss, completions, and the packet-latency histograms —
         // everything a multi-tenant report needs to slice a mixed run by
         // the cores/queues each tenant owns.
+        for (i, c) in h.core.iter().enumerate() {
+            m.counter_set(&format!("core{i}.mlc.wb"), c.mlc_wb.get());
+        }
         for (i, s) in self.steer.iter().enumerate() {
-            self.metrics
-                .counter_set(&format!("core{i}.steer.llc"), s[0]);
-            self.metrics
-                .counter_set(&format!("core{i}.steer.mlc"), s[1]);
-            self.metrics
-                .counter_set(&format!("core{i}.steer.dram"), s[2]);
+            for (key, &v) in STEER_KEYS.iter().zip(s) {
+                m.counter_set(&format!("core{i}.steer.{key}"), v);
+            }
         }
         for (q, qs) in self.nic.queue_stats().iter().enumerate() {
-            self.metrics
-                .counter_set(&format!("queue{q}.rx.packets"), qs.rx_packets.get());
-            self.metrics
-                .counter_set(&format!("queue{q}.rx.drops"), qs.rx_drops.get());
-        }
-        // Mbuf-pool outcome, exported only for queues that configured an
-        // explicit pool — implicit status-quo rings add no metrics, so
-        // pre-pool goldens stay byte-identical.
-        for (q, w) in self.cfg.workloads.iter().enumerate() {
-            if w.pool.is_none() {
-                continue;
-            }
-            let p = self.nic.ring(QueueId(q as u16)).pool();
-            let s = p.stats();
-            if let PoolMode::Recycle { slots } = p.mode() {
-                self.metrics
-                    .counter_set(&format!("pool.q{q}.slots"), u64::from(slots));
-            }
-            self.metrics
-                .counter_set(&format!("pool.q{q}.recycled"), s.recycled);
-            self.metrics
-                .counter_set(&format!("pool.q{q}.starved"), s.starved);
-            self.metrics
-                .counter_set(&format!("pool.q{q}.spilled"), s.spilled);
-            // Idle-flush outcome, gated on the knob so pre-flush goldens
-            // keep a byte-identical metric set.
-            if self.cfg.pool_idle_flush.is_some() {
-                self.metrics.counter_set(
-                    &format!("pool.q{q}.idle_flushed"),
-                    self.pool_idle_flushed[q],
-                );
-            }
+            m.counter_set(&format!("queue{q}.rx.packets"), qs.rx_packets.get());
+            m.counter_set(&format!("queue{q}.rx.drops"), qs.rx_drops.get());
         }
         for (i, st) in self.nf.iter().enumerate() {
             if let Some(st) = st {
-                self.metrics
-                    .counter_set(&format!("core{i}.packets.completed"), st.completed);
+                m.counter_set(&format!("core{i}.packets.completed"), st.completed);
                 if st.lat_hist.count() > 0 {
-                    self.metrics
-                        .histogram_merge(&format!("core{i}.pkt_latency_ns"), &st.lat_hist);
+                    m.histogram_merge(&format!("core{i}.pkt_latency_ns"), &st.lat_hist);
                 }
                 for (si, stage) in ChainStage::ALL.iter().enumerate() {
                     if st.stage_hist[si].count() > 0 {
-                        self.metrics.histogram_merge(
+                        m.histogram_merge(
                             &format!("core{i}.stage.{}_ns", stage.name()),
                             &st.stage_hist[si],
                         );
@@ -2038,29 +1523,15 @@ impl System {
                 }
             }
             if hist.count() > 0 {
-                self.metrics
-                    .histogram_merge(&format!("core{i}.burst_exe_ns"), &hist);
+                m.histogram_merge(&format!("core{i}.burst_exe_ns"), &hist);
             }
         }
-        let (accepted, dropped, issued) = self.prefetchers.iter().fold((0, 0, 0), |acc, p| {
-            let s = p.stats();
-            (
-                acc.0 + s.accepted.get(),
-                acc.1 + s.dropped.get(),
-                acc.2 + s.issued.get(),
-            )
-        });
-        self.metrics.counter_set("prefetch.accepted", accepted);
-        self.metrics.counter_set("prefetch.drops", dropped);
-        self.metrics.counter_set("prefetch.issued", issued);
-        self.metrics
-            .counter_set("trace.records", self.tracer.total());
-        self.metrics
-            .counter_set("trace.evicted", self.tracer.evicted());
-        if let Some(s) = self.samplers.dma_llc_share.samples().last() {
-            self.metrics.gauge_set("llc.dma_share", s.value);
+        if let Some(s) = self.dma_llc_share.samples().last() {
+            m.gauge_set("llc.dma_share", s.value);
         }
         let metrics = self.metrics.snapshot();
+        let [mlc_wb, llc_wb, dram_rd, dram_wr, dma_wr, prefetch, self_inval] =
+            self.rates.map(RateSampler::into_series);
         let trace = self.tracer.take_records();
         let profile = (0..Event::TYPES)
             .map(|ti| EventTypeProfile {
@@ -2076,14 +1547,14 @@ impl System {
             hierarchy: self.hier.stats().clone(),
             dram: self.dram.stats().clone(),
             timelines: Timelines {
-                mlc_wb: self.samplers.mlc_wb.into_series(),
-                llc_wb: self.samplers.llc_wb.into_series(),
-                dram_rd: self.samplers.dram_rd.into_series(),
-                dram_wr: self.samplers.dram_wr.into_series(),
-                dma_wr: self.samplers.dma_wr.into_series(),
-                prefetch: self.samplers.prefetch.into_series(),
-                self_inval: self.samplers.self_inval.into_series(),
-                dma_llc_share: self.samplers.dma_llc_share,
+                mlc_wb,
+                llc_wb,
+                dram_rd,
+                dram_wr,
+                dma_wr,
+                prefetch,
+                self_inval,
+                dma_llc_share: self.dma_llc_share,
             },
             latency,
             bursts: self.bursts.map(|b| b.windows()).unwrap_or_default(),
@@ -2099,7 +1570,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::SteeringPolicy;
+    use crate::policy::{CatMode, SteeringPolicy};
     use idio_net::gen::BurstSpec;
 
     fn steady_cfg(rate_gbps: f64, policy: SteeringPolicy) -> SystemConfig {
@@ -2224,15 +1695,6 @@ mod tests {
         assert_eq!(sys.hier.cat_mask(CoreId::new(1)), None);
         let report = sys.run();
         assert_eq!(report.metrics.counter("cat.domain1.ways"), 4);
-    }
-
-    #[test]
-    fn non_cat_runs_export_no_cat_metrics() {
-        let report = System::new(steady_cfg(10.0, SteeringPolicy::Idio)).run();
-        assert!(report
-            .metrics
-            .counters()
-            .all(|(n, _)| !n.starts_with("cat.")));
     }
 
     /// Regression: an NF event dispatched to a core with no NF used to die
@@ -2696,19 +2158,6 @@ mod tests {
     }
 
     #[test]
-    fn fully_pinned_tenants_export_no_fd_metrics() {
-        // Flow populations that fit the filter budget keep the legacy
-        // pin-everything behavior and add no fd.* keys (golden
-        // compatibility).
-        let report = System::new(tenant_cfg()).run();
-        assert_eq!(report.metrics.counter("fd.perfect_hits"), 0);
-        assert!(report
-            .metrics
-            .counters()
-            .all(|(k, _)| !k.starts_with("fd.")));
-    }
-
-    #[test]
     fn idle_recycle_pool_flushes_after_the_configured_window() {
         // Traffic stops at `duration`; the pool sits idle through the
         // drain grace and must self-invalidate once the window elapses.
@@ -2736,6 +2185,29 @@ mod tests {
             .metrics
             .counters()
             .all(|(k, _)| k != "pool.q0.idle_flushed"));
+    }
+
+    /// Regression: the idle flush invalidated a pool's whole buffer region
+    /// while a packet accepted before the quiet period was still waiting
+    /// for its NF, discarding DMA'd lines that were read afterwards (they
+    /// came back from DRAM). A pool with a live buffer is never flushed,
+    /// so the flush is invisible to the packets it would have hit.
+    #[test]
+    fn idle_flush_never_discards_a_live_buffer() {
+        let mut cfg =
+            SystemConfig::touchdrop_scenario(1, TrafficPattern::Steady { rate_gbps: 2.0 });
+        cfg.duration = SimTime::from_us(300);
+        cfg.drain_grace = Duration::from_us(100);
+        cfg.policy = SteeringPolicy::Ddio;
+        cfg.workloads[0].kind = NfKind::L2Fwd;
+        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
+        cfg.pool_idle_flush = Some(Duration::from_us(1));
+        let flushed = System::new(cfg.clone()).run();
+        cfg.pool_idle_flush = None;
+        let plain = System::new(cfg).run();
+        assert!(flushed.metrics.counter("pool.q0.idle_flushed") > 0);
+        assert_eq!(flushed.totals.dram_rd, plain.totals.dram_rd);
+        assert_eq!(flushed.totals.self_inval, plain.totals.self_inval);
     }
 
     #[test]
@@ -2830,17 +2302,65 @@ mod tests {
         );
     }
 
+    /// The telemetry contract behind golden stability: a component exists
+    /// only when configured, so an unconfigured one adds no metric and no
+    /// tick-log section. Runs `cfg` with the tick log on and asserts which
+    /// of the `cat`/`fd`/`pool` metric prefixes, the `idle_flushed`
+    /// counter and the tick-log sections appear.
+    fn assert_exports(label: &str, mut cfg: SystemConfig, metrics: &[&str], sections: &[&str]) {
+        const METRICS: [&str; 4] = ["cat.", "fd.", "pool.", ".idle_flushed"];
+        const SECTIONS: [&str; 3] = ["\"cat\":", "\"fd\":", "\"pool\":"];
+        cfg.tick_metrics = true;
+        let report = System::new(cfg).run();
+        for key in METRICS {
+            let has = report.metrics.counters().any(|(n, _)| n.contains(key));
+            assert_eq!(has, metrics.contains(&key), "{label}: metric {key}");
+        }
+        for key in SECTIONS {
+            let has = report.tick_metrics.iter().any(|l| l.contains(key));
+            assert_eq!(has, sections.contains(&key), "{label}: section {key}");
+        }
+    }
+
+    #[test]
+    fn non_cat_runs_export_no_cat_metrics() {
+        assert_exports("plain", steady_cfg(10.0, SteeringPolicy::Idio), &[], &[]);
+    }
+
+    #[test]
+    fn fully_pinned_tenants_export_no_fd_metrics() {
+        // Flow populations that fit the filter budget keep the
+        // pin-everything behavior and add no fd.* keys.
+        assert_exports("fully pinned tenants", tenant_cfg(), &[], &[]);
+    }
+
     #[test]
     fn unpooled_runs_export_no_pool_metrics() {
-        // The telemetry contract behind golden stability: without an
-        // explicit pool there is no pool.* surface at all.
-        let report = System::new(steady_cfg(10.0, SteeringPolicy::Idio)).run();
-        assert!(
-            !report
-                .metrics
-                .counters()
-                .any(|(n, _)| n.starts_with("pool.")),
-            "legacy runs must not grow pool counters"
+        // Without an explicit pool there is no pool.* surface at all.
+        assert_exports("unpooled", steady_cfg(10.0, SteeringPolicy::Ddio), &[], &[]);
+    }
+
+    /// Configured components export: a static CAT partition exports
+    /// `cat.*` but has no allocator to log per tick; a pool without the
+    /// idle-flush knob exports `pool.*` and a tick section but no
+    /// `idle_flushed`.
+    #[test]
+    fn components_export_only_when_configured() {
+        use crate::policy::PolicySpec;
+        use idio_cache::set::WayMask;
+        let static_cat = PolicyCaps {
+            cat: CatMode::Static(WayMask::range(4, 8)),
+            ..SteeringPolicy::Ddio.caps()
+        };
+        assert_exports(
+            "static cat",
+            steady_cfg(10.0, SteeringPolicy::Ddio)
+                .with_queue_policy(0, PolicySpec::Custom(static_cat)),
+            &["cat."],
+            &[],
         );
+        let mut pooled = steady_cfg(10.0, SteeringPolicy::Idio);
+        pooled.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
+        assert_exports("pool", pooled, &["pool."], &["\"pool\":"]);
     }
 }

@@ -1,7 +1,7 @@
 //! The JSON value rendering every writer in the workspace shares: metrics
-//! snapshots, trace records, figure tables and scenario reports all escape
-//! strings and print numbers through these functions, so their outputs
-//! agree byte for byte.
+//! snapshots, trace records, figure tables, scenario reports and the
+//! scenario-file writer all escape strings and print numbers through these
+//! functions, so their outputs agree byte for byte.
 //!
 //! # Examples
 //!

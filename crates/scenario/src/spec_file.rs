@@ -43,6 +43,7 @@ use idio_core::net::trace::read_trace;
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, PrefetchMode, SteeringPolicy};
 use idio_core::pool::PoolSpec;
 use idio_core::stack::nf::{ChainStage, NfChain, NfKind, MAX_CHAIN_STAGES};
+use idio_engine::json;
 use idio_engine::time::{wire_time, Duration, SimTime};
 
 use crate::gen::{AppClass, GenSpec, RateDist};
@@ -1584,33 +1585,6 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<Scenario, SpecError> {
     build_scenario(&lex(&src)?, path.parent())
 }
 
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn fmt_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders a time key in the coarsest unit that loses nothing: `_ns` when
 /// the value is a whole number of nanoseconds, `_ps` otherwise.
 fn fmt_time(out: &mut String, base: &str, ps: u64) {
@@ -1634,18 +1608,18 @@ pub fn to_file_string(scenario: &Scenario) -> String {
     let mut out = String::new();
     let w = &mut out;
     let _ = writeln!(w, "# idio-scenario file (TOML subset; see DESIGN.md)");
-    let _ = writeln!(w, "name = {}", fmt_str(&scenario.name));
-    let _ = writeln!(w, "description = {}", fmt_str(&scenario.description));
+    let _ = writeln!(w, "name = {}", json::string(&scenario.name));
+    let _ = writeln!(w, "description = {}", json::string(&scenario.description));
     let _ = writeln!(
         w,
         "policy = {}",
-        fmt_str(&policy_file_name(PolicySpec::Preset(scenario.policy)))
+        json::string(&policy_file_name(PolicySpec::Preset(scenario.policy)))
     );
     let steering = match scenario.steering {
         FlowSteering::Perfect => "perfect",
         FlowSteering::Atr => "atr",
     };
-    let _ = writeln!(w, "steering = {}", fmt_str(steering));
+    let _ = writeln!(w, "steering = {}", json::string(steering));
     fmt_time(w, "duration", scenario.duration.as_ps());
     fmt_time(w, "drain_grace", scenario.drain_grace.as_ps());
     if let Some(v) = scenario.perfect_filters {
@@ -1660,18 +1634,19 @@ pub fn to_file_string(scenario: &Scenario) -> String {
     for t in &scenario.tenants {
         let _ = writeln!(w);
         let _ = writeln!(w, "[[tenant]]");
-        let _ = writeln!(w, "name = {}", fmt_str(&t.name));
+        let _ = writeln!(w, "name = {}", json::string(&t.name));
         match t.nf {
             NfKind::Chain(c) => {
-                let stages: Vec<String> = c.stages().iter().map(|s| fmt_str(s.name())).collect();
+                let stages: Vec<String> =
+                    c.stages().iter().map(|s| json::string(s.name())).collect();
                 let _ = writeln!(w, "chain = [{}]", stages.join(", "));
             }
             other => {
-                let _ = writeln!(w, "nf = {}", fmt_str(nf_file_name(other)));
+                let _ = writeln!(w, "nf = {}", json::string(nf_file_name(other)));
             }
         }
         if let Some(pool) = t.pool {
-            let _ = writeln!(w, "pool = {}", fmt_str(&pool.file_name()));
+            let _ = writeln!(w, "pool = {}", json::string(&pool.file_name()));
         }
         let cores: Vec<String> = t.cores.iter().map(|c| c.to_string()).collect();
         let _ = writeln!(w, "cores = [{}]", cores.join(", "));
@@ -1688,11 +1663,11 @@ pub fn to_file_string(scenario: &Scenario) -> String {
         match t.traffic {
             TrafficPattern::Steady { rate_gbps } => {
                 let _ = writeln!(w, "traffic = \"steady\"");
-                let _ = writeln!(w, "rate_gbps = {}", fmt_f64(rate_gbps));
+                let _ = writeln!(w, "rate_gbps = {}", json::float(rate_gbps));
             }
             TrafficPattern::Poisson { rate_gbps, seed } => {
                 let _ = writeln!(w, "traffic = \"poisson\"");
-                let _ = writeln!(w, "rate_gbps = {}", fmt_f64(rate_gbps));
+                let _ = writeln!(w, "rate_gbps = {}", json::float(rate_gbps));
                 let _ = writeln!(w, "seed = {seed}");
             }
             TrafficPattern::Bursty(spec) => {
@@ -1703,21 +1678,21 @@ pub fn to_file_string(scenario: &Scenario) -> String {
             }
         }
         if let Some(p) = t.policy {
-            let _ = writeln!(w, "policy = {}", fmt_str(&policy_file_name(p)));
+            let _ = writeln!(w, "policy = {}", json::string(&policy_file_name(p)));
         }
         if let Some(slo) = t.slo {
             if let Some(v) = slo.max_p99_ns {
                 let _ = writeln!(w, "max_p99_ns = {v}");
             }
             if let Some(v) = slo.max_drop_rate {
-                let _ = writeln!(w, "max_drop_rate = {}", fmt_f64(v));
+                let _ = writeln!(w, "max_drop_rate = {}", json::float(v));
             }
         }
         if t.replay.is_some() {
             let _ = writeln!(
                 w,
                 "replay = {}",
-                fmt_str(&format!("traces/{}.trace", t.name))
+                json::string(&format!("traces/{}.trace", t.name))
             );
         }
     }
