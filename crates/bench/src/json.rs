@@ -55,7 +55,6 @@ pub fn figure_to_json(fig: &FigureResult) -> String {
         .map(|(name, ts)| {
             let samples: Vec<String> = ts
                 .samples()
-                .iter()
                 .map(|s| {
                     format!(
                         "[{}, {}]",

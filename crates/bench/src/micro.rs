@@ -1,82 +1,9 @@
-//! A minimal micro-benchmark harness for `harness = false` benches.
-//!
-//! The build environment has no crates.io access, so the benches cannot
-//! link Criterion. This harness keeps the same shape — named benchmarks,
-//! `cargo bench [filter]` selection — with adaptive iteration counts and a
-//! compact mean/min/max report.
+//! Measurement helpers for the `bench` binary: timed repeated runs
+//! reduced to nearest-rank statistics ([`measure`], [`RunStats`]), and
+//! the `BENCH_*.json` documents that record them as labelled
+//! [`Snapshot`]s.
 
 use std::time::{Duration, Instant};
-
-/// Runs named benchmarks selected by command-line filters.
-///
-/// Bare command-line arguments are treated as substring filters on the
-/// benchmark name; `--`-prefixed flags (which `cargo bench` forwards, e.g.
-/// `--bench`) are ignored.
-pub struct Micro {
-    filters: Vec<String>,
-    /// Target measurement budget per benchmark.
-    budget: Duration,
-    ran: usize,
-}
-
-impl Micro {
-    /// Builds the harness from `std::env::args`.
-    pub fn from_args() -> Self {
-        let filters = std::env::args()
-            .skip(1)
-            .filter(|a| !a.starts_with("--"))
-            .collect();
-        Micro {
-            filters,
-            budget: Duration::from_millis(400),
-            ran: 0,
-        }
-    }
-
-    fn selected(&self, name: &str) -> bool {
-        self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
-    }
-
-    /// Runs one benchmark: a warm-up call sizes the iteration count to the
-    /// measurement budget, then timed iterations report mean/min/max.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        if !self.selected(name) {
-            return;
-        }
-        // Warm-up + sizing.
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let once = t0.elapsed().max(Duration::from_nanos(1));
-        let iters = (self.budget.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
-
-        let mut min = Duration::MAX;
-        let mut max = Duration::ZERO;
-        let mut total = Duration::ZERO;
-        for _ in 0..iters {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            let dt = t.elapsed();
-            min = min.min(dt);
-            max = max.max(dt);
-            total += dt;
-        }
-        let mean = total / iters;
-        println!(
-            "{name:<40} mean {mean:>12.3?}  min {min:>12.3?}  max {max:>12.3?}  ({iters} iters)"
-        );
-        self.ran += 1;
-    }
-
-    /// Prints the summary footer; call once after all benchmarks.
-    pub fn finish(self) {
-        if self.ran == 0 {
-            println!(
-                "no benchmarks matched filter(s): {}",
-                self.filters.join(", ")
-            );
-        }
-    }
-}
 
 /// Schema tag written into every `BENCH_*.json` file.
 pub const BENCH_SCHEMA: &str = "idio-bench/1";
@@ -214,27 +141,6 @@ pub fn last_entry_median(doc: &str, name: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filters_select_by_substring() {
-        let m = Micro {
-            filters: vec!["fig4".into()],
-            budget: Duration::from_millis(1),
-            ran: 0,
-        };
-        assert!(m.selected("fig4_steady"));
-        assert!(!m.selected("fig5_burst"));
-    }
-
-    #[test]
-    fn empty_filter_selects_everything() {
-        let m = Micro {
-            filters: Vec::new(),
-            budget: Duration::from_millis(1),
-            ran: 0,
-        };
-        assert!(m.selected("anything"));
-    }
 
     #[test]
     fn nearest_rank_matches_hand_cases() {

@@ -1093,7 +1093,7 @@ pub fn bloating_spec(scale: Scale) -> FigureSpec {
         );
         for (policy, o) in policies.into_iter().zip(outcomes) {
             let series = &o.report.timelines.dma_llc_share;
-            let last = series.samples().last().map(|s| s.value).unwrap_or(0.0);
+            let last = series.samples().next_back().map(|s| s.value).unwrap_or(0.0);
             t.push_row(vec![
                 policy.label().into(),
                 format!("{:.3}", series.mean()),

@@ -154,7 +154,7 @@ impl BurstTracker {
 }
 
 /// The sampled rate timelines of one run (all in MTPS except DMA rate).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Timelines {
     /// MLC writeback rate (all cores).
     pub mlc_wb: TimeSeries,

@@ -545,7 +545,14 @@ impl System {
         };
         let hints = HintArena::new(num_cores, hint_cap);
         let timing = CoreTiming::new(cfg.timing);
-        let rates = RATES.map(|name| RateSampler::new(name, cfg.sample_interval));
+        const MTPS: f64 = 1e-6;
+        let rates = RATES.map(|name| RateSampler::scaled(name, cfg.sample_interval, MTPS));
+        // The occupancy gauge samples every tenth tick (see on_sample_tick).
+        let dma_llc_share = TimeSeries::ratio(
+            "dma_llc_share",
+            cfg.sample_interval * 10,
+            hier.llc().capacity_lines() as u64,
+        );
         let bursts = cfg.workloads.first().and_then(|w| match w.traffic {
             TrafficPattern::Bursty(spec) => Some(BurstTracker::new(spec.period)),
             TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
@@ -587,7 +594,7 @@ impl System {
             nf,
             antagonist,
             rates,
-            dma_llc_share: TimeSeries::new("dma_llc_share"),
+            dma_llc_share,
             bursts,
             core_bursts,
             hard_stop,
@@ -1375,10 +1382,9 @@ impl System {
     }
 
     fn on_sample_tick(&mut self, now: SimTime) {
-        const MTPS: f64 = 1e-6;
         let counters = self.sampled_counters();
         for (s, v) in self.rates.iter_mut().zip(counters) {
-            s.sample_scaled(now, v, MTPS);
+            s.sample(now, v);
         }
         // The occupancy gauge used to scan the LLC, so it sampled at a
         // tenth of the counter-sampling rate; the array now maintains
@@ -1386,10 +1392,8 @@ impl System {
         // sampled series stays identical.
         self.sample_ticks += 1;
         if self.sample_ticks.is_multiple_of(10) {
-            let llc = self.hier.llc();
-            let dma = llc.tracked_resident();
-            self.dma_llc_share
-                .push(now, dma as f64 / llc.capacity_lines() as f64);
+            let dma = self.hier.llc().tracked_resident();
+            self.dma_llc_share.push(now, dma as u64);
         }
         let next = now + self.cfg.sample_interval;
         if next <= self.hard_stop {
@@ -1526,7 +1530,7 @@ impl System {
                 m.histogram_merge(&format!("core{i}.burst_exe_ns"), &hist);
             }
         }
-        if let Some(s) = self.dma_llc_share.samples().last() {
+        if let Some(s) = self.dma_llc_share.samples().next_back() {
             m.gauge_set("llc.dma_share", s.value);
         }
         let metrics = self.metrics.snapshot();

@@ -217,17 +217,24 @@ impl<E> EventQueue<E> {
     /// debug and release builds — and counted; see
     /// [`EventQueue::schedule_past_clamped`].
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let at = if at < self.now {
-            self.clamped += 1;
-            self.now
-        } else {
-            at
-        };
+        let at = self.clamp_to_now(at);
         let seq = self.seq;
         self.seq += 1;
         self.place(Scheduled { at, seq, event });
         self.len += 1;
         self.settle();
+    }
+
+    /// `at`, or `now()` if `at` lies in the past (counted in
+    /// [`EventQueue::schedule_past_clamped`]).
+    #[inline]
+    fn clamp_to_now(&mut self, at: SimTime) -> SimTime {
+        if at < self.now {
+            self.clamped += 1;
+            self.now
+        } else {
+            at
+        }
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -250,11 +257,11 @@ impl<E> EventQueue<E> {
     /// events: the continuation keeps the parent's position in the FIFO
     /// tie-break, so splitting an event is unobservable in the pop order.
     /// `seq` must come from an event this queue popped (it is never
-    /// re-issued to new events), and `at` must not lie in the past.
+    /// re-issued to new events). An `at` in the past is clamped to
+    /// `now()` and counted, exactly as in [`EventQueue::schedule_at`].
     pub fn schedule_resume(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert!(at >= self.now, "resume scheduled into the past");
         debug_assert!(seq < self.seq, "resume seq was never issued");
-        let at = at.max(self.now);
+        let at = self.clamp_to_now(at);
         self.place(Scheduled { at, seq, event });
         self.len += 1;
         self.settle();
@@ -485,6 +492,23 @@ mod tests {
         assert_eq!(t0, SimTime::from_ns(10));
         assert_eq!(q.pop(), Some((SimTime::from_ns(20), "continuation")));
         assert_eq!(q.pop(), Some((SimTime::from_ns(20), "rival")));
+    }
+
+    #[test]
+    fn resume_into_past_clamps_and_counts_in_every_profile() {
+        // Regression: a past resume used to panic under debug_assertions
+        // but clamp silently in release, the split schedule_at once had.
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ns(10), "parent"); // seq 0
+        q.pop();
+        q.schedule_now("rival"); // seq 1, at now()
+        q.schedule_resume(SimTime::from_ns(4), 0, "continuation");
+        assert_eq!(q.schedule_past_clamped(), 1);
+        // Clamped to now(), the continuation keeps the parent's seq and
+        // so pops ahead of the rival scheduled before it.
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), "continuation")));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10), "rival")));
+        assert_eq!(q.now(), SimTime::from_ns(10));
     }
 
     /// Reference model: the exact (at, seq) sort the old single-heap

@@ -71,33 +71,72 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// A sequence of timestamped samples, e.g. a writeback-rate timeline.
+/// Marks a tick whose count does not fit in a `u32`; the count itself is
+/// kept in [`TimeSeries::wide`].
+const WIDE: u32 = u32::MAX;
+
+/// A sequence of evenly spaced samples, e.g. a writeback-rate timeline.
+///
+/// The series stores one integer count per tick, 4 bytes a sample.
+/// Timestamps are implied by the tick index: tick `i` is at
+/// `first + i·step`, where the first push fixes `first`. Values are
+/// derived on read as `(count as f64 / divisor) * scale`. For the rate
+/// series of a [`RateSampler`] the divisor is the interval in seconds,
+/// the exact expression the sampler has always used, so derived values
+/// are bit-identical to storing the computed `f64`. A count too wide for
+/// a `u32` is kept whole in a sparse side table, never truncated.
 ///
 /// # Examples
 ///
 /// ```
 /// use idio_engine::stats::TimeSeries;
-/// use idio_engine::time::SimTime;
+/// use idio_engine::time::{Duration, SimTime};
 ///
-/// let mut ts = TimeSeries::new("mlc_wb");
-/// ts.push(SimTime::from_us(10), 2.0);
-/// ts.push(SimTime::from_us(20), 4.0);
+/// // Lines of a 4-line cache that hold DMA data, gauged every 10 µs.
+/// let mut ts = TimeSeries::ratio("dma_share", Duration::from_us(10), 4);
+/// ts.push(SimTime::from_us(10), 2);
+/// ts.push(SimTime::from_us(20), 4);
 /// assert_eq!(ts.len(), 2);
-/// assert_eq!(ts.max_value(), 4.0);
-/// assert_eq!(ts.mean(), 3.0);
+/// assert_eq!(ts.max_value(), 1.0);
+/// assert_eq!(ts.mean(), 0.75);
+/// assert_eq!(ts.samples().next_back().unwrap().at, SimTime::from_us(20));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
-    samples: Vec<Sample>,
+    /// Time of tick 0, fixed by the first push.
+    first: SimTime,
+    step: Duration,
+    divisor: f64,
+    scale: f64,
+    /// One count per tick; [`WIDE`] defers to `wide`.
+    counts: Vec<u32>,
+    /// `(tick, count)` for every tick whose count is at least `u32::MAX`,
+    /// in tick order.
+    wide: Vec<(usize, u64)>,
 }
 
 impl TimeSeries {
-    /// Creates an empty, named series.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// A ratio gauge over ticks `step` apart: a tick's value is
+    /// `count / denominator`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is zero.
+    pub fn ratio(name: impl Into<String>, step: Duration, denominator: u64) -> Self {
+        Self::new(name, step, denominator as f64, 1.0)
+    }
+
+    fn new(name: impl Into<String>, step: Duration, divisor: f64, scale: f64) -> Self {
+        assert!(step > Duration::ZERO, "sampling interval must be positive");
         TimeSeries {
             name: name.into(),
-            samples: Vec::new(),
+            first: SimTime::ZERO,
+            step,
+            divisor,
+            scale,
+            counts: Vec::new(),
+            wide: Vec::new(),
         }
     }
 
@@ -106,61 +145,115 @@ impl TimeSeries {
         &self.name
     }
 
-    /// Appends a sample. Times must be non-decreasing.
+    /// Appends the count of the tick at `at`.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `at` is earlier than the last sample.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.samples.last().is_none_or(|s| s.at <= at),
-            "time series sample out of order"
-        );
-        self.samples.push(Sample { at, value });
+    /// Panics unless `at` is the next tick, one `step` after the previous
+    /// one: timestamps are implied by the tick index, so a late or early
+    /// tick would be reported at the wrong time.
+    pub fn push(&mut self, at: SimTime, count: u64) {
+        if self.counts.is_empty() {
+            self.first = at;
+        } else {
+            assert_eq!(
+                at,
+                self.tick_at(self.counts.len()),
+                "{}: sample ticks must be {} apart",
+                self.name,
+                self.step
+            );
+        }
+        match u32::try_from(count) {
+            Ok(c) if c != WIDE => self.counts.push(c),
+            _ => {
+                self.wide.push((self.counts.len(), count));
+                self.counts.push(WIDE);
+            }
+        }
     }
 
-    /// All samples in time order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    fn tick_at(&self, i: usize) -> SimTime {
+        self.first + self.step * i as u64
+    }
+
+    fn value_at(&self, i: usize) -> f64 {
+        let count = match self.counts[i] {
+            WIDE => self.wide[self.wide.partition_point(|&(t, _)| t < i)].1,
+            c => u64::from(c),
+        };
+        (count as f64 / self.divisor) * self.scale
+    }
+
+    fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.counts.len()).map(|i| self.value_at(i))
+    }
+
+    /// All samples in time order, derived from the stored counts.
+    pub fn samples(&self) -> impl DoubleEndedIterator<Item = Sample> + ExactSizeIterator + '_ {
+        (0..self.counts.len()).map(|i| Sample {
+            at: self.tick_at(i),
+            value: self.value_at(i),
+        })
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.counts.len()
     }
 
     /// Whether the series has no samples.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.counts.is_empty()
     }
 
     /// Largest sample value, or 0.0 when empty.
     pub fn max_value(&self) -> f64 {
-        self.samples.iter().map(|s| s.value).fold(0.0, f64::max)
+        self.values().fold(0.0, f64::max)
     }
 
     /// Mean of the sample values, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.counts.is_empty() {
             return 0.0;
         }
-        self.samples.iter().map(|s| s.value).sum::<f64>() / self.samples.len() as f64
+        self.values().sum::<f64>() / self.counts.len() as f64
     }
 
     /// Sum of sample values.
     pub fn sum(&self) -> f64 {
-        self.samples.iter().map(|s| s.value).sum()
+        self.values().sum()
+    }
+
+    /// Heap bytes held by the samples (the name excluded): 4 per tick's
+    /// capacity, plus the side table of counts too wide for a `u32`.
+    pub fn heap_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<u32>()
+            + self.wide.capacity() * std::mem::size_of::<(usize, u64)>()
+    }
+
+    /// Number of ticks strictly before `t`.
+    fn ticks_before(&self, t: SimTime) -> usize {
+        let n = t
+            .checked_since(self.first)
+            .map_or(0, |d| d.as_ps().div_ceil(self.step.as_ps()));
+        usize::try_from(n).map_or(self.len(), |n| n.min(self.len()))
     }
 
     /// Restricts the series to samples with `start <= at < end`.
     pub fn window(&self, start: SimTime, end: SimTime) -> TimeSeries {
+        let lo = self.ticks_before(start);
+        let hi = self.ticks_before(end).max(lo);
         TimeSeries {
             name: self.name.clone(),
-            samples: self
-                .samples
-                .iter()
-                .filter(|s| s.at >= start && s.at < end)
-                .copied()
+            first: self.tick_at(lo),
+            step: self.step,
+            divisor: self.divisor,
+            scale: self.scale,
+            counts: self.counts[lo..hi].to_vec(),
+            wide: (self.wide.iter())
+                .filter(|(t, _)| (lo..hi).contains(t))
+                .map(|&(t, c)| (t - lo, c))
                 .collect(),
         }
     }
@@ -169,43 +262,43 @@ impl TimeSeries {
 /// Turns counter deltas into a rate [`TimeSeries`].
 ///
 /// Call [`RateSampler::sample`] on every sampling tick with the current
-/// counter value; the sampler records `(delta / interval)` in events per
-/// second (or, via [`RateSampler::sample_scaled`], any scaled unit such as
-/// MTPS).
+/// counter value; the series records the delta and reports it as
+/// `(delta / interval)` in events per second (or, for a sampler built
+/// with [`RateSampler::scaled`], any scaled unit such as MTPS).
 #[derive(Debug, Clone)]
 pub struct RateSampler {
     series: TimeSeries,
     last_value: u64,
-    interval: Duration,
     backwards: u64,
 }
 
 impl RateSampler {
-    /// Creates a sampler with a fixed interval.
+    /// Creates a sampler with a fixed interval, reporting events per
+    /// second.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero.
     pub fn new(name: impl Into<String>, interval: Duration) -> Self {
-        assert!(
-            interval > Duration::ZERO,
-            "sampling interval must be positive"
-        );
+        Self::scaled(name, interval, 1.0)
+    }
+
+    /// Creates a sampler reporting `rate_per_sec * scale` — e.g.
+    /// `scale = 1e-6` for MTPS (million transactions per second).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero.
+    pub fn scaled(name: impl Into<String>, interval: Duration, scale: f64) -> Self {
         RateSampler {
-            series: TimeSeries::new(name),
+            series: TimeSeries::new(name, interval, interval.as_secs_f64(), scale),
             last_value: 0,
-            interval,
             backwards: 0,
         }
     }
 
-    /// Records the rate over the last interval, in events per second.
-    pub fn sample(&mut self, at: SimTime, counter_value: u64) {
-        self.sample_scaled(at, counter_value, 1.0);
-    }
-
-    /// Records `rate_per_sec * scale` — e.g. `scale = 1e-6` for MTPS
-    /// (million transactions per second).
+    /// Records the rate over the interval ending at `at`, which must be
+    /// one interval after the previous sample (see [`TimeSeries::push`]).
     ///
     /// Counters are expected to be monotonic. A `counter_value` below the
     /// previous one (a counter that was reset without
@@ -214,14 +307,13 @@ impl RateSampler {
     /// [`RateSampler::backwards_samples`] — identically in debug and
     /// release builds — so the anomaly is observable as telemetry
     /// (`stats.counter_backwards`) rather than a debug-only panic.
-    pub fn sample_scaled(&mut self, at: SimTime, counter_value: u64, scale: f64) {
+    pub fn sample(&mut self, at: SimTime, counter_value: u64) {
         if counter_value < self.last_value {
             self.backwards += 1;
         }
         let delta = counter_value.saturating_sub(self.last_value);
         self.last_value = counter_value;
-        let rate = delta as f64 / self.interval.as_secs_f64();
-        self.series.push(at, rate * scale);
+        self.series.push(at, delta);
     }
 
     /// Re-baselines the sampler on `counter_value` without emitting a
@@ -244,8 +336,10 @@ impl RateSampler {
         &self.series
     }
 
-    /// Consumes the sampler, returning the series.
-    pub fn into_series(self) -> TimeSeries {
+    /// Consumes the sampler, returning the series trimmed to its length.
+    pub fn into_series(mut self) -> TimeSeries {
+        self.series.counts.shrink_to_fit();
+        self.series.wide.shrink_to_fit();
         self.series
     }
 }
@@ -359,11 +453,12 @@ mod tests {
         c.add(100);
         s.sample(SimTime::from_us(10), c.get());
         // 100 events / 10 us = 1e7 events/s.
-        assert!((s.series().samples()[0].value - 1e7).abs() < 1e-3);
-        c.add(50);
-        s.sample_scaled(SimTime::from_us(20), c.get(), 1e-6);
+        assert!((s.series().samples().next().unwrap().value - 1e7).abs() < 1e-3);
+
+        let mut m = RateSampler::scaled("x", Duration::from_us(10), 1e-6);
+        m.sample(SimTime::from_us(10), 50);
         // 50 events / 10 us = 5e6/s = 5 MTPS.
-        assert!((s.series().samples()[1].value - 5.0).abs() < 1e-9);
+        assert!((m.series().samples().next().unwrap().value - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -380,7 +475,7 @@ mod tests {
         s.reset(0);
         s.sample(SimTime::from_us(20), 100);
         assert_eq!(s.backwards_samples(), 0, "reset path is not an anomaly");
-        let v = s.series().samples()[1].value;
+        let v = s.series().samples().nth(1).unwrap().value;
         assert!((v - 1e7).abs() < 1e-3, "fresh delta measured: {v}");
     }
 
@@ -392,23 +487,46 @@ mod tests {
         // and counted.
         s.sample(SimTime::from_us(20), 100);
         assert_eq!(s.backwards_samples(), 1);
-        assert_eq!(s.series().samples()[1].value, 0.0);
+        assert_eq!(s.series().samples().nth(1).unwrap().value, 0.0);
         // The sampler re-baselines, so the next sample is a real rate.
         s.sample(SimTime::from_us(30), 200);
         assert_eq!(s.backwards_samples(), 1);
-        assert!((s.series().samples()[2].value - 1e7).abs() < 1e-3);
+        assert!((s.series().samples().nth(2).unwrap().value - 1e7).abs() < 1e-3);
     }
 
     #[test]
     fn time_series_window() {
-        let mut ts = TimeSeries::new("w");
+        let mut ts = TimeSeries::ratio("w", Duration::from_us(10), 1);
         for i in 0..10 {
-            ts.push(SimTime::from_us(i * 10), i as f64);
+            ts.push(SimTime::from_us(i * 10), i);
         }
         let w = ts.window(SimTime::from_us(20), SimTime::from_us(50));
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.samples()[0].value, 2.0);
-        assert_eq!(w.samples()[2].value, 4.0);
+        let got: Vec<(u64, f64)> = w.samples().map(|s| (s.at.as_us(), s.value)).collect();
+        assert_eq!(got, [(20, 2.0), (30, 3.0), (40, 4.0)]);
+        assert!(ts.window(SimTime::from_us(95), SimTime::MAX).is_empty());
+        assert_eq!(ts.window(SimTime::ZERO, SimTime::from_us(1)).len(), 1);
+    }
+
+    #[test]
+    fn counts_too_wide_for_u32_are_kept_whole() {
+        let mut ts = TimeSeries::ratio("w", Duration::from_us(10), 1);
+        let counts = [7, u64::from(u32::MAX), u64::MAX, 0, u64::from(u32::MAX) + 1];
+        for (i, &c) in counts.iter().enumerate() {
+            ts.push(SimTime::from_us(10 * (i as u64 + 1)), c);
+        }
+        let got: Vec<f64> = ts.samples().map(|s| s.value).collect();
+        let want: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+        assert_eq!(got, want);
+        let w = ts.window(SimTime::from_us(30), SimTime::from_us(60));
+        assert_eq!(w.samples().map(|s| s.value).collect::<Vec<_>>(), want[2..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "apart")]
+    fn uneven_ticks_are_rejected() {
+        let mut ts = TimeSeries::ratio("w", Duration::from_us(10), 1);
+        ts.push(SimTime::from_us(10), 1);
+        ts.push(SimTime::from_us(25), 1);
     }
 
     #[test]

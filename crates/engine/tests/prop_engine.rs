@@ -68,11 +68,104 @@ fn rate_sampler_recovers_total() {
         let recovered: f64 = s
             .series()
             .samples()
-            .iter()
             .map(|smp| smp.value * interval.as_secs_f64())
             .sum();
         assert!((recovered - acc as f64).abs() < 1e-6 * acc.max(1) as f64);
     });
+}
+
+/// The compact series (a `u32` count per tick, implicit timestamps,
+/// values derived on read) must reproduce, bit for bit, the
+/// `(at, delta / interval * scale)` samples a sampler storing `f64`s
+/// would hold — across zero deltas, backwards counters and deltas too
+/// wide for a `u32`.
+#[test]
+fn compact_rate_series_matches_f64_reference_bit_for_bit() {
+    fn bits(v: &[(SimTime, f64)]) -> Vec<(SimTime, u64)> {
+        v.iter().map(|&(at, x)| (at, x.to_bits())).collect()
+    }
+    fn stats(v: &[(SimTime, f64)]) -> [u64; 3] {
+        let vals = || v.iter().map(|&(_, x)| x);
+        let mean = if v.is_empty() {
+            0.0
+        } else {
+            vals().sum::<f64>() / v.len() as f64
+        };
+        [
+            vals().fold(0.0, f64::max).to_bits(),
+            mean.to_bits(),
+            vals().sum::<f64>().to_bits(),
+        ]
+    }
+    Cases::new(256).run(|g| {
+        let interval = Duration::from_ps(g.u64(1..20_000_000));
+        let scale = *g.choose(&[1.0, 1e-6, 0.1]);
+        let mut s = RateSampler::scaled("prop", interval, scale);
+        let mut reference: Vec<(SimTime, f64)> = Vec::new();
+        let (mut counter, mut last, mut backwards) = (0u64, 0u64, 0u64);
+        let ticks = g.usize(0..200);
+        for i in 0..ticks {
+            counter = match g.u64(0..6) {
+                0 => counter,                                // zero delta
+                1 => counter - counter.min(g.u64(1..1_000)), // backwards
+                2 => counter.saturating_add(g.u64(u64::from(u32::MAX) - 1..1 << 62)),
+                _ => counter.saturating_add(g.u64(0..100_000)),
+            };
+            let at = SimTime::ZERO + interval * (i as u64 + 1);
+            s.sample(at, counter);
+            // The f64 expression a sampler storing values used.
+            backwards += u64::from(counter < last);
+            let delta = counter.saturating_sub(last);
+            last = counter;
+            reference.push((at, (delta as f64 / interval.as_secs_f64()) * scale));
+        }
+        let series = s.series();
+        let got: Vec<(SimTime, f64)> = series.samples().map(|x| (x.at, x.value)).collect();
+        assert_eq!(bits(&got), bits(&reference), "samples");
+        assert_eq!(series.len(), reference.len());
+        assert_eq!(s.backwards_samples(), backwards);
+        let got_stats = [
+            series.max_value().to_bits(),
+            series.mean().to_bits(),
+            series.sum().to_bits(),
+        ];
+        assert_eq!(got_stats, stats(&reference), "max, mean, sum");
+
+        let horizon = interval.as_ps() * (ticks as u64 + 2);
+        let (a, b) = (g.u64(0..horizon), g.u64(0..horizon));
+        let (start, end) = (SimTime::from_ps(a.min(b)), SimTime::from_ps(a.max(b)));
+        let want: Vec<(SimTime, f64)> = (reference.iter())
+            .filter(|&&(at, _)| start <= at && at < end)
+            .copied()
+            .collect();
+        let w = series.window(start, end);
+        let got: Vec<(SimTime, f64)> = w.samples().map(|x| (x.at, x.value)).collect();
+        assert_eq!(bits(&got), bits(&want), "window [{start}, {end})");
+        assert_eq!(w.len(), want.len());
+        let got_stats = [
+            w.max_value().to_bits(),
+            w.mean().to_bits(),
+            w.sum().to_bits(),
+        ];
+        assert_eq!(got_stats, stats(&want), "window max, mean, sum");
+    });
+}
+
+#[test]
+fn rate_series_keeps_at_most_four_heap_bytes_per_sample() {
+    const TICKS: u64 = 100_000;
+    let interval = Duration::from_us(10);
+    let mut s = RateSampler::scaled("mlc_wb", interval, 1e-6);
+    for i in 1..=TICKS {
+        s.sample(SimTime::ZERO + interval * i, i * 37);
+    }
+    let series = s.into_series();
+    assert_eq!(series.len() as u64, TICKS);
+    assert!(
+        series.heap_bytes() as u64 <= 4 * TICKS,
+        "{} heap bytes for {TICKS} samples",
+        series.heap_bytes()
+    );
 }
 
 #[test]

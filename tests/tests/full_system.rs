@@ -150,7 +150,7 @@ fn reports_are_deterministic() {
     let (a, b) = (make(), make());
     assert_eq!(a.totals, b.totals);
     assert_eq!(a.antagonist_cpa, b.antagonist_cpa);
-    assert_eq!(a.timelines.mlc_wb.samples(), b.timelines.mlc_wb.samples());
+    assert_eq!(a.timelines.mlc_wb, b.timelines.mlc_wb);
     assert_eq!(a.bursts.len(), b.bursts.len());
     for (x, y) in a.bursts.iter().zip(&b.bursts) {
         assert_eq!(x, y);
