@@ -221,6 +221,34 @@ fn parse() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Builds the traffic pattern, rejecting the flag values that must be
+/// caught before a configuration exists: a rate that is not positive and
+/// finite (the burst construction needs one), an empty core set, and a
+/// burst that does not fit its period. `SystemConfig::validate` owns the
+/// remaining rules, such as the minimum frame size.
+fn traffic(args: &Args) -> Result<TrafficPattern, String> {
+    let (rate_gbps, seed) = (args.rate_gbps, args.seed);
+    if !(rate_gbps.is_finite() && rate_gbps > 0.0) {
+        return Err(format!(
+            "--rate must be a positive finite rate, got {rate_gbps}"
+        ));
+    }
+    if args.cores == 0 {
+        return Err("--cores must be positive".into());
+    }
+    if args.bursty {
+        let period = Duration::from_ms(5);
+        return BurstSpec::try_for_ring(args.ring, args.packet, rate_gbps, period)
+            .map(TrafficPattern::Bursty)
+            .map_err(|e| format!("--ring {} at --rate {rate_gbps} Gbps: {e}", args.ring));
+    }
+    Ok(if args.poisson {
+        TrafficPattern::Poisson { rate_gbps, seed }
+    } else {
+        TrafficPattern::Steady { rate_gbps }
+    })
+}
+
 fn main() -> ExitCode {
     let args = match parse() {
         Ok(a) => a,
@@ -275,22 +303,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let period = Duration::from_ms(5);
-    let traffic = if args.bursty {
-        TrafficPattern::Bursty(BurstSpec::for_ring(
-            args.ring,
-            args.packet,
-            args.rate_gbps,
-            period,
-        ))
-    } else if args.poisson {
-        TrafficPattern::Poisson {
-            rate_gbps: args.rate_gbps,
-            seed: args.seed,
-        }
-    } else {
-        TrafficPattern::Steady {
-            rate_gbps: args.rate_gbps,
+    let traffic = match traffic(&args) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     };
 
@@ -340,6 +357,10 @@ fn main() -> ExitCode {
     }
     if args.antagonist {
         cfg = cfg.with_antagonist();
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: invalid configuration: {e}");
+        return ExitCode::FAILURE;
     }
 
     if args.all_policies {

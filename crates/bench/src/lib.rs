@@ -1,23 +1,22 @@
 //! # idio-bench
 //!
-//! Benchmark harness for the IDIO reproduction. Two entry points:
+//! Command-line front ends of the IDIO reproduction:
 //!
 //! * the **`repro` binary** (`cargo run -p idio-bench --release --bin
 //!   repro -- [fig...]`) regenerates every table and figure of the paper's
 //!   evaluation and prints them;
-//! * the **`bench` binary** times the engine hot paths and the quick
-//!   figure suite against the tracked `BENCH_engine.json` baseline
-//!   ([`micro`] holds its measurement helpers), so regressions in
-//!   simulator speed are caught continuously.
+//! * the **`simulate` binary** runs one custom configuration;
+//! * the **`scenario` binary** runs multi-tenant scenario files.
 //!
 //! The actual experiment drivers live in [`idio_core::experiments`]; this
-//! crate only selects, times, and prints them.
+//! crate only selects, times, and prints them. Simulator speed is measured
+//! by the separate `perfbench` package at the repository root, which
+//! calls [`experiment_spec`] and [`json::cell_metrics_line`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod micro;
 
 use idio_core::experiments::{self, FigureResult, Scale};
 use idio_core::sweep::FigureSpec;

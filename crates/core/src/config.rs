@@ -9,7 +9,7 @@ use idio_engine::telemetry::TraceFilter;
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::DramConfig;
 use idio_net::gen::{Arrival, TrafficPattern};
-use idio_net::packet::Dscp;
+use idio_net::packet::{Dscp, MIN_FRAME_BYTES};
 use idio_nic::classifier::ClassifierConfig;
 use idio_nic::dma::DmaConfig;
 use idio_pool::PoolSpec;
@@ -394,6 +394,31 @@ impl SystemConfig {
             }
         }
         self.validate_tenants()?;
+        // The scenario-file rules for every generated source (a replay
+        // brings its own arrivals): an Ethernet-sized frame and a
+        // positive, finite rate.
+        for t in self
+            .effective_tenants()
+            .iter()
+            .filter(|t| t.replay.is_none())
+        {
+            if t.packet_len < MIN_FRAME_BYTES {
+                return Err(format!(
+                    "tenant '{}': packet_len {} below the Ethernet minimum ({MIN_FRAME_BYTES})",
+                    t.name, t.packet_len
+                ));
+            }
+            if let TrafficPattern::Steady { rate_gbps }
+            | TrafficPattern::Poisson { rate_gbps, .. } = t.traffic
+            {
+                if !(rate_gbps.is_finite() && rate_gbps > 0.0) {
+                    return Err(format!(
+                        "tenant '{}': rate must be positive and finite, got {rate_gbps}",
+                        t.name
+                    ));
+                }
+            }
+        }
         let h = self.effective_hierarchy();
         h.validate()?;
         // Static CAT way masks must fit the LLC and stay clear of the
@@ -676,6 +701,28 @@ mod tests {
         let cfg = SystemConfig::touchdrop_scenario(2, bursty())
             .with_queue_policy(7, SteeringPolicy::Ddio);
         assert!(cfg.validate().unwrap_err().contains("nonexistent queue 7"));
+    }
+
+    #[test]
+    fn frames_and_rates_checked_for_workloads_and_tenants() {
+        let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+        cfg.workloads[1].packet_len = MIN_FRAME_BYTES - 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("'workload1': packet_len 63"), "{err}");
+        for rate_gbps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+            cfg.workloads[0].traffic = TrafficPattern::Poisson { rate_gbps, seed: 1 };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("'workload0': rate must be positive"), "{err}");
+        }
+        // With explicit tenants the tenants' traffic is the one checked.
+        let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+        cfg.workloads[0].traffic = TrafficPattern::Steady { rate_gbps: 0.0 };
+        cfg.tenants = vec![tenant("a", vec![0, 1], 5000)];
+        assert!(cfg.validate().is_ok());
+        cfg.tenants[0].traffic = TrafficPattern::Steady { rate_gbps: 0.0 };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("'a': rate must be positive"), "{err}");
     }
 
     #[test]

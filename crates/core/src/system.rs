@@ -553,7 +553,10 @@ impl System {
             cfg.sample_interval * 10,
             hier.llc().capacity_lines() as u64,
         );
-        let bursts = cfg.workloads.first().and_then(|w| match w.traffic {
+        // Burst windows follow the traffic of the tenant that owns queue 0
+        // (a workload's own `traffic` is unused once tenants are set).
+        let queue0 = tenants.iter().find(|t| t.workloads.contains(&0));
+        let bursts = queue0.and_then(|t| match t.traffic {
             TrafficPattern::Bursty(spec) => Some(BurstTracker::new(spec.period)),
             TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
         });
@@ -1638,6 +1641,32 @@ mod tests {
             assert_eq!(b.packets, 64, "all packets of each burst complete");
             assert!(b.exe_time() > Duration::ZERO);
         }
+    }
+
+    /// With explicit tenants a workload's own `traffic` is unused, so burst
+    /// windows must follow the bursty tenant on queue 0 even when the
+    /// workload says steady: the same run as the one-flow config.
+    #[test]
+    fn burst_windows_follow_the_tenants_traffic() {
+        let spec = BurstSpec::for_ring(64, 1514, 25.0, Duration::from_ms(1));
+        let mut one_flow = SystemConfig::touchdrop_scenario(1, TrafficPattern::Bursty(spec));
+        one_flow.ring_size = 64;
+        one_flow.duration = SimTime::from_ms(4);
+        one_flow.drain_grace = Duration::from_ms(1);
+        let mut tenant = one_flow.clone();
+        tenant.tenants = tenant.effective_tenants().into_owned();
+        for w in &mut tenant.workloads {
+            w.traffic = TrafficPattern::Steady { rate_gbps: 10.0 };
+        }
+        assert!(tenant.validate().is_ok());
+        let want = System::new(one_flow).run();
+        let got = System::new(tenant).run();
+        assert_eq!(
+            got.totals, want.totals,
+            "the tenant drives the same packets"
+        );
+        assert_eq!(want.bursts.len(), 4);
+        assert_eq!(got.bursts, want.bursts);
     }
 
     #[test]

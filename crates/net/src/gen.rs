@@ -67,20 +67,39 @@ impl BurstSpec {
     /// # Panics
     ///
     /// Panics if the burst does not fit in the period or any parameter is
-    /// zero.
+    /// zero; [`BurstSpec::try_for_ring`] reports the first two as errors.
     pub fn for_ring(ring_size: u32, packet_len: u16, rate_gbps: f64, period: Duration) -> Self {
-        assert!(ring_size > 0, "empty burst");
+        Self::try_for_ring(ring_size, packet_len, rate_gbps, period)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BurstSpec::for_ring`] for parameters from outside the program: an
+    /// empty burst, or one that does not fit in the period, is an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate_gbps` is not positive and finite (see [`wire_time`]).
+    pub fn try_for_ring(
+        ring_size: u32,
+        packet_len: u16,
+        rate_gbps: f64,
+        period: Duration,
+    ) -> Result<Self, String> {
+        if ring_size == 0 {
+            return Err("empty burst".into());
+        }
         let intra_gap = wire_time(u64::from(packet_len), rate_gbps);
-        let burst_len = intra_gap * u64::from(ring_size);
-        assert!(
-            burst_len < period,
-            "burst of {burst_len} does not fit in period {period}"
-        );
-        BurstSpec {
+        let burst_len = Duration::from_ps(intra_gap.as_ps().saturating_mul(u64::from(ring_size)));
+        if burst_len >= period {
+            return Err(format!(
+                "burst of {burst_len} does not fit in period {period}"
+            ));
+        }
+        Ok(BurstSpec {
             period,
             packets_per_burst: ring_size,
             intra_gap,
-        }
+        })
     }
 
     /// Duration from the first to the last packet of one burst.
