@@ -46,139 +46,23 @@ impl Hasher for LineHasher {
 
 type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
 
-/// A set of core ids, sized at directory construction.
+/// Number of directory shards. A line's shard is its low bits, so a
+/// rehash copies 1/64 of the table instead of all of it.
+const SHARDS: usize = 64;
+
+#[inline]
+fn shard_of(line: LineAddr) -> usize {
+    (line.get() % SHARDS as u64) as usize
+}
+
+/// Tracks the one core whose MLC holds each line.
 ///
-/// Systems up to 64 cores — every paper configuration — use a single
-/// inline word with no allocation, keeping the per-DMA-line directory
-/// probe as cheap as the raw `u64` mask it replaces. Wider systems (the
-/// generated datacenter scenarios run 200+ cores) spill to one boxed
-/// word per 64 cores.
-///
-/// # Examples
-///
-/// ```
-/// use idio_cache::addr::CoreId;
-/// use idio_cache::directory::CoreSet;
-///
-/// let mut set = CoreSet::new(200);
-/// set.insert(CoreId::new(7));
-/// set.insert(CoreId::new(130));
-/// assert!(set.contains(CoreId::new(130)));
-/// assert_eq!(set.iter().collect::<Vec<_>>(), vec![CoreId::new(7), CoreId::new(130)]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoreSet(SetRepr);
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SetRepr {
-    /// ≤ 64 cores: a plain bitmask.
-    Inline(u64),
-    /// > 64 cores: bit `c` lives in word `c / 64`.
-    Spilled(Box<[u64]>),
-}
-
-impl CoreSet {
-    /// Creates an empty set able to hold cores `0..num_cores`.
-    pub fn new(num_cores: usize) -> Self {
-        if num_cores <= 64 {
-            CoreSet(SetRepr::Inline(0))
-        } else {
-            CoreSet(SetRepr::Spilled(vec![0u64; num_cores.div_ceil(64)].into()))
-        }
-    }
-
-    fn words(&self) -> &[u64] {
-        match &self.0 {
-            SetRepr::Inline(w) => std::slice::from_ref(w),
-            SetRepr::Spilled(ws) => ws,
-        }
-    }
-
-    fn word_mut(&mut self, core: CoreId) -> &mut u64 {
-        match &mut self.0 {
-            SetRepr::Inline(w) => {
-                debug_assert!(core.index() < 64);
-                w
-            }
-            SetRepr::Spilled(ws) => &mut ws[core.index() / 64],
-        }
-    }
-
-    /// Adds `core` to the set.
-    #[inline]
-    pub fn insert(&mut self, core: CoreId) {
-        *self.word_mut(core) |= 1u64 << (core.index() % 64);
-    }
-
-    /// Removes `core` from the set.
-    #[inline]
-    pub fn remove(&mut self, core: CoreId) {
-        *self.word_mut(core) &= !(1u64 << (core.index() % 64));
-    }
-
-    /// Whether `core` is in the set.
-    #[inline]
-    pub fn contains(&self, core: CoreId) -> bool {
-        let w = self.words();
-        w.get(core.index() / 64)
-            .is_some_and(|word| word >> (core.index() % 64) & 1 == 1)
-    }
-
-    /// Whether the set holds no cores.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words().iter().all(|&w| w == 0)
-    }
-
-    /// The lowest-numbered core in the set, if any.
-    pub fn first(&self) -> Option<CoreId> {
-        self.iter().next()
-    }
-
-    /// The cores in the set, lowest id first.
-    pub fn iter(&self) -> CoreSetIter<'_> {
-        let words = self.words();
-        CoreSetIter {
-            rest: &words[1..],
-            current: words[0],
-            base: 0,
-        }
-    }
-}
-
-/// Iterator over the cores of a [`CoreSet`], lowest id first.
-pub struct CoreSetIter<'a> {
-    rest: &'a [u64],
-    current: u64,
-    base: u32,
-}
-
-impl Iterator for CoreSetIter<'_> {
-    type Item = CoreId;
-
-    fn next(&mut self) -> Option<CoreId> {
-        while self.current == 0 {
-            let (&next, rest) = self.rest.split_first()?;
-            self.current = next;
-            self.rest = rest;
-            self.base += 64;
-        }
-        let bit = self.current.trailing_zeros();
-        self.current &= self.current - 1;
-        Some(CoreId::new((self.base + bit) as u16))
-    }
-}
-
-impl<'a> IntoIterator for &'a CoreSet {
-    type Item = CoreId;
-    type IntoIter = CoreSetIter<'a>;
-
-    fn into_iter(self) -> CoreSetIter<'a> {
-        self.iter()
-    }
-}
-
-/// Tracks which cores' MLCs hold each line.
+/// MLC residency is exclusive: a line lives in at most one core's MLC
+/// (cache-to-cache transfers move it, DMA writes invalidate it, and
+/// prefetches never take a line from another core). So each entry is a
+/// single [`CoreId`], 16 bytes with its key, for any core count. A second
+/// holder would mean the directory and the caches disagree, and
+/// [`MlcDirectory::add`] panics on it.
 ///
 /// # Examples
 ///
@@ -195,7 +79,10 @@ impl<'a> IntoIterator for &'a CoreSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MlcDirectory {
-    entries: LineMap<CoreSet>,
+    /// `shards[line % SHARDS]` maps each tracked line to its holder.
+    shards: Box<[LineMap<CoreId>]>,
+    /// Tracked lines over all shards.
+    len: usize,
     num_cores: usize,
     /// Maximum tracked lines; `None` = unbounded.
     capacity: Option<usize>,
@@ -205,13 +92,13 @@ pub struct MlcDirectory {
 }
 
 /// A directory entry displaced by a capacity conflict. The hierarchy must
-/// back-invalidate the named cores' copies of the line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// back-invalidate the holder's copy of the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryEviction {
     /// The line whose tracking entry was evicted.
     pub line: LineAddr,
-    /// The cores holding the line.
-    pub holders: CoreSet,
+    /// The core holding the line.
+    pub holder: CoreId,
 }
 
 impl MlcDirectory {
@@ -226,7 +113,7 @@ impl MlcDirectory {
 
     /// Creates a directory with a bounded entry count. Inserting beyond
     /// the bound evicts the oldest entry (FIFO) and reports it so the
-    /// caller can back-invalidate the MLC copies — the behaviour that
+    /// caller can back-invalidate the MLC copy — the behaviour that
     /// makes snoop-filter directories a shared resource worth attacking
     /// (Yan et al.).
     ///
@@ -241,7 +128,8 @@ impl MlcDirectory {
         );
         assert!(capacity != Some(0), "directory capacity must be positive");
         MlcDirectory {
-            entries: LineMap::default(),
+            shards: (0..SHARDS).map(|_| LineMap::default()).collect(),
+            len: 0,
             num_cores,
             capacity,
             order: std::collections::VecDeque::new(),
@@ -250,91 +138,78 @@ impl MlcDirectory {
 
     /// Records that `core`'s MLC now holds `line`. Returns the entry that
     /// had to be evicted to make room, if the directory is bounded and
-    /// full.
-    #[must_use = "a directory eviction requires back-invalidating MLC copies"]
+    /// full. Re-adding the current holder changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another core already holds `line`: MLC residency is
+    /// exclusive, so a second holder is a directory/cache desync.
+    #[must_use = "a directory eviction requires back-invalidating the MLC copy"]
     pub fn add(&mut self, line: LineAddr, core: CoreId) -> Option<DirectoryEviction> {
         debug_assert!(core.index() < self.num_cores);
-        if let Some(set) = self.entries.get_mut(&line) {
-            set.insert(core);
+        let shard = shard_of(line);
+        if let Some(&holder) = self.shards[shard].get(&line) {
+            assert!(
+                holder == core,
+                "directory add: {holder} already holds line {}, so {core} cannot \
+                 hold it too (directory/cache desync)",
+                line.get()
+            );
             return None;
         }
         // New entry: make room first if bounded.
         let mut evicted = None;
         if let Some(cap) = self.capacity {
-            while self.entries.len() >= cap {
+            while self.len >= cap {
                 let old = self
                     .order
                     .pop_front()
                     .expect("entries outnumber the order queue");
-                if let Some(holders) = self.entries.remove(&old) {
-                    evicted = Some(DirectoryEviction { line: old, holders });
+                if let Some(holder) = self.shards[shard_of(old)].remove(&old) {
+                    self.len -= 1;
+                    evicted = Some(DirectoryEviction { line: old, holder });
                     break;
                 }
                 // Stale queue entry (line already removed); keep popping.
             }
-        }
-        let mut set = CoreSet::new(self.num_cores);
-        set.insert(core);
-        self.entries.insert(line, set);
-        if self.capacity.is_some() {
             // Unbounded directories never consult the FIFO; skip the
             // bookkeeping (it would grow without limit).
             self.order.push_back(line);
         }
+        self.shards[shard].insert(line, core);
+        self.len += 1;
         evicted
     }
 
-    /// Records that `core`'s MLC no longer holds `line`.
+    /// Records that `core`'s MLC no longer holds `line`. A no-op unless
+    /// `core` is the line's holder.
     pub fn remove(&mut self, line: LineAddr, core: CoreId) {
-        if let Some(set) = self.entries.get_mut(&line) {
-            set.remove(core);
-            if set.is_empty() {
-                self.entries.remove(&line);
-            }
+        let shard = &mut self.shards[shard_of(line)];
+        if shard.get(&line) == Some(&core) {
+            shard.remove(&line);
+            self.len -= 1;
         }
     }
 
     /// Whether any MLC holds `line`.
     pub fn is_cached(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.shards[shard_of(line)].contains_key(&line)
     }
 
-    /// Whether `core`'s MLC holds `line` according to the directory.
-    pub fn holds(&self, line: LineAddr, core: CoreId) -> bool {
-        self.entries.get(&line).is_some_and(|s| s.contains(core))
-    }
-
-    /// The lowest-numbered core holding `line`, if any.
-    ///
-    /// The workloads modelled here never share lines between cores, so a
-    /// single holder is the common case; when multiple cores hold a line the
-    /// lowest id is returned deterministically.
-    pub fn holder(&self, line: LineAddr) -> Option<CoreId> {
-        self.entries.get(&line).and_then(CoreSet::first)
-    }
-
-    /// The set of cores holding `line`; `None` when untracked. The
-    /// borrow-only form of [`MlcDirectory::holders`] for the per-DMA-line
-    /// hot path.
+    /// The core holding `line`, if any.
     #[inline]
-    pub fn holder_set(&self, line: LineAddr) -> Option<&CoreSet> {
-        self.entries.get(&line)
-    }
-
-    /// All cores holding `line`, lowest id first.
-    pub fn holders(&self, line: LineAddr) -> Vec<CoreId> {
-        self.holder_set(line)
-            .map_or_else(Vec::new, |s| s.iter().collect())
+    pub fn holder(&self, line: LineAddr) -> Option<CoreId> {
+        self.shards[shard_of(line)].get(&line).copied()
     }
 
     /// Number of tracked lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -351,22 +226,18 @@ mod tests {
         let mut d = MlcDirectory::new(4);
         let _ = d.add(line(1), CoreId::new(3));
         assert!(d.is_cached(line(1)));
-        assert!(d.holds(line(1), CoreId::new(3)));
-        assert!(!d.holds(line(1), CoreId::new(0)));
+        assert_eq!(d.holder(line(1)), Some(CoreId::new(3)));
         d.remove(line(1), CoreId::new(3));
         assert!(!d.is_cached(line(1)));
         assert!(d.is_empty());
     }
 
     #[test]
-    fn multiple_holders_tracked() {
+    #[should_panic(expected = "core2 already holds line 9, so core5 cannot hold it too")]
+    fn second_holder_is_a_desync() {
         let mut d = MlcDirectory::new(8);
-        let _ = d.add(line(9), CoreId::new(5));
         let _ = d.add(line(9), CoreId::new(2));
-        assert_eq!(d.holder(line(9)), Some(CoreId::new(2)));
-        assert_eq!(d.holders(line(9)), vec![CoreId::new(2), CoreId::new(5)]);
-        d.remove(line(9), CoreId::new(2));
-        assert_eq!(d.holder(line(9)), Some(CoreId::new(5)));
+        let _ = d.add(line(9), CoreId::new(5));
     }
 
     #[test]
@@ -395,99 +266,60 @@ mod tests {
         let _ = MlcDirectory::new(0);
     }
 
+    /// Core counts on both sides of 64 (the width of a one-word holder
+    /// mask) and a 200-core system. A deterministic op sequence over all
+    /// core ids and lines from every shard is checked against a
+    /// `BTreeMap` reference model after every step.
     #[test]
-    fn core_set_spills_past_64_cores() {
-        let mut s = CoreSet::new(200);
-        assert!(s.is_empty());
-        for c in [0u16, 63, 64, 65, 128, 199] {
-            s.insert(CoreId::new(c));
-        }
-        assert!(s.contains(CoreId::new(64)));
-        assert!(!s.contains(CoreId::new(66)));
-        assert_eq!(s.first(), Some(CoreId::new(0)));
-        assert_eq!(
-            s.iter().map(CoreId::index).collect::<Vec<_>>(),
-            vec![0, 63, 64, 65, 128, 199]
-        );
-        s.remove(CoreId::new(0));
-        s.remove(CoreId::new(64));
-        assert_eq!(s.first(), Some(CoreId::new(63)));
-        for c in [63u16, 65, 128, 199] {
-            s.remove(CoreId::new(c));
-        }
-        assert!(s.is_empty());
-    }
-
-    /// Boundary sweep at exactly 63, 64 and 65 cores — the sizes where
-    /// the representation crosses from one inline word to spilled words.
-    /// A deterministic op sequence (insert/remove over all core ids) is
-    /// checked against a `BTreeSet` reference model after every step.
-    #[test]
-    fn core_set_inline_to_spilled_boundary_matches_reference_model() {
-        use std::collections::BTreeSet;
-        for num_cores in [63usize, 64, 65] {
-            // The representation choice itself is part of the contract.
-            let set = CoreSet::new(num_cores);
-            match (&set.0, num_cores <= 64) {
-                (SetRepr::Inline(_), true) | (SetRepr::Spilled(_), false) => {}
-                _ => panic!("{num_cores} cores picked the wrong representation"),
-            }
-            let mut set = set;
-            let mut model: BTreeSet<u16> = BTreeSet::new();
+    fn directory_matches_reference_model_across_core_counts() {
+        use std::collections::BTreeMap;
+        for num_cores in [63usize, 64, 65, 200] {
+            let mut d = MlcDirectory::new(num_cores);
+            let mut model: BTreeMap<u64, u16> = BTreeMap::new();
             // xorshift64* keeps the sequence deterministic and seedless.
             let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ num_cores as u64;
-            for _ in 0..2000 {
+            for _ in 0..4000 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 let c = (x % num_cores as u64) as u16;
+                let l = (x >> 20) % 300;
                 if x & (1 << 40) == 0 {
-                    set.insert(CoreId::new(c));
-                    model.insert(c);
+                    // Only the holder (or nobody) may add: exclusivity.
+                    let c = *model.entry(l).or_insert(c);
+                    assert!(d.add(line(l), CoreId::new(c)).is_none());
                 } else {
-                    set.remove(CoreId::new(c));
-                    model.remove(&c);
+                    d.remove(line(l), CoreId::new(c));
+                    if model.get(&l) == Some(&c) {
+                        model.remove(&l);
+                    }
                 }
-                assert_eq!(
-                    set.iter().map(|c| c.index() as u16).collect::<Vec<_>>(),
-                    model.iter().copied().collect::<Vec<_>>(),
-                    "{num_cores} cores diverged from the model"
-                );
-                assert_eq!(set.is_empty(), model.is_empty());
-                assert_eq!(set.first(), model.first().map(|&c| CoreId::new(c)));
+                assert_eq!(d.len(), model.len(), "{num_cores} cores: len");
+                assert_eq!(d.holder(line(l)), model.get(&l).map(|&c| CoreId::new(c)));
             }
-            // Exhaustive membership at every id, then fill and drain.
-            for c in 0..num_cores as u16 {
-                assert_eq!(
-                    set.contains(CoreId::new(c)),
-                    model.contains(&c),
-                    "{num_cores} cores: membership of {c}"
-                );
-                set.insert(CoreId::new(c));
+            for l in 0..300 {
+                let want = model.get(&l).map(|&c| CoreId::new(c));
+                assert_eq!(d.holder(line(l)), want, "{num_cores} cores: line {l}");
+                assert_eq!(d.is_cached(line(l)), want.is_some());
             }
-            assert_eq!(set.iter().count(), num_cores);
-            assert!(set.contains(CoreId::new(num_cores as u16 - 1)));
-            for c in 0..num_cores as u16 {
-                set.remove(CoreId::new(c));
-            }
-            assert!(set.is_empty());
-            assert_eq!(set.first(), None);
         }
     }
 
     #[test]
     fn directory_tracks_wide_systems() {
-        // 200 cores — the generated datacenter scenarios — exceed one
-        // bitmask word; the directory must keep exact holder sets.
+        // 200 cores — the generated datacenter scenarios — have ids past
+        // any one-word bitmask; the directory keeps them exactly.
         let mut d = MlcDirectory::new(200);
-        let _ = d.add(line(1), CoreId::new(5));
         let _ = d.add(line(1), CoreId::new(150));
-        assert!(d.holds(line(1), CoreId::new(150)));
-        assert_eq!(d.holder(line(1)), Some(CoreId::new(5)));
-        assert_eq!(d.holders(line(1)), vec![CoreId::new(5), CoreId::new(150)]);
-        d.remove(line(1), CoreId::new(5));
+        let _ = d.add(line(2), CoreId::new(199));
+        let _ = d.add(line(65), CoreId::new(64));
+        assert_eq!(d.holder(line(1)), Some(CoreId::new(150)));
+        assert_eq!(d.holder(line(2)), Some(CoreId::new(199)));
+        assert_eq!(d.holder(line(65)), Some(CoreId::new(64)));
+        d.remove(line(1), CoreId::new(22));
         assert_eq!(d.holder(line(1)), Some(CoreId::new(150)));
         d.remove(line(1), CoreId::new(150));
         assert!(!d.is_cached(line(1)));
+        assert_eq!(d.len(), 2);
     }
 }

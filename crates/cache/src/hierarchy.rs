@@ -365,36 +365,34 @@ impl Hierarchy {
 
     // ----- internal fill helpers -------------------------------------------------
 
-    /// Installs `line` into `core`'s MLC, cascading the victim into the LLC
-    /// (an "MLC writeback") and a dirty LLC victim to DRAM (an "LLC
-    /// writeback"). Updates the directory.
     /// Registers `line` as held by `core`, processing any directory
-    /// capacity eviction: the displaced entry's cores are back-invalidated
+    /// capacity eviction: the displaced entry's holder is back-invalidated
     /// and dirty data is pushed into the LLC.
     fn dir_add(&mut self, line: LineAddr, core: CoreId) -> MemEffects {
         let mut fx = MemEffects::default();
         if let Some(ev) = self.dir.add(line, core) {
             self.stats.shared.dir_back_invalidations.inc();
-            for holder in &ev.holders {
-                let hi = holder.index();
-                let mut dirty = false;
-                if let Some(l1) = self.cores[hi].l1d.remove(ev.line) {
-                    dirty |= l1.dirty;
-                }
-                if let Some(mlc) = self.cores[hi].mlc.remove(ev.line) {
-                    dirty |= mlc.dirty;
-                }
-                // The directory entry itself is already gone.
-                self.stats.core[hi].mlc_wb.inc();
-                if dirty {
-                    self.stats.core[hi].mlc_wb_dirty.inc();
-                }
-                fx.merge(self.fill_llc(holder, ev.line, dirty));
+            let hi = ev.holder.index();
+            let mut dirty = false;
+            if let Some(l1) = self.cores[hi].l1d.remove(ev.line) {
+                dirty |= l1.dirty;
             }
+            if let Some(mlc) = self.cores[hi].mlc.remove(ev.line) {
+                dirty |= mlc.dirty;
+            }
+            // The directory entry itself is already gone.
+            self.stats.core[hi].mlc_wb.inc();
+            if dirty {
+                self.stats.core[hi].mlc_wb_dirty.inc();
+            }
+            fx.merge(self.fill_llc(ev.holder, ev.line, dirty));
         }
         fx
     }
 
+    /// Installs `line` into `core`'s MLC, cascading the victim into the LLC
+    /// (an "MLC writeback") and a dirty LLC victim to DRAM (an "LLC
+    /// writeback"). Updates the directory.
     fn fill_mlc(&mut self, core: CoreId, line: LineAddr, dirty: bool) -> MemEffects {
         let mut fx = MemEffects::default();
         let ci = core.index();
@@ -601,13 +599,10 @@ impl Hierarchy {
         // Invalidate any private copies: the NIC overwrites the whole line,
         // so the core-resident data is dead and is dropped without
         // writeback (Fig. 1 steps P1-1 / P2-1).
-        let mut invalidated_core = None;
-        if let Some(holders) = self.dir.holder_set(line).cloned() {
-            for holder in &holders {
-                self.remove_private(holder, line);
-                self.stats.core[holder.index()].mlc_inval_by_dma.inc();
-                invalidated_core = Some(holder);
-            }
+        let invalidated_core = self.dir.holder(line);
+        if let Some(holder) = invalidated_core {
+            self.remove_private_held(holder, line, "pcie_write");
+            self.stats.core[holder.index()].mlc_inval_by_dma.inc();
         }
 
         match placement {
@@ -752,11 +747,13 @@ impl Hierarchy {
     /// future work): like [`Hierarchy::prefetch_fill`], but on an LLC miss
     /// the line is fetched from DRAM — the regulated prefetcher walks the
     /// ring buffer just ahead of the CPU pointer, so it can recover lines
-    /// that already leaked to memory.
+    /// that already leaked to memory. A line another core's MLC holds is
+    /// not in memory either: the hint is dropped (`NotInLlc`), since
+    /// prefetches never take a line from another core.
     pub fn prefetch_fill_deep(&mut self, core: CoreId, line: LineAddr) -> PrefetchOutcome {
         let ci = core.index();
         match self.prefetch_fill(core, line) {
-            PrefetchOutcome::NotInLlc => {
+            PrefetchOutcome::NotInLlc if !self.dir.is_cached(line) => {
                 let mut fx = MemEffects {
                     dram_reads: 1,
                     dram_writes: 0,
@@ -775,10 +772,8 @@ impl Hierarchy {
     /// buffer).
     pub fn flush_line(&mut self, line: LineAddr) -> MemEffects {
         let mut dirty = false;
-        if let Some(holders) = self.dir.holder_set(line).cloned() {
-            for holder in &holders {
-                dirty |= self.remove_private(holder, line).unwrap_or(false);
-            }
+        if let Some(holder) = self.dir.holder(line) {
+            dirty = self.remove_private_held(holder, line, "flush_line");
         }
         if let Some(e) = self.llc.remove(line) {
             dirty |= e.dirty;
@@ -796,13 +791,16 @@ impl Hierarchy {
     ///
     /// Checks:
     /// * L1D contents are a subset of the MLC (inclusion),
-    /// * the directory exactly mirrors MLC residency,
+    /// * the directory exactly mirrors MLC residency: each MLC line's
+    ///   directory holder is that core, so no line is in two MLCs, and
+    ///   the directory tracks no line that no MLC holds,
     /// * no line is simultaneously in the LLC and any MLC (exclusivity).
     ///
     /// # Panics
     ///
     /// Panics with a description of the first violated invariant.
     pub fn check_invariants(&self) {
+        let mut mlc_lines = 0;
         for (ci, pc) in self.cores.iter().enumerate() {
             let core = CoreId::new(ci as u16);
             for e in pc.l1d.iter() {
@@ -813,9 +811,11 @@ impl Hierarchy {
                 );
             }
             for e in pc.mlc.iter() {
+                let holder = self.dir.holder(e.line);
                 assert!(
-                    self.dir.holds(e.line, core),
-                    "{core}: MLC line {} missing from directory",
+                    holder == Some(core),
+                    "{core}: MLC line {} has directory holder {holder:?} \
+                     (single residency broken)",
                     e.line
                 );
                 assert!(
@@ -824,18 +824,13 @@ impl Hierarchy {
                     e.line
                 );
             }
+            mlc_lines += pc.mlc.resident_lines();
         }
-        // Directory entries must be backed by actual MLC residency.
-        for (ci, pc) in self.cores.iter().enumerate() {
-            let core = CoreId::new(ci as u16);
-            let count = pc.mlc.iter().count();
-            let dir_count = pc
-                .mlc
-                .iter()
-                .filter(|e| self.dir.holds(e.line, core))
-                .count();
-            assert_eq!(count, dir_count, "{core}: directory undercounts MLC lines");
-        }
+        assert_eq!(
+            self.dir.len(),
+            mlc_lines,
+            "directory tracks lines no MLC holds"
+        );
     }
 }
 
@@ -1061,6 +1056,38 @@ mod tests {
             h.prefetch_fill(C0, line(3)),
             PrefetchOutcome::AlreadyPrivate
         );
+    }
+
+    #[test]
+    fn deep_prefetch_never_copies_a_remote_mlc_line() {
+        let mut h = Hierarchy::new(HierarchyConfig::paper_default(2));
+        let l = line(0x4242);
+        h.cpu_write(C1, l);
+        // The line is in no LLC and in no memory that is current: core 1
+        // holds the only (dirty) copy, so the hint is dropped.
+        assert_eq!(h.prefetch_fill_deep(C0, l), PrefetchOutcome::NotInLlc);
+        assert!(!h.mlc(C0).contains(l));
+        assert!(h.mlc(C1).probe(l).unwrap().dirty);
+        assert_eq!(h.stats().shared.dram_reads.get(), 1, "only core 1's fill");
+        assert_eq!(h.stats().core(C0).prefetch_fills.get(), 0);
+        h.check_invariants();
+        // A line nobody holds is still recovered from DRAM.
+        assert!(matches!(
+            h.prefetch_fill_deep(C0, line(0x4343)),
+            PrefetchOutcome::Filled(_)
+        ));
+        assert!(h.mlc(C0).contains(line(0x4343)));
+        h.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "single residency broken")]
+    fn second_mlc_copy_fails_the_invariants() {
+        let mut h = Hierarchy::new(tiny_config());
+        h.cpu_read(C0, line(1));
+        // Plant a copy the directory does not know about.
+        h.cores[1].mlc.insert(line(1), false, WayMask::all(2));
+        h.check_invariants();
     }
 
     #[test]

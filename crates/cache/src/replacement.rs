@@ -45,14 +45,13 @@ impl std::fmt::Display for ReplacementKind {
 /// and valid/dirty bits.
 #[derive(Debug, Clone)]
 pub enum ReplacementPolicy {
-    /// LRU stamps (monotonic counter per way).
+    /// LRU recency ranks: each set's ranks are a permutation of
+    /// `0..ways`, rank 0 the most recent.
     Lru {
-        /// `stamps[set * ways + way]`, larger = more recent.
-        stamps: Box<[u64]>,
+        /// `ranks[set * ways + way]`, smaller = more recent.
+        ranks: Box<[u8]>,
         /// Associativity (slot stride).
         ways: usize,
-        /// Next stamp to hand out.
-        next: u64,
     },
     /// Tree-PLRU decision bits, one tree per set.
     TreePlru {
@@ -84,11 +83,18 @@ impl ReplacementPolicy {
     /// associativity.
     pub fn new(kind: ReplacementKind, num_sets: usize, ways: usize) -> Self {
         match kind {
-            ReplacementKind::Lru => ReplacementPolicy::Lru {
-                stamps: vec![0; num_sets * ways].into_boxed_slice(),
-                ways,
-                next: 1,
-            },
+            ReplacementKind::Lru => {
+                // Every set starts as the permutation `ways-1 … 0`, so
+                // never-touched ways are evicted lowest index first.
+                let mut ranks = Vec::with_capacity(num_sets * ways);
+                for _ in 0..num_sets {
+                    ranks.extend((0..ways).rev().map(|r| r as u8));
+                }
+                ReplacementPolicy::Lru {
+                    ranks: ranks.into_boxed_slice(),
+                    ways,
+                }
+            }
             ReplacementKind::TreePlru => {
                 assert!(
                     ways.is_power_of_two(),
@@ -122,9 +128,8 @@ impl ReplacementPolicy {
     /// Records that `way` of `set` was (re)inserted.
     pub fn on_insert(&mut self, set: usize, way: usize) {
         match self {
-            ReplacementPolicy::Lru { stamps, ways, next } => {
-                stamps[set * *ways + way] = *next;
-                *next += 1;
+            ReplacementPolicy::Lru { ranks, ways } => {
+                promote(&mut ranks[set * *ways..(set + 1) * *ways], way);
             }
             ReplacementPolicy::TreePlru { bits, ways } => {
                 touch_plru(&mut bits[set], way, *ways);
@@ -140,9 +145,8 @@ impl ReplacementPolicy {
     /// Records a hit on `way` of `set`.
     pub fn on_touch(&mut self, set: usize, way: usize) {
         match self {
-            ReplacementPolicy::Lru { stamps, ways, next } => {
-                stamps[set * *ways + way] = *next;
-                *next += 1;
+            ReplacementPolicy::Lru { ranks, ways } => {
+                promote(&mut ranks[set * *ways..(set + 1) * *ways], way);
             }
             ReplacementPolicy::TreePlru { bits, ways } => {
                 touch_plru(&mut bits[set], way, *ways);
@@ -158,9 +162,9 @@ impl ReplacementPolicy {
     /// `set`.
     ///
     /// Allocation-free: the permitted set is carried as a bit pattern and
-    /// scanned in ascending way order, which preserves the tie-breaking of
-    /// the original "collect permitted ways into a `Vec`" implementation
-    /// (first minimum wins) without the per-eviction allocation.
+    /// scanned in ascending way order. LRU takes the permitted way with the
+    /// largest rank; the initial `ways-1 … 0` ranks make never-touched ways
+    /// go lowest index first.
     ///
     /// # Panics
     ///
@@ -169,18 +173,12 @@ impl ReplacementPolicy {
         let perm = mask.bits() & WayMask::all(total_ways).bits();
         assert!(perm != 0, "way mask selects no way");
         match self {
-            ReplacementPolicy::Lru { stamps, ways, .. } => {
+            ReplacementPolicy::Lru { ranks, ways } => {
+                // Ranks within a set are distinct, so the maximum is unique.
                 let base = set * *ways;
-                let mut best = usize::MAX;
-                let mut best_stamp = u64::MAX;
-                for w in SetBits(perm) {
-                    let s = stamps[base + w];
-                    if s < best_stamp {
-                        best_stamp = s;
-                        best = w;
-                    }
-                }
-                best
+                SetBits(perm)
+                    .max_by_key(|&w| ranks[base + w])
+                    .expect("perm is non-empty")
             }
             ReplacementPolicy::TreePlru { bits, ways } => {
                 // Walk the tree toward the PLRU leaf; if it is outside the
@@ -216,6 +214,17 @@ impl ReplacementPolicy {
             }
         }
     }
+}
+
+/// Makes `way` the most recent of its set: every rank below its old rank
+/// moves one step older, and `way` takes rank 0.
+#[inline]
+fn promote(ranks: &mut [u8], way: usize) {
+    let old = ranks[way];
+    for r in ranks.iter_mut() {
+        *r += u8::from(*r < old);
+    }
+    ranks[way] = 0;
 }
 
 /// Flips the tree bits so they point *away* from `way`.
@@ -269,6 +278,30 @@ mod tests {
         }
         p.on_touch(0, 0);
         assert_eq!(p.victim(0, WayMask::all(4), 4), 1);
+    }
+
+    #[test]
+    fn lru_ranks_stay_a_permutation_and_untouched_ways_go_lowest_first() {
+        let mut p = ReplacementPolicy::new(ReplacementKind::Lru, 2, 5);
+        // Nothing touched: way 0 is the oldest, then way 1, ...
+        assert_eq!(p.victim(1, WayMask::all(5), 5), 0);
+        assert_eq!(p.victim(1, WayMask::range(1, 5), 5), 1);
+        p.on_insert(1, 0);
+        p.on_touch(1, 3);
+        // Untouched ways 1, 2, 4 are older than every touched way.
+        assert_eq!(p.victim(1, WayMask::all(5), 5), 1);
+        assert_eq!(p.victim(1, WayMask::from_bits(0b1_1001), 5), 4);
+        assert_eq!(p.victim(1, WayMask::from_bits(0b0_1001), 5), 0);
+        let ReplacementPolicy::Lru { ranks, .. } = &p else {
+            unreachable!()
+        };
+        for set in ranks.chunks(5) {
+            let mut sorted = set.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
+        }
+        // Set 0 was never touched.
+        assert_eq!(&ranks[..5], &[4, 3, 2, 1, 0]);
     }
 
     #[test]

@@ -153,12 +153,16 @@ impl Iterator for SetBits {
 
 /// A set-associative cache array with per-set LRU replacement.
 ///
-/// Internally the array is flat: one tag word per slot plus per-set
-/// `valid`/`dirty` bitmasks, so a lookup is a bit-scan over at most
-/// `ways` tag compares with no pointer chasing and no `Option` padding,
-/// and an invalid-way search is a single `trailing_zeros`. This is the
-/// hottest data structure in the simulator — every DMA line, CPU access
-/// and prefetch lands here.
+/// Internally the array is flat: one 32-bit set-relative tag per slot
+/// (`line / num_sets`; the line is rebuilt as `tag * num_sets + set`)
+/// plus per-set `valid`/`dirty` bitmasks, so a lookup is a bit-scan over
+/// at most `ways` tag compares with no pointer chasing and no `Option`
+/// padding, and an invalid-way search is a single `trailing_zeros`. This
+/// is the hottest data structure in the simulator — every DMA line, CPU
+/// access and prefetch lands here.
+///
+/// A line whose tag does not fit 32 bits cannot be cached: inserting it
+/// panics, and every lookup reports it absent.
 ///
 /// # Examples
 ///
@@ -181,9 +185,10 @@ pub struct SetAssocCache {
     name: &'static str,
     num_sets: usize,
     ways: usize,
-    /// Tag (raw line number) per slot; slot index = `set * ways + way`.
-    /// Only meaningful where the set's `valid` bit is on.
-    tags: Box<[u64]>,
+    /// Set-relative tag (`line / num_sets`) per slot; slot index =
+    /// `set * ways + way`. Only meaningful where the set's `valid` bit is
+    /// on.
+    tags: Box<[u32]>,
     /// Per-set validity bitmask (bit `w` = way `w` holds a line).
     valid: Box<[u64]>,
     /// Per-set dirty bitmask (subset of `valid`).
@@ -307,54 +312,69 @@ impl SetAssocCache {
         self.resident
     }
 
+    /// Splits `line` into its set index and set-relative tag; the tag is
+    /// `None` when it does not fit 32 bits.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.get() % self.num_sets as u64) as usize
+    fn locate(&self, line: LineAddr) -> (usize, Option<u32>) {
+        let n = self.num_sets as u64;
+        let l = line.get();
+        ((l % n) as usize, u32::try_from(l / n).ok())
     }
 
-    /// The way holding `line` in set `idx`, if any. The single-residency
+    /// The way holding `tag` in set `idx`, if any. The single-residency
     /// invariant (insert refreshes instead of duplicating) makes the
     /// match unique, so scan order does not matter.
     #[inline]
-    fn find_way(&self, idx: usize, line: LineAddr) -> Option<usize> {
+    fn find_way(&self, idx: usize, tag: u32) -> Option<usize> {
         let base = idx * self.ways;
-        let tag = line.get();
         SetBits(self.valid[idx]).find(|&w| self.tags[base + w] == tag)
+    }
+
+    /// The `(set, way)` slot holding `line`, if resident. A line whose
+    /// tag does not fit 32 bits is never resident.
+    #[inline]
+    fn lookup(&self, line: LineAddr) -> Option<(usize, usize)> {
+        let (idx, tag) = self.locate(line);
+        self.find_way(idx, tag?).map(|w| (idx, w))
+    }
+
+    /// The line held in slot `(idx, w)`, rebuilt from its tag.
+    #[inline]
+    fn line_at(&self, idx: usize, w: usize) -> LineAddr {
+        let tag = u64::from(self.tags[idx * self.ways + w]);
+        LineAddr::new(tag * self.num_sets as u64 + idx as u64)
     }
 
     #[inline]
     fn entry_at(&self, idx: usize, w: usize) -> LineEntry {
         LineEntry {
-            line: LineAddr::new(self.tags[idx * self.ways + w]),
+            line: self.line_at(idx, w),
             dirty: (self.dirty[idx] >> w) & 1 == 1,
         }
     }
 
     /// Whether `line` is resident. Does not touch LRU state.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find_way(self.set_index(line), line).is_some()
+        self.lookup(line).is_some()
     }
 
     /// Looks up `line` without updating LRU state.
     pub fn probe(&self, line: LineAddr) -> Option<LineEntry> {
-        let idx = self.set_index(line);
-        self.find_way(idx, line).map(|w| self.entry_at(idx, w))
+        self.lookup(line).map(|(idx, w)| self.entry_at(idx, w))
     }
 
     /// Looks up `line`, updating replacement state on hit. Returns the
     /// entry.
     pub fn touch(&mut self, line: LineAddr) -> Option<LineEntry> {
-        let idx = self.set_index(line);
-        let w = self.find_way(idx, line)?;
+        let (idx, w) = self.lookup(line)?;
         self.policy.on_touch(idx, w);
         Some(self.entry_at(idx, w))
     }
 
     /// Marks `line` dirty if resident; returns whether it was resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        match self.find_way(idx, line) {
-            Some(w) => {
+        match self.lookup(line) {
+            Some((idx, w)) => {
                 self.dirty[idx] |= 1 << w;
                 true
             }
@@ -365,8 +385,7 @@ impl SetAssocCache {
     /// Removes `line` if resident, returning its entry. No writeback is
     /// implied — the caller decides what to do with a dirty victim.
     pub fn remove(&mut self, line: LineAddr) -> Option<LineEntry> {
-        let idx = self.set_index(line);
-        let w = self.find_way(idx, line)?;
+        let (idx, w) = self.lookup(line)?;
         let entry = self.entry_at(idx, w);
         self.valid[idx] &= !(1 << w);
         self.dirty[idx] &= !(1 << w);
@@ -385,18 +404,27 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `mask` selects no way below `self.ways()`.
+    /// Panics if `mask` selects no way below `self.ways()`, or if `line`'s
+    /// set-relative tag does not fit 32 bits.
     pub fn insert(
         &mut self,
         line: LineAddr,
         dirty: bool,
         mask: WayMask,
     ) -> (Option<Victim>, usize) {
-        let idx = self.set_index(line);
+        let (idx, tag) = self.locate(line);
+        let Some(tag) = tag else {
+            panic!(
+                "{}: line {} does not fit a 32-bit tag with {} sets",
+                self.name,
+                line.get(),
+                self.num_sets
+            );
+        };
 
         // Refresh if already resident (any way, even outside the mask:
         // an in-place update does not migrate ways).
-        if let Some(w) = self.find_way(idx, line) {
+        if let Some(w) = self.find_way(idx, tag) {
             self.dirty[idx] |= u64::from(dirty) << w;
             self.policy.on_touch(idx, w);
             return (None, w);
@@ -407,7 +435,7 @@ impl SetAssocCache {
         let free = !self.valid[idx] & mask.0 & ways_bits;
         if free != 0 {
             let w = free.trailing_zeros() as usize;
-            self.fill_slot(idx, w, line, dirty);
+            self.fill_slot(idx, w, tag, dirty);
             self.policy.on_insert(idx, w);
             self.resident += 1;
             self.track_slot(idx, w, line);
@@ -423,7 +451,7 @@ impl SetAssocCache {
         let victim_way = self.policy.victim(idx, mask, self.ways);
         let old = self.entry_at(idx, victim_way);
         self.untrack_slot(idx, victim_way);
-        self.fill_slot(idx, victim_way, line, dirty);
+        self.fill_slot(idx, victim_way, tag, dirty);
         self.policy.on_insert(idx, victim_way);
         self.track_slot(idx, victim_way, line);
         (
@@ -437,15 +465,15 @@ impl SetAssocCache {
     }
 
     #[inline]
-    fn fill_slot(&mut self, idx: usize, w: usize, line: LineAddr, dirty: bool) {
-        self.tags[idx * self.ways + w] = line.get();
+    fn fill_slot(&mut self, idx: usize, w: usize, tag: u32, dirty: bool) {
+        self.tags[idx * self.ways + w] = tag;
         self.valid[idx] |= 1 << w;
         self.dirty[idx] = (self.dirty[idx] & !(1 << w)) | (u64::from(dirty) << w);
     }
 
     /// The way `line` currently occupies, if resident.
     pub fn way_of(&self, line: LineAddr) -> Option<usize> {
-        self.find_way(self.set_index(line), line)
+        self.lookup(line).map(|(_, w)| w)
     }
 
     /// Iterates over all resident lines (set-major order).
@@ -458,9 +486,8 @@ impl SetAssocCache {
     pub fn drain_dirty(&mut self) -> Vec<LineAddr> {
         let mut out = Vec::new();
         for idx in 0..self.num_sets {
-            let base = idx * self.ways;
             for w in SetBits(self.valid[idx] & self.dirty[idx]) {
-                out.push(LineAddr::new(self.tags[base + w]));
+                out.push(self.line_at(idx, w));
             }
             self.resident -= self.valid[idx].count_ones() as usize;
             self.valid[idx] = 0;
@@ -482,9 +509,8 @@ impl SetAssocCache {
         self.tracked_bits = vec![0; self.num_sets].into_boxed_slice();
         self.tracked_resident = 0;
         for idx in 0..self.num_sets {
-            let base = idx * self.ways;
             for w in SetBits(self.valid[idx]) {
-                let l = self.tags[base + w];
+                let l = self.line_at(idx, w).get();
                 if ranges.iter().any(|&(lo, hi)| l >= lo && l < hi) {
                     self.tracked_bits[idx] |= 1 << w;
                     self.tracked_resident += 1;

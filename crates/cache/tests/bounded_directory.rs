@@ -31,7 +31,7 @@ fn bounded_directory_evicts_fifo() {
     assert!(d.add(LineAddr::new(3), C0).is_none());
     let ev = d.add(LineAddr::new(4), C0).expect("capacity eviction");
     assert_eq!(ev.line, LineAddr::new(1));
-    assert_eq!(ev.holders.iter().collect::<Vec<_>>(), vec![C0]);
+    assert_eq!(ev.holder, C0);
     assert_eq!(d.len(), 3);
     assert!(!d.is_cached(LineAddr::new(1)));
     assert!(d.is_cached(LineAddr::new(4)));
@@ -42,9 +42,10 @@ fn re_add_does_not_trigger_eviction() {
     let mut d = MlcDirectory::with_capacity(2, Some(2));
     assert!(d.add(LineAddr::new(1), C0).is_none());
     assert!(d.add(LineAddr::new(2), C0).is_none());
-    // Adding a second holder to an existing entry is not a new entry.
-    assert!(d.add(LineAddr::new(1), C1).is_none());
-    assert_eq!(d.holders(LineAddr::new(1)).len(), 2);
+    // Re-adding the holder of an existing entry is not a new entry.
+    assert!(d.add(LineAddr::new(1), C0).is_none());
+    assert_eq!(d.holder(LineAddr::new(1)), Some(C0));
+    assert_eq!(d.len(), 2);
 }
 
 #[test]

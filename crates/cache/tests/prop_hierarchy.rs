@@ -1,6 +1,7 @@
 //! Randomized property tests: the hierarchy's structural invariants
-//! survive any sequence of operations, and the set-associative array never
-//! exceeds its capacity. Driven by the in-repo deterministic harness
+//! survive any sequence of operations (at 2 cores and past 64 cores), no
+//! line is ever in two MLCs, and the set-associative array never exceeds
+//! its capacity. Driven by the in-repo deterministic harness
 //! (`idio_engine::check`) — the build environment has no crates.io access.
 
 use idio_cache::addr::{CoreId, LineAddr};
@@ -18,13 +19,14 @@ enum Op {
     PcieRead(u64),
     Invalidate(u16, u64),
     Prefetch(u16, u64),
+    PrefetchDeep(u16, u64),
     Flush(u64),
 }
 
 fn gen_op(g: &mut Gen, cores: u16, lines: u64) -> Op {
     let c = g.u16(0..cores);
     let l = g.u64(0..lines);
-    match g.u64(0..8) {
+    match g.u64(0..9) {
         0 => Op::CpuRead(c, l),
         1 => Op::CpuWrite(c, l),
         2 => Op::PcieWriteLlc(l),
@@ -32,6 +34,7 @@ fn gen_op(g: &mut Gen, cores: u16, lines: u64) -> Op {
         4 => Op::PcieRead(l),
         5 => Op::Invalidate(c, l),
         6 => Op::Prefetch(c, l),
+        7 => Op::PrefetchDeep(c, l),
         _ => Op::Flush(l),
     }
 }
@@ -59,6 +62,9 @@ fn apply(h: &mut Hierarchy, op: Op, scope: InvalidateScope) {
         Op::Prefetch(c, l) => {
             h.prefetch_fill(CoreId::new(c), LineAddr::new(l));
         }
+        Op::PrefetchDeep(c, l) => {
+            h.prefetch_fill_deep(CoreId::new(c), LineAddr::new(l));
+        }
         Op::Flush(l) => {
             h.flush_line(LineAddr::new(l));
         }
@@ -66,11 +72,15 @@ fn apply(h: &mut Hierarchy, op: Op, scope: InvalidateScope) {
 }
 
 fn tiny_hierarchy() -> Hierarchy {
+    tiny_hierarchy_with(2)
+}
+
+fn tiny_hierarchy_with(cores: usize) -> Hierarchy {
     Hierarchy::new(HierarchyConfig {
-        num_cores: 2,
+        num_cores: cores,
         l1d: CacheGeometry::new(2 * 2 * 64, 2, 2),
         mlc: CacheGeometry::new(4 * 2 * 64, 2, 12),
-        mlc_overrides: vec![None; 2],
+        mlc_overrides: vec![None; cores],
         llc: CacheGeometry::new(4 * 4 * 64, 4, 24),
         ddio_ways: 2,
         core_alloc_ways: None,
@@ -80,6 +90,22 @@ fn tiny_hierarchy() -> Hierarchy {
     })
 }
 
+/// Asserts that no line in `0..lines` is resident in two cores' MLCs.
+/// Checked directly on the arrays, not through the directory, so a fill
+/// path that copies a line behind the directory's back is caught too.
+fn assert_single_residency(h: &Hierarchy, lines: u64, op: Op) {
+    for l in 0..lines {
+        let line = LineAddr::new(l);
+        let holders: Vec<usize> = (0..h.num_cores())
+            .filter(|&c| h.mlc(CoreId::new(c as u16)).contains(line))
+            .collect();
+        assert!(
+            holders.len() <= 1,
+            "after {op:?}: line {l} in MLCs {holders:?}"
+        );
+    }
+}
+
 #[test]
 fn invariants_hold_under_arbitrary_op_sequences() {
     Cases::new(256).run(|g| {
@@ -87,6 +113,22 @@ fn invariants_hold_under_arbitrary_op_sequences() {
         let mut h = tiny_hierarchy();
         for op in ops {
             apply(&mut h, op, InvalidateScope::IncludeLlc);
+            assert_single_residency(&h, 64, op);
+        }
+        h.check_invariants();
+    });
+}
+
+/// More than 64 cores on a small geometry: core ids past one 64-bit word
+/// share lines through c2c transfers, DMA invalidations and prefetches.
+#[test]
+fn invariants_hold_past_64_cores() {
+    Cases::new(64).run(|g| {
+        let ops = g.vec(1..400, |g| gen_op(g, 70, 48));
+        let mut h = tiny_hierarchy_with(70);
+        for op in ops {
+            apply(&mut h, op, InvalidateScope::PrivateOnly);
+            assert_single_residency(&h, 48, op);
         }
         h.check_invariants();
     });
