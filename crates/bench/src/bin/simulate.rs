@@ -24,10 +24,10 @@ use idio_engine::time::{Duration, SimTime};
 
 struct Args {
     policy: SteeringPolicy,
-    queue_policies: Vec<(usize, SteeringPolicy)>,
+    tenant_policies: Vec<(usize, SteeringPolicy)>,
     nf: NfKind,
     pool: Option<PoolSpec>,
-    queue_pools: Vec<(usize, PoolSpec)>,
+    tenant_pools: Vec<(usize, PoolSpec)>,
     rate_gbps: f64,
     bursty: bool,
     poisson: bool,
@@ -51,10 +51,10 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             policy: SteeringPolicy::Idio,
-            queue_policies: Vec::new(),
+            tenant_policies: Vec::new(),
             nf: NfKind::TouchDrop,
             pool: None,
-            queue_pools: Vec::new(),
+            tenant_pools: Vec::new(),
             rate_gbps: 25.0,
             bursty: true,
             poisson: false,
@@ -114,27 +114,6 @@ fn usage() {
     );
 }
 
-/// Parses a pool spec: `dram`, `recycle`, or `recycle:<slots>` (the same
-/// shapes the scenario-file `pool` key accepts).
-fn parse_pool(s: &str) -> Result<PoolSpec, String> {
-    match s {
-        "dram" => Ok(PoolSpec::Dram),
-        "recycle" => Ok(PoolSpec::Recycle { slots: None }),
-        _ => match s.strip_prefix("recycle:") {
-            Some(n) => {
-                let slots: u32 = n.parse().map_err(|_| format!("bad slot count '{n}'"))?;
-                if slots == 0 {
-                    return Err("recycle pool needs at least one slot".into());
-                }
-                Ok(PoolSpec::Recycle { slots: Some(slots) })
-            }
-            None => Err(format!(
-                "unknown pool '{s}' (expected dram|recycle|recycle:<slots>)"
-            )),
-        },
-    }
-}
-
 fn parse() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -156,7 +135,7 @@ fn parse() -> Result<Args, String> {
                     .map_err(|e| format!("bad queue index '{q}': {e}"))?;
                 let p = SteeringPolicy::from_name(name)
                     .ok_or_else(|| format!("unknown policy '{name}'"))?;
-                args.queue_policies.push((q, p));
+                args.tenant_policies.push((q, p));
             }
             "--nf" => {
                 args.nf = match val("--nf")?.to_lowercase().as_str() {
@@ -169,7 +148,7 @@ fn parse() -> Result<Args, String> {
                     other => return Err(format!("unknown nf '{other}'")),
                 }
             }
-            "--pool" => args.pool = Some(parse_pool(&val("--pool")?)?),
+            "--pool" => args.pool = Some(PoolSpec::from_name(&val("--pool")?)?),
             "--queue-pool" => {
                 let spec = val("--queue-pool")?;
                 let (q, pool) = spec
@@ -178,7 +157,7 @@ fn parse() -> Result<Args, String> {
                 let q: usize = q
                     .parse()
                     .map_err(|e| format!("bad queue index '{q}': {e}"))?;
-                args.queue_pools.push((q, parse_pool(pool)?));
+                args.tenant_pools.push((q, PoolSpec::from_name(pool)?));
             }
             "--rate" => args.rate_gbps = val("--rate")?.parse().map_err(|e| format!("{e}"))?,
             "--bursty" => args.bursty = true,
@@ -316,23 +295,25 @@ fn main() -> ExitCode {
     cfg.duration = SimTime::from_ms(args.duration_ms);
     cfg.drain_grace = Duration::from_ms(5);
     cfg.seed = args.seed;
-    for w in &mut cfg.workloads {
-        w.kind = args.nf;
-        w.packet_len = args.packet;
-        w.pool = args.pool;
+    for t in &mut cfg.tenants {
+        t.nf = args.nf;
+        t.packet_len = args.packet;
+        t.pool = args.pool;
         if args.class1 {
-            w.dscp = Dscp::CLASS1_DEFAULT;
+            t.dscp = Dscp::CLASS1_DEFAULT;
         }
     }
-    for &(q, pool) in &args.queue_pools {
-        if q >= cfg.workloads.len() {
+    // Every queue is its own one-flow tenant, so the per-queue flags set
+    // tenant `q`.
+    for &(q, pool) in &args.tenant_pools {
+        if q >= cfg.tenants.len() {
             eprintln!(
                 "error: --queue-pool {q}=... names a nonexistent queue (have {})",
-                cfg.workloads.len()
+                cfg.tenants.len()
             );
             return ExitCode::FAILURE;
         }
-        cfg.workloads[q].pool = Some(pool);
+        cfg.tenants[q].pool = Some(pool);
     }
     if let Some(thr) = args.mlc_thr_mtps {
         cfg.idio = cfg.idio.with_mlc_thr_mtps(thr);
@@ -340,30 +321,36 @@ fn main() -> ExitCode {
     cfg.trace = args.trace.clone();
     cfg.tick_metrics = args.tick_metrics;
     cfg = cfg.with_policy(args.policy);
-    for &(q, p) in &args.queue_policies {
-        if q >= cfg.workloads.len() {
+    for &(q, p) in &args.tenant_policies {
+        if q >= cfg.tenants.len() {
             eprintln!(
                 "error: --queue-policy {q}={} names a nonexistent queue (have {})",
-                p.label().to_lowercase(),
-                cfg.workloads.len()
+                p.name(),
+                cfg.tenants.len()
             );
             return ExitCode::FAILURE;
         }
-        cfg.queue_policies.insert(q, PolicySpec::Preset(p));
+        cfg.tenants[q].policy = Some(PolicySpec::Preset(p));
     }
-    if args.all_policies && !args.queue_policies.is_empty() {
+    if args.all_policies && !args.tenant_policies.is_empty() {
         eprintln!("error: --queue-policy cannot be combined with --all-policies");
         return ExitCode::FAILURE;
     }
     if args.antagonist {
         cfg = cfg.with_antagonist();
     }
-    if let Err(e) = cfg.validate() {
-        eprintln!("error: invalid configuration: {e}");
-        return ExitCode::FAILURE;
-    }
+    // Building the system validates the configuration; --all-policies
+    // runs the same configuration under each preset.
+    let system = match System::try_new(cfg.clone()) {
+        Ok(system) => system,
+        Err(e) => {
+            eprintln!("error: invalid configuration: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if args.all_policies {
+        drop(system);
         let cells: Vec<SweepCell> = SteeringPolicy::ALL
             .into_iter()
             .map(|policy| {
@@ -431,7 +418,7 @@ fn main() -> ExitCode {
             ""
         },
     );
-    let report = System::new(cfg).run();
+    let report = system.run();
     print!("{report}");
     if !report.bursts.is_empty() {
         println!("bursts:");

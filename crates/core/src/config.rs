@@ -1,7 +1,5 @@
 //! Full-system configuration (Table I defaults plus workload wiring).
 
-use std::borrow::Cow;
-
 use idio_cache::addr::CoreId;
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
 use idio_cache::hierarchy::InvalidateScope;
@@ -27,7 +25,7 @@ use crate::prefetcher::PrefetcherConfig;
 /// flavours).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowSteering {
-    /// Externally programmed perfect-match filters: every workload's flow
+    /// Externally programmed perfect-match filters: every tenant flow
     /// is pinned to its queue up front (applications pinned to cores).
     #[default]
     Perfect,
@@ -37,53 +35,47 @@ pub enum FlowSteering {
     Atr,
 }
 
-/// One network-function instance pinned to one core with its own NIC
-/// queue and traffic stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadSpec {
-    /// The core running the NF (also its queue's ADQ pin target).
-    pub core: CoreId,
-    /// Which Table II workload.
-    pub kind: NfKind,
-    /// Arrival pattern of this instance's flow, used only when the config
-    /// has no [`SystemConfig::tenants`] (the workload then runs as a
-    /// one-flow tenant on its own queue); otherwise the owning tenant's
-    /// `traffic` drives the queue.
-    pub traffic: TrafficPattern,
-    /// Frame size in bytes (one-flow tenant only, like `traffic`).
-    pub packet_len: u16,
-    /// DSCP marking applied by the (simulated) sender (one-flow tenant
-    /// only, like `traffic`).
-    pub dscp: Dscp,
-    /// The queue's mbuf pool. `None` is the legacy implicit status quo
-    /// (per-slot buffers, no pool telemetry); `Some(PoolSpec::Dram)` is
-    /// the same working set *with* LLC-budget spill accounting;
-    /// `Some(PoolSpec::Recycle { .. })` is the RDCA cache-resident
-    /// recycling pool. Resolved against the DDIO partition and ring
-    /// geometry when the system is built.
-    pub pool: Option<PoolSpec>,
+/// Per-tenant service-level objectives. Plain data that a
+/// [`crate::system::System`] ignores; the scenario runner asserts them
+/// against the tenant's mixed run.
+///
+/// Bounds are optional; a tenant with no `SloSpec` (or with all bounds
+/// `None`) is never flagged.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SloSpec {
+    /// Upper bound on the tenant's mixed-run p99 packet latency (ns).
+    pub max_p99_ns: Option<u64>,
+    /// Upper bound on the tenant's mixed-run drop rate (fraction of
+    /// offered packets dropped at full rings).
+    pub max_drop_rate: Option<f64>,
 }
 
-/// One tenant of a multi-tenant run: a group of workload instances
-/// (queues/cores) fed by a *single* aggregate traffic source whose flows
-/// are spread across the group.
+impl SloSpec {
+    /// Whether any bound is actually set.
+    pub fn is_bounded(&self) -> bool {
+        self.max_p99_ns.is_some() || self.max_drop_rate.is_some()
+    }
+}
+
+/// One tenant: a traffic source bound to a network function on a group of
+/// cores, each core with its own NIC queue.
 ///
 /// Tenants are the only way traffic enters a [`crate::system::System`]:
 /// arrivals come from one [`idio_net::gen::MultiFlowGen`] per tenant (or a
-/// replayed trace), dealt round-robin over `flows` distinct five-tuples,
-/// and the per-workload [`WorkloadSpec::traffic`] of a tenant's queues is
-/// not used. Under [`FlowSteering::Perfect`] flow `i` is pinned to the
-/// tenant's `workloads[i % len]` queue via the flow director; under
+/// replayed trace), dealt round-robin over `flows` distinct five-tuples.
+/// Queue `q` is the `q`-th core in the order of the tenants' `cores`
+/// lists. Under [`FlowSteering::Perfect`] flow `i` is pinned to the
+/// tenant's `i % cores.len()`-th queue via the flow director; under
 /// [`FlowSteering::Atr`] flows spread by RSS until the NIC learns them.
-/// A config without tenants gets one one-flow tenant per workload (see
-/// [`SystemConfig::tenants`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Stable tenant name (report key; must be unique within a config).
     pub name: String,
-    /// Indices into [`SystemConfig::workloads`] owned by this tenant.
-    /// A workload belongs to at most one tenant.
-    pub workloads: Vec<usize>,
+    /// The network function every one of the tenant's cores runs.
+    pub nf: NfKind,
+    /// The cores (and therefore NIC queues) the tenant owns. A core
+    /// belongs to at most one tenant.
+    pub cores: Vec<u16>,
     /// Number of concurrently-active flows (five-tuples) the tenant's load
     /// is dealt over — up to [`idio_net::gen::MAX_FLOW_SET_FLOWS`] (16M),
     /// derived on demand by a streaming [`idio_net::gen::FlowSet`] rather
@@ -110,22 +102,102 @@ pub struct TenantSpec {
     pub traffic: TrafficPattern,
     /// Frame size in bytes (all flows of a tenant share it).
     pub packet_len: u16,
-    /// DSCP marking applied by the tenant's (simulated) senders.
+    /// DSCP marking applied by the tenant's (simulated) senders — the
+    /// application-class signal the NIC classifier reads.
     pub dscp: Dscp,
     /// Recorded arrivals replacing the analytic `traffic` pattern (see
     /// `idio_net::trace`). Flows found in the trace are pinned first-seen
     /// round-robin across the tenant's queues.
     pub replay: Option<Vec<Arrival>>,
     /// Steering-policy override for every queue this tenant owns. `None`
-    /// inherits [`SystemConfig::policy`]; a per-queue entry in
-    /// [`SystemConfig::queue_policies`] overrides this in turn.
+    /// inherits [`SystemConfig::policy`]; a preset override equal to it
+    /// behaves identically but labels the tenant in scenario reports.
     pub policy: Option<PolicySpec>,
+    /// Mbuf-pool mode of every one of the tenant's queues. `None` is the
+    /// implicit status quo (per-slot buffers, no pool telemetry);
+    /// `Some(PoolSpec::Dram)` is the same working set *with* LLC-budget
+    /// spill accounting; `Some(PoolSpec::Recycle { .. })` is the RDCA
+    /// cache-resident recycling pool. Resolved against the DDIO partition
+    /// and ring geometry when the system is built.
+    pub pool: Option<PoolSpec>,
+    /// Optional service-level objectives (not read by the system).
+    pub slo: Option<SloSpec>,
 }
 
 impl TenantSpec {
-    /// The cores this tenant's workloads run on, resolved against `cfg`.
-    pub fn cores<'a>(&'a self, cfg: &'a SystemConfig) -> impl Iterator<Item = CoreId> + 'a {
-        self.workloads.iter().map(|&wi| cfg.workloads[wi].core)
+    /// A synthetic-traffic tenant with best-effort DSCP, plain
+    /// round-robin flows, no churn and no overrides.
+    pub fn new(
+        name: impl Into<String>,
+        nf: NfKind,
+        cores: Vec<u16>,
+        flows: u32,
+        base_port: u16,
+        traffic: TrafficPattern,
+        packet_len: u16,
+    ) -> Self {
+        TenantSpec {
+            name: name.into(),
+            nf,
+            cores,
+            flows,
+            base_port,
+            churn: None,
+            train: 1,
+            traffic,
+            packet_len,
+            dscp: Dscp::BEST_EFFORT,
+            replay: None,
+            policy: None,
+            pool: None,
+            slo: None,
+        }
+    }
+
+    /// Returns the tenant with a different DSCP marking.
+    pub fn with_dscp(mut self, dscp: Dscp) -> Self {
+        self.dscp = dscp;
+        self
+    }
+
+    /// Returns the tenant with flow churn: each active flow lives
+    /// `lifetime`, then its slot starts a fresh five-tuple.
+    pub fn with_churn(mut self, lifetime: Duration) -> Self {
+        self.churn = Some(lifetime);
+        self
+    }
+
+    /// Returns the tenant dealing `train` consecutive packets per flow
+    /// visit instead of rotating every packet.
+    pub fn with_train(mut self, train: u32) -> Self {
+        self.train = train;
+        self
+    }
+
+    /// Returns the tenant replaying `arrivals` instead of its analytic
+    /// traffic pattern.
+    pub fn with_replay(mut self, arrivals: Vec<Arrival>) -> Self {
+        self.replay = Some(arrivals);
+        self
+    }
+
+    /// Returns the tenant pinned to its own steering policy instead of
+    /// inheriting the system default.
+    pub fn with_policy(mut self, policy: impl Into<PolicySpec>) -> Self {
+        self.policy = Some(policy.into());
+        self
+    }
+
+    /// Returns the tenant with an explicit mbuf-pool mode on its queues.
+    pub fn with_pool(mut self, pool: PoolSpec) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+
+    /// Returns the tenant with service-level objectives attached.
+    pub fn with_slo(mut self, slo: SloSpec) -> Self {
+        self.slo = Some(slo);
+        self
     }
 }
 
@@ -184,30 +256,21 @@ pub struct SystemConfig {
     /// PCIe/DMA settings.
     pub dma: DmaConfig,
     /// The system-default placement policy — the bottom layer of the
-    /// policy table. [`TenantSpec::policy`] and
-    /// [`SystemConfig::queue_policies`] override it per tenant / per
-    /// queue; [`SystemConfig::policy_table`] resolves the layering.
+    /// policy table. [`TenantSpec::policy`] overrides it per tenant;
+    /// [`SystemConfig::policy_table`] resolves the layering.
     pub policy: SteeringPolicy,
-    /// Per-queue policy overrides (queue index = workload index), the top
-    /// layer of the policy table: an entry here wins over both the owning
-    /// tenant's [`TenantSpec::policy`] and the system default.
-    pub queue_policies: std::collections::BTreeMap<usize, PolicySpec>,
     /// IDIO controller settings.
     pub idio: IdioConfig,
     /// MLC prefetcher settings.
     pub prefetcher: PrefetcherConfig,
     /// Scope of the self-invalidate instruction.
     pub invalidate_scope: InvalidateScope,
-    /// NF instances (at most one per core).
-    pub workloads: Vec<WorkloadSpec>,
+    /// The tenants: per-tenant multi-flow (or replayed) sources, each
+    /// spread across its own cores' queues via the flow director / RSS.
+    /// To replay a trace, give it a tenant with [`TenantSpec::replay`].
+    pub tenants: Vec<TenantSpec>,
     /// Optional antagonist co-runner.
     pub antagonist: Option<AntagonistSpec>,
-    /// Tenant groups: per-tenant multi-flow (or replayed) sources, spread
-    /// across each tenant's queues via the flow director / RSS. Empty =
-    /// every workload `q` is a one-flow tenant on queue `q`, carrying its
-    /// own `traffic`, `packet_len` and `dscp` on UDP port `5000 + q`. To
-    /// replay a trace, give it a tenant with [`TenantSpec::replay`].
-    pub tenants: Vec<TenantSpec>,
     /// Flow Director operating mode.
     pub steering: FlowSteering,
     /// Traffic generation horizon.
@@ -238,20 +301,30 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// The Fig. 9 baseline scenario: `n` TouchDrop instances on `n` cores
     /// (plus room for an antagonist if added later), Table I hierarchy with
-    /// the 3 MiB LLC, 1024-deep rings, 1514-byte packets.
+    /// the 3 MiB LLC, 1024-deep rings, 1514-byte packets. Instance `q` is a
+    /// one-flow tenant `workload{q}` on core `q` at UDP port `5000 + q`.
     pub fn touchdrop_scenario(n: usize, traffic: TrafficPattern) -> Self {
-        let workloads = (0..n as u16)
-            .map(|i| WorkloadSpec {
-                core: CoreId::new(i),
-                kind: NfKind::TouchDrop,
+        let one_flow = |q: u16| {
+            TenantSpec::new(
+                format!("workload{q}"),
+                NfKind::TouchDrop,
+                vec![q],
+                1,
+                5000 + q,
                 traffic,
-                packet_len: 1514,
-                dscp: Dscp::BEST_EFFORT,
-                pool: None,
-            })
-            .collect();
+                1514,
+            )
+        };
         SystemConfig {
-            hierarchy: HierarchyConfig::paper_default(n.max(1)),
+            tenants: (0..n as u16).map(one_flow).collect(),
+            ..SystemConfig::paper_default(n)
+        }
+    }
+
+    /// Table I defaults sized for `num_cores` cores, with no tenant yet.
+    pub fn paper_default(num_cores: usize) -> Self {
+        SystemConfig {
+            hierarchy: HierarchyConfig::paper_default(num_cores.max(1)),
             dram: DramConfig::default(),
             timing: TimingConfig::default(),
             pmd: PmdConfig::default(),
@@ -262,13 +335,11 @@ impl SystemConfig {
             classifier: ClassifierConfig::paper_default(),
             dma: DmaConfig::default(),
             policy: SteeringPolicy::Ddio,
-            queue_policies: std::collections::BTreeMap::new(),
             idio: IdioConfig::paper_default(),
             prefetcher: PrefetcherConfig::default(),
             invalidate_scope: InvalidateScope::IncludeLlc,
-            workloads,
-            antagonist: None,
             tenants: Vec::new(),
+            antagonist: None,
             steering: FlowSteering::default(),
             duration: SimTime::from_ms(10),
             drain_grace: Duration::from_ms(5),
@@ -286,35 +357,23 @@ impl SystemConfig {
         self
     }
 
-    /// Returns the config with a per-queue policy override (queue index =
-    /// workload index).
-    pub fn with_queue_policy(mut self, queue: usize, policy: impl Into<PolicySpec>) -> Self {
-        self.queue_policies.insert(queue, policy.into());
-        self
+    /// Every NIC queue as its core and owning tenant: queue `q` is the
+    /// `q`-th core in the order of the tenants' `cores` lists.
+    pub fn queues(&self) -> impl Iterator<Item = (CoreId, &TenantSpec)> + '_ {
+        (self.tenants.iter()).flat_map(|t| t.cores.iter().map(move |&c| (CoreId::new(c), t)))
     }
 
     /// Resolves the layered policy configuration (system default →
-    /// per-tenant override → per-queue override) into the dense
-    /// [`PolicyTable`] the hot path indexes. A preset-only configuration
-    /// with no overrides resolves to a single-domain table whose behavior
-    /// is exactly the old global enum's.
+    /// per-tenant override) into the dense [`PolicyTable`] the hot path
+    /// indexes. A preset-only configuration with no overrides resolves to
+    /// a single-domain table whose behavior is exactly the old global
+    /// enum's.
     pub fn policy_table(&self) -> PolicyTable {
         let default = PolicySpec::Preset(self.policy);
-        let mut per_queue = vec![default; self.workloads.len()];
-        for t in &self.tenants {
-            if let Some(p) = t.policy {
-                for &wi in &t.workloads {
-                    if let Some(slot) = per_queue.get_mut(wi) {
-                        *slot = p;
-                    }
-                }
-            }
-        }
-        for (&q, &p) in &self.queue_policies {
-            if let Some(slot) = per_queue.get_mut(q) {
-                *slot = p;
-            }
-        }
+        let per_queue: Vec<PolicySpec> = self
+            .queues()
+            .map(|(_, t)| t.policy.unwrap_or(default))
+            .collect();
         PolicyTable::new(default, &per_queue)
     }
 
@@ -328,14 +387,9 @@ impl SystemConfig {
 
     /// Number of cores the configuration requires.
     pub fn num_cores(&self) -> usize {
-        let wl_max = self
-            .workloads
-            .iter()
-            .map(|w| w.core.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let tenant_max = self.queues().map(|(c, _)| c.index() + 1).max().unwrap_or(0);
         let ant = self.antagonist.map(|a| a.core.index() + 1).unwrap_or(0);
-        wl_max.max(ant).max(1)
+        tenant_max.max(ant).max(1)
     }
 
     /// Finalises the hierarchy config: core count and antagonist MLC
@@ -363,45 +417,40 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when cores are double-booked, a workload core
-    /// collides with the antagonist, or a nested config is invalid.
+    /// Returns a message when a tenant owns no core, a core is owned
+    /// twice or collides with the antagonist, or a nested config is
+    /// invalid.
     pub fn validate(&self) -> Result<(), String> {
-        if self.workloads.is_empty() && self.antagonist.is_none() {
+        if self.tenants.is_empty() && self.antagonist.is_none() {
             return Err("no workload configured".into());
         }
         let mut seen = std::collections::HashSet::new();
-        for w in &self.workloads {
-            if !seen.insert(w.core) {
-                return Err(format!("core {} has two workloads", w.core));
+        for t in &self.tenants {
+            if t.cores.is_empty() {
+                return Err(format!("tenant '{}' owns no cores", t.name));
+            }
+            for &c in &t.cores {
+                if !seen.insert(c) {
+                    return Err(format!("core {c} is owned by two tenants"));
+                }
+            }
+            if let Some(PoolSpec::Recycle { slots: Some(0) }) = t.pool {
+                return Err(format!("tenant '{}': recycle pool with zero slots", t.name));
             }
         }
         if let Some(a) = self.antagonist {
-            if seen.contains(&a.core) {
+            if seen.contains(&(a.core.index() as u16)) {
                 return Err(format!("antagonist collides with an NF on {}", a.core));
             }
         }
         if self.ring_size == 0 {
             return Err("ring size must be positive".into());
         }
-        for (i, w) in self.workloads.iter().enumerate() {
-            if let Some(PoolSpec::Recycle { slots: Some(0) }) = w.pool {
-                return Err(format!("workload {i}: recycle pool with zero slots"));
-            }
-        }
-        for &q in self.queue_policies.keys() {
-            if q >= self.workloads.len() {
-                return Err(format!("policy override for nonexistent queue {q}"));
-            }
-        }
         self.validate_tenants()?;
         // The scenario-file rules for every generated source (a replay
         // brings its own arrivals): an Ethernet-sized frame and a
         // positive, finite rate.
-        for t in self
-            .effective_tenants()
-            .iter()
-            .filter(|t| t.replay.is_none())
-        {
+        for t in self.tenants.iter().filter(|t| t.replay.is_none()) {
             if t.packet_len < MIN_FRAME_BYTES {
                 return Err(format!(
                     "tenant '{}': packet_len {} below the Ethernet minimum ({MIN_FRAME_BYTES})",
@@ -451,30 +500,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// The tenants the system wires: [`SystemConfig::tenants`], or — when
-    /// there are none — one one-flow tenant per workload `q`, on queue `q`
-    /// at UDP port `5000 + q` with the workload's own traffic, frame
-    /// length and DSCP.
-    pub(crate) fn effective_tenants(&self) -> Cow<'_, [TenantSpec]> {
-        if !self.tenants.is_empty() {
-            return Cow::Borrowed(&self.tenants);
-        }
-        let one_flow = |(q, w): (usize, &WorkloadSpec)| TenantSpec {
-            name: format!("workload{q}"),
-            workloads: vec![q],
-            flows: 1,
-            base_port: 5000 + q as u16,
-            churn: None,
-            train: 1,
-            traffic: w.traffic,
-            packet_len: w.packet_len,
-            dscp: w.dscp,
-            replay: None,
-            policy: None,
-        };
-        Cow::Owned(self.workloads.iter().enumerate().map(one_flow).collect())
-    }
-
     /// Whether tenant `t` uses the wide (source-address-spilling) flow
     /// derivation: churn always does; so does a flow count that exceeds
     /// the tenant's port range. Everything else keeps the narrow
@@ -483,8 +508,7 @@ impl SystemConfig {
         t.churn.is_some() || u32::from(t.base_port) + t.flows > 65536
     }
 
-    /// Tenant-mode invariants: every tenant owns at least one existing
-    /// workload, no workload has two tenants, names are unique, flow
+    /// Per-tenant invariants: names are unique, flow
     /// counts fit the streaming `FlowSet`, and *narrow* tenants' synthetic
     /// flow port ranges do not collide (colliding ranges would make two
     /// tenants share a five-tuple and merge at the flow director). Wide
@@ -492,7 +516,6 @@ impl SystemConfig {
     /// alias anything.
     fn validate_tenants(&self) -> Result<(), String> {
         let mut names = std::collections::HashSet::new();
-        let mut owned = std::collections::HashSet::new();
         let mut port_ranges: Vec<(String, u32, u32)> = Vec::new();
         for (ti, t) in self.tenants.iter().enumerate() {
             if t.name.is_empty() {
@@ -500,17 +523,6 @@ impl SystemConfig {
             }
             if !names.insert(t.name.as_str()) {
                 return Err(format!("duplicate tenant name '{}'", t.name));
-            }
-            if t.workloads.is_empty() {
-                return Err(format!("tenant '{}' owns no workloads", t.name));
-            }
-            for &wi in &t.workloads {
-                if wi >= self.workloads.len() {
-                    return Err(format!("tenant '{}' references workload {wi}", t.name));
-                }
-                if !owned.insert(wi) {
-                    return Err(format!("workload {wi} belongs to two tenants"));
-                }
             }
             if t.train == 0 {
                 return Err(format!("tenant '{}' has a zero-packet train", t.name));
@@ -577,7 +589,9 @@ mod tests {
     #[test]
     fn touchdrop_scenario_matches_paper() {
         let cfg = SystemConfig::touchdrop_scenario(2, bursty());
-        assert_eq!(cfg.workloads.len(), 2);
+        assert_eq!(cfg.queues().count(), 2);
+        assert_eq!(cfg.tenants[1].name, "workload1");
+        assert_eq!(cfg.tenants[1].base_port, 5001);
         assert_eq!(cfg.ring_size, 1024);
         assert_eq!(cfg.hierarchy.llc.size_bytes, 3 << 20);
         assert!(cfg.validate().is_ok());
@@ -597,8 +611,11 @@ mod tests {
     #[test]
     fn double_booked_core_rejected() {
         let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
-        cfg.workloads[1].core = CoreId::new(0);
-        assert!(cfg.validate().is_err());
+        cfg.tenants[1].cores = vec![0];
+        assert!(cfg
+            .validate()
+            .unwrap_err()
+            .contains("core 0 is owned by two tenants"));
     }
 
     #[test]
@@ -614,45 +631,44 @@ mod tests {
         assert_eq!(cfg.policy, SteeringPolicy::Idio);
     }
 
-    fn tenant(name: &str, workloads: Vec<usize>, base_port: u16) -> TenantSpec {
-        TenantSpec {
-            name: name.into(),
-            workloads,
-            flows: 4,
-            base_port,
-            churn: None,
-            train: 1,
-            traffic: TrafficPattern::Steady { rate_gbps: 10.0 },
-            packet_len: 1514,
-            dscp: Dscp::BEST_EFFORT,
-            replay: None,
-            policy: None,
-        }
+    fn tenant(name: &str, cores: Vec<u16>, base_port: u16) -> TenantSpec {
+        let steady = TrafficPattern::Steady { rate_gbps: 10.0 };
+        TenantSpec::new(name, NfKind::TouchDrop, cores, 4, base_port, steady, 1514)
     }
 
     #[test]
     fn tenant_mode_validates() {
         let mut cfg = SystemConfig::touchdrop_scenario(4, bursty());
-        cfg.tenants = vec![tenant("a", vec![0, 1], 5000), tenant("b", vec![2, 3], 6000)];
+        cfg.tenants = vec![tenant("a", vec![2, 3], 5000), tenant("b", vec![0, 1], 6000)];
         assert!(cfg.validate().is_ok());
+        // Queues follow the tenants' core lists in order.
+        let queues: Vec<(CoreId, &str)> = cfg.queues().map(|(c, t)| (c, &*t.name)).collect();
+        let core = CoreId::new;
         assert_eq!(
-            cfg.tenants[1].cores(&cfg).collect::<Vec<_>>(),
-            vec![CoreId::new(2), CoreId::new(3)]
+            queues,
+            [
+                (core(2), "a"),
+                (core(3), "a"),
+                (core(0), "b"),
+                (core(1), "b")
+            ]
         );
     }
 
     #[test]
-    fn policy_layers_resolve_queue_over_tenant_over_default() {
+    fn policy_layers_resolve_tenant_over_default() {
         let mut cfg =
             SystemConfig::touchdrop_scenario(4, bursty()).with_policy(SteeringPolicy::Idio);
-        cfg.tenants = vec![tenant("a", vec![0, 1], 5000), tenant("b", vec![2, 3], 6000)];
-        cfg.tenants[1].policy = Some(PolicySpec::Preset(SteeringPolicy::Ddio));
-        cfg = cfg.with_queue_policy(3, SteeringPolicy::IatDynamic);
+        cfg.tenants = vec![
+            tenant("a", vec![0, 1], 5000),
+            tenant("b", vec![2], 6000).with_policy(SteeringPolicy::Ddio),
+            tenant("c", vec![3], 7000).with_policy(SteeringPolicy::IatDynamic),
+        ];
         assert!(cfg.validate().is_ok());
         let t = cfg.policy_table();
         assert_eq!(t.num_domains(), 3);
-        // Queues 0/1 inherit the default, 2 takes the tenant override, 3
-        // the queue override on top of it.
+        // Queues 0/1 inherit the default, 2 and 3 take their tenants'
+        // overrides.
         assert_eq!(t.queue_domains(), &[0, 0, 1, 2]);
         assert_eq!(t.spec(0), PolicySpec::Preset(SteeringPolicy::Idio));
         assert_eq!(t.spec(1), PolicySpec::Preset(SteeringPolicy::Ddio));
@@ -671,53 +687,42 @@ mod tests {
     #[test]
     fn cat_masks_validated_against_llc_and_ddio_partition() {
         use crate::policy::{CatMode, PolicyCaps};
-        let cat = |cat: CatMode| {
-            PolicySpec::Custom(PolicyCaps {
+        // Tenant 0 runs under `cat`; tenant 1 keeps the default.
+        let with_cat = |cat: CatMode| {
+            let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+            cfg.tenants[0].policy = Some(PolicySpec::Custom(PolicyCaps {
                 cat,
                 ..SteeringPolicy::Idio.caps()
-            })
+            }));
+            cfg
         };
         // A clean non-DDIO mask validates (paper LLC: 12 ways, 2 DDIO).
-        let ok = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::range(4, 8))));
+        let ok = with_cat(CatMode::Static(WayMask::range(4, 8)));
         assert!(ok.validate().is_ok());
         // Auto needs no mask to validate.
-        let auto =
-            SystemConfig::touchdrop_scenario(2, bursty()).with_queue_policy(0, cat(CatMode::Auto));
-        assert!(auto.validate().is_ok());
-        let wide = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::range(10, 14))));
+        assert!(with_cat(CatMode::Auto).validate().is_ok());
+        let wide = with_cat(CatMode::Static(WayMask::range(10, 14)));
         assert!(wide.validate().unwrap_err().contains("wider"));
-        let overlap = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::range(1, 4))));
+        let overlap = with_cat(CatMode::Static(WayMask::range(1, 4)));
         assert!(overlap.validate().unwrap_err().contains("overlaps"));
-        let empty = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(0, cat(CatMode::Static(WayMask::EMPTY)));
+        let empty = with_cat(CatMode::Static(WayMask::EMPTY));
         assert!(empty.validate().unwrap_err().contains("no way"));
-    }
-
-    #[test]
-    fn queue_policy_for_unknown_queue_rejected() {
-        let cfg = SystemConfig::touchdrop_scenario(2, bursty())
-            .with_queue_policy(7, SteeringPolicy::Ddio);
-        assert!(cfg.validate().unwrap_err().contains("nonexistent queue 7"));
     }
 
     #[test]
     fn frames_and_rates_checked_for_workloads_and_tenants() {
         let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
-        cfg.workloads[1].packet_len = MIN_FRAME_BYTES - 1;
+        cfg.tenants[1].packet_len = MIN_FRAME_BYTES - 1;
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("'workload1': packet_len 63"), "{err}");
         for rate_gbps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
-            cfg.workloads[0].traffic = TrafficPattern::Poisson { rate_gbps, seed: 1 };
+            cfg.tenants[0].traffic = TrafficPattern::Poisson { rate_gbps, seed: 1 };
             let err = cfg.validate().unwrap_err();
             assert!(err.contains("'workload0': rate must be positive"), "{err}");
         }
-        // With explicit tenants the tenants' traffic is the one checked.
+        // A multi-core tenant is checked once, under its own name.
         let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
-        cfg.workloads[0].traffic = TrafficPattern::Steady { rate_gbps: 0.0 };
         cfg.tenants = vec![tenant("a", vec![0, 1], 5000)];
         assert!(cfg.validate().is_ok());
         cfg.tenants[0].traffic = TrafficPattern::Steady { rate_gbps: 0.0 };
@@ -738,12 +743,14 @@ mod tests {
             vec![tenant("a", vec![0], 5000), tenant("a", vec![1], 6000)],
             "duplicate name",
         );
-        reject(vec![tenant("a", vec![], 5000)], "no workloads");
-        reject(vec![tenant("a", vec![9], 5000)], "bad workload index");
+        reject(vec![tenant("a", vec![], 5000)], "no cores");
         reject(
             vec![tenant("a", vec![0, 1], 5000), tenant("b", vec![1], 6000)],
-            "workload owned twice",
+            "core owned twice",
         );
+        let mut zero_slots = tenant("a", vec![0], 5000);
+        zero_slots.pool = Some(PoolSpec::Recycle { slots: Some(0) });
+        reject(vec![zero_slots], "zero-slot recycle pool");
         reject(
             vec![tenant("a", vec![0], 5000), tenant("b", vec![1], 5003)],
             "overlapping ports",

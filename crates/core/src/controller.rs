@@ -21,7 +21,6 @@ use idio_engine::telemetry::{MetricsRegistry, Tracer};
 use idio_engine::time::{Duration, SimTime};
 use idio_nic::tlp::{AppClass, TlpMeta};
 
-use crate::config::WorkloadSpec;
 use crate::fsm::{MlcStatus, PrefetchFsm};
 use crate::policy::{CatMode, PolicyCaps, PolicyTable, PrefetchMode};
 
@@ -582,19 +581,20 @@ pub(crate) struct CatPartition {
 }
 
 impl CatPartition {
-    /// The partition `policy` asks for over the `workloads`' cores, with
-    /// its masks applied to `hier`; `None` when no domain uses CAT.
+    /// The partition `policy` asks for over the queues' cores
+    /// (`queue_core`, in queue order), with its masks applied to `hier`;
+    /// `None` when no domain uses CAT.
     pub(crate) fn new(
         policy: &PolicyTable,
-        workloads: &[WorkloadSpec],
+        queue_core: impl Iterator<Item = CoreId>,
         hier: &mut Hierarchy,
     ) -> Option<Self> {
         if !policy.any_cat() {
             return None;
         }
         let mut core_domain = vec![None; hier.config().num_cores];
-        for (q, w) in workloads.iter().enumerate() {
-            core_domain[w.core.index()].get_or_insert(policy.queue_domain(q));
+        for (q, core) in queue_core.enumerate() {
+            core_domain[core.index()].get_or_insert(policy.queue_domain(q));
         }
         let caps = policy.domain_caps();
         let auto: Vec<bool> = caps.iter().map(|c| c.cat == CatMode::Auto).collect();

@@ -16,7 +16,6 @@
 
 use std::fmt;
 
-use idio_cache::addr::CoreId;
 use idio_cache::set::WayMask;
 use idio_engine::stats::TimeSeries;
 use idio_engine::time::{Duration, SimTime};
@@ -24,7 +23,7 @@ use idio_net::gen::{BurstSpec, TrafficPattern};
 use idio_net::packet::Dscp;
 use idio_stack::nf::NfKind;
 
-use crate::config::{SystemConfig, WorkloadSpec};
+use crate::config::SystemConfig;
 use crate::policy::SteeringPolicy;
 use crate::report::RunReport;
 use crate::sweep::{FigureSpec, SweepCell, SweepOptions};
@@ -180,10 +179,10 @@ fn bursty_cfg(
     cfg.ring_size = scale.ring;
     cfg.duration = scale.burst_duration();
     cfg.drain_grace = scale.period;
-    for w in &mut cfg.workloads {
-        w.kind = kind;
-        w.packet_len = packet_len;
-        w.dscp = dscp;
+    for t in &mut cfg.tenants {
+        t.nf = kind;
+        t.packet_len = packet_len;
+        t.dscp = dscp;
     }
     cfg = cfg.with_policy(policy);
     if antagonist {
@@ -1385,18 +1384,6 @@ pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
 /// Runs every experiment at the given scale, in paper order (serially).
 pub fn all(scale: Scale) -> Vec<FigureResult> {
     crate::sweep::run_figures(all_specs(scale), &SweepOptions::serial()).0
-}
-
-/// Convenience used by workload specs in ad-hoc experiment code.
-pub fn workload(core: u16, kind: NfKind, traffic: TrafficPattern, len: u16) -> WorkloadSpec {
-    WorkloadSpec {
-        core: CoreId::new(core),
-        kind,
-        traffic,
-        packet_len: len,
-        dscp: Dscp::BEST_EFFORT,
-        pool: None,
-    }
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub mod report;
 pub mod sweep;
 pub mod system;
 
-pub use config::{AntagonistSpec, SystemConfig, WorkloadSpec};
+pub use config::{AntagonistSpec, SloSpec, SystemConfig, TenantSpec};
 pub use controller::{IdioConfig, IdioController, Placement};
 pub use fsm::{MlcStatus, PrefetchFsm};
 pub use policy::{PrefetchMode, SteeringPolicy};

@@ -110,18 +110,22 @@ impl SteeringPolicy {
         }
     }
 
-    /// Parses a CLI policy name (the lowercase spellings the `simulate`
-    /// binary has always accepted, plus `iat`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "ddio" => Some(SteeringPolicy::Ddio),
-            "invalidate" => Some(SteeringPolicy::InvalidateOnly),
-            "prefetch" => Some(SteeringPolicy::PrefetchOnly),
-            "static" => Some(SteeringPolicy::StaticIdio),
-            "idio" => Some(SteeringPolicy::Idio),
-            "iat" => Some(SteeringPolicy::IatDynamic),
-            _ => None,
+    /// The lowercase CLI and scenario-file name (`ddio`, `invalidate`,
+    /// `prefetch`, `static`, `idio`, `iat`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SteeringPolicy::Ddio => "ddio",
+            SteeringPolicy::InvalidateOnly => "invalidate",
+            SteeringPolicy::PrefetchOnly => "prefetch",
+            SteeringPolicy::StaticIdio => "static",
+            SteeringPolicy::Idio => "idio",
+            SteeringPolicy::IatDynamic => "iat",
         }
+    }
+
+    /// Parses a CLI policy name (the inverse of [`SteeringPolicy::name`]).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::EXTENDED.into_iter().find(|p| p.name() == name)
     }
 
     /// The capability set this preset resolves to. The named policies are
@@ -250,8 +254,8 @@ impl fmt::Display for PolicySpec {
 
 /// The layered policy configuration resolved into dense per-queue arrays.
 ///
-/// Resolution happens once (at `System::new` time): the system default,
-/// per-tenant overrides and per-queue overrides collapse into a set of
+/// Resolution happens once (at `System::new` time): the system default
+/// and the per-tenant overrides collapse into a set of
 /// *policy domains* — the distinct capability sets active in the run —
 /// plus a queue → domain index. The hot path then does exactly one array
 /// index per DMA line instead of a layered lookup.
@@ -496,6 +500,14 @@ mod tests {
         assert_eq!(u.num_domains(), 1);
         assert_eq!(u, PolicyTable::uniform(idio, 2));
         assert!(!u.any_tunes_ddio_ways());
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for p in SteeringPolicy::EXTENDED {
+            assert_eq!(SteeringPolicy::from_name(p.name()), Some(p));
+        }
+        assert_eq!(SteeringPolicy::from_name("IDIO"), None);
     }
 
     #[test]

@@ -46,21 +46,21 @@ struct IdleFlush {
 
 impl Pools {
     /// The pools `cfg` configured, as installed in `nic` over the queues'
-    /// `regions`; `None` when no workload has one.
+    /// `regions`; `None` when no tenant has one.
     pub(crate) fn new(cfg: &SystemConfig, nic: &Nic, regions: &[QueueRegions]) -> Option<Self> {
-        let queues: Vec<QueueId> = (0..cfg.workloads.len())
-            .filter(|&q| cfg.workloads[q].pool.is_some())
-            .map(|q| QueueId(q as u16))
+        let queues: Vec<QueueId> = (cfg.queues().enumerate())
+            .filter(|(_, (_, t))| t.pool.is_some())
+            .map(|(q, _)| QueueId(q as u16))
             .collect();
         let first = nic.ring(*queues.first()?).pool();
-        let n = cfg.workloads.len();
+        let n = regions.len();
         let idle = cfg.pool_idle_flush.map(|window| IdleFlush {
             window,
             region_lines: cfg.ring_size * first.lines_per_buf(),
             watched: (queues.iter().filter(|&&q| nic.ring(q).pool().is_recycle()))
                 .map(|&q| {
                     let i = q.index();
-                    (q, cfg.workloads[i].core.index(), regions[i].buf_base)
+                    (q, nic.config().queue_core[i].index(), regions[i].buf_base)
                 })
                 .collect(),
             last_active: vec![SimTime::ZERO; n],

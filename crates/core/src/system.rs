@@ -306,7 +306,7 @@ pub struct System {
     /// Flow-director-pressure accounting; present only when some
     /// tenant's flows can outrun the NIC's steering state.
     fd: Option<FdAccounting>,
-    /// Explicit mbuf pools; present only when some workload configured
+    /// Explicit mbuf pools; present only when some tenant configured
     /// one.
     pools: Option<Pools>,
 }
@@ -317,15 +317,23 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see
-    /// [`SystemConfig::validate`]).
+    /// Panics if the configuration is invalid (see [`System::try_new`]).
     pub fn new(cfg: SystemConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid system config: {e}");
-        }
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("invalid system config: {e}"))
+    }
+
+    /// Builds the system like [`System::new`], but returns an invalid
+    /// configuration's [`SystemConfig::validate`] message instead of
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated configuration constraint.
+    pub fn try_new(cfg: SystemConfig) -> Result<Self, String> {
+        cfg.validate()?;
         // Per-core state (controller FSMs, prefetchers, NF slots, steering
         // counters) is sized by the *hierarchy's* core count, which may
-        // exceed the workload-derived count when a config deliberately
+        // exceed the tenant-derived count when a config deliberately
         // keeps spare cores (e.g. a tenant's solo run on the full mixed
         // hierarchy); the control tick feeds one counter per hierarchy
         // core, so the two must agree.
@@ -340,7 +348,7 @@ impl System {
         let mut map = AddressMap::new();
         let mut layouts = Vec::new();
         let mut regions = Vec::new();
-        for _ in &cfg.workloads {
+        for _ in cfg.queues() {
             let q = map.alloc_queue(cfg.ring_size);
             layouts.push(RingLayout {
                 buf_base: q.buf_base,
@@ -348,14 +356,14 @@ impl System {
             });
             regions.push(q);
         }
-        let mut queue_core: Vec<CoreId> = cfg.workloads.iter().map(|w| w.core).collect();
-        // Resolve the policy layers (system default → per-tenant →
-        // per-queue) once, into a dense per-queue domain array. The NIC
-        // stamps each packet's domain into its DMA plan; the hot path
-        // does a single index into the table.
+        let mut queue_core: Vec<CoreId> = cfg.queues().map(|(core, _)| core).collect();
+        // Resolve the policy layers (system default → per-tenant) once,
+        // into a dense per-queue domain array. The NIC stamps each
+        // packet's domain into its DMA plan; the hot path does a single
+        // index into the table.
         let policy = cfg.policy_table();
         let mut queue_policy_domain = policy.queue_domains().to_vec();
-        if cfg.workloads.is_empty() {
+        if cfg.tenants.is_empty() {
             // Antagonist-only runs still need a (dormant) NIC queue.
             let q = map.alloc_queue(cfg.ring_size);
             layouts.push(RingLayout {
@@ -380,23 +388,25 @@ impl System {
         );
 
         // --- traffic sources & flow pinning -----------------------------------
-        // One aggregate source per tenant (a config without tenants runs
-        // each workload as a one-flow tenant on its own queue), its flows
-        // spread round-robin over the tenant's queues via the flow
-        // director (or left to RSS/ATR learning). Flow populations stream
-        // from a `FlowSet` — five-tuples derived on demand, so memory
-        // stays O(1) at any flow count. Perfect-filter slots are a shared
-        // resource: each tenant may pin at most its equal share of the
-        // NIC's table, sampled evenly across its flow index space; the
-        // rest of its flows steer via ATR learning and RSS (Sec. II-C's
-        // capacity pressure).
-        let tenants = cfg.effective_tenants();
+        // One aggregate source per tenant, its flows spread round-robin
+        // over the tenant's queues (the contiguous span its cores occupy
+        // in queue order) via the flow director (or left to RSS/ATR
+        // learning). Flow populations stream from a `FlowSet` —
+        // five-tuples derived on demand, so memory stays O(1) at any flow
+        // count. Perfect-filter slots are a shared resource: each tenant
+        // may pin at most its equal share of the NIC's table, sampled
+        // evenly across its flow index space; the rest of its flows steer
+        // via ATR learning and RSS (Sec. II-C's capacity pressure).
+        let tenants = &cfg.tenants;
         let mut gens = Vec::with_capacity(tenants.len());
         let pin_budget = (cfg.perfect_filter_entries / tenants.len().max(1)).max(1);
         let mut fd_tenants: Vec<Option<FdTenant>> = Vec::with_capacity(tenants.len());
         let mut fd_active = false;
+        let mut next_queue = 0;
         for (ti, t) in tenants.iter().enumerate() {
-            let queues: Vec<QueueId> = t.workloads.iter().map(|&wi| QueueId(wi as u16)).collect();
+            let first = next_queue;
+            next_queue += t.cores.len();
+            let queues: Vec<QueueId> = (first..next_queue).map(|q| QueueId(q as u16)).collect();
             if let Some(arrivals) = &t.replay {
                 let clipped: Vec<Arrival> = arrivals
                     .iter()
@@ -452,7 +462,7 @@ impl System {
                 ))));
             }
         }
-        let fd = fd_active.then(|| FdAccounting::new(fd_tenants, cfg.workloads.len()));
+        let fd = fd_active.then(|| FdAccounting::new(fd_tenants, regions.len()));
 
         // --- explicit mbuf pools ------------------------------------------------
         // RDCA sizing: a queue's pool budget is its equal share of the
@@ -464,12 +474,12 @@ impl System {
         let pool_budget = {
             let h = hier.config();
             let ddio_lines = h.llc.lines() * h.ddio_ways as u64 / h.llc.ways as u64;
-            (ddio_lines / cfg.workloads.len().max(1) as u64).max(u64::from(lines_per_buf))
+            (ddio_lines / regions.len().max(1) as u64).max(u64::from(lines_per_buf))
         };
 
         // --- per-core software state -------------------------------------------
         let mut nf: Vec<Option<NfState>> = (0..num_cores).map(|_| None).collect();
-        for (qi, w) in cfg.workloads.iter().enumerate() {
+        for (qi, (core, t)) in cfg.queues().enumerate() {
             // Kernel-allocates the DMA buffers as Invalidatable pages.
             allocate_invalidatable(
                 &mut page_table,
@@ -477,7 +487,7 @@ impl System {
                 regions[qi].buf_base,
                 u64::from(cfg.ring_size) * idio_nic::ring::DEFAULT_BUF_BYTES,
             );
-            if let Some(spec) = w.pool {
+            if let Some(spec) = t.pool {
                 let mode = spec.resolve(pool_budget, lines_per_buf, cfg.ring_size);
                 nic.ring_mut(QueueId(qi as u16)).install_pool(BufPool::new(
                     mode,
@@ -487,8 +497,8 @@ impl System {
                     pool_budget,
                 ));
             }
-            nf[w.core.index()] = Some(NfState {
-                kind: w.kind,
+            nf[core.index()] = Some(NfState {
+                kind: t.nf,
                 queue: QueueId(qi as u16),
                 regions: regions[qi],
                 busy: false,
@@ -554,9 +564,8 @@ impl System {
             hier.llc().capacity_lines() as u64,
         );
         // Burst windows follow the traffic of the tenant that owns queue 0
-        // (a workload's own `traffic` is unused once tenants are set).
-        let queue0 = tenants.iter().find(|t| t.workloads.contains(&0));
-        let bursts = queue0.and_then(|t| match t.traffic {
+        // (every tenant owns a core, so that is the first tenant).
+        let bursts = tenants.first().and_then(|t| match t.traffic {
             TrafficPattern::Bursty(spec) => Some(BurstTracker::new(spec.period)),
             TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
         });
@@ -581,7 +590,7 @@ impl System {
             Tracer::new(cfg.trace.clone(), DEFAULT_TRACE_CAPACITY)
         };
         let iat = IatTuner::new(&policy);
-        let cat = CatPartition::new(&policy, &cfg.workloads, &mut hier);
+        let cat = CatPartition::new(&policy, cfg.queues().map(|(core, _)| core), &mut hier);
         let pools = Pools::new(&cfg, &nic, &regions);
         let mut system = System {
             queue: EventQueue::new(),
@@ -624,7 +633,7 @@ impl System {
         // counter read instead of a full-LLC scan every sample tick.
         system.hier.track_llc_ranges(&dma_line_ranges);
         system.schedule_initial();
-        system
+        Ok(system)
     }
 
     fn schedule_initial(&mut self) {
@@ -688,7 +697,7 @@ impl System {
     /// # Panics
     ///
     /// Panics if `core` has no NF. Every queue is pinned to exactly one NF
-    /// core at construction, so only a mis-wired configuration (a workload
+    /// core at construction, so only a mis-wired configuration (a queue
     /// pinned to one core while its events address another) gets here; the
     /// message names both the core and the event being handled.
     #[track_caller]
@@ -697,7 +706,7 @@ impl System {
             Some(st) => st,
             None => panic!(
                 "{event} event dispatched to core{core}, but no NF is configured there \
-                 (check the workload core pinning in SystemConfig::workloads)"
+                 (check the tenants' core pinning in SystemConfig::tenants)"
             ),
         }
     }
@@ -995,7 +1004,7 @@ impl System {
         self.nic.ring_mut(queue).complete(slot);
 
         // Wake the pinned core if it is idle.
-        let core = self.cfg.workloads[queue.index()].core.index();
+        let core = self.nic.config().queue_core[queue.index()].index();
         let st = self.nf_state(core, "DescWriteback");
         if !st.busy {
             st.busy = true;
@@ -1241,7 +1250,7 @@ impl System {
             let r = self.hier.pcie_read(tx.buf.line().offset(l));
             self.charge_dram(now, r.effects);
         }
-        let core = self.cfg.workloads[tx.queue.index()].core.index();
+        let core = self.nic.config().queue_core[tx.queue.index()].index();
         // Completion descriptor writeback: an inbound PCIe write that
         // lands in the DDIO ways like any other device write.
         let done = self.nf_state(core, "TxComplete").tx_ring.complete();
@@ -1643,30 +1652,35 @@ mod tests {
         }
     }
 
-    /// With explicit tenants a workload's own `traffic` is unused, so burst
-    /// windows must follow the bursty tenant on queue 0 even when the
-    /// workload says steady: the same run as the one-flow config.
+    /// Burst windows follow the traffic of the tenant on queue 0 — the
+    /// first tenant listed, wherever its core is: a bursty tenant listed
+    /// first on core 1 opens windows, and listed after a steady tenant it
+    /// opens none.
     #[test]
     fn burst_windows_follow_the_tenants_traffic() {
+        use crate::config::TenantSpec;
         let spec = BurstSpec::for_ring(64, 1514, 25.0, Duration::from_ms(1));
-        let mut one_flow = SystemConfig::touchdrop_scenario(1, TrafficPattern::Bursty(spec));
-        one_flow.ring_size = 64;
-        one_flow.duration = SimTime::from_ms(4);
-        one_flow.drain_grace = Duration::from_ms(1);
-        let mut tenant = one_flow.clone();
-        tenant.tenants = tenant.effective_tenants().into_owned();
-        for w in &mut tenant.workloads {
-            w.traffic = TrafficPattern::Steady { rate_gbps: 10.0 };
-        }
-        assert!(tenant.validate().is_ok());
-        let want = System::new(one_flow).run();
-        let got = System::new(tenant).run();
-        assert_eq!(
-            got.totals, want.totals,
-            "the tenant drives the same packets"
+        let bursty = TenantSpec::new(
+            "burst",
+            NfKind::TouchDrop,
+            vec![1],
+            1,
+            5000,
+            TrafficPattern::Bursty(spec),
+            1514,
         );
-        assert_eq!(want.bursts.len(), 4);
-        assert_eq!(got.bursts, want.bursts);
+        let steady = TrafficPattern::Steady { rate_gbps: 1.0 };
+        let steady = TenantSpec::new("steady", NfKind::TouchDrop, vec![0], 1, 6000, steady, 1514);
+        let run = |tenants: Vec<TenantSpec>| {
+            let mut cfg = SystemConfig::paper_default(2);
+            cfg.tenants = tenants;
+            cfg.ring_size = 64;
+            cfg.duration = SimTime::from_ms(4);
+            cfg.drain_grace = Duration::from_ms(1);
+            System::new(cfg).run()
+        };
+        assert_eq!(run(vec![bursty.clone(), steady.clone()]).bursts.len(), 4);
+        assert!(run(vec![steady, bursty]).bursts.is_empty());
     }
 
     #[test]
@@ -1687,8 +1701,8 @@ mod tests {
             cat: CatMode::Auto,
             ..SteeringPolicy::Idio.caps()
         };
-        let cfg =
-            steady_cfg(10.0, SteeringPolicy::Idio).with_queue_policy(0, PolicySpec::Custom(caps));
+        let mut cfg = steady_cfg(10.0, SteeringPolicy::Idio);
+        cfg.tenants[0].policy = Some(PolicySpec::Custom(caps));
         let sys = System::new(cfg);
         // Core 0 (the auto domain) holds an exclusive slice; core 1 is
         // pushed to the shared pool — the masks never overlap, and both
@@ -1717,8 +1731,8 @@ mod tests {
             cat: CatMode::Static(WayMask::range(4, 8)),
             ..SteeringPolicy::Ddio.caps()
         };
-        let cfg =
-            steady_cfg(10.0, SteeringPolicy::Ddio).with_queue_policy(0, PolicySpec::Custom(caps));
+        let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
+        cfg.tenants[0].policy = Some(PolicySpec::Custom(caps));
         let sys = System::new(cfg);
         assert_eq!(
             sys.hier.cat_mask(CoreId::new(0)),
@@ -1738,7 +1752,7 @@ mod tests {
     fn nf_event_at_unconfigured_core_is_diagnosed() {
         let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
         // Pin the NFs to cores 0 and 2, leaving core 1 with no NF state.
-        cfg.workloads[1].core = CoreId::new(2);
+        cfg.tenants[1].cores = vec![2];
         let mut sys = System::new(cfg);
         assert!(sys.nf[1].is_none(), "core 1 must be unconfigured");
         sys.handle(SimTime::ZERO, Event::CoreWake { core: 1 });
@@ -1772,21 +1786,19 @@ mod tests {
         assert!(b.mlc + b.l1 > 0.8, "mostly private hits: {b:?}");
     }
 
-    /// A replay tenant owning queue `q`, playing back `arrivals`.
-    fn replay_tenant(q: usize, arrivals: Vec<idio_net::gen::Arrival>) -> crate::config::TenantSpec {
-        crate::config::TenantSpec {
-            name: format!("replay{q}"),
-            workloads: vec![q],
-            flows: 1,
-            base_port: 5000 + q as u16,
-            churn: None,
-            train: 1,
-            traffic: TrafficPattern::Steady { rate_gbps: 10.0 },
-            packet_len: 1514,
-            dscp: idio_net::packet::Dscp::BEST_EFFORT,
-            replay: Some(arrivals),
-            policy: None,
-        }
+    /// A replay tenant on core `q`, playing back `arrivals`.
+    fn replay_tenant(q: u16, arrivals: Vec<idio_net::gen::Arrival>) -> crate::config::TenantSpec {
+        let steady = TrafficPattern::Steady { rate_gbps: 10.0 };
+        crate::config::TenantSpec::new(
+            format!("replay{q}"),
+            NfKind::TouchDrop,
+            vec![q],
+            1,
+            5000 + q,
+            steady,
+            1514,
+        )
+        .with_replay(arrivals)
     }
 
     #[test]
@@ -1804,7 +1816,7 @@ mod tests {
         };
         let generated = System::new(mk_cfg()).run();
 
-        // The system runs workload 0 as a one-flow tenant on port 5000.
+        // The one-flow tenant on core 0 sends to port 5000.
         let trace: Vec<_> = TrafficGen::new(
             FlowSpec::udp_to_port(5000, 1514),
             TrafficPattern::Steady { rate_gbps: 10.0 },
@@ -1829,21 +1841,29 @@ mod tests {
         .collect();
         cfg.tenants = vec![replay_tenant(0, Vec::new()), replay_tenant(1, live)];
         let r = System::new(cfg).run();
-        // Workload 0 sends nothing; workload 1 still flows.
+        // Tenant 0 sends nothing; tenant 1 still flows.
         assert!(r.totals.rx_packets > 0);
         assert_eq!(r.latency.len(), 1, "only core 1 saw packets");
     }
 
     #[test]
-    fn replay_for_unknown_workload_is_rejected() {
+    fn try_new_returns_an_invalid_configs_error() {
         let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
-        cfg.tenants = vec![replay_tenant(7, Vec::new())];
-        assert!(cfg.validate().is_err());
+        cfg.ring_size = 0;
+        let err = System::try_new(cfg).err();
+        assert_eq!(err.as_deref(), Some("ring size must be positive"));
+    }
+
+    #[test]
+    fn replay_tenant_on_an_owned_core_is_rejected() {
+        let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
+        cfg.tenants.push(replay_tenant(1, Vec::new()));
+        let err = System::try_new(cfg).err().expect("core 1 is owned twice");
+        assert!(err.contains("core 1 is owned by two tenants"), "{err}");
     }
 
     /// Narrow tenants never encode their index in a five-tuple, so the
-    /// wide-set tag bound must not cap how many of them a config holds —
-    /// whether they are explicit tenants or one-flow workloads.
+    /// wide-set tag bound must not cap how many of them a config holds.
     #[test]
     fn more_than_240_narrow_tenants_build_and_run() {
         let n = 241;
@@ -1852,14 +1872,15 @@ mod tests {
         cfg.ring_size = 64;
         cfg.duration = SimTime::from_us(20);
         cfg.drain_grace = Duration::from_us(20);
-        let one_flow = System::new(cfg.clone()).run();
-        // The same workloads as explicit one-flow tenants.
-        cfg.tenants = cfg.effective_tenants().into_owned();
         assert_eq!(cfg.tenants.len(), n);
-        assert!(cfg.validate().is_ok());
-        let tenants = System::new(cfg).run();
-        assert!(tenants.totals.rx_packets >= n as u64, "every tenant sent");
-        assert_eq!(one_flow.totals, tenants.totals);
+        let report = System::try_new(cfg).expect("valid config").run();
+        assert!(report.totals.rx_packets >= n as u64, "every tenant sent");
+        for q in 0..n {
+            assert!(
+                report.metrics.counter(&format!("queue{q}.rx.packets")) > 0,
+                "queue {q}"
+            );
+        }
     }
 
     #[test]
@@ -1910,39 +1931,30 @@ mod tests {
     fn tenant_cfg() -> SystemConfig {
         use crate::config::TenantSpec;
         use idio_net::packet::Dscp;
-        let mut cfg =
-            SystemConfig::touchdrop_scenario(4, TrafficPattern::Steady { rate_gbps: 5.0 });
+        let steady = |rate_gbps| TrafficPattern::Steady { rate_gbps };
+        let mut cfg = SystemConfig::touchdrop_scenario(4, steady(5.0));
         cfg.duration = SimTime::from_us(300);
         cfg.drain_grace = Duration::from_us(200);
-        cfg.workloads[2].kind = NfKind::L2FwdPayloadDrop;
-        cfg.workloads[3].kind = NfKind::L2FwdPayloadDrop;
         cfg.tenants = vec![
-            TenantSpec {
-                name: "lat".into(),
-                workloads: vec![0, 1],
-                flows: 6,
-                base_port: 5000,
-                churn: None,
-                train: 1,
-                traffic: TrafficPattern::Steady { rate_gbps: 8.0 },
-                packet_len: 1514,
-                dscp: Dscp::BEST_EFFORT,
-                replay: None,
-                policy: None,
-            },
-            TenantSpec {
-                name: "stream".into(),
-                workloads: vec![2, 3],
-                flows: 4,
-                base_port: 6000,
-                churn: None,
-                train: 1,
-                traffic: TrafficPattern::Steady { rate_gbps: 20.0 },
-                packet_len: 1514,
-                dscp: Dscp::CLASS1_DEFAULT,
-                replay: None,
-                policy: None,
-            },
+            TenantSpec::new(
+                "lat",
+                NfKind::TouchDrop,
+                vec![0, 1],
+                6,
+                5000,
+                steady(8.0),
+                1514,
+            ),
+            TenantSpec::new(
+                "stream",
+                NfKind::L2FwdPayloadDrop,
+                vec![2, 3],
+                4,
+                6000,
+                steady(20.0),
+                1514,
+            )
+            .with_dscp(Dscp::CLASS1_DEFAULT),
         ];
         cfg
     }
@@ -2091,8 +2103,8 @@ mod tests {
         cfg.duration = SimTime::from_us(500);
         cfg.drain_grace = Duration::from_us(400);
         cfg.policy = SteeringPolicy::Idio;
-        cfg.workloads[0].kind = NfKind::L2Fwd;
-        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
+        cfg.tenants[0].nf = NfKind::L2Fwd;
+        cfg.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
         let report = System::new(cfg).run();
         assert!(
             report.totals.completed_packets > 64,
@@ -2120,8 +2132,7 @@ mod tests {
         cfg.duration = SimTime::from_us(300);
         cfg.drain_grace = Duration::from_us(300);
         cfg.policy = SteeringPolicy::Ddio;
-        cfg.workloads[0].kind = NfKind::TouchDrop;
-        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(2) });
+        cfg.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(2) });
         let report = System::new(cfg).run();
         let starved = report.metrics.counter("pool.q0.starved");
         assert!(starved > 0, "2 slots at 40 Gbps must starve");
@@ -2140,7 +2151,6 @@ mod tests {
     #[test]
     fn flow_director_pressure_degrades_steering_and_counts_mis_steers() {
         use crate::config::TenantSpec;
-        use idio_net::packet::Dscp;
         // One tenant, 64 churning flows over 4 queues, but only 8 perfect
         // filters: pinned flows hit perfectly, the rest spread by RSS
         // until aRFS-style learning converges them onto ATR — and churn
@@ -2152,19 +2162,17 @@ mod tests {
         cfg.drain_grace = Duration::from_us(200);
         cfg.perfect_filter_entries = 8;
         cfg.atr_lifetime = Some(Duration::from_us(200));
-        cfg.tenants = vec![TenantSpec {
-            name: "churny".into(),
-            workloads: vec![0, 1, 2, 3],
-            flows: 32,
-            base_port: 5000,
-            churn: Some(Duration::from_us(60)),
-            train: 1,
-            traffic: TrafficPattern::Steady { rate_gbps: 20.0 },
-            packet_len: 1514,
-            dscp: Dscp::BEST_EFFORT,
-            replay: None,
-            policy: None,
-        }];
+        let steady = TrafficPattern::Steady { rate_gbps: 20.0 };
+        cfg.tenants = vec![TenantSpec::new(
+            "churny",
+            NfKind::TouchDrop,
+            vec![0, 1, 2, 3],
+            32,
+            5000,
+            steady,
+            1514,
+        )
+        .with_churn(Duration::from_us(60))];
         let report = System::new(cfg).run();
         let m = &report.metrics;
         assert!(m.counter("fd.perfect_hits") > 0, "pinned flows hit EP");
@@ -2199,7 +2207,7 @@ mod tests {
         cfg.duration = SimTime::from_us(150);
         cfg.drain_grace = Duration::from_us(300);
         cfg.policy = SteeringPolicy::Ddio;
-        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
+        cfg.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
         cfg.pool_idle_flush = Some(Duration::from_us(100));
         let report = System::new(cfg.clone()).run();
         assert_eq!(
@@ -2232,8 +2240,8 @@ mod tests {
         cfg.duration = SimTime::from_us(300);
         cfg.drain_grace = Duration::from_us(100);
         cfg.policy = SteeringPolicy::Ddio;
-        cfg.workloads[0].kind = NfKind::L2Fwd;
-        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
+        cfg.tenants[0].nf = NfKind::L2Fwd;
+        cfg.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
         cfg.pool_idle_flush = Some(Duration::from_us(1));
         let flushed = System::new(cfg.clone()).run();
         cfg.pool_idle_flush = None;
@@ -2251,8 +2259,8 @@ mod tests {
         cfg.duration = SimTime::from_us(300);
         cfg.drain_grace = Duration::from_us(200);
         cfg.policy = SteeringPolicy::Idio;
-        cfg.workloads[0].kind = NfKind::Chain(NfChain::upf());
-        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: None });
+        cfg.tenants[0].nf = NfKind::Chain(NfChain::upf());
+        cfg.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: None });
         let report = System::new(cfg).run();
         let completed = report.totals.completed_packets;
         assert!(completed > 0);
@@ -2295,11 +2303,11 @@ mod tests {
         cfg.duration = SimTime::from_us(400);
         cfg.drain_grace = Duration::from_us(300);
         cfg.policy = SteeringPolicy::Idio;
-        for w in &mut cfg.workloads {
-            w.kind = NfKind::Chain(NfChain::upf());
+        for t in &mut cfg.tenants {
+            t.nf = NfKind::Chain(NfChain::upf());
         }
-        cfg.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(8) });
-        cfg.workloads[1].pool = Some(idio_pool::PoolSpec::Dram);
+        cfg.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(8) });
+        cfg.tenants[1].pool = Some(idio_pool::PoolSpec::Dram);
         cfg.tick_metrics = true;
         let report = System::new(cfg).run();
 
@@ -2385,15 +2393,11 @@ mod tests {
             cat: CatMode::Static(WayMask::range(4, 8)),
             ..SteeringPolicy::Ddio.caps()
         };
-        assert_exports(
-            "static cat",
-            steady_cfg(10.0, SteeringPolicy::Ddio)
-                .with_queue_policy(0, PolicySpec::Custom(static_cat)),
-            &["cat."],
-            &[],
-        );
+        let mut cat = steady_cfg(10.0, SteeringPolicy::Ddio);
+        cat.tenants[0].policy = Some(PolicySpec::Custom(static_cat));
+        assert_exports("static cat", cat, &["cat."], &[]);
         let mut pooled = steady_cfg(10.0, SteeringPolicy::Idio);
-        pooled.workloads[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
+        pooled.tenants[0].pool = Some(idio_pool::PoolSpec::Recycle { slots: Some(32) });
         assert_exports("pool", pooled, &["pool."], &["\"pool\":"]);
     }
 }

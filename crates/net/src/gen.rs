@@ -699,8 +699,8 @@ mod tests {
 
     #[test]
     fn one_flow_set_is_the_single_flow_generator() {
-        // A workload without a tenant runs as a one-flow tenant: its
-        // stream must be exactly the single-flow generator's.
+        // A one-flow tenant's stream must be exactly the single-flow
+        // generator's.
         let until = SimTime::from_us(300);
         let spec = BurstSpec::for_ring(64, 1024, 40.0, Duration::from_us(100));
         for pattern in [

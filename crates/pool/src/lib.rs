@@ -97,6 +97,31 @@ impl PoolSpec {
             PoolSpec::Recycle { slots: Some(n) } => format!("recycle:{n}"),
         }
     }
+
+    /// Parses the scenario-file spelling back (the inverse of
+    /// [`PoolSpec::file_name`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown spelling, a slot count that is not
+    /// a `u32`, or a zero slot count.
+    pub fn from_name(name: &str) -> Result<PoolSpec, String> {
+        match name {
+            "dram" => return Ok(PoolSpec::Dram),
+            "recycle" => return Ok(PoolSpec::Recycle { slots: None }),
+            _ => {}
+        }
+        let Some(n) = name.strip_prefix("recycle:") else {
+            return Err(format!(
+                "unknown pool '{name}' (expected dram|recycle|recycle:<slots>)"
+            ));
+        };
+        match n.parse::<u32>() {
+            Ok(0) => Err("recycle pool needs at least one slot".into()),
+            Ok(slots) => Ok(PoolSpec::Recycle { slots: Some(slots) }),
+            Err(_) => Err(format!("recycle pool size '{n}' is not a u32")),
+        }
+    }
 }
 
 /// Resolved pool mode (see [`PoolSpec`]).
@@ -475,5 +500,18 @@ mod tests {
             PoolSpec::Recycle { slots: Some(12) }.file_name(),
             "recycle:12"
         );
+        for p in [
+            PoolSpec::Dram,
+            PoolSpec::Recycle { slots: None },
+            PoolSpec::Recycle { slots: Some(1) },
+            PoolSpec::Recycle {
+                slots: Some(u32::MAX),
+            },
+        ] {
+            assert_eq!(PoolSpec::from_name(&p.file_name()), Ok(p));
+        }
+        for bad in ["hugepages", "recycle:0", "recycle:-1", "recycle:", "Dram"] {
+            assert!(PoolSpec::from_name(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -14,7 +14,7 @@ use idio_core::pool::PoolSpec;
 use idio_core::stack::nf::{ChainStage, NfChain, NfKind};
 use idio_engine::time::{Duration, SimTime};
 
-use crate::spec::{Scenario, SloSpec, TenantDef};
+use crate::spec::{Scenario, SloSpec, TenantSpec};
 
 /// Traffic horizon shared by the built-ins (short enough for debug-mode
 /// golden tests, long enough for thousands of packets per tenant).
@@ -90,7 +90,7 @@ fn noisy_neighbor() -> Scenario {
         pool_idle_flush: None,
         drain_grace: GRACE,
         tenants: vec![
-            TenantDef::new(
+            TenantSpec::new(
                 "latency",
                 NfKind::TouchDrop,
                 vec![0, 1],
@@ -102,7 +102,7 @@ fn noisy_neighbor() -> Scenario {
                 },
                 512,
             ),
-            TenantDef::new(
+            TenantSpec::new(
                 "bulk",
                 NfKind::TouchDrop,
                 vec![2, 3],
@@ -130,7 +130,7 @@ fn incast() -> Scenario {
         pool_idle_flush: None,
         drain_grace: GRACE,
         tenants: vec![
-            TenantDef::new(
+            TenantSpec::new(
                 "incast",
                 NfKind::TouchDrop,
                 vec![0, 1],
@@ -139,7 +139,7 @@ fn incast() -> Scenario {
                 TrafficPattern::Bursty(BurstSpec::for_ring(256, 256, 40.0, Duration::from_us(100))),
                 256,
             ),
-            TenantDef::new(
+            TenantSpec::new(
                 "background",
                 NfKind::TouchDrop,
                 vec![2],
@@ -166,7 +166,7 @@ fn mixed_rate() -> Scenario {
         pool_idle_flush: None,
         drain_grace: GRACE,
         tenants: vec![
-            TenantDef::new(
+            TenantSpec::new(
                 "slow",
                 NfKind::TouchDropCopy,
                 vec![0],
@@ -175,7 +175,7 @@ fn mixed_rate() -> Scenario {
                 TrafficPattern::Steady { rate_gbps: 4.0 },
                 1024,
             ),
-            TenantDef::new(
+            TenantSpec::new(
                 "mid",
                 NfKind::L2Fwd,
                 vec![1],
@@ -184,7 +184,7 @@ fn mixed_rate() -> Scenario {
                 TrafficPattern::Steady { rate_gbps: 12.0 },
                 1514,
             ),
-            TenantDef::new(
+            TenantSpec::new(
                 "fast",
                 NfKind::L2FwdPayloadDrop,
                 vec![2, 3],
@@ -233,7 +233,7 @@ fn trace_replay() -> Scenario {
         pool_idle_flush: None,
         drain_grace: GRACE,
         tenants: vec![
-            TenantDef::new(
+            TenantSpec::new(
                 "replay",
                 NfKind::TouchDrop,
                 vec![0, 1],
@@ -246,7 +246,7 @@ fn trace_replay() -> Scenario {
                 1024,
             )
             .with_replay(replayed_arrivals()),
-            TenantDef::new(
+            TenantSpec::new(
                 "live",
                 NfKind::L2Fwd,
                 vec![2],
@@ -277,7 +277,7 @@ fn llc_duel() -> Scenario {
         pool_idle_flush: None,
         drain_grace: GRACE,
         tenants: vec![
-            TenantDef::new(
+            TenantSpec::new(
                 "victim",
                 NfKind::TouchDropCopy,
                 vec![0],
@@ -297,7 +297,7 @@ fn llc_duel() -> Scenario {
                 max_p99_ns: Some(2_000_000),
                 max_drop_rate: Some(0.01),
             }),
-            TenantDef::new(
+            TenantSpec::new(
                 "attacker",
                 NfKind::TouchDropCopy,
                 vec![1, 2],
@@ -316,7 +316,7 @@ fn llc_duel() -> Scenario {
             // CAT slice: same arrival process (same seed), same SLO, so
             // the report is a controlled CAT-vs-no-CAT comparison inside
             // one mixed run.
-            TenantDef::new(
+            TenantSpec::new(
                 "victim-cat",
                 NfKind::TouchDropCopy,
                 vec![3],
@@ -346,7 +346,7 @@ fn llc_duel() -> Scenario {
 /// IAT tuner moves the boundary).
 fn cat_duel() -> Scenario {
     let latency = |name: &str, cores: Vec<u16>, port: u16, seed: u64| {
-        TenantDef::new(
+        TenantSpec::new(
             name,
             NfKind::TouchDropCopy,
             cores,
@@ -381,7 +381,7 @@ fn cat_duel() -> Scenario {
                 cat: CatMode::Auto,
                 ..SteeringPolicy::IatDynamic.caps()
             })),
-            TenantDef::new(
+            TenantSpec::new(
                 "attacker",
                 NfKind::TouchDropCopy,
                 vec![3, 4],
@@ -411,7 +411,7 @@ fn upf_chain() -> Scenario {
         pool_idle_flush: None,
         drain_grace: GRACE,
         tenants: vec![
-            TenantDef::new(
+            TenantSpec::new(
                 "upf",
                 NfKind::Chain(NfChain::upf()),
                 vec![0, 1],
@@ -424,7 +424,7 @@ fn upf_chain() -> Scenario {
                 1514,
             )
             .with_pool(PoolSpec::Recycle { slots: None }),
-            TenantDef::new(
+            TenantSpec::new(
                 "dpi",
                 NfKind::Chain(
                     NfChain::new(&[ChainStage::Parse, ChainStage::Classify, ChainStage::Inspect])
@@ -448,7 +448,7 @@ fn upf_chain() -> Scenario {
 /// `pool.*` counters and `--tick-metrics` show the divergence directly.
 fn recycle_duel() -> Scenario {
     let twin = |name: &str, cores: Vec<u16>, port: u16, pool: PoolSpec| {
-        TenantDef::new(
+        TenantSpec::new(
             name,
             NfKind::Chain(NfChain::upf()),
             cores,
@@ -506,7 +506,7 @@ fn flow_churn() -> Scenario {
             // 1 K flows at a revisit period (~105 us) inside the ATR
             // lifetime: unpinned flows are learned on first completion
             // and steer by filter table from their second visit on.
-            TenantDef::new(
+            TenantSpec::new(
                 "small-1k",
                 NfKind::TouchDrop,
                 vec![0, 1, 2],
@@ -519,7 +519,7 @@ fn flow_churn() -> Scenario {
             // 100 us, so the control tick keeps re-installing pinned
             // slots into a full table (perfect_evicted) while the rest
             // age out of the filter table between visits.
-            TenantDef::new(
+            TenantSpec::new(
                 "churn-64k",
                 NfKind::TouchDrop,
                 vec![3, 4],
@@ -534,7 +534,7 @@ fn flow_churn() -> Scenario {
             // lookup misses both tables and falls back to RSS — the
             // millions-of-flows regime where steering is effectively
             // random and mis-steers dominate.
-            TenantDef::new(
+            TenantSpec::new(
                 "huge-1m",
                 NfKind::TouchDrop,
                 vec![5],

@@ -27,7 +27,7 @@ use idio_core::pool::PoolSpec;
 use idio_core::stack::nf::{ChainStage, NfChain, NfKind};
 use idio_engine::rng::{derive_seed, SimRng};
 
-use crate::spec::{Scenario, SloSpec, TenantDef};
+use crate::spec::{Scenario, SloSpec, TenantSpec};
 
 /// How the aggregate offered load is split across tenants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,7 +272,7 @@ impl GenSpec {
             let suffix = if attacker { "-atk" } else { "" };
             let name = format!("t{i:03}-{}{suffix}", class.name());
             let mut tenant = match class {
-                AppClass::Kvs => TenantDef::new(
+                AppClass::Kvs => TenantSpec::new(
                     name,
                     NfKind::TouchDrop,
                     cores,
@@ -288,7 +288,7 @@ impl GenSpec {
                 // half the tenants run the forwarding UPF pipeline, half a
                 // deep-inspection drop chain, and all of them recycle
                 // their mbufs from an LLC-resident pool.
-                AppClass::NfChain => TenantDef::new(
+                AppClass::NfChain => TenantSpec::new(
                     name,
                     NfKind::Chain(if rng.below(2) == 0 {
                         NfChain::upf()
@@ -307,7 +307,7 @@ impl GenSpec {
                     512,
                 )
                 .with_pool(PoolSpec::Recycle { slots: None }),
-                AppClass::Bulk => TenantDef::new(
+                AppClass::Bulk => TenantSpec::new(
                     name,
                     if rng.below(2) == 0 {
                         NfKind::TouchDrop
@@ -522,7 +522,7 @@ mod tests {
     fn zipf_rates_are_heavy_tailed_and_sum_close_to_total() {
         let spec = GenSpec::new(50);
         let sc = spec.expand(header("zipf")).unwrap();
-        let rate = |t: &TenantDef| match t.traffic {
+        let rate = |t: &TenantSpec| match t.traffic {
             TrafficPattern::Steady { rate_gbps } | TrafficPattern::Poisson { rate_gbps, .. } => {
                 rate_gbps
             }
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn expansion_rejects_populated_scenarios() {
         let mut h = header("busy");
-        h.tenants.push(TenantDef::new(
+        h.tenants.push(TenantSpec::new(
             "existing",
             NfKind::TouchDrop,
             vec![0],

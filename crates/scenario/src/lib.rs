@@ -1,7 +1,7 @@
 //! # idio-scenario
 //!
 //! Declarative multi-tenant scenarios on top of the full-system
-//! simulator: a [`Scenario`] names a set of [`TenantDef`]s — each binding
+//! simulator: a [`Scenario`] names a set of [`TenantSpec`]s — each binding
 //! a traffic source, an application class (DSCP), a network function and
 //! a group of cores — and the runner executes the mixed workload plus one
 //! *solo* run per tenant on the [`idio_core::sweep`] worker pool,
@@ -59,5 +59,5 @@ pub use report::{
     SteerMix, TenantReport,
 };
 pub use run::{run_scenario, scenario_cells};
-pub use spec::{Scenario, SloSpec, TenantDef};
+pub use spec::{Scenario, SloSpec, TenantSpec};
 pub use spec_file::{load_path, parse_str, to_file_string, SpecError};

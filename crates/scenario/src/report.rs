@@ -447,8 +447,8 @@ struct TenantSlot {
     name: String,
     nf: &'static str,
     cores: Vec<u16>,
-    /// The tenant's queue indices in the mixed run (queue index ==
-    /// workload index; workloads are pushed in declaration order).
+    /// The tenant's queue indices in the mixed run (queue `q` is the
+    /// `q`-th core in the order of the tenants' `cores` lists).
     queues: std::ops::Range<usize>,
     packet_len: u16,
     policy: Option<String>,
@@ -488,13 +488,13 @@ impl ScenarioReportBuilder {
     /// identity (names, cores, queue spans, SLO bounds) and leaves every
     /// aggregate slot empty.
     pub fn new(scenario: &Scenario, root_seed: u64) -> Self {
-        let mut next_workload = 0usize;
+        let mut next_queue = 0usize;
         let tenants = scenario
             .tenants
             .iter()
             .map(|t| {
-                let queues = next_workload..next_workload + t.cores.len();
-                next_workload = queues.end;
+                let queues = next_queue..next_queue + t.cores.len();
+                next_queue = queues.end;
                 TenantSlot {
                     name: t.name.clone(),
                     nf: t.nf.name(),

@@ -68,7 +68,7 @@ mod tests {
     use idio_core::stack::nf::NfKind;
     use idio_engine::time::{Duration, SimTime};
 
-    use crate::spec::TenantDef;
+    use crate::spec::TenantSpec;
 
     fn tiny() -> Scenario {
         Scenario {
@@ -82,7 +82,7 @@ mod tests {
             atr_lifetime: None,
             pool_idle_flush: None,
             tenants: vec![
-                TenantDef::new(
+                TenantSpec::new(
                     "a",
                     NfKind::TouchDrop,
                     vec![0, 1],
@@ -91,7 +91,7 @@ mod tests {
                     TrafficPattern::Steady { rate_gbps: 10.0 },
                     1514,
                 ),
-                TenantDef::new(
+                TenantSpec::new(
                     "b",
                     NfKind::TouchDrop,
                     vec![2],

@@ -8,164 +8,11 @@
 //! same cache hierarchy), which is what makes the interference report an
 //! apples-to-apples comparison.
 
-use idio_core::cache::addr::CoreId;
-use idio_core::config::{FlowSteering, SystemConfig, TenantSpec, WorkloadSpec};
-use idio_core::net::gen::{Arrival, TrafficPattern};
-use idio_core::net::packet::Dscp;
-use idio_core::policy::{PolicySpec, SteeringPolicy};
-use idio_core::pool::PoolSpec;
-use idio_core::stack::nf::NfKind;
+use idio_core::config::{FlowSteering, SystemConfig};
+use idio_core::policy::SteeringPolicy;
 use idio_engine::time::{Duration, SimTime};
 
-/// Per-tenant service-level objectives, asserted against the *mixed* run.
-///
-/// Bounds are optional; a tenant with no `SloSpec` (or with all bounds
-/// `None`) is never flagged. Violations appear in the tenant's report and
-/// make the `scenario` CLI exit non-zero.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SloSpec {
-    /// Upper bound on the tenant's mixed-run p99 packet latency (ns).
-    pub max_p99_ns: Option<u64>,
-    /// Upper bound on the tenant's mixed-run drop rate (fraction of
-    /// offered packets dropped at full rings).
-    pub max_drop_rate: Option<f64>,
-}
-
-impl SloSpec {
-    /// Whether any bound is actually set.
-    pub fn is_bounded(&self) -> bool {
-        self.max_p99_ns.is_some() || self.max_drop_rate.is_some()
-    }
-}
-
-/// One tenant of a scenario: a traffic source bound to an NF class and a
-/// group of cores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantDef {
-    /// Stable tenant name (unique within the scenario; report key).
-    pub name: String,
-    /// The network function every one of the tenant's cores runs.
-    pub nf: NfKind,
-    /// The cores (and therefore NIC queues) the tenant owns.
-    pub cores: Vec<u16>,
-    /// Concurrently-active five-tuples the tenant's aggregate load is
-    /// dealt over — up to 16M, derived on demand by a streaming flow set
-    /// (memory stays O(1) in the flow count). The flow director spreads
-    /// them round-robin across the cores. Ignored when `replay` is set
-    /// (the trace brings its own flows).
-    pub flows: u32,
-    /// First UDP destination port of the synthetic flows (`base_port + i`
-    /// for flow `i`); tenants with small flow counts must use disjoint
-    /// ranges. Flow counts past the port range (and churning tenants)
-    /// spill into per-tenant source addresses and cannot collide.
-    pub base_port: u16,
-    /// Flow lifetime: each active-flow slot retires its five-tuple and
-    /// starts a fresh one after this long (staggered across slots), so
-    /// the population turns over like a real connection table. `None` =
-    /// fixed population.
-    pub churn: Option<Duration>,
-    /// Packets dealt to one flow per visit before rotating to the next
-    /// (a packet train); 1 = plain round-robin.
-    pub train: u32,
-    /// Aggregate arrival pattern of the whole tenant.
-    pub traffic: TrafficPattern,
-    /// Frame length in bytes (all of the tenant's flows share it).
-    pub packet_len: u16,
-    /// DSCP marking — the application-class signal the NIC classifier
-    /// reads (class 1 payloads go direct to DRAM under IDIO).
-    pub dscp: Dscp,
-    /// Recorded arrivals replayed instead of the analytic `traffic`
-    /// pattern (see [`idio_core::net::trace`]).
-    pub replay: Option<Vec<Arrival>>,
-    /// Steering-policy override for the tenant's queues. `None` inherits
-    /// the scenario-level [`Scenario::policy`]; a preset override equal to
-    /// the scenario policy is behaviorally identical to inheriting it but
-    /// labels the tenant explicitly in the report.
-    pub policy: Option<PolicySpec>,
-    /// Optional service-level objectives checked against the mixed run.
-    pub slo: Option<SloSpec>,
-    /// Mbuf-pool mode of every one of the tenant's queues. `None` keeps
-    /// the legacy implicit DRAM-backed pool (no pool telemetry); an
-    /// explicit spec turns on per-queue `pool.*` accounting and, for
-    /// [`PoolSpec::Recycle`], the LLC-resident recycling pool.
-    pub pool: Option<PoolSpec>,
-}
-
-impl TenantDef {
-    /// A synthetic-traffic tenant with best-effort DSCP.
-    pub fn new(
-        name: impl Into<String>,
-        nf: NfKind,
-        cores: Vec<u16>,
-        flows: u32,
-        base_port: u16,
-        traffic: TrafficPattern,
-        packet_len: u16,
-    ) -> Self {
-        TenantDef {
-            name: name.into(),
-            nf,
-            cores,
-            flows,
-            base_port,
-            churn: None,
-            train: 1,
-            traffic,
-            packet_len,
-            dscp: Dscp::BEST_EFFORT,
-            replay: None,
-            policy: None,
-            slo: None,
-            pool: None,
-        }
-    }
-
-    /// Returns the tenant with a different DSCP marking.
-    pub fn with_dscp(mut self, dscp: Dscp) -> Self {
-        self.dscp = dscp;
-        self
-    }
-
-    /// Returns the tenant with flow churn: each active flow lives
-    /// `lifetime`, then its slot starts a fresh five-tuple.
-    pub fn with_churn(mut self, lifetime: Duration) -> Self {
-        self.churn = Some(lifetime);
-        self
-    }
-
-    /// Returns the tenant dealing `train` consecutive packets per flow
-    /// visit instead of rotating every packet.
-    pub fn with_train(mut self, train: u32) -> Self {
-        self.train = train;
-        self
-    }
-
-    /// Returns the tenant replaying `arrivals` instead of its analytic
-    /// traffic pattern.
-    pub fn with_replay(mut self, arrivals: Vec<Arrival>) -> Self {
-        self.replay = Some(arrivals);
-        self
-    }
-
-    /// Returns the tenant pinned to its own steering policy instead of
-    /// inheriting the scenario-level one.
-    pub fn with_policy(mut self, policy: impl Into<PolicySpec>) -> Self {
-        self.policy = Some(policy.into());
-        self
-    }
-
-    /// Returns the tenant with service-level objectives attached.
-    pub fn with_slo(mut self, slo: SloSpec) -> Self {
-        self.slo = Some(slo);
-        self
-    }
-
-    /// Returns the tenant with an explicit mbuf-pool mode on its queues.
-    pub fn with_pool(mut self, pool: PoolSpec) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-}
+pub use idio_core::config::{SloSpec, TenantSpec};
 
 /// A named, declarative mixed-workload run.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +40,7 @@ pub struct Scenario {
     /// releases its LLC footprint. `None` = pools keep their footprint.
     pub pool_idle_flush: Option<Duration>,
     /// The tenants, in declaration (report) order.
-    pub tenants: Vec<TenantDef>,
+    pub tenants: Vec<TenantSpec>,
 }
 
 impl Scenario {
@@ -207,14 +54,9 @@ impl Scenario {
             .unwrap_or(1)
     }
 
-    /// Table I defaults sized for this scenario, with no workloads yet.
+    /// Table I defaults sized for this scenario, with no tenant yet.
     fn base_config(&self) -> SystemConfig {
-        let placeholder = self
-            .tenants
-            .first()
-            .map(|t| t.traffic)
-            .unwrap_or(TrafficPattern::Steady { rate_gbps: 1.0 });
-        let mut cfg = SystemConfig::touchdrop_scenario(self.num_cores(), placeholder);
+        let mut cfg = SystemConfig::paper_default(self.num_cores());
         cfg.policy = self.policy;
         cfg.steering = self.steering;
         cfg.duration = self.duration;
@@ -224,66 +66,34 @@ impl Scenario {
         }
         cfg.atr_lifetime = self.atr_lifetime;
         cfg.pool_idle_flush = self.pool_idle_flush;
-        cfg.workloads.clear();
         cfg
-    }
-
-    fn push_tenant(cfg: &mut SystemConfig, t: &TenantDef) {
-        let first = cfg.workloads.len();
-        for &c in &t.cores {
-            cfg.workloads.push(WorkloadSpec {
-                core: CoreId::new(c),
-                kind: t.nf,
-                traffic: t.traffic,
-                packet_len: t.packet_len,
-                dscp: t.dscp,
-                pool: t.pool,
-            });
-        }
-        cfg.tenants.push(TenantSpec {
-            name: t.name.clone(),
-            workloads: (first..cfg.workloads.len()).collect(),
-            flows: t.flows,
-            base_port: t.base_port,
-            churn: t.churn,
-            train: t.train,
-            traffic: t.traffic,
-            packet_len: t.packet_len,
-            dscp: t.dscp,
-            replay: t.replay.clone(),
-            policy: t.policy,
-        });
     }
 
     /// The mixed configuration: all tenants running together.
     pub fn mixed_config(&self) -> SystemConfig {
-        let mut cfg = self.base_config();
-        for t in &self.tenants {
-            Scenario::push_tenant(&mut cfg, t);
+        SystemConfig {
+            tenants: self.tenants.clone(),
+            ..self.base_config()
         }
-        cfg
     }
 
-    /// The solo configuration of tenant `i`: only its workloads, on their
-    /// original cores, with the *same* core count and cache hierarchy as
-    /// the mixed run — so solo vs. mixed latency isolates contention, not
-    /// capacity.
+    /// The solo configuration of tenant `i`: only its cores, with the
+    /// *same* core count and cache hierarchy as the mixed run — so solo
+    /// vs. mixed latency isolates contention, not capacity.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn solo_config(&self, i: usize) -> SystemConfig {
-        let mut cfg = self.base_config();
-        Scenario::push_tenant(&mut cfg, &self.tenants[i]);
-        // Keep the hierarchy sized for the full scenario even though only
-        // one tenant's cores are active.
-        cfg.hierarchy.num_cores = self.num_cores();
-        cfg
+        SystemConfig {
+            tenants: vec![self.tenants[i].clone()],
+            ..self.base_config()
+        }
     }
 
-    /// Validates the scenario: a non-empty name, at least one tenant, no
-    /// core owned twice, and every derived configuration (mixed and each
-    /// solo) valid under [`SystemConfig::validate`].
+    /// Validates the scenario: a non-empty name, at least one tenant, and
+    /// every derived configuration (mixed and each solo) valid under
+    /// [`SystemConfig::validate`].
     ///
     /// # Errors
     ///
@@ -294,17 +104,6 @@ impl Scenario {
         }
         if self.tenants.is_empty() {
             return Err(format!("scenario '{}' has no tenants", self.name));
-        }
-        let mut owned = std::collections::HashSet::new();
-        for t in &self.tenants {
-            if t.cores.is_empty() {
-                return Err(format!("tenant '{}' owns no cores", t.name));
-            }
-            for &c in &t.cores {
-                if !owned.insert(c) {
-                    return Err(format!("core {c} is owned by two tenants"));
-                }
-            }
         }
         self.mixed_config()
             .validate()
@@ -321,6 +120,10 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idio_core::cache::addr::CoreId;
+    use idio_core::net::gen::TrafficPattern;
+    use idio_core::net::packet::Dscp;
+    use idio_core::stack::nf::NfKind;
 
     fn two_tenants() -> Scenario {
         Scenario {
@@ -334,7 +137,7 @@ mod tests {
             atr_lifetime: None,
             pool_idle_flush: None,
             tenants: vec![
-                TenantDef::new(
+                TenantSpec::new(
                     "a",
                     NfKind::TouchDrop,
                     vec![0, 1],
@@ -343,7 +146,7 @@ mod tests {
                     TrafficPattern::Steady { rate_gbps: 10.0 },
                     1514,
                 ),
-                TenantDef::new(
+                TenantSpec::new(
                     "b",
                     NfKind::L2FwdPayloadDrop,
                     vec![2],
@@ -362,12 +165,23 @@ mod tests {
         let sc = two_tenants();
         let cfg = sc.mixed_config();
         assert!(sc.validate().is_ok());
-        assert_eq!(cfg.workloads.len(), 3);
-        assert_eq!(cfg.tenants.len(), 2);
-        assert_eq!(cfg.tenants[0].workloads, vec![0, 1]);
-        assert_eq!(cfg.tenants[1].workloads, vec![2]);
-        assert_eq!(cfg.workloads[2].kind, NfKind::L2FwdPayloadDrop);
-        assert_eq!(cfg.workloads[2].dscp, Dscp::CLASS1_DEFAULT);
+        assert_eq!(cfg.tenants, sc.tenants);
+        // Queues follow the tenants' cores in declaration order.
+        let queues: Vec<(CoreId, NfKind, Dscp)> =
+            cfg.queues().map(|(c, t)| (c, t.nf, t.dscp)).collect();
+        let (td, be) = (NfKind::TouchDrop, Dscp::BEST_EFFORT);
+        assert_eq!(
+            queues,
+            [
+                (CoreId::new(0), td, be),
+                (CoreId::new(1), td, be),
+                (
+                    CoreId::new(2),
+                    NfKind::L2FwdPayloadDrop,
+                    Dscp::CLASS1_DEFAULT
+                ),
+            ]
+        );
         assert_eq!(cfg.num_cores(), 3);
     }
 
@@ -375,9 +189,11 @@ mod tests {
     fn solo_config_keeps_original_cores_and_hierarchy_size() {
         let sc = two_tenants();
         let cfg = sc.solo_config(1);
-        assert_eq!(cfg.workloads.len(), 1);
-        assert_eq!(cfg.workloads[0].core, CoreId::new(2));
-        assert_eq!(cfg.tenants[0].workloads, vec![0]);
+        assert_eq!(cfg.tenants, [sc.tenants[1].clone()]);
+        assert_eq!(
+            cfg.queues().map(|(c, _)| c).collect::<Vec<_>>(),
+            [CoreId::new(2)]
+        );
         // Same core count as the mixed run: contention-only comparison.
         assert_eq!(cfg.hierarchy.num_cores, 3);
     }

@@ -47,7 +47,7 @@ use idio_engine::json;
 use idio_engine::time::{wire_time, Duration, SimTime};
 
 use crate::gen::{AppClass, GenSpec, RateDist};
-use crate::spec::{Scenario, SloSpec, TenantDef};
+use crate::spec::{Scenario, SloSpec, TenantSpec};
 
 /// A parse or validation error anchored to a 1-based line and column of
 /// the scenario file.
@@ -863,38 +863,9 @@ fn parse_chain(e: &Entry) -> Result<NfKind, SpecError> {
     Ok(NfKind::Chain(chain))
 }
 
-/// Parses a `pool` spelling: `"dram"`, `"recycle"`, or `"recycle:N"`.
-fn parse_pool(s: &str, pos: Pos) -> Result<PoolSpec, SpecError> {
-    match s {
-        "dram" => return Ok(PoolSpec::Dram),
-        "recycle" => return Ok(PoolSpec::Recycle { slots: None }),
-        _ => {}
-    }
-    if let Some(n) = s.strip_prefix("recycle:") {
-        let slots: u32 = n
-            .parse()
-            .map_err(|_| SpecError::new(pos, format!("recycle pool size '{n}' is not a u32")))?;
-        if slots == 0 {
-            return Err(SpecError::new(pos, "recycle pool needs at least one slot"));
-        }
-        return Ok(PoolSpec::Recycle { slots: Some(slots) });
-    }
-    Err(SpecError::new(
-        pos,
-        format!("unknown pool '{s}' (expected dram|recycle|recycle:<slots>)"),
-    ))
-}
-
 fn policy_file_name(spec: PolicySpec) -> String {
     match spec {
-        PolicySpec::Preset(p) => match p {
-            SteeringPolicy::Ddio => "ddio".into(),
-            SteeringPolicy::InvalidateOnly => "invalidate".into(),
-            SteeringPolicy::PrefetchOnly => "prefetch".into(),
-            SteeringPolicy::StaticIdio => "static".into(),
-            SteeringPolicy::Idio => "idio".into(),
-            SteeringPolicy::IatDynamic => "iat".into(),
-        },
+        PolicySpec::Preset(p) => p.name().into(),
         // The custom form is exactly PolicySpec::label, which
         // parse_policy_spec accepts back.
         custom => custom.label(),
@@ -1108,7 +1079,7 @@ fn build_tenant(
     t: &Table,
     base_dir: Option<&Path>,
     default_policy: SteeringPolicy,
-) -> Result<TenantDef, SpecError> {
+) -> Result<TenantSpec, SpecError> {
     check_known_keys(t, TENANT_KEYS)?;
     let name = want_str(t.get("name").ok_or_else(|| missing(t, "tenant", "name"))?)?.to_string();
     if name.is_empty() {
@@ -1127,7 +1098,9 @@ fn build_tenant(
         (None, None) => return Err(missing(t, "tenant", "nf")),
     };
     let pool = match t.get("pool") {
-        Some(e) => Some(parse_pool(want_str(e)?, e.val_pos)?),
+        Some(e) => {
+            Some(PoolSpec::from_name(want_str(e)?).map_err(|m| SpecError::new(e.val_pos, m))?)
+        }
         None => None,
     };
     let cores_entry = t
@@ -1275,7 +1248,7 @@ fn build_tenant(
         }
         None => None,
     };
-    Ok(TenantDef {
+    Ok(TenantSpec {
         name,
         nf,
         cores,
@@ -2005,7 +1978,7 @@ attacker_frac = 0.3
                         })
                     }
                 };
-                let mut t = TenantDef::new(
+                let mut t = TenantSpec::new(
                     arbitrary_name(g, "t", i),
                     *g.choose(&[
                         NfKind::TouchDrop,

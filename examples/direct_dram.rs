@@ -21,11 +21,11 @@ fn main() {
     let spec = BurstSpec::for_ring(1024, 1514, 25.0, period);
     for policy in [SteeringPolicy::Ddio, SteeringPolicy::Idio] {
         let mut cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Bursty(spec));
-        for w in &mut cfg.workloads {
-            w.kind = NfKind::L2FwdPayloadDrop;
+        for t in &mut cfg.tenants {
+            t.nf = NfKind::L2FwdPayloadDrop;
             // The sending application sets the class-1 code point on its
             // socket (setsockopt on the DS field, Sec. V-A).
-            w.dscp = Dscp::CLASS1_DEFAULT;
+            t.dscp = Dscp::CLASS1_DEFAULT;
         }
         cfg.duration = SimTime::ZERO + period * 3;
         cfg.drain_grace = period;

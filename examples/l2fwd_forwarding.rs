@@ -20,9 +20,9 @@ fn main() {
     let spec = BurstSpec::for_ring(1024, 1024, 25.0, period);
     for policy in [SteeringPolicy::Ddio, SteeringPolicy::Idio] {
         let mut cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Bursty(spec));
-        for w in &mut cfg.workloads {
-            w.kind = NfKind::L2Fwd;
-            w.packet_len = 1024;
+        for t in &mut cfg.tenants {
+            t.nf = NfKind::L2Fwd;
+            t.packet_len = 1024;
         }
         cfg.duration = SimTime::ZERO + period * 3;
         cfg.drain_grace = period;

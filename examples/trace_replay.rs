@@ -8,9 +8,9 @@
 
 use idio_core::config::{SystemConfig, TenantSpec};
 use idio_core::net::gen::{Arrival, FlowSpec, TrafficGen, TrafficPattern};
-use idio_core::net::packet::Dscp;
 use idio_core::net::trace::{read_trace, write_trace};
 use idio_core::policy::SteeringPolicy;
+use idio_core::stack::nf::NfKind;
 use idio_core::system::System;
 use idio_engine::time::{Duration, SimTime};
 
@@ -46,24 +46,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Replay the identical traffic under both policies: each core's
     //    trace drives a replay tenant that owns that core's queue.
-    let replay_tenant = |q: usize, arrivals: &[Arrival]| TenantSpec {
-        name: format!("replay{q}"),
-        workloads: vec![q],
-        flows: 1,
-        base_port: 5000 + q as u16,
-        churn: None,
-        train: 1,
-        traffic: TrafficPattern::Steady { rate_gbps: 15.0 }, // unused by a replay
-        packet_len: 1514,
-        dscp: Dscp::BEST_EFFORT,
-        replay: Some(arrivals.to_vec()),
-        policy: None,
+    let replay_tenant = |core: u16, arrivals: &[Arrival]| {
+        let unused = TrafficPattern::Steady { rate_gbps: 15.0 }; // a replay brings its own
+        TenantSpec::new(
+            format!("replay{core}"),
+            NfKind::TouchDrop,
+            vec![core],
+            1,
+            5000 + core,
+            unused,
+            1514,
+        )
+        .with_replay(arrivals.to_vec())
     };
     for policy in [SteeringPolicy::Ddio, SteeringPolicy::Idio] {
-        let mut cfg = SystemConfig::touchdrop_scenario(
-            2,
-            TrafficPattern::Steady { rate_gbps: 15.0 }, // replaced by the tenants below
-        );
+        let mut cfg = SystemConfig::paper_default(2);
         cfg.duration = horizon;
         cfg.drain_grace = Duration::from_ms(2);
         cfg.tenants = vec![replay_tenant(0, &replayed), replay_tenant(1, &traces[1])];

@@ -24,8 +24,8 @@ fn base_cfg(rate: f64) -> SystemConfig {
 fn copy_mode_doubles_ddio_writebacks() {
     let run = |kind| {
         let mut cfg = base_cfg(25.0);
-        for w in &mut cfg.workloads {
-            w.kind = kind;
+        for t in &mut cfg.tenants {
+            t.nf = kind;
         }
         System::new(cfg).run()
     };
@@ -44,8 +44,8 @@ fn copy_mode_doubles_ddio_writebacks() {
 #[test]
 fn copy_mode_idio_removes_only_the_dma_share() {
     let mut cfg = base_cfg(25.0);
-    for w in &mut cfg.workloads {
-        w.kind = NfKind::TouchDropCopy;
+    for t in &mut cfg.tenants {
+        t.nf = NfKind::TouchDropCopy;
     }
     let r = System::new(cfg.with_policy(SteeringPolicy::Idio)).run();
     // DMA buffers are invalidated (24 lines/packet)...
@@ -165,8 +165,8 @@ fn poisson_traffic_runs_end_to_end() {
 #[test]
 fn deepfwd_combines_deep_touch_with_tx() {
     let mut cfg = base_cfg(25.0);
-    for w in &mut cfg.workloads {
-        w.kind = NfKind::DeepFwd;
+    for t in &mut cfg.tenants {
+        t.nf = NfKind::DeepFwd;
     }
     let r = System::new(cfg.with_policy(SteeringPolicy::Idio)).run();
     assert_eq!(r.totals.completed_packets, r.totals.rx_packets);
@@ -182,8 +182,8 @@ fn atr_steering_learns_from_tx_traffic() {
     use idio_core::config::FlowSteering;
     let mut cfg = base_cfg(25.0);
     cfg.steering = FlowSteering::Atr;
-    for w in &mut cfg.workloads {
-        w.kind = NfKind::L2Fwd;
+    for t in &mut cfg.tenants {
+        t.nf = NfKind::L2Fwd;
     }
     let r = System::new(cfg.with_policy(SteeringPolicy::Idio)).run();
     // RSS spreads the flows initially; after the first forwards, ATR pins
@@ -211,8 +211,8 @@ fn misclassified_dscp_degrades_but_stays_correct() {
     // reads it back from memory — slower, but functionally correct.
     let run = |dscp| {
         let mut cfg = base_cfg(25.0);
-        for w in &mut cfg.workloads {
-            w.dscp = dscp;
+        for t in &mut cfg.tenants {
+            t.dscp = dscp;
         }
         System::new(cfg.with_policy(SteeringPolicy::Idio)).run()
     };

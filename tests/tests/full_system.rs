@@ -111,8 +111,8 @@ fn hierarchy_invariants_hold_after_every_policy() {
 fn l2fwd_frees_buffers_only_after_tx() {
     let mut cfg = SystemConfig::touchdrop_scenario(1, bursty(25.0));
     cfg.ring_size = 256;
-    for w in &mut cfg.workloads {
-        w.kind = NfKind::L2Fwd;
+    for t in &mut cfg.tenants {
+        t.nf = NfKind::L2Fwd;
     }
     cfg.duration = SimTime::from_ms(2);
     cfg.drain_grace = Duration::from_ms(1);

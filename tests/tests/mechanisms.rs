@@ -95,9 +95,9 @@ fn m3_class1_payload_bypasses_the_llc() {
         let spec = BurstSpec::for_ring(512, 1514, 25.0, Duration::from_ms(1));
         let mut cfg = SystemConfig::touchdrop_scenario(1, TrafficPattern::Bursty(spec));
         cfg.ring_size = 512;
-        for w in &mut cfg.workloads {
-            w.kind = NfKind::L2FwdPayloadDrop;
-            w.dscp = Dscp::CLASS1_DEFAULT;
+        for t in &mut cfg.tenants {
+            t.nf = NfKind::L2FwdPayloadDrop;
+            t.dscp = Dscp::CLASS1_DEFAULT;
         }
         cfg.duration = SimTime::from_ms(2);
         cfg.drain_grace = Duration::from_ms(1);
@@ -121,9 +121,9 @@ fn m3_class1_header_stays_on_chip() {
     let spec = BurstSpec::for_ring(512, 1514, 25.0, Duration::from_ms(1));
     let mut cfg = SystemConfig::touchdrop_scenario(1, TrafficPattern::Bursty(spec));
     cfg.ring_size = 512;
-    for w in &mut cfg.workloads {
-        w.kind = NfKind::L2FwdPayloadDrop;
-        w.dscp = Dscp::CLASS1_DEFAULT;
+    for t in &mut cfg.tenants {
+        t.nf = NfKind::L2FwdPayloadDrop;
+        t.dscp = Dscp::CLASS1_DEFAULT;
     }
     cfg.duration = SimTime::from_ms(2);
     cfg.drain_grace = Duration::from_ms(1);

@@ -44,7 +44,7 @@ fn network_software_matches_section6() {
     // DPDK defaults: 1024-entry rings, batch of 32, 1514-byte packets.
     assert_eq!(c.ring_size, 1024);
     assert_eq!(c.pmd.batch_size, 32);
-    assert!(c.workloads.iter().all(|w| w.packet_len == 1514));
+    assert!(c.tenants.iter().all(|t| t.packet_len == 1514));
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! Property tests for the layered per-queue policy engine.
+//! Property tests for the layered policy engine (system default, then
+//! per-tenant override).
 //!
 //! The contract being locked: the six named policies are pure *presets*
 //! over `PolicyCaps`, and a configuration that only uses presets — whether
-//! expressed globally, as per-tenant overrides, or as per-queue overrides
-//! — must behave bit-for-bit like the old global `SteeringPolicy` enum.
+//! expressed globally or as per-tenant overrides — must behave bit-for-bit
+//! like the old global `SteeringPolicy` enum.
 
 use idio_core::config::{SystemConfig, TenantSpec};
 use idio_core::net::gen::TrafficPattern;
@@ -19,39 +20,31 @@ use idio_scenario::{builtin, run_scenario};
 /// self-invalidation under capable policies) and the forwarding + class-1
 /// path (direct DRAM under capable policies).
 fn tenant_cfg(policy: SteeringPolicy) -> SystemConfig {
-    let mut cfg = SystemConfig::touchdrop_scenario(4, TrafficPattern::Steady { rate_gbps: 5.0 });
+    let steady = |rate_gbps| TrafficPattern::Steady { rate_gbps };
+    let mut cfg = SystemConfig::paper_default(4);
     cfg.duration = SimTime::from_us(300);
     cfg.drain_grace = Duration::from_us(200);
     cfg.policy = policy;
-    cfg.workloads[2].kind = NfKind::L2FwdPayloadDrop;
-    cfg.workloads[3].kind = NfKind::L2FwdPayloadDrop;
     cfg.tenants = vec![
-        TenantSpec {
-            name: "lat".into(),
-            workloads: vec![0, 1],
-            flows: 6,
-            churn: None,
-            train: 1,
-            base_port: 5000,
-            traffic: TrafficPattern::Steady { rate_gbps: 8.0 },
-            packet_len: 1514,
-            dscp: Dscp::BEST_EFFORT,
-            replay: None,
-            policy: None,
-        },
-        TenantSpec {
-            name: "stream".into(),
-            workloads: vec![2, 3],
-            flows: 4,
-            churn: None,
-            train: 1,
-            base_port: 6000,
-            traffic: TrafficPattern::Steady { rate_gbps: 20.0 },
-            packet_len: 1514,
-            dscp: Dscp::CLASS1_DEFAULT,
-            replay: None,
-            policy: None,
-        },
+        TenantSpec::new(
+            "lat",
+            NfKind::TouchDrop,
+            vec![0, 1],
+            6,
+            5000,
+            steady(8.0),
+            1514,
+        ),
+        TenantSpec::new(
+            "stream",
+            NfKind::L2FwdPayloadDrop,
+            vec![2, 3],
+            4,
+            6000,
+            steady(20.0),
+            1514,
+        )
+        .with_dscp(Dscp::CLASS1_DEFAULT),
     ];
     cfg
 }
@@ -77,9 +70,8 @@ fn preset_caps_match_the_legacy_capability_matrix() {
     }
 }
 
-/// A global preset, the same preset written as a per-tenant override on
-/// every tenant, and the same preset written as a per-queue override on
-/// every queue must all produce byte-identical runs. This is the
+/// A global preset and the same preset written as a per-tenant override
+/// on every tenant must produce byte-identical runs. This is the
 /// equivalence that keeps every pre-existing golden valid.
 #[test]
 fn preset_overrides_are_equivalent_to_the_global_policy() {
@@ -94,23 +86,11 @@ fn preset_overrides_are_equivalent_to_the_global_policy() {
         }
         let by_tenant = System::new(by_tenant).run();
 
-        let mut by_queue = tenant_cfg(policy);
-        for q in 0..by_queue.workloads.len() {
-            by_queue.queue_policies.insert(q, spec);
-        }
-        let by_queue = System::new(by_queue).run();
-
         assert_eq!(global.totals, by_tenant.totals, "{policy}: tenant layer");
-        assert_eq!(global.totals, by_queue.totals, "{policy}: queue layer");
         assert_eq!(
             global.metrics.to_json(),
             by_tenant.metrics.to_json(),
             "{policy}: tenant-layer metrics diverged"
-        );
-        assert_eq!(
-            global.metrics.to_json(),
-            by_queue.metrics.to_json(),
-            "{policy}: queue-layer metrics diverged"
         );
     }
 }
