@@ -18,7 +18,7 @@
 
 pub mod json;
 
-use idio_core::experiments::{self, FigureResult, Scale};
+use idio_core::experiments::{self, Scale};
 use idio_core::sweep::FigureSpec;
 
 /// Known experiment names, in paper order.
@@ -70,25 +70,15 @@ pub fn experiment_spec(name: &str, scale: Scale) -> Result<FigureSpec, String> {
     })
 }
 
-/// Runs one experiment by name, serially.
-///
-/// # Errors
-///
-/// Returns the unknown name back to the caller.
-pub fn run_experiment(name: &str, scale: Scale) -> Result<FigureResult, String> {
-    Ok(experiment_spec(name, scale)?.run_serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_names_resolve() {
-        // Only the cheap table experiments actually run here; the rest are
-        // validated by the integration suite and the repro binary.
-        assert!(run_experiment("table1", Scale::quick()).is_ok());
-        assert!(run_experiment("table2", Scale::quick()).is_ok());
-        assert!(run_experiment("nope", Scale::quick()).is_err());
+        for name in EXPERIMENTS {
+            assert!(experiment_spec(name, Scale::quick()).is_ok(), "{name}");
+        }
+        assert!(experiment_spec("nope", Scale::quick()).is_err());
     }
 }

@@ -7,8 +7,7 @@
 //! [`crate::sweep::CellOutcome`]s into a printable [`FigureResult`]. The sweep
 //! orchestrator in [`crate::sweep`] executes the cells, serially or on a
 //! worker pool, with per-cell seeds derived from the cell labels so the
-//! output is independent of scheduling. The legacy `figN` functions remain
-//! as thin serial wrappers.
+//! output is independent of scheduling.
 //!
 //! Every function takes a [`Scale`]: [`Scale::full`] approximates the
 //! paper's run lengths, [`Scale::quick`] shrinks them for CI and unit
@@ -26,7 +25,7 @@ use idio_stack::nf::NfKind;
 use crate::config::SystemConfig;
 use crate::policy::SteeringPolicy;
 use crate::report::RunReport;
-use crate::sweep::{FigureSpec, SweepCell, SweepOptions};
+use crate::sweep::{FigureSpec, SweepCell};
 
 /// Run-length scaling for the experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,6 +316,21 @@ pub fn table2() -> FigureResult {
 // Fig. 4 — MLC/DRAM leaks vs ring size and load (DDIO baseline)
 // ---------------------------------------------------------------------------
 
+/// Fig. 4: MLC writeback and MLC invalidation rates (normalised to the RX
+/// data rate) and DRAM write bandwidth, across ring sizes and load levels,
+/// under baseline DDIO — including the CAT `*_1way` configurations.
+///
+/// The paper measures this on the *physical* Xeon Gold 6242 (22 MiB LLC,
+/// 10 TouchDrop instances), whose LLC+MLC capacity comfortably exceeds the
+/// aggregate ring footprint. We reproduce the capacity *ratio* with 4
+/// instances on a proportionally sized (8.25 MiB, 11-way) LLC. Each run
+/// lasts long enough to deliver a fixed per-core packet count, so the
+/// normalised rates are comparable across loads.
+///
+/// Paper shape: ring 64 ⇒ low normalised MLC WB and high invalidations;
+/// ring ≥ 1024 ⇒ MLC WB around/above the RX rate at *every* load; DRAM
+/// write bandwidth near zero except in the `_1way` CAT configurations.
+///
 /// Fig. 4 as a declarative sweep (11 cells).
 pub fn fig4_spec(scale: Scale) -> FigureSpec {
     const NFS: usize = 4;
@@ -393,28 +407,14 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 4: MLC writeback and MLC invalidation rates (normalised to the RX
-/// data rate) and DRAM write bandwidth, across ring sizes and load levels,
-/// under baseline DDIO — including the CAT `*_1way` configurations.
-///
-/// The paper measures this on the *physical* Xeon Gold 6242 (22 MiB LLC,
-/// 10 TouchDrop instances), whose LLC+MLC capacity comfortably exceeds the
-/// aggregate ring footprint. We reproduce the capacity *ratio* with 4
-/// instances on a proportionally sized (8.25 MiB, 11-way) LLC. Each run
-/// lasts long enough to deliver a fixed per-core packet count, so the
-/// normalised rates are comparable across loads.
-///
-/// Paper shape: ring 64 ⇒ low normalised MLC WB and high invalidations;
-/// ring ≥ 1024 ⇒ MLC WB around/above the RX rate at *every* load; DRAM
-/// write bandwidth near zero except in the `_1way` CAT configurations.
-pub fn fig4(scale: Scale) -> FigureResult {
-    fig4_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 5 — writeback timeline under bursty traffic (DDIO baseline)
 // ---------------------------------------------------------------------------
 
+/// Fig. 5: the MLC/LLC writeback timeline while processing bursty traffic
+/// under DDIO, exposing the DMA phase (LLC-writeback spike) and execution
+/// phase (MLC-writeback wave).
+///
 /// Fig. 5 as a declarative sweep (1 cell).
 pub fn fig5_spec(scale: Scale) -> FigureSpec {
     let cells = vec![SweepCell::new(
@@ -457,17 +457,18 @@ pub fn fig5_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 5: the MLC/LLC writeback timeline while processing bursty traffic
-/// under DDIO, exposing the DMA phase (LLC-writeback spike) and execution
-/// phase (MLC-writeback wave).
-pub fn fig5(scale: Scale) -> FigureResult {
-    fig5_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 9 — policy comparison timelines at 100 and 25 Gbps
 // ---------------------------------------------------------------------------
 
+/// Fig. 9: MLC/LLC writeback behaviour of DDIO, Invalidate, Prefetch,
+/// Static and IDIO while processing one burst, at 100 and 25 Gbps burst
+/// rates.
+///
+/// Paper shape: self-invalidation removes most writebacks; prefetching
+/// shortens the execution phase; Static ≈ IDIO at 25 Gbps while IDIO
+/// regulates MLC pressure at 100 Gbps.
+///
 /// Fig. 9 as a declarative sweep (2 rates × 6 policies).
 pub fn fig9_spec(scale: Scale) -> FigureSpec {
     let mut cells = Vec::new();
@@ -531,21 +532,17 @@ pub fn fig9_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 9: MLC/LLC writeback behaviour of DDIO, Invalidate, Prefetch,
-/// Static and IDIO while processing one burst, at 100 and 25 Gbps burst
-/// rates.
-///
-/// Paper shape: self-invalidation removes most writebacks; prefetching
-/// shortens the execution phase; Static ≈ IDIO at 25 Gbps while IDIO
-/// regulates MLC pressure at 100 Gbps.
-pub fn fig9(scale: Scale) -> FigureResult {
-    fig9_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 10 — normalised transactions and exe time
 // ---------------------------------------------------------------------------
 
+/// Fig. 10: MLC WB, LLC WB, DRAM read/write transactions and burst
+/// processing time of Static and IDIO normalised to DDIO, at 100/25/10
+/// Gbps, plus the TouchDrop+LLCAntagonist co-run.
+///
+/// Paper shape: 60–85% MLC WB reduction, near-elimination of DRAM writes,
+/// exe time ~0.78–0.82 at 100/25 Gbps and ~1.0 at 10 Gbps.
+///
 /// Fig. 10 as a declarative sweep (per scenario × rate: one DDIO base cell
 /// plus the compared policies).
 pub fn fig10_spec(scale: Scale) -> FigureSpec {
@@ -643,20 +640,16 @@ pub fn fig10_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 10: MLC WB, LLC WB, DRAM read/write transactions and burst
-/// processing time of Static and IDIO normalised to DDIO, at 100/25/10
-/// Gbps, plus the TouchDrop+LLCAntagonist co-run.
-///
-/// Paper shape: 60–85% MLC WB reduction, near-elimination of DRAM writes,
-/// exe time ~0.78–0.82 at 100/25 Gbps and ~1.0 at 10 Gbps.
-pub fn fig10(scale: Scale) -> FigureResult {
-    fig10_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 11 — L2Fwd (shallow NF) timelines
 // ---------------------------------------------------------------------------
 
+/// Fig. 11: L2Fwd with 1024-byte packets under DDIO vs IDIO.
+///
+/// Paper shape: DDIO shows almost no MLC activity but a growing LLC
+/// writeback rate; IDIO admits buffers to the MLC and invalidates after
+/// forwarding, strongly reducing LLC writebacks.
+///
 /// Fig. 11 as a declarative sweep (2 cells).
 pub fn fig11_spec(scale: Scale) -> FigureSpec {
     let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
@@ -717,19 +710,16 @@ pub fn fig11_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 11: L2Fwd with 1024-byte packets under DDIO vs IDIO.
-///
-/// Paper shape: DDIO shows almost no MLC activity but a growing LLC
-/// writeback rate; IDIO admits buffers to the MLC and invalidates after
-/// forwarding, strongly reducing LLC writebacks.
-pub fn fig11(scale: Scale) -> FigureResult {
-    fig11_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Sec. VII — selective direct DRAM access
 // ---------------------------------------------------------------------------
 
+/// The direct-DRAM experiment of Sec. VII: an L2Fwd variant that drops the
+/// payload after header processing, with senders marking the flow
+/// application class 1. Under IDIO the payload bypasses the LLC entirely:
+/// DRAM write bandwidth tracks the RX payload bandwidth and the DDIO ways
+/// stop thrashing.
+///
 /// The direct-DRAM experiment as a declarative sweep (2 cells).
 pub fn direct_dram_spec(scale: Scale) -> FigureSpec {
     let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
@@ -777,19 +767,16 @@ pub fn direct_dram_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// The direct-DRAM experiment of Sec. VII: an L2Fwd variant that drops the
-/// payload after header processing, with senders marking the flow
-/// application class 1. Under IDIO the payload bypasses the LLC entirely:
-/// DRAM write bandwidth tracks the RX payload bandwidth and the DDIO ways
-/// stop thrashing.
-pub fn direct_dram(scale: Scale) -> FigureResult {
-    direct_dram_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 12 — tail latency
 // ---------------------------------------------------------------------------
 
+/// Fig. 12: 50th and 99th percentile TouchDrop latency, solo and co-run
+/// with LLCAntagonist, normalised to DDIO solo at each rate.
+///
+/// Paper shape: IDIO's p99 reduction is largest at 25 Gbps (~30%), smaller
+/// at 100 and 10 Gbps; co-running inflates DDIO's tail more than IDIO's.
+///
 /// Fig. 12 as a declarative sweep (per rate: DDIO-solo base, IDIO-solo,
 /// DDIO-corun, IDIO-corun).
 pub fn fig12_spec(scale: Scale) -> FigureSpec {
@@ -848,19 +835,16 @@ pub fn fig12_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 12: 50th and 99th percentile TouchDrop latency, solo and co-run
-/// with LLCAntagonist, normalised to DDIO solo at each rate.
-///
-/// Paper shape: IDIO's p99 reduction is largest at 25 Gbps (~30%), smaller
-/// at 100 and 10 Gbps; co-running inflates DDIO's tail more than IDIO's.
-pub fn fig12(scale: Scale) -> FigureResult {
-    fig12_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 13 — steady traffic
 // ---------------------------------------------------------------------------
 
+/// Fig. 13: two TouchDrop instances at a steady 10 Gbps each, DDIO vs
+/// IDIO.
+///
+/// Paper shape: DDIO shows a constant MLC writeback rate matching the
+/// packet consumption rate; IDIO's self-invalidation removes most of it.
+///
 /// Fig. 13 as a declarative sweep (2 cells).
 pub fn fig13_spec(scale: Scale) -> FigureSpec {
     let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
@@ -907,19 +891,16 @@ pub fn fig13_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 13: two TouchDrop instances at a steady 10 Gbps each, DDIO vs
-/// IDIO.
-///
-/// Paper shape: DDIO shows a constant MLC writeback rate matching the
-/// packet consumption rate; IDIO's self-invalidation removes most of it.
-pub fn fig13(scale: Scale) -> FigureResult {
-    fig13_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 14 — mlcTHR sensitivity
 // ---------------------------------------------------------------------------
 
+/// Fig. 14: the Fig. 10 metrics at 100 Gbps while sweeping `mlcTHR` from
+/// 10 to 100 MTPS.
+///
+/// Paper shape: IDIO's improvements are consistent across the sweep — the
+/// self-invalidation/prefetch synergy makes the threshold uncritical.
+///
 /// Fig. 14 as a declarative sweep (DDIO base + 5 threshold cells).
 pub fn fig14_spec(scale: Scale) -> FigureSpec {
     let thresholds = [10.0f64, 25.0, 50.0, 75.0, 100.0];
@@ -976,19 +957,20 @@ pub fn fig14_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Fig. 14: the Fig. 10 metrics at 100 Gbps while sweeping `mlcTHR` from
-/// 10 to 100 MTPS.
-///
-/// Paper shape: IDIO's improvements are consistent across the sweep — the
-/// self-invalidation/prefetch synergy makes the threshold uncritical.
-pub fn fig14(scale: Scale) -> FigureResult {
-    fig14_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Sec. VII future work — CPU-paced prefetching
 // ---------------------------------------------------------------------------
 
+/// The paper's future-work suggestion (Sec. VII): "a more sophisticated
+/// prefetcher that follows the CPU pointer in the ring buffer to regulate
+/// the MLC prefetching rate will likely provide more benefit". Compares
+/// the paper's drop-on-full queued prefetcher against the CPU-paced
+/// variant at 100 and 25 Gbps.
+///
+/// Expected shape: identical at 25 Gbps (the queue keeps up anyway); at
+/// 100 Gbps the paced prefetcher avoids both the hint drops and the
+/// MLC flood/FSM-disable cycle, yielding shorter burst processing.
+///
 /// The future-work comparison as a declarative sweep (2 rates × 2
 /// prefetcher variants).
 pub fn future_work_spec(scale: Scale) -> FigureSpec {
@@ -1055,23 +1037,18 @@ pub fn future_work_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// The paper's future-work suggestion (Sec. VII): "a more sophisticated
-/// prefetcher that follows the CPU pointer in the ring buffer to regulate
-/// the MLC prefetching rate will likely provide more benefit". Compares
-/// the paper's drop-on-full queued prefetcher against the CPU-paced
-/// variant at 100 and 25 Gbps.
-///
-/// Expected shape: identical at 25 Gbps (the queue keeps up anyway); at
-/// 100 Gbps the paced prefetcher avoids both the hint drops and the
-/// MLC flood/FSM-disable cycle, yielding shorter burst processing.
-pub fn future_work(scale: Scale) -> FigureResult {
-    future_work_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // DMA bloating occupancy (Sec. III observation 3, measured directly)
 // ---------------------------------------------------------------------------
 
+/// Directly measures *DMA bloating*: the share of LLC lines occupied by
+/// DMA buffer regions over time, under DDIO vs IDIO, for steady traffic
+/// that recycles a 1024-entry ring.
+///
+/// Expected shape: under DDIO the dead consumed buffers spread across the
+/// non-DDIO ways until I/O data dominates the LLC; IDIO's
+/// self-invalidation keeps the share near the DDIO-way footprint.
+///
 /// The bloating measurement as a declarative sweep (2 cells).
 pub fn bloating_spec(scale: Scale) -> FigureSpec {
     let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
@@ -1106,21 +1083,19 @@ pub fn bloating_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Directly measures *DMA bloating*: the share of LLC lines occupied by
-/// DMA buffer regions over time, under DDIO vs IDIO, for steady traffic
-/// that recycles a 1024-entry ring.
-///
-/// Expected shape: under DDIO the dead consumed buffers spread across the
-/// non-DDIO ways until I/O data dominates the LLC; IDIO's
-/// self-invalidation keeps the share near the DDIO-way footprint.
-pub fn bloating(scale: Scale) -> FigureResult {
-    bloating_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Buffer recycling modes (Sec. II-B)
 // ---------------------------------------------------------------------------
 
+/// Compares the Sec. II-B buffer-recycling modes: run-to-completion
+/// (TouchDrop) vs copy-mode (TouchDropCopy, how the Linux stack works),
+/// under DDIO and IDIO.
+///
+/// Expected shape: copy-mode roughly doubles the MLC writeback stream
+/// under DDIO (dead DMA lines *and* application copies are evicted), and
+/// IDIO removes the DMA-buffer share of it while the application copies —
+/// live data — still write back.
+///
 /// The recycling-mode comparison as a declarative sweep (2 stacks × 2
 /// policies).
 pub fn copy_mode_spec(scale: Scale) -> FigureSpec {
@@ -1172,22 +1147,18 @@ pub fn copy_mode_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Compares the Sec. II-B buffer-recycling modes: run-to-completion
-/// (TouchDrop) vs copy-mode (TouchDropCopy, how the Linux stack works),
-/// under DDIO and IDIO.
-///
-/// Expected shape: copy-mode roughly doubles the MLC writeback stream
-/// under DDIO (dead DMA lines *and* application copies are evicted), and
-/// IDIO removes the DMA-buffer share of it while the application copies —
-/// live data — still write back.
-pub fn copy_mode(scale: Scale) -> FigureResult {
-    copy_mode_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Prior-work baseline comparison (IAT, Yuan et al. ISCA'21)
 // ---------------------------------------------------------------------------
 
+/// Compares baseline DDIO, the IAT-style dynamic-DDIO-way baseline, and
+/// full IDIO on TouchDrop bursts.
+///
+/// Expected shape (matching the paper's related-work positioning): IAT
+/// reduces the DMA leak by growing the I/O partition, but — lacking
+/// self-invalidation and MLC steering — it cannot remove the MLC
+/// writeback stream or shorten execution the way IDIO does.
+///
 /// The baseline comparison as a declarative sweep (2 rates × 3 policies).
 pub fn baselines_spec(scale: Scale) -> FigureSpec {
     let policies = [
@@ -1239,21 +1210,18 @@ pub fn baselines_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Compares baseline DDIO, the IAT-style dynamic-DDIO-way baseline, and
-/// full IDIO on TouchDrop bursts.
-///
-/// Expected shape (matching the paper's related-work positioning): IAT
-/// reduces the DMA leak by growing the I/O partition, but — lacking
-/// self-invalidation and MLC steering — it cannot remove the MLC
-/// writeback stream or shorten execution the way IDIO does.
-pub fn baselines(scale: Scale) -> FigureResult {
-    baselines_spec(scale).run_serial()
-}
-
 // ---------------------------------------------------------------------------
 // Sweeps (ablations extending the paper's Fig. 4 analysis)
 // ---------------------------------------------------------------------------
 
+/// Ring-size sweep: normalised MLC writebacks and invalidations for DDIO
+/// *and* IDIO across ring depths — extends Fig. 4 (which only measures
+/// DDIO) with the proposed design.
+///
+/// Expected shape: DDIO transitions from invalidation-dominated (ring ≤
+/// MLC capacity) to writeback-dominated (ring > MLC); IDIO turns the
+/// writebacks back into (self-)invalidations at every depth.
+///
 /// The ring-depth sweep as a declarative sweep (5 rings × 2 policies).
 pub fn ring_sweep_spec(scale: Scale) -> FigureSpec {
     let mut cells = Vec::new();
@@ -1288,17 +1256,10 @@ pub fn ring_sweep_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Ring-size sweep: normalised MLC writebacks and invalidations for DDIO
-/// *and* IDIO across ring depths — extends Fig. 4 (which only measures
-/// DDIO) with the proposed design.
+/// Packet-size sweep at a fixed 25 Gbps burst rate: small frames are
+/// header-dominated (IDIO's always-on header steering covers them);
+/// large frames exercise payload steering and invalidation.
 ///
-/// Expected shape: DDIO transitions from invalidation-dominated (ring ≤
-/// MLC capacity) to writeback-dominated (ring > MLC); IDIO turns the
-/// writebacks back into (self-)invalidations at every depth.
-pub fn ring_sweep(scale: Scale) -> FigureResult {
-    ring_sweep_spec(scale).run_serial()
-}
-
 /// The packet-size sweep as a declarative sweep (per size: DDIO base +
 /// IDIO).
 pub fn packet_sweep_spec(scale: Scale) -> FigureSpec {
@@ -1351,13 +1312,6 @@ pub fn packet_sweep_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Packet-size sweep at a fixed 25 Gbps burst rate: small frames are
-/// header-dominated (IDIO's always-on header steering covers them);
-/// large frames exercise payload steering and invalidation.
-pub fn packet_sweep(scale: Scale) -> FigureResult {
-    packet_sweep_spec(scale).run_serial()
-}
-
 /// Declares every experiment at the given scale, in paper order.
 pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
     vec![
@@ -1379,11 +1333,6 @@ pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
         ring_sweep_spec(scale),
         packet_sweep_spec(scale),
     ]
-}
-
-/// Runs every experiment at the given scale, in paper order (serially).
-pub fn all(scale: Scale) -> Vec<FigureResult> {
-    crate::sweep::run_figures(all_specs(scale), &SweepOptions::serial()).0
 }
 
 #[cfg(test)]
@@ -1408,7 +1357,7 @@ mod tests {
 
     #[test]
     fn fig5_quick_smoke_has_two_phases() {
-        let f = fig5(Scale::quick());
+        let f = fig5_spec(Scale::quick()).run_serial();
         assert_eq!(f.rows.len(), 3);
         // The timeline series are populated for plotting.
         assert!(f.series.iter().any(|(n, s)| n == "llc_wb" && !s.is_empty()));
@@ -1426,7 +1375,7 @@ mod tests {
 
     #[test]
     fn direct_dram_quick_smoke_ratio_is_one() {
-        let f = direct_dram(Scale::quick());
+        let f = direct_dram_spec(Scale::quick()).run_serial();
         // Row order: DDIO then IDIO; column 2 is dram_wr/rx_payload.
         let idio = &f.rows[1];
         assert_eq!(idio[0], "IDIO");

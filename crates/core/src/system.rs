@@ -207,6 +207,64 @@ struct NfState {
     tx_ring: TxRing,
 }
 
+/// The burst windows of a run: run-level (exported as
+/// [`RunReport::bursts`]) and per core (exported as
+/// `core<i>.burst_exe_ns`). They record only the packets of queues whose
+/// tenant sends bursts of the tracked period, so another tenant's traffic
+/// never lands in those windows.
+#[derive(Debug)]
+struct Bursts {
+    run: BurstTracker,
+    cores: Vec<BurstTracker>,
+    /// Per core: whether its queue's tenant bursts with the tracked period.
+    tracked: Vec<bool>,
+}
+
+impl Bursts {
+    fn new(period: Duration, num_cores: usize, cfg: &SystemConfig) -> Self {
+        let mut tracked = vec![false; num_cores];
+        for (core, t) in cfg.queues() {
+            tracked[core.index()] =
+                matches!(t.traffic, TrafficPattern::Bursty(spec) if spec.period == period);
+        }
+        Bursts {
+            run: BurstTracker::new(period),
+            cores: (0..num_cores).map(|_| BurstTracker::new(period)).collect(),
+            tracked,
+        }
+    }
+
+    fn record_dma(&mut self, core: usize, arrival: SimTime, now: SimTime) {
+        if self.tracked[core] {
+            self.run.record_dma(arrival, now);
+            self.cores[core].record_dma(arrival, now);
+        }
+    }
+
+    fn record_completion(&mut self, core: usize, arrival: SimTime, now: SimTime) {
+        if self.tracked[core] {
+            self.run.record_completion(arrival, now);
+            self.cores[core].record_completion(arrival, now);
+        }
+    }
+
+    /// The log2 distribution of per-window exe times, one histogram per
+    /// core that completed at least one burst.
+    fn export(&self, m: &mut MetricsRegistry) {
+        for (i, b) in self.cores.iter().enumerate() {
+            let mut hist = Histogram::new();
+            for w in b.windows() {
+                if w.packets > 0 {
+                    hist.record(w.exe_time().as_ns());
+                }
+            }
+            if hist.count() > 0 {
+                m.histogram_merge(&format!("core{i}.burst_exe_ns"), &hist);
+            }
+        }
+    }
+}
+
 /// Names of the sampled rate timelines, in [`System::sampled_counters`]
 /// order (the [`Timelines`] fields of the same names).
 const RATES: [&str; 7] = [
@@ -256,9 +314,8 @@ pub struct System {
     rates: [RateSampler; RATES.len()],
     /// Gauge: fraction of LLC capacity holding DMA-buffer lines.
     dma_llc_share: TimeSeries,
-    bursts: Option<BurstTracker>,
-    /// Per-core burst trackers (exported as `core<i>.burst_exe_ns`).
-    core_bursts: Vec<BurstTracker>,
+    /// Burst windows; present only when the first tenant sends bursts.
+    bursts: Option<Bursts>,
     hard_stop: SimTime,
     /// Sample ticks seen (the occupancy gauge samples every 10th tick).
     sample_ticks: u64,
@@ -566,15 +623,9 @@ impl System {
         // Burst windows follow the traffic of the tenant that owns queue 0
         // (every tenant owns a core, so that is the first tenant).
         let bursts = tenants.first().and_then(|t| match t.traffic {
-            TrafficPattern::Bursty(spec) => Some(BurstTracker::new(spec.period)),
+            TrafficPattern::Bursty(spec) => Some(Bursts::new(spec.period, num_cores, &cfg)),
             TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
         });
-        let core_bursts = match &bursts {
-            Some(b) => (0..num_cores)
-                .map(|_| BurstTracker::new(b.period()))
-                .collect(),
-            None => Vec::new(),
-        };
         let hard_stop = cfg.duration + cfg.drain_grace;
 
         let dma_line_ranges: Vec<(u64, u64)> = regions
@@ -608,7 +659,6 @@ impl System {
             rates,
             dma_llc_share,
             bursts,
-            core_bursts,
             hard_stop,
             sample_ticks: 0,
             iat,
@@ -864,10 +914,7 @@ impl System {
         domain: u16,
     ) {
         if let Some(b) = &mut self.bursts {
-            b.record_dma(arrival, now);
-        }
-        if !self.core_bursts.is_empty() {
-            self.core_bursts[meta.dest_core.index()].record_dma(arrival, now);
+            b.record_dma(meta.dest_core.index(), arrival, now);
         }
         // A burst flag can flip the destination core's FSM inside steer();
         // observe the before/after status only when someone is watching.
@@ -1236,10 +1283,7 @@ impl System {
         st.lat_hist.record(lat.as_ns());
         st.completed += 1;
         if let Some(b) = &mut self.bursts {
-            b.record_completion(arrival, now);
-        }
-        if !self.core_bursts.is_empty() {
-            self.core_bursts[core].record_completion(arrival, now);
+            b.record_completion(core, arrival, now);
         }
         self.advance_cpu_pointer(now, core);
     }
@@ -1528,19 +1572,8 @@ impl System {
                 }
             }
         }
-        // Per-core burst execution times (bursty traffic only): the log2
-        // distribution of per-window exe times, one histogram per core
-        // that completed at least one burst.
-        for (i, b) in self.core_bursts.iter().enumerate() {
-            let mut hist = Histogram::new();
-            for w in b.windows() {
-                if w.packets > 0 {
-                    hist.record(w.exe_time().as_ns());
-                }
-            }
-            if hist.count() > 0 {
-                m.histogram_merge(&format!("core{i}.burst_exe_ns"), &hist);
-            }
+        if let Some(b) = &self.bursts {
+            b.export(m);
         }
         if let Some(s) = self.dma_llc_share.samples().next_back() {
             m.gauge_set("llc.dma_share", s.value);
@@ -1573,7 +1606,7 @@ impl System {
                 dma_llc_share: self.dma_llc_share,
             },
             latency,
-            bursts: self.bursts.map(|b| b.windows()).unwrap_or_default(),
+            bursts: self.bursts.map(|b| b.run.windows()).unwrap_or_default(),
             antagonist_cpa,
             metrics,
             trace,
@@ -1655,7 +1688,8 @@ mod tests {
     /// Burst windows follow the traffic of the tenant on queue 0 — the
     /// first tenant listed, wherever its core is: a bursty tenant listed
     /// first on core 1 opens windows, and listed after a steady tenant it
-    /// opens none.
+    /// opens none. The windows count the bursty tenant's packets only,
+    /// never the steady tenant's on core 0.
     #[test]
     fn burst_windows_follow_the_tenants_traffic() {
         use crate::config::TenantSpec;
@@ -1679,7 +1713,11 @@ mod tests {
             cfg.drain_grace = Duration::from_ms(1);
             System::new(cfg).run()
         };
-        assert_eq!(run(vec![bursty.clone(), steady.clone()]).bursts.len(), 4);
+        let bursts = run(vec![bursty.clone(), steady.clone()]).bursts;
+        assert_eq!(bursts.len(), 4);
+        for b in &bursts {
+            assert_eq!(b.packets, 64, "window {} counts other traffic", b.index);
+        }
         assert!(run(vec![steady, bursty]).bursts.is_empty());
     }
 

@@ -20,15 +20,17 @@
 //! legacy one-flow-per-core wiring, and reports are byte-identical at any
 //! `--jobs` because every cell's seed derives from its stable label.
 //!
-//! Scenarios can also live in **files** — a dependency-free TOML subset
-//! parsed by [`spec_file`] with line/column errors and written back by
-//! [`spec_file::to_file_string`] — and a file's `[generate]` table
-//! ([`gen::GenSpec`]) expands a compact spec into hundreds of tenants
-//! deterministically. The report path *streams*: each sweep cell is
-//! folded into per-tenant aggregates on the worker that ran it
-//! ([`report::ScenarioReportBuilder`]), so memory stays O(tenants), not
-//! O(cells × histograms), with the JSON still byte-identical at any
-//! worker count.
+//! Scenarios also live in **files** — a dependency-free TOML subset parsed
+//! by [`spec_file`] with line/column errors and written back by
+//! [`spec_file::to_file_string`]. The built-ins ([`builtin()`]) are the
+//! checked-in files `examples/scenarios/<name>.toml`, compiled in with
+//! the replay traces they name, so each is defined once. A file's
+//! `[generate]` table ([`gen::GenSpec`]) expands a compact spec into
+//! hundreds of tenants deterministically. The report path *streams*:
+//! each sweep cell is folded into per-tenant aggregates on the worker
+//! that ran it ([`report::ScenarioReportBuilder`]), so memory stays
+//! O(tenants), not O(cells × histograms), with the JSON still
+//! byte-identical at any worker count.
 //!
 //! # Quick start
 //!

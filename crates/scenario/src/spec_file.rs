@@ -37,7 +37,7 @@ use std::path::Path;
 use idio_core::cache::config::HierarchyConfig;
 use idio_core::cache::set::WayMask;
 use idio_core::config::FlowSteering;
-use idio_core::net::gen::{BurstSpec, TrafficPattern, MAX_FLOW_SET_FLOWS};
+use idio_core::net::gen::{Arrival, BurstSpec, TrafficPattern, MAX_FLOW_SET_FLOWS};
 use idio_core::net::packet::{Dscp, MIN_FRAME_BYTES};
 use idio_core::net::trace::read_trace;
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, PrefetchMode, SteeringPolicy};
@@ -1075,9 +1075,18 @@ fn tenant_slo(t: &Table) -> Result<Option<SloSpec>, SpecError> {
     }))
 }
 
+/// Resolves a tenant's `replay` path to its arrivals, or to the message
+/// of the error reported at the path's position.
+pub(crate) type ReplayReader<'a> = &'a dyn Fn(&str) -> Result<Vec<Arrival>, String>;
+
+/// Parses the bytes of the replay trace at `path` (named in the error).
+pub(crate) fn parse_trace(path: impl fmt::Display, bytes: &[u8]) -> Result<Vec<Arrival>, String> {
+    read_trace(bytes).map_err(|err| format!("replay trace '{path}' is malformed: {err}"))
+}
+
 fn build_tenant(
     t: &Table,
-    base_dir: Option<&Path>,
+    replay_reader: ReplayReader<'_>,
     default_policy: SteeringPolicy,
 ) -> Result<TenantSpec, SpecError> {
     check_known_keys(t, TENANT_KEYS)?;
@@ -1223,29 +1232,7 @@ fn build_tenant(
         policy = Some(PolicySpec::Custom(PolicyCaps { cat: mode, ..base }));
     }
     let replay = match t.get("replay") {
-        Some(e) => {
-            let rel = want_str(e)?;
-            let Some(dir) = base_dir else {
-                return Err(SpecError::new(
-                    e.val_pos,
-                    "replay traces need a file context (load the scenario from a path)",
-                ));
-            };
-            let path = dir.join(rel);
-            let bytes = std::fs::read(&path).map_err(|err| {
-                SpecError::new(
-                    e.val_pos,
-                    format!("cannot read replay trace '{}': {err}", path.display()),
-                )
-            })?;
-            let arrivals = read_trace(bytes.as_slice()).map_err(|err| {
-                SpecError::new(
-                    e.val_pos,
-                    format!("replay trace '{}' is malformed: {err}", path.display()),
-                )
-            })?;
-            Some(arrivals)
-        }
+        Some(e) => Some(replay_reader(want_str(e)?).map_err(|msg| SpecError::new(e.val_pos, msg))?),
         None => None,
     };
     Ok(TenantSpec {
@@ -1389,7 +1376,7 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
     Ok(spec)
 }
 
-fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, SpecError> {
+fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scenario, SpecError> {
     check_known_keys(&raw.top, TOP_KEYS)?;
     let name_entry = raw
         .top
@@ -1496,7 +1483,7 @@ fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, Sp
         (None, false) => {
             let mut seen: Vec<(String, Pos)> = Vec::new();
             for t in &raw.tenants {
-                let tenant = build_tenant(t, base_dir, scenario.policy)?;
+                let tenant = build_tenant(t, replay_reader, scenario.policy)?;
                 let name_pos = t.get("name").expect("required by build_tenant").val_pos;
                 if let Some((_, first)) = seen.iter().find(|(n, _)| *n == tenant.name) {
                     return Err(SpecError::new(
@@ -1531,7 +1518,18 @@ fn build_scenario(raw: &RawFile, base_dir: Option<&Path>) -> Result<Scenario, Sp
 /// Returns a [`SpecError`] naming the line and column of the first
 /// offending token.
 pub fn parse_str(src: &str) -> Result<Scenario, SpecError> {
-    build_scenario(&lex(src)?, None)
+    parse_with_replays(src, &|_| {
+        Err("replay traces need a file context (load the scenario from a path)".into())
+    })
+}
+
+/// Parses a scenario from source text, resolving `replay` paths with
+/// `replay_reader`.
+pub(crate) fn parse_with_replays(
+    src: &str,
+    replay_reader: ReplayReader<'_>,
+) -> Result<Scenario, SpecError> {
+    build_scenario(&lex(src)?, replay_reader)
 }
 
 /// Reads and parses a scenario file, resolving `replay` trace paths
@@ -1555,7 +1553,13 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<Scenario, SpecError> {
             return Err(SpecError::new((line, col), "file is not valid UTF-8"));
         }
     };
-    build_scenario(&lex(&src)?, path.parent())
+    let dir = path.parent().unwrap_or(Path::new(""));
+    parse_with_replays(&src, &|rel| {
+        let path = dir.join(rel);
+        let bytes = std::fs::read(&path)
+            .map_err(|err| format!("cannot read replay trace '{}': {err}", path.display()))?;
+        parse_trace(path.display(), &bytes)
+    })
 }
 
 /// Renders a time key in the coarsest unit that loses nothing: `_ns` when

@@ -1,11 +1,13 @@
 //! Scenario-file integration tests: the checked-in examples, the bad-file
 //! corpus, and generator determinism.
 //!
-//! * Every built-in scenario ships as `examples/scenarios/<name>.toml`
-//!   (plus sidecar traces under `traces/`); the files must stay the exact
-//!   canonical rendering of the built-in, and loading them back must
-//!   reproduce the built-in *struct* — and therefore its byte-identical
-//!   golden report. Re-generate after intentional built-in changes with:
+//! * Every built-in scenario is defined by its file
+//!   `examples/scenarios/<name>.toml` (plus sidecar traces under
+//!   `traces/`), embedded into `idio_scenario::builtin`. The files must
+//!   stay in canonical form (`to_file_string` of the built-in), and
+//!   loading them from disk must reproduce the embedded built-in *struct*
+//!   — and therefore its byte-identical golden report. After a
+//!   hand edit, rewrite a file in canonical form with:
 //!
 //!   ```text
 //!   IDIO_BLESS=1 cargo test -p idio-integration-tests --test scenario_files
@@ -20,9 +22,8 @@
 
 use std::path::PathBuf;
 
-use idio_core::net::trace::write_trace;
 use idio_core::sweep::SweepOptions;
-use idio_scenario::{builtin, builtins, load_path, run_scenario, to_file_string};
+use idio_scenario::{builtin, builtin_names, builtins, load_path, run_scenario, to_file_string};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -47,26 +48,17 @@ fn blessing() -> bool {
 fn example_files_are_the_canonical_rendering_of_the_builtins() {
     let dir = examples_dir();
     let mut failures = Vec::new();
-    for scenario in builtins() {
-        let path = dir.join(format!("{}.toml", scenario.name));
-        let rendered = to_file_string(&scenario);
+    for name in builtin_names() {
+        let path = dir.join(format!("{name}.toml"));
         if blessing() {
-            std::fs::create_dir_all(&dir).expect("create examples dir");
-            std::fs::write(&path, &rendered).expect("write example");
-            for t in &scenario.tenants {
-                if let Some(arrivals) = &t.replay {
-                    let tdir = dir.join("traces");
-                    std::fs::create_dir_all(&tdir).expect("create traces dir");
-                    let mut buf = Vec::new();
-                    write_trace(&mut buf, arrivals).expect("render trace");
-                    std::fs::write(tdir.join(format!("{}.trace", t.name)), buf)
-                        .expect("write trace");
-                }
-            }
+            let loaded = load_path(&path)
+                .unwrap_or_else(|e| panic!("{}", e.at_path(&path.display().to_string())));
+            std::fs::write(&path, to_file_string(&loaded)).expect("write example");
             continue;
         }
+        let scenario = builtin(name).expect("listed name");
         match std::fs::read_to_string(&path) {
-            Ok(on_disk) if on_disk == rendered => {}
+            Ok(on_disk) if on_disk == to_file_string(&scenario) => {}
             Ok(_) => failures.push(format!(
                 "{}: {} is not the canonical rendering of the built-in",
                 scenario.name,
@@ -89,7 +81,7 @@ fn example_files_are_the_canonical_rendering_of_the_builtins() {
     }
     assert!(
         failures.is_empty(),
-        "example scenario files diverged (IDIO_BLESS=1 re-blesses after intentional changes):\n{}",
+        "example scenario files diverged (IDIO_BLESS=1 rewrites them in canonical form):\n{}",
         failures.join("\n")
     );
 }
