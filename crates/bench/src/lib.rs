@@ -21,26 +21,16 @@ pub mod json;
 use idio_core::experiments::{self, Scale};
 use idio_core::sweep::FigureSpec;
 
-/// Known experiment names, in paper order.
-pub const EXPERIMENTS: [&str; 17] = [
-    "table1",
-    "table2",
-    "fig4",
-    "fig5",
-    "fig9",
-    "fig10",
-    "fig11",
-    "direct-dram",
-    "fig12",
-    "fig13",
-    "fig14",
-    "future-work",
-    "bloating",
-    "copy-mode",
-    "baselines",
-    "ring-sweep",
-    "packet-sweep",
-];
+/// Known experiment names, in paper order ([`experiments::SUITE`]'s).
+pub const EXPERIMENTS: [&str; experiments::SUITE.len()] = {
+    let mut names = [""; experiments::SUITE.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = experiments::SUITE[i].0;
+        i += 1;
+    }
+    names
+};
 
 /// Resolves one experiment name to its declarative sweep spec.
 ///
@@ -48,26 +38,7 @@ pub const EXPERIMENTS: [&str; 17] = [
 ///
 /// Returns the unknown name back to the caller.
 pub fn experiment_spec(name: &str, scale: Scale) -> Result<FigureSpec, String> {
-    Ok(match name {
-        "table1" => experiments::table1_spec(),
-        "table2" => experiments::table2_spec(),
-        "fig4" => experiments::fig4_spec(scale),
-        "fig5" => experiments::fig5_spec(scale),
-        "fig9" => experiments::fig9_spec(scale),
-        "fig10" => experiments::fig10_spec(scale),
-        "fig11" => experiments::fig11_spec(scale),
-        "direct-dram" | "direct_dram" => experiments::direct_dram_spec(scale),
-        "fig12" => experiments::fig12_spec(scale),
-        "fig13" => experiments::fig13_spec(scale),
-        "fig14" => experiments::fig14_spec(scale),
-        "future-work" | "future_work" => experiments::future_work_spec(scale),
-        "bloating" => experiments::bloating_spec(scale),
-        "copy-mode" | "copy_mode" => experiments::copy_mode_spec(scale),
-        "baselines" => experiments::baselines_spec(scale),
-        "ring-sweep" | "ring_sweep" => experiments::ring_sweep_spec(scale),
-        "packet-sweep" | "packet_sweep" => experiments::packet_sweep_spec(scale),
-        other => return Err(format!("unknown experiment '{other}'")),
-    })
+    experiments::spec_by_name(name, scale).ok_or_else(|| format!("unknown experiment '{name}'"))
 }
 
 #[cfg(test)]
@@ -79,6 +50,16 @@ mod tests {
         for name in EXPERIMENTS {
             assert!(experiment_spec(name, Scale::quick()).is_ok(), "{name}");
         }
+        for alias in [
+            "direct_dram",
+            "future_work",
+            "copy_mode",
+            "ring_sweep",
+            "packet_sweep",
+        ] {
+            assert!(experiment_spec(alias, Scale::quick()).is_ok(), "{alias}");
+        }
         assert!(experiment_spec("nope", Scale::quick()).is_err());
+        assert!(experiment_spec("fig_4", Scale::quick()).is_err());
     }
 }

@@ -8,14 +8,14 @@
 //! optional entry bound ([`MlcDirectory::with_capacity`]) whose evictions
 //! back-invalidate the displaced MLC lines.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{CoreId, LineAddr};
 
-/// A multiplicative hasher for line addresses (fxhash-style). The
+/// A multiplicative hasher for group numbers (fxhash-style). The
 /// directory is probed on every DMA line and every MLC miss, and the
-/// default SipHash dominates those lookups; line numbers need no
+/// default SipHash dominates those lookups; group numbers need no
 /// DoS resistance, only good avalanche, which one odd-constant multiply
 /// provides. The map is never iterated, so hash order can't leak into
 /// simulation results.
@@ -44,25 +44,61 @@ impl Hasher for LineHasher {
     }
 }
 
-type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
+type GroupMap = HashMap<u64, Group, BuildHasherDefault<LineHasher>>;
 
-/// Number of directory shards. A line's shard is its low bits, so a
-/// rehash copies 1/64 of the table instead of all of it.
-const SHARDS: usize = 64;
+/// Lines per directory group: 16 consecutive lines (1 KiB), one bit of
+/// [`Group::present`] each. A 1514-byte frame's 24 lines span two groups,
+/// so the DMA, prefetch and read of a packet's lines share two probes'
+/// worth of table memory instead of touching 24 cold buckets.
+const GROUP_LINES: u64 = u16::BITS as u64;
+
+/// The tracked lines of one group and their holders.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    /// Bit `i` is set while line `i` of the group is tracked. A group
+    /// whose mask reaches zero leaves the map.
+    present: u16,
+    /// `holder[i]` is the core holding line `i`; meaningless unless bit
+    /// `i` of `present` is set, so every core id stays usable.
+    holder: [CoreId; GROUP_LINES as usize],
+}
+
+impl Group {
+    const EMPTY: Group = Group {
+        present: 0,
+        holder: [CoreId::new(0); GROUP_LINES as usize],
+    };
+
+    #[inline]
+    fn get(&self, slot: usize) -> Option<CoreId> {
+        (self.present & (1 << slot) != 0).then_some(self.holder[slot])
+    }
+}
+
+/// A line's group number and its slot within the group.
+#[inline]
+fn split(line: LineAddr) -> (u64, usize) {
+    (
+        line.get() / GROUP_LINES,
+        (line.get() % GROUP_LINES) as usize,
+    )
+}
 
 #[inline]
-fn shard_of(line: LineAddr) -> usize {
-    (line.get() % SHARDS as u64) as usize
+fn lookup(groups: &GroupMap, line: LineAddr) -> Option<CoreId> {
+    let (key, slot) = split(line);
+    groups.get(&key).and_then(|g| g.get(slot))
 }
 
 /// Tracks the one core whose MLC holds each line.
 ///
 /// MLC residency is exclusive: a line lives in at most one core's MLC
 /// (cache-to-cache transfers move it, DMA writes invalidate it, and
-/// prefetches never take a line from another core). So each entry is a
-/// single [`CoreId`], 16 bytes with its key, for any core count. A second
-/// holder would mean the directory and the caches disagree, and
-/// [`MlcDirectory::add`] panics on it.
+/// prefetches never take a line from another core). So each line needs
+/// a single [`CoreId`], for any core count. Lines are kept in groups of
+/// 16 consecutive lines under one map entry, a presence mask beside 16
+/// holders. A second holder would mean the directory and the caches
+/// disagree, and [`MlcDirectory::add`] panics on it.
 ///
 /// # Examples
 ///
@@ -79,16 +115,17 @@ fn shard_of(line: LineAddr) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MlcDirectory {
-    /// `shards[line % SHARDS]` maps each tracked line to its holder.
-    shards: Box<[LineMap<CoreId>]>,
-    /// Tracked lines over all shards.
+    /// Each group with at least one tracked line, by group number.
+    groups: GroupMap,
+    /// Tracked lines over all groups.
     len: usize,
     num_cores: usize,
     /// Maximum tracked lines; `None` = unbounded.
     capacity: Option<usize>,
-    /// FIFO of insertion order (lazily cleaned), used for capacity
-    /// evictions.
-    order: std::collections::VecDeque<LineAddr>,
+    /// Lines in insertion order, for capacity evictions; bounded
+    /// directories only. Removed lines leave their entries behind until
+    /// `enqueue` compacts the queue.
+    order: VecDeque<LineAddr>,
 }
 
 /// A directory entry displaced by a capacity conflict. The hierarchy must
@@ -128,11 +165,11 @@ impl MlcDirectory {
         );
         assert!(capacity != Some(0), "directory capacity must be positive");
         MlcDirectory {
-            shards: (0..SHARDS).map(|_| LineMap::default()).collect(),
+            groups: GroupMap::default(),
             len: 0,
             num_cores,
             capacity,
-            order: std::collections::VecDeque::new(),
+            order: VecDeque::new(),
         }
     }
 
@@ -147,8 +184,17 @@ impl MlcDirectory {
     #[must_use = "a directory eviction requires back-invalidating the MLC copy"]
     pub fn add(&mut self, line: LineAddr, core: CoreId) -> Option<DirectoryEviction> {
         debug_assert!(core.index() < self.num_cores);
-        let shard = shard_of(line);
-        if let Some(&holder) = self.shards[shard].get(&line) {
+        // A new line in a full bounded directory makes room first; the
+        // eviction may empty and drop the line's own group.
+        let evicted = match self.capacity {
+            Some(cap) if self.len >= cap && self.holder(line).is_none() => {
+                Some(self.evict_oldest())
+            }
+            _ => None,
+        };
+        let (key, slot) = split(line);
+        let group = self.groups.entry(key).or_insert(Group::EMPTY);
+        if let Some(holder) = group.get(slot) {
             assert!(
                 holder == core,
                 "directory add: {holder} already holds line {}, so {core} cannot \
@@ -157,49 +203,71 @@ impl MlcDirectory {
             );
             return None;
         }
-        // New entry: make room first if bounded.
-        let mut evicted = None;
-        if let Some(cap) = self.capacity {
-            while self.len >= cap {
-                let old = self
-                    .order
-                    .pop_front()
-                    .expect("entries outnumber the order queue");
-                if let Some(holder) = self.shards[shard_of(old)].remove(&old) {
-                    self.len -= 1;
-                    evicted = Some(DirectoryEviction { line: old, holder });
-                    break;
-                }
-                // Stale queue entry (line already removed); keep popping.
-            }
-            // Unbounded directories never consult the FIFO; skip the
-            // bookkeeping (it would grow without limit).
-            self.order.push_back(line);
-        }
-        self.shards[shard].insert(line, core);
+        group.present |= 1 << slot;
+        group.holder[slot] = core;
         self.len += 1;
+        if self.capacity.is_some() {
+            self.enqueue(line);
+        }
         evicted
+    }
+
+    /// Removes the longest-queued tracked line and reports it.
+    fn evict_oldest(&mut self) -> DirectoryEviction {
+        while let Some(old) = self.order.pop_front() {
+            if let Some(holder) = self.holder(old) {
+                self.remove(old, holder);
+                return DirectoryEviction { line: old, holder };
+            }
+            // Stale queue entry (line already removed); keep popping.
+        }
+        unreachable!("entries outnumber the order queue")
+    }
+
+    /// Queues a newly tracked line for FIFO eviction. Removed lines leave
+    /// their entries behind; once the queue is more than twice the
+    /// tracked lines, those entries are dropped, and so is every entry
+    /// of a line but its first (the one `evict_oldest` reaches first).
+    /// Each compaction costs less than twice the removals since the last
+    /// one.
+    fn enqueue(&mut self, line: LineAddr) {
+        self.order.push_back(line);
+        if self.order.len() > 2 * self.len {
+            let groups = &self.groups;
+            let mut seen = HashSet::with_capacity_and_hasher(
+                self.len,
+                BuildHasherDefault::<LineHasher>::default(),
+            );
+            self.order
+                .retain(|&l| lookup(groups, l).is_some() && seen.insert(l.get()));
+        }
     }
 
     /// Records that `core`'s MLC no longer holds `line`. A no-op unless
     /// `core` is the line's holder.
     pub fn remove(&mut self, line: LineAddr, core: CoreId) {
-        let shard = &mut self.shards[shard_of(line)];
-        if shard.get(&line) == Some(&core) {
-            shard.remove(&line);
+        let (key, slot) = split(line);
+        let Some(group) = self.groups.get_mut(&key) else {
+            return;
+        };
+        if group.get(slot) == Some(core) {
+            group.present &= !(1 << slot);
             self.len -= 1;
+            if group.present == 0 {
+                self.groups.remove(&key);
+            }
         }
     }
 
     /// Whether any MLC holds `line`.
     pub fn is_cached(&self, line: LineAddr) -> bool {
-        self.shards[shard_of(line)].contains_key(&line)
+        self.holder(line).is_some()
     }
 
     /// The core holding `line`, if any.
     #[inline]
     pub fn holder(&self, line: LineAddr) -> Option<CoreId> {
-        self.shards[shard_of(line)].get(&line).copied()
+        lookup(&self.groups, line)
     }
 
     /// Number of tracked lines.
@@ -267,15 +335,58 @@ mod tests {
     }
 
     /// Core counts on both sides of 64 (the width of a one-word holder
-    /// mask) and a 200-core system. A deterministic op sequence over all
-    /// core ids and lines from every shard is checked against a
-    /// `BTreeMap` reference model after every step.
+    /// mask), a 200-core system and the full 65536-core id space. A
+    /// scripted prefix puts lines of one group under different cores,
+    /// core id 65535 at a group's last line and the next group's first
+    /// line, and lines on both sides of each boundary near 16·k; then a
+    /// deterministic op sequence over 19 groups follows. The directory is
+    /// checked against a `BTreeMap` reference model after every step, and
+    /// removing every line at the end must leave no group behind.
     #[test]
     fn directory_matches_reference_model_across_core_counts() {
         use std::collections::BTreeMap;
-        for num_cores in [63usize, 64, 65, 200] {
+        for num_cores in [63usize, 64, 65, 200, 65536] {
+            let top = (num_cores - 1) as u16;
             let mut d = MlcDirectory::new(num_cores);
             let mut model: BTreeMap<u64, u16> = BTreeMap::new();
+            let check = |d: &MlcDirectory, model: &BTreeMap<u64, u16>, l: u64| {
+                assert_eq!(d.len(), model.len(), "{num_cores} cores: len");
+                assert_eq!(d.holder(line(l)), model.get(&l).map(|&c| CoreId::new(c)));
+            };
+            // (add?, core, line): group 0 split four ways, the top core id
+            // on both sides of the 15|16 and 31|32 boundaries, and removals
+            // by non-holders (no-ops) and holders across each boundary.
+            let script = [
+                (true, 0, 0),
+                (true, 1, 1),
+                (true, top, 2),
+                (true, top / 2, 3),
+                (true, top, 15),
+                (true, top, 16),
+                (true, 0, 17),
+                (true, 1, 31),
+                (true, top, 32),
+                (false, 0, 15),
+                (false, top, 16),
+                (false, top, 15),
+                (true, 1, 15),
+                (false, 1, 31),
+                (false, 0, 0),
+                (false, 1, 1),
+                (false, top, 2),
+            ];
+            for (add, c, l) in script {
+                if add {
+                    assert!(d.add(line(l), CoreId::new(c)).is_none());
+                    model.insert(l, c);
+                } else {
+                    d.remove(line(l), CoreId::new(c));
+                    if model.get(&l) == Some(&c) {
+                        model.remove(&l);
+                    }
+                }
+                check(&d, &model, l);
+            }
             // xorshift64* keeps the sequence deterministic and seedless.
             let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ num_cores as u64;
             for _ in 0..4000 {
@@ -294,15 +405,84 @@ mod tests {
                         model.remove(&l);
                     }
                 }
-                assert_eq!(d.len(), model.len(), "{num_cores} cores: len");
-                assert_eq!(d.holder(line(l)), model.get(&l).map(|&c| CoreId::new(c)));
+                check(&d, &model, l);
             }
             for l in 0..300 {
                 let want = model.get(&l).map(|&c| CoreId::new(c));
                 assert_eq!(d.holder(line(l)), want, "{num_cores} cores: line {l}");
                 assert_eq!(d.is_cached(line(l)), want.is_some());
             }
+            let groups: std::collections::BTreeSet<u64> =
+                model.keys().map(|l| l / GROUP_LINES).collect();
+            assert_eq!(d.groups.len(), groups.len(), "{num_cores} cores: groups");
+            for (&l, &c) in &model {
+                d.remove(line(l), CoreId::new(c));
+            }
+            assert!(d.is_empty());
+            assert_eq!(d.groups.len(), 0, "{num_cores} cores: empty groups leaked");
         }
+    }
+
+    #[test]
+    fn emptied_groups_leave_the_map() {
+        let mut d = MlcDirectory::new(4);
+        // Two packets' worth of lines straddling three groups.
+        for l in 10..58 {
+            let _ = d.add(line(l), CoreId::new((l % 4) as u16));
+        }
+        assert_eq!(d.groups.len(), 4);
+        for l in 10..58 {
+            d.remove(line(l), CoreId::new((l % 4) as u16));
+            let live_groups = (l + 1..58)
+                .map(|l| l / GROUP_LINES)
+                .collect::<std::collections::BTreeSet<_>>();
+            assert_eq!(d.groups.len(), live_groups.len(), "after removing {l}");
+        }
+        assert!(d.is_empty());
+        assert!(d.groups.is_empty());
+    }
+
+    /// A bounded directory whose MLCs evict lines before it fills must
+    /// not queue every fill forever: with 8 lines live under a 64-entry
+    /// bound, the FIFO stays within twice the tracked lines.
+    #[test]
+    fn bounded_fifo_stays_within_twice_the_tracked_lines() {
+        let mut d = MlcDirectory::with_capacity(1, Some(64));
+        let c = CoreId::new(0);
+        for i in 0..100_000u64 {
+            if i >= 8 {
+                d.remove(line(i - 8), c);
+            }
+            assert!(d.add(line(i), c).is_none());
+            assert!(
+                d.order.len() <= 2 * d.len(),
+                "step {i}: {} queued",
+                d.order.len()
+            );
+        }
+        assert_eq!(d.len(), 8);
+    }
+
+    /// Compaction keeps the eviction order: the oldest live line goes
+    /// first, and a line re-added after its removal is not evicted early.
+    #[test]
+    fn bounded_fifo_order_survives_compaction() {
+        let mut d = MlcDirectory::with_capacity(1, Some(4));
+        let c = CoreId::new(0);
+        for l in [1, 2, 3] {
+            assert!(d.add(line(l), c).is_none());
+        }
+        // Churn line 9 until the stale entries force a compaction.
+        for _ in 0..8 {
+            assert!(d.add(line(9), c).is_none());
+            d.remove(line(9), c);
+        }
+        assert!(d.add(line(4), c).is_none());
+        assert!(d.order.len() <= 2 * d.len());
+        let evicted: Vec<u64> = (5..9)
+            .map(|l| d.add(line(l), c).expect("full").line.get())
+            .collect();
+        assert_eq!(evicted, [1, 2, 3, 4]);
     }
 
     #[test]

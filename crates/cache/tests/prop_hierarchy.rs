@@ -76,6 +76,10 @@ fn tiny_hierarchy() -> Hierarchy {
 }
 
 fn tiny_hierarchy_with(cores: usize) -> Hierarchy {
+    tiny_hierarchy_bounded(cores, None)
+}
+
+fn tiny_hierarchy_bounded(cores: usize, directory_entries: Option<usize>) -> Hierarchy {
     Hierarchy::new(HierarchyConfig {
         num_cores: cores,
         l1d: CacheGeometry::new(2 * 2 * 64, 2, 2),
@@ -86,7 +90,7 @@ fn tiny_hierarchy_with(cores: usize) -> Hierarchy {
         core_alloc_ways: None,
         private_replacement: idio_cache::replacement::ReplacementKind::Lru,
         llc_replacement: idio_cache::replacement::ReplacementKind::Lru,
-        directory_entries: None,
+        directory_entries,
     })
 }
 
@@ -132,6 +136,26 @@ fn invariants_hold_past_64_cores() {
         }
         h.check_invariants();
     });
+}
+
+/// A directory bounded below the MLCs' 24 lines: capacity evictions
+/// back-invalidate MLC lines mid-operation, and the directory must still
+/// mirror MLC residency after every single op.
+#[test]
+fn invariants_hold_with_a_bounded_directory() {
+    let mut back_invalidations = 0;
+    Cases::new(128).run(|g| {
+        let entries = g.usize(1..20);
+        let ops = g.vec(1..300, |g| gen_op(g, 3, 64));
+        let mut h = tiny_hierarchy_bounded(3, Some(entries));
+        for op in ops {
+            apply(&mut h, op, InvalidateScope::IncludeLlc);
+            h.check_invariants();
+            assert_single_residency(&h, 64, op);
+        }
+        back_invalidations += h.stats().shared.dir_back_invalidations.get();
+    });
+    assert!(back_invalidations > 0, "the bound never bit");
 }
 
 #[test]

@@ -1312,27 +1312,40 @@ pub fn packet_sweep_spec(scale: Scale) -> FigureSpec {
     })
 }
 
-/// Declares every experiment at the given scale, in paper order.
-pub fn all_specs(scale: Scale) -> Vec<FigureSpec> {
-    vec![
-        table1_spec(),
-        table2_spec(),
-        fig4_spec(scale),
-        fig5_spec(scale),
-        fig9_spec(scale),
-        fig10_spec(scale),
-        fig11_spec(scale),
-        direct_dram_spec(scale),
-        fig12_spec(scale),
-        fig13_spec(scale),
-        fig14_spec(scale),
-        future_work_spec(scale),
-        bloating_spec(scale),
-        copy_mode_spec(scale),
-        baselines_spec(scale),
-        ring_sweep_spec(scale),
-        packet_sweep_spec(scale),
-    ]
+/// Declares one experiment at a scale.
+type SpecFn = fn(Scale) -> FigureSpec;
+
+/// Every experiment of the suite, in paper order: its name and the
+/// function that declares it at a scale. The CLI names, the benchmark's
+/// workload and the golden suites all read this one table.
+pub const SUITE: [(&str, SpecFn); 17] = [
+    ("table1", |_| table1_spec()),
+    ("table2", |_| table2_spec()),
+    ("fig4", fig4_spec),
+    ("fig5", fig5_spec),
+    ("fig9", fig9_spec),
+    ("fig10", fig10_spec),
+    ("fig11", fig11_spec),
+    ("direct-dram", direct_dram_spec),
+    ("fig12", fig12_spec),
+    ("fig13", fig13_spec),
+    ("fig14", fig14_spec),
+    ("future-work", future_work_spec),
+    ("bloating", bloating_spec),
+    ("copy-mode", copy_mode_spec),
+    ("baselines", baselines_spec),
+    ("ring-sweep", ring_sweep_spec),
+    ("packet-sweep", packet_sweep_spec),
+];
+
+/// Declares the [`SUITE`] experiment called `name` at `scale`. An
+/// underscore may stand for a hyphen (`direct_dram`).
+pub fn spec_by_name(name: &str, scale: Scale) -> Option<FigureSpec> {
+    let name = name.replace('_', "-");
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, spec)| spec(scale))
 }
 
 #[cfg(test)]
@@ -1394,7 +1407,8 @@ mod tests {
     #[test]
     fn specs_declare_unique_labels_across_the_suite() {
         let mut labels = Vec::new();
-        for spec in all_specs(Scale::quick()) {
+        for (_, spec) in SUITE {
+            let spec = spec(Scale::quick());
             for cell in &spec.cells {
                 labels.push(cell.label.clone());
             }

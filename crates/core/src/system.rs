@@ -613,20 +613,33 @@ impl System {
         let hints = HintArena::new(num_cores, hint_cap);
         let timing = CoreTiming::new(cfg.timing);
         const MTPS: f64 = 1e-6;
-        let rates = RATES.map(|name| RateSampler::scaled(name, cfg.sample_interval, MTPS));
+        let hard_stop = cfg.duration + cfg.drain_grace;
+        // Sample ticks fall at every multiple of the interval up to the
+        // hard stop, so the timelines are sized once, exactly (up to a
+        // cap past which they grow as needed).
+        const MAX_RESERVED_TICKS: u64 = 1 << 20;
+        let ticks = hard_stop
+            .as_ps()
+            .checked_div(cfg.sample_interval.as_ps())
+            .map_or(0, |t| t.min(MAX_RESERVED_TICKS));
+        let rates = RATES.map(|name| {
+            let mut r = RateSampler::scaled(name, cfg.sample_interval, MTPS);
+            r.reserve(ticks as usize);
+            r
+        });
         // The occupancy gauge samples every tenth tick (see on_sample_tick).
-        let dma_llc_share = TimeSeries::ratio(
+        let mut dma_llc_share = TimeSeries::ratio(
             "dma_llc_share",
             cfg.sample_interval * 10,
             hier.llc().capacity_lines() as u64,
         );
+        dma_llc_share.reserve((ticks / 10) as usize);
         // Burst windows follow the traffic of the tenant that owns queue 0
         // (every tenant owns a core, so that is the first tenant).
         let bursts = tenants.first().and_then(|t| match t.traffic {
             TrafficPattern::Bursty(spec) => Some(Bursts::new(spec.period, num_cores, &cfg)),
             TrafficPattern::Steady { .. } | TrafficPattern::Poisson { .. } => None,
         });
-        let hard_stop = cfg.duration + cfg.drain_grace;
 
         let dma_line_ranges: Vec<(u64, u64)> = regions
             .iter()
@@ -1628,6 +1641,29 @@ mod tests {
         cfg.drain_grace = Duration::from_us(200);
         cfg.policy = policy;
         cfg
+    }
+
+    /// `System::new` sizes the timelines from this count: one sample per
+    /// interval up to the hard stop, and a gauge sample every tenth.
+    #[test]
+    fn timelines_hold_one_sample_per_tick_to_the_hard_stop() {
+        let cfg = steady_cfg(10.0, SteeringPolicy::Idio);
+        let ticks =
+            ((cfg.duration + cfg.drain_grace).as_ps() / cfg.sample_interval.as_ps()) as usize;
+        assert_eq!(ticks, 50);
+        let t = System::new(cfg).run().timelines;
+        for s in [
+            &t.mlc_wb,
+            &t.llc_wb,
+            &t.dram_rd,
+            &t.dram_wr,
+            &t.dma_wr,
+            &t.prefetch,
+            &t.self_inval,
+        ] {
+            assert_eq!(s.len(), ticks, "{}", s.name());
+        }
+        assert_eq!(t.dma_llc_share.len(), ticks / 10);
     }
 
     #[test]

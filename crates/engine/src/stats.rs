@@ -202,6 +202,12 @@ impl TimeSeries {
         self.counts.len()
     }
 
+    /// Makes room for `samples` more samples, so a series whose length
+    /// is known up front is filled without regrowing (and copying) it.
+    pub fn reserve(&mut self, samples: usize) {
+        self.counts.reserve_exact(samples);
+    }
+
     /// Whether the series has no samples.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
@@ -329,6 +335,11 @@ impl RateSampler {
     /// recorded as a 0-rate sample).
     pub fn backwards_samples(&self) -> u64 {
         self.backwards
+    }
+
+    /// Makes room for `samples` more samples (see [`TimeSeries::reserve`]).
+    pub fn reserve(&mut self, samples: usize) {
+        self.series.reserve(samples);
     }
 
     /// The accumulated series.
