@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use idio_core::sweep::{SweepOptions, DEFAULT_ROOT_SEED};
-use idio_scenario::{builtin, builtins, load_path, run_scenario, Scenario};
+use idio_scenario::{builtins, resolve, run_scenario};
 
 enum Command {
     Run,
@@ -100,26 +100,6 @@ fn parse() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Whether a positional argument refers to a scenario file rather than a
-/// built-in name.
-fn is_file(name: &str) -> bool {
-    name.ends_with(".toml") || std::path::Path::new(name).is_file()
-}
-
-/// Resolves a positional to a scenario: file path or built-in name.
-fn resolve(name: &str) -> Result<Scenario, String> {
-    if is_file(name) {
-        return load_path(name).map_err(|e| e.at_path(name));
-    }
-    builtin(name).ok_or_else(|| {
-        let known: Vec<String> = builtins().into_iter().map(|s| s.name).collect();
-        format!(
-            "unknown scenario '{name}' (built-ins: {}; or pass a .toml file)",
-            known.join(", ")
-        )
-    })
 }
 
 fn main() -> ExitCode {

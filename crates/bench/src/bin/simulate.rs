@@ -1,42 +1,32 @@
-//! Run a custom IDIO simulation from the command line.
+//! Run one scenario — a built-in name or a `.toml` scenario file — as a
+//! single mixed system and print its run report.
 //!
 //! ```text
 //! cargo run -p idio-bench --release --bin simulate -- \
-//!     --policy idio --nf touchdrop --rate 25 --bursty --ring 1024 \
-//!     --packet 1514 --cores 2 --duration-ms 20 --antagonist
+//!     tests/scenario_files/simulate-default.toml --antagonist --tick-metrics
 //! ```
 //!
-//! Prints the run report (transaction totals, latency percentiles, burst
-//! processing times) for the configured scenario.
+//! The scenario file sets the workload: policy, tenants (NF, pool, cores,
+//! traffic, rate, frame size, DSCP) and duration; see DESIGN.md "Scenario
+//! files & generation". The flags set only what no scenario key models:
+//! the NIC ring depth, the LLC antagonist, the mlcTHR override and the
+//! seed. Prints the run report (transaction totals, latency percentiles,
+//! burst processing times), optionally followed by the NDJSON trace or
+//! tick-metrics timeline; `--all-policies` instead runs the scenario under
+//! every preset and prints one comparison row per policy.
 
 use std::process::ExitCode;
 
-use idio_core::config::SystemConfig;
-use idio_core::net::gen::{BurstSpec, TrafficPattern};
-use idio_core::net::packet::Dscp;
-use idio_core::policy::{PolicySpec, SteeringPolicy};
-use idio_core::pool::PoolSpec;
-use idio_core::stack::nf::{NfChain, NfKind};
+use idio_core::policy::SteeringPolicy;
 use idio_core::sweep::{run_cells, SweepCell, SweepOptions};
 use idio_core::system::System;
 use idio_engine::telemetry::{records_to_ndjson, TraceFilter};
-use idio_engine::time::{Duration, SimTime};
+use idio_scenario::resolve;
 
 struct Args {
-    policy: SteeringPolicy,
-    tenant_policies: Vec<(usize, SteeringPolicy)>,
-    nf: NfKind,
-    pool: Option<PoolSpec>,
-    tenant_pools: Vec<(usize, PoolSpec)>,
-    rate_gbps: f64,
-    bursty: bool,
-    poisson: bool,
+    scenario: String,
     ring: u32,
-    packet: u16,
-    cores: usize,
-    duration_ms: u64,
     antagonist: bool,
-    class1: bool,
     mlc_thr_mtps: Option<f64>,
     seed: u64,
     all_policies: bool,
@@ -50,20 +40,9 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            policy: SteeringPolicy::Idio,
-            tenant_policies: Vec::new(),
-            nf: NfKind::TouchDrop,
-            pool: None,
-            tenant_pools: Vec::new(),
-            rate_gbps: 25.0,
-            bursty: true,
-            poisson: false,
+            scenario: String::new(),
             ring: 1024,
-            packet: 1514,
-            cores: 2,
-            duration_ms: 20,
             antagonist: false,
-            class1: false,
             mlc_thr_mtps: None,
             seed: 0xD10,
             all_policies: false,
@@ -78,27 +57,15 @@ impl Default for Args {
 
 fn usage() {
     println!(
-        "usage: simulate [options]\n\
-         --policy ddio|invalidate|prefetch|static|idio|iat (default idio)\n\
-         --queue-policy <q>=<policy>                     per-queue override of --policy\n\
-                                                         (repeatable; queue q runs <policy>)\n\
-         --nf touchdrop|l2fwd|payload-drop|copy|deepfwd|chain\n\
-                                                         (default touchdrop; chain = the UPF\n\
-                                                         parse>classify>rewrite>forward pipeline)\n\
-         --pool dram|recycle|recycle:<slots>             mbuf pool for every queue (default: the\n\
-                                                         implicit status quo, no pool telemetry)\n\
-         --queue-pool <q>=<pool>                         per-queue override of --pool (repeatable)\n\
-         --rate <gbps>                                   (default 25)\n\
-         --bursty | --steady | --poisson                 (default bursty)\n\
-         --ring <slots>                                  (default 1024)\n\
-         --packet <bytes>                                (default 1514)\n\
-         --cores <n>                                     (default 2)\n\
-         --duration-ms <ms>                              (default 20)\n\
-         --antagonist                                    co-run LLCAntagonist\n\
-         --class1                                        mark flows app class 1\n\
-         --mlc-thr <mtps>                                override mlcTHR\n\
-         --seed <n>                                      PRNG seed\n\
-         --all-policies                                  run every policy and compare\n\
+        "usage: simulate <builtin-or-file.toml> [options]\n\
+         <builtin-or-file.toml>                          a built-in scenario name (see `scenario list`)\n\
+                                                         or a scenario file; its tenants run together\n\
+         --ring <slots>                                  NIC ring depth per queue (default 1024)\n\
+         --antagonist                                    co-run LLCAntagonist on the next free core\n\
+         --mlc-thr <mtps>                                override mlcTHR (positive, finite)\n\
+         --seed <n>                                      PRNG seed (default 0xd10)\n\
+         --all-policies                                  run every policy and compare (the scenario's\n\
+                                                         tenants must set no policy, way_mask or cat)\n\
          --jobs <n>                                      worker threads for --all-policies (0 = all cores)\n\
          --trace <filter>                                dump NDJSON trace to stdout after the report;\n\
                                                          filter is 'all' or components like 'steer,fsm'\n\
@@ -114,70 +81,36 @@ fn usage() {
     );
 }
 
+/// Parses the value of numeric flag `flag`, naming the flag on error.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag} '{v}': {e}"))
+}
+
 fn parse() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match a.as_str() {
-            "--policy" => {
-                let name = val("--policy")?;
-                args.policy = SteeringPolicy::from_name(&name)
-                    .ok_or_else(|| format!("unknown policy '{name}'"))?;
-            }
-            "--queue-policy" => {
-                let spec = val("--queue-policy")?;
-                let (q, name) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--queue-policy expects <q>=<policy>, got '{spec}'"))?;
-                let q: usize = q
-                    .parse()
-                    .map_err(|e| format!("bad queue index '{q}': {e}"))?;
-                let p = SteeringPolicy::from_name(name)
-                    .ok_or_else(|| format!("unknown policy '{name}'"))?;
-                args.tenant_policies.push((q, p));
-            }
-            "--nf" => {
-                args.nf = match val("--nf")?.to_lowercase().as_str() {
-                    "touchdrop" => NfKind::TouchDrop,
-                    "l2fwd" => NfKind::L2Fwd,
-                    "payload-drop" | "payloaddrop" => NfKind::L2FwdPayloadDrop,
-                    "copy" => NfKind::TouchDropCopy,
-                    "deepfwd" => NfKind::DeepFwd,
-                    "chain" => NfKind::Chain(NfChain::upf()),
-                    other => return Err(format!("unknown nf '{other}'")),
+            "--ring" => {
+                args.ring = number("--ring", &val("--ring")?)?;
+                if args.ring == 0 {
+                    return Err("--ring must be positive".into());
                 }
             }
-            "--pool" => args.pool = Some(PoolSpec::from_name(&val("--pool")?)?),
-            "--queue-pool" => {
-                let spec = val("--queue-pool")?;
-                let (q, pool) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--queue-pool expects <q>=<pool>, got '{spec}'"))?;
-                let q: usize = q
-                    .parse()
-                    .map_err(|e| format!("bad queue index '{q}': {e}"))?;
-                args.tenant_pools.push((q, PoolSpec::from_name(pool)?));
-            }
-            "--rate" => args.rate_gbps = val("--rate")?.parse().map_err(|e| format!("{e}"))?,
-            "--bursty" => args.bursty = true,
-            "--steady" => args.bursty = false,
-            "--poisson" => {
-                args.bursty = false;
-                args.poisson = true;
-            }
-            "--ring" => args.ring = val("--ring")?.parse().map_err(|e| format!("{e}"))?,
-            "--packet" => args.packet = val("--packet")?.parse().map_err(|e| format!("{e}"))?,
-            "--cores" => args.cores = val("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--duration-ms" => {
-                args.duration_ms = val("--duration-ms")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--antagonist" => args.antagonist = true,
-            "--class1" => args.class1 = true,
             "--mlc-thr" => {
-                args.mlc_thr_mtps = Some(val("--mlc-thr")?.parse().map_err(|e| format!("{e}"))?)
+                let v = val("--mlc-thr")?;
+                let thr: f64 = number("--mlc-thr", &v)?;
+                if !(thr.is_finite() && thr > 0.0) {
+                    return Err(format!("--mlc-thr must be a positive finite rate, got {v}"));
+                }
+                args.mlc_thr_mtps = Some(thr);
             }
-            "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => args.seed = number("--seed", &val("--seed")?)?,
             "--trace" => args.trace = val("--trace")?.parse()?,
             "--trace-out" => args.trace_out = Some(val("--trace-out")?),
             "--tick-metrics" => args.tick_metrics = true,
@@ -186,7 +119,7 @@ fn parse() -> Result<Args, String> {
                 args.tick_metrics_out = Some(val("--tick-metrics-out")?);
             }
             "--all-policies" => args.all_policies = true,
-            "--jobs" | "-j" => args.jobs = val("--jobs")?.parse().map_err(|e| format!("{e}"))?,
+            "--jobs" | "-j" => args.jobs = number("--jobs", &val("--jobs")?)?,
             "--help" | "-h" => {
                 usage();
                 std::process::exit(0);
@@ -194,38 +127,15 @@ fn parse() -> Result<Args, String> {
             other if other.starts_with("--trace=") => {
                 args.trace = other["--trace=".len()..].parse()?;
             }
-            other => return Err(format!("unknown option '{other}'")),
+            other if other.starts_with('-') => return Err(format!("unknown option '{other}'")),
+            name if args.scenario.is_empty() => args.scenario = name.to_string(),
+            extra => return Err(format!("unexpected argument '{extra}'")),
         }
     }
+    if args.scenario.is_empty() {
+        return Err("no scenario named (pass a built-in name or a .toml file)".into());
+    }
     Ok(args)
-}
-
-/// Builds the traffic pattern, rejecting the flag values that must be
-/// caught before a configuration exists: a rate that is not positive and
-/// finite (the burst construction needs one), an empty core set, and a
-/// burst that does not fit its period. `SystemConfig::validate` owns the
-/// remaining rules, such as the minimum frame size.
-fn traffic(args: &Args) -> Result<TrafficPattern, String> {
-    let (rate_gbps, seed) = (args.rate_gbps, args.seed);
-    if !(rate_gbps.is_finite() && rate_gbps > 0.0) {
-        return Err(format!(
-            "--rate must be a positive finite rate, got {rate_gbps}"
-        ));
-    }
-    if args.cores == 0 {
-        return Err("--cores must be positive".into());
-    }
-    if args.bursty {
-        let period = Duration::from_ms(5);
-        return BurstSpec::try_for_ring(args.ring, args.packet, rate_gbps, period)
-            .map(TrafficPattern::Bursty)
-            .map_err(|e| format!("--ring {} at --rate {rate_gbps} Gbps: {e}", args.ring));
-    }
-    Ok(if args.poisson {
-        TrafficPattern::Poisson { rate_gbps, seed }
-    } else {
-        TrafficPattern::Steady { rate_gbps }
-    })
 }
 
 fn main() -> ExitCode {
@@ -237,6 +147,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+
+    let scenario = match resolve(&args.scenario) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if args.all_policies {
+        if let Some(t) = scenario.tenants.iter().find(|t| t.policy.is_some()) {
+            eprintln!(
+                "error: --all-policies runs every preset on every tenant, but tenant '{}' \
+                 sets its own policy (a policy, way_mask or cat key)",
+                t.name
+            );
+            return ExitCode::FAILURE;
+        }
+    }
 
     // Validate the trace sink *before* the (potentially long) simulation:
     // an unwritable path must fail cleanly up front, not after minutes of
@@ -282,60 +210,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let traffic = match traffic(&args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut cfg = SystemConfig::touchdrop_scenario(args.cores, traffic);
+    let mut cfg = scenario.mixed_config();
     cfg.ring_size = args.ring;
-    cfg.duration = SimTime::from_ms(args.duration_ms);
-    cfg.drain_grace = Duration::from_ms(5);
     cfg.seed = args.seed;
-    for t in &mut cfg.tenants {
-        t.nf = args.nf;
-        t.packet_len = args.packet;
-        t.pool = args.pool;
-        if args.class1 {
-            t.dscp = Dscp::CLASS1_DEFAULT;
-        }
-    }
-    // Every queue is its own one-flow tenant, so the per-queue flags set
-    // tenant `q`.
-    for &(q, pool) in &args.tenant_pools {
-        if q >= cfg.tenants.len() {
-            eprintln!(
-                "error: --queue-pool {q}=... names a nonexistent queue (have {})",
-                cfg.tenants.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        cfg.tenants[q].pool = Some(pool);
-    }
     if let Some(thr) = args.mlc_thr_mtps {
         cfg.idio = cfg.idio.with_mlc_thr_mtps(thr);
     }
     cfg.trace = args.trace.clone();
     cfg.tick_metrics = args.tick_metrics;
-    cfg = cfg.with_policy(args.policy);
-    for &(q, p) in &args.tenant_policies {
-        if q >= cfg.tenants.len() {
-            eprintln!(
-                "error: --queue-policy {q}={} names a nonexistent queue (have {})",
-                p.name(),
-                cfg.tenants.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        cfg.tenants[q].policy = Some(PolicySpec::Preset(p));
-    }
-    if args.all_policies && !args.tenant_policies.is_empty() {
-        eprintln!("error: --queue-policy cannot be combined with --all-policies");
-        return ExitCode::FAILURE;
-    }
     if args.antagonist {
         cfg = cfg.with_antagonist();
     }
@@ -366,52 +248,53 @@ fn main() -> ExitCode {
             progress: false,
             profile_events: false,
         };
+        let outcomes = run_cells(cells, &opts);
+        // Host time goes to stderr so stdout stays a pure function of the
+        // scenario and seed (byte-identical at any --jobs).
         println!(
-            "comparing {} policies on {} worker(s), seed {:#x}:",
-            cells.len(),
-            opts.effective_jobs(),
+            "comparing {} policies, seed {:#x}:",
+            outcomes.len(),
             args.seed
         );
         println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
-            "policy", "mlc_wb", "llc_wb", "dram_wr", "self_inv", "p99_us", "wall"
+            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            "policy", "mlc_wb", "llc_wb", "dram_wr", "self_inv", "p99_us"
         );
-        for (policy, o) in SteeringPolicy::ALL.into_iter().zip(run_cells(cells, &opts)) {
+        let mut walls = Vec::with_capacity(outcomes.len());
+        for (policy, o) in SteeringPolicy::ALL.into_iter().zip(&outcomes) {
             let p99 = o
                 .report
                 .p99()
                 .map(|d| format!("{:.1}", d.as_us_f64()))
                 .unwrap_or_else(|| "-".into());
             println!(
-                "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8.1?}",
+                "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
                 policy.label(),
                 o.report.totals.mlc_wb,
                 o.report.totals.llc_wb,
                 o.report.totals.dram_wr,
                 o.report.totals.self_inval,
                 p99,
-                o.wall,
             );
+            walls.push(format!("{} {:.1?}", policy.label(), o.wall));
         }
+        eprintln!(
+            "[{} policies on {} worker(s): {}]",
+            outcomes.len(),
+            opts.effective_jobs(),
+            walls.join(", ")
+        );
         return ExitCode::SUCCESS;
     }
 
     println!(
-        "simulating: {} x {} {} at {} Gbps ({}), ring {}, {} B packets, {} ms{}",
-        args.cores,
-        args.nf,
-        args.policy,
-        args.rate_gbps,
-        if args.bursty {
-            "bursty"
-        } else if args.poisson {
-            "poisson"
-        } else {
-            "steady"
-        },
+        "simulating: {}: {} tenant(s) on {} core(s), {}, ring {}, {}{}",
+        scenario.name,
+        scenario.tenants.len(),
+        scenario.num_cores(),
+        scenario.policy,
         args.ring,
-        args.packet,
-        args.duration_ms,
+        scenario.duration,
         if args.antagonist {
             ", + antagonist"
         } else {

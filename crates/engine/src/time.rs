@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn constructors_saturate_instead_of_wrapping() {
         // Regression: these used to wrap in release builds (and only
-        // overflow-panic in debug), so a huge --duration-ms could travel
+        // overflow-panic in debug), so a huge duration could travel
         // back in time silently.
         assert_eq!(SimTime::from_ns(u64::MAX), SimTime::MAX);
         assert_eq!(SimTime::from_us(u64::MAX), SimTime::MAX);

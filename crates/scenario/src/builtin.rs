@@ -10,7 +10,7 @@
 use idio_core::net::gen::Arrival;
 
 use crate::spec::Scenario;
-use crate::spec_file::{parse_trace, parse_with_replays};
+use crate::spec_file::{load_path, parse_trace, parse_with_replays};
 
 /// `(name, file source)` pairs for the named files under
 /// `examples/scenarios/`.
@@ -59,6 +59,33 @@ pub fn builtin(name: &str) -> Option<Scenario> {
     let scenario = parse_with_replays(src, &embedded_trace)
         .unwrap_or_else(|e| panic!("built-in scenario file {name}.toml: {e}"));
     Some(scenario)
+}
+
+/// Whether a command-line positional names a scenario file rather than a
+/// built-in: it ends in `.toml` or is an existing file.
+fn is_file(name: &str) -> bool {
+    name.ends_with(".toml") || std::path::Path::new(name).is_file()
+}
+
+/// Resolves a command-line positional to a scenario: a file path is
+/// loaded with [`load_path`], anything else is looked up among the
+/// built-ins.
+///
+/// # Errors
+///
+/// Returns the message to print after `error: `: a file's parse error
+/// rendered as `path:line:col: msg`, or an unknown name with the list of
+/// built-ins.
+pub fn resolve(name: &str) -> Result<Scenario, String> {
+    if is_file(name) {
+        return load_path(name).map_err(|e| e.at_path(name));
+    }
+    builtin(name).ok_or_else(|| {
+        format!(
+            "unknown scenario '{name}' (built-ins: {}; or pass a .toml file)",
+            builtin_names().join(", ")
+        )
+    })
 }
 
 /// Resolves a built-in's `replay` path among the embedded traces.

@@ -54,7 +54,7 @@ pub mod run;
 pub mod spec;
 pub mod spec_file;
 
-pub use builtin::{builtin, builtin_names, builtins};
+pub use builtin::{builtin, builtin_names, builtins, resolve};
 pub use gen::{AppClass, GenSpec, RateDist};
 pub use report::{
     Interference, LatencyStats, PoolAgg, ScenarioReport, ScenarioReportBuilder, SloOutcome,

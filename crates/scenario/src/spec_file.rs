@@ -1865,6 +1865,27 @@ max_drop_rate = 0.25
         ))
         .unwrap_err();
         assert!(e.msg.contains("does not fit"), "{e}");
+        // rates that are not positive and finite, at the rate's value.
+        for (rate, needle) in [
+            ("-5.0", "positive finite rate"),
+            ("0", "positive finite rate"),
+            ("1e999", "positive finite rate"),
+            ("nan", "invalid number 'nan'"),
+        ] {
+            let src = tenant(&format!("traffic = \"steady\"\nrate_gbps = {rate}\n"));
+            let e = parse_str(&src).unwrap_err();
+            assert_eq!((e.line, e.col), (10, 13), "{e}");
+            assert!(e.msg.contains(needle), "{rate}: {e}");
+        }
+        // a frame below the Ethernet minimum, and a tenant without cores.
+        let steady = "traffic = \"steady\"\nrate_gbps = 1.0\n";
+        let e =
+            parse_str(&tenant(steady).replace("packet_len = 256", "packet_len = 10")).unwrap_err();
+        assert_eq!((e.line, e.col), (8, 14), "{e}");
+        assert!(e.msg.contains("below the Ethernet minimum"), "{e}");
+        let e = parse_str(&tenant(steady).replace("cores = [0]", "cores = []")).unwrap_err();
+        assert_eq!((e.line, e.col), (5, 9), "{e}");
+        assert!(e.msg.contains("at least one core"), "{e}");
         // replay needs a file context under parse_str.
         let e = parse_str(&tenant(
             "traffic = \"steady\"\nrate_gbps = 1.0\nreplay = \"t.trace\"\n",
