@@ -12,6 +12,7 @@
 //! worker threads; per-cell seeds are derived from the cell labels, so the
 //! output is byte-identical for every `--jobs` value.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use idio_bench::json::{cell_metrics_line, figure_to_json, suite_timing_to_json};
@@ -20,6 +21,10 @@ use idio_core::experiments::Scale;
 use idio_core::sweep::{run_figures_detailed, SweepOptions};
 
 fn main() -> ExitCode {
+    run(&mut io::stdout().lock()).unwrap_or_else(idio_bench::stdout_failed)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let mut scale = Scale::full();
     let mut print_series = false;
     let mut as_json = false;
@@ -45,23 +50,24 @@ fn main() -> ExitCode {
                 Some(Ok(n)) => opts.jobs = n,
                 _ => {
                     eprintln!("error: --jobs needs a number (0 = all cores)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--seed" => match args.next().map(|v| v.parse::<u64>()) {
                 Some(Ok(s)) => opts.root_seed = s,
                 _ => {
                     eprintln!("error: --seed needs an integer");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--help" | "-h" => {
-                println!(
+                writeln!(
+                    out,
                     "usage: repro [--quick] [--series] [--json] [--metrics] [--timings] \
                      [--progress] [--jobs N] [--seed S] [experiment...]"
-                );
-                println!("experiments: {}", EXPERIMENTS.join(" "));
-                return ExitCode::SUCCESS;
+                )?;
+                writeln!(out, "experiments: {}", EXPERIMENTS.join(" "))?;
+                return Ok(ExitCode::SUCCESS);
             }
             other => names.push(other.to_string()),
         }
@@ -77,7 +83,7 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!("known experiments: {}", EXPERIMENTS.join(" "));
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -87,23 +93,21 @@ fn main() -> ExitCode {
 
     for figure in &figures {
         if as_json {
-            println!("{}", figure_to_json(figure));
+            writeln!(out, "{}", figure_to_json(figure))?;
             continue;
         }
-        println!("{figure}");
+        writeln!(out, "{figure}")?;
         if print_series {
             for (label, series) in &figure.series {
-                println!("-- series {label} ({} samples)", series.len());
+                writeln!(out, "-- series {label} ({} samples)", series.len())?;
                 for s in series.samples() {
                     if s.value != 0.0 {
-                        println!("{:.1}us {:.2}", s.at.as_us_f64(), s.value);
+                        writeln!(out, "{:.1}us {:.2}", s.at.as_us_f64(), s.value)?;
                     }
                 }
             }
         }
-        if !as_json {
-            println!();
-        }
+        writeln!(out)?;
     }
 
     if metrics {
@@ -111,7 +115,7 @@ fn main() -> ExitCode {
         // Deterministic (byte-identical across --jobs values), so it
         // belongs on stdout with the figures.
         for cell in &suite.cells {
-            println!("{}", cell_metrics_line(cell));
+            writeln!(out, "{}", cell_metrics_line(cell))?;
         }
     }
 
@@ -132,5 +136,5 @@ fn main() -> ExitCode {
             cpu.as_secs_f64() / timing.wall.as_secs_f64().max(1e-9),
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

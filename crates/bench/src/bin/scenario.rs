@@ -16,6 +16,7 @@
 //! stable labels), so the output can be diffed against the golden copies
 //! under `tests/golden/scenario_<name>.json`.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use idio_core::sweep::{SweepOptions, DEFAULT_ROOT_SEED};
@@ -103,48 +104,53 @@ fn parse() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    run(&mut io::stdout().lock()).unwrap_or_else(idio_bench::stdout_failed)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let args = match parse() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
             usage();
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     if matches!(args.command, Command::List) {
         for sc in builtins() {
-            println!("{:<16} {}", sc.name, sc.description);
+            writeln!(out, "{:<16} {}", sc.name, sc.description)?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let Some(name) = args.name else {
         eprintln!("error: no scenario named\n");
         usage();
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let scenario = match resolve(&name) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     if matches!(args.command, Command::Check) {
         if let Err(e) = scenario.validate() {
             eprintln!("error: {name}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!(
+        writeln!(
+            out,
             "ok: {}: {} tenants, {} cells, {} cores",
             scenario.name,
             scenario.tenants.len(),
             scenario.tenants.len() + 1,
             scenario.num_cores()
-        );
-        return ExitCode::SUCCESS;
+        )?;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let opts = SweepOptions {
@@ -157,7 +163,7 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let rendered = format!("{}\n", report.to_json());
@@ -165,10 +171,10 @@ fn main() -> ExitCode {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &rendered) {
                 eprintln!("error: cannot write report to '{path}': {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     // SLO gate: a scenario whose tenants declared objectives fails the
     // invocation (after the report is written) when any bound is violated,
@@ -179,7 +185,7 @@ fn main() -> ExitCode {
         for v in &violations {
             eprintln!("  {v}");
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -15,6 +15,7 @@
 //! tick-metrics timeline; `--all-policies` instead runs the scenario under
 //! every preset and prints one comparison row per policy.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use idio_core::policy::SteeringPolicy;
@@ -139,12 +140,16 @@ fn parse() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    run(&mut io::stdout().lock()).unwrap_or_else(idio_bench::stdout_failed)
+}
+
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let args = match parse() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
             usage();
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -152,7 +157,7 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if args.all_policies {
@@ -162,7 +167,7 @@ fn main() -> ExitCode {
                  sets its own policy (a policy, way_mask or cat key)",
                 t.name
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
@@ -173,17 +178,17 @@ fn main() -> ExitCode {
         Some(path) => {
             if args.trace.is_off() {
                 eprintln!("error: --trace-out requires --trace");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             if args.all_policies {
                 eprintln!("error: --trace-out cannot be combined with --all-policies");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             match std::fs::File::create(path) {
                 Ok(f) => Some((path.clone(), f)),
                 Err(e) => {
                     eprintln!("error: cannot create trace file '{path}': {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -193,13 +198,13 @@ fn main() -> ExitCode {
         Some(path) => {
             if args.all_policies {
                 eprintln!("error: --tick-metrics-out cannot be combined with --all-policies");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             match std::fs::File::create(path) {
                 Ok(f) => Some((path.clone(), f)),
                 Err(e) => {
                     eprintln!("error: cannot create tick-metrics file '{path}': {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -207,7 +212,7 @@ fn main() -> ExitCode {
     };
     if args.tick_metrics && args.all_policies {
         eprintln!("error: --tick-metrics cannot be combined with --all-policies");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let mut cfg = scenario.mixed_config();
@@ -227,7 +232,7 @@ fn main() -> ExitCode {
         Ok(system) => system,
         Err(e) => {
             eprintln!("error: invalid configuration: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -251,15 +256,17 @@ fn main() -> ExitCode {
         let outcomes = run_cells(cells, &opts);
         // Host time goes to stderr so stdout stays a pure function of the
         // scenario and seed (byte-identical at any --jobs).
-        println!(
+        writeln!(
+            out,
             "comparing {} policies, seed {:#x}:",
             outcomes.len(),
             args.seed
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "policy", "mlc_wb", "llc_wb", "dram_wr", "self_inv", "p99_us"
-        );
+        )?;
         let mut walls = Vec::with_capacity(outcomes.len());
         for (policy, o) in SteeringPolicy::ALL.into_iter().zip(&outcomes) {
             let p99 = o
@@ -267,7 +274,8 @@ fn main() -> ExitCode {
                 .p99()
                 .map(|d| format!("{:.1}", d.as_us_f64()))
                 .unwrap_or_else(|| "-".into());
-            println!(
+            writeln!(
+                out,
                 "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
                 policy.label(),
                 o.report.totals.mlc_wb,
@@ -275,7 +283,7 @@ fn main() -> ExitCode {
                 o.report.totals.dram_wr,
                 o.report.totals.self_inval,
                 p99,
-            );
+            )?;
             walls.push(format!("{} {:.1?}", policy.label(), o.wall));
         }
         eprintln!(
@@ -284,10 +292,11 @@ fn main() -> ExitCode {
             opts.effective_jobs(),
             walls.join(", ")
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    println!(
+    writeln!(
+        out,
         "simulating: {}: {} tenant(s) on {} core(s), {}, ring {}, {}{}",
         scenario.name,
         scenario.tenants.len(),
@@ -300,13 +309,14 @@ fn main() -> ExitCode {
         } else {
             ""
         },
-    );
+    )?;
     let report = system.run();
-    print!("{report}");
+    write!(out, "{report}")?;
     if !report.bursts.is_empty() {
-        println!("bursts:");
+        writeln!(out, "bursts:")?;
         for b in report.bursts.iter().take(8) {
-            println!(
+            writeln!(
+                out,
                 "  #{:<3} dma {:>10} .. {:>10}  exec_end {:>10}  exe {}  pkts {}",
                 b.index,
                 format!("{}", b.first_dma),
@@ -314,16 +324,17 @@ fn main() -> ExitCode {
                 format!("{}", b.exec_end),
                 b.exe_time(),
                 b.packets
-            );
+            )?;
         }
     }
     let share = &report.timelines.dma_llc_share;
     if !share.is_empty() {
-        println!(
+        writeln!(
+            out,
             "dma share of LLC capacity: mean {:.3}, max {:.3}",
             share.mean(),
             share.max_value()
-        );
+        )?;
     }
     if !args.trace.is_off() {
         // NDJSON trace dump: deterministic, so it goes to stdout (or the
@@ -338,14 +349,13 @@ fn main() -> ExitCode {
         let ndjson = records_to_ndjson(&report.trace);
         match &mut trace_sink {
             Some((path, f)) => {
-                use std::io::Write;
                 if let Err(e) = f.write_all(ndjson.as_bytes()) {
                     eprintln!("error: cannot write trace to '{path}': {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 eprintln!("[trace written to {path}]");
             }
-            None => print!("{ndjson}"),
+            None => write!(out, "{ndjson}")?,
         }
     }
     if args.tick_metrics {
@@ -362,15 +372,14 @@ fn main() -> ExitCode {
         }
         match &mut tick_sink {
             Some((path, f)) => {
-                use std::io::Write;
                 if let Err(e) = f.write_all(ndjson.as_bytes()) {
                     eprintln!("error: cannot write tick metrics to '{path}': {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 eprintln!("[tick metrics written to {path}]");
             }
-            None => print!("{ndjson}"),
+            None => write!(out, "{ndjson}")?,
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -20,6 +20,9 @@
 
 pub mod json;
 
+use std::io;
+use std::process::ExitCode;
+
 use idio_core::experiments::{self, Scale};
 use idio_core::sweep::FigureSpec;
 
@@ -41,6 +44,17 @@ pub const EXPERIMENTS: [&str; experiments::SUITE.len()] = {
 /// Returns the unknown name back to the caller.
 pub fn experiment_spec(name: &str, scale: Scale) -> Result<FigureSpec, String> {
     experiments::spec_by_name(name, scale).ok_or_else(|| format!("unknown experiment '{name}'"))
+}
+
+/// How a CLI ends when writing its stdout failed: a closed pipe (the
+/// reader quit early, as `| head` does) stops the run quietly with
+/// success; any other error fails it with a message.
+pub fn stdout_failed(err: io::Error) -> ExitCode {
+    if err.kind() == io::ErrorKind::BrokenPipe {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("error: cannot write to stdout: {err}");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]

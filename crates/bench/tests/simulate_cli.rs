@@ -2,8 +2,9 @@
 //! bad scenario files and bad flag values. Every rejected input ends in an
 //! `error:` line and exit code 1, never in a panic (exit code 101).
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repo_root() -> PathBuf {
     // crates/bench → crates → repo root.
@@ -121,4 +122,31 @@ fn all_policies_rejects_a_tenant_policy_override() {
         stderr.starts_with("error: --all-policies") && stderr.contains("'workload1'"),
         "{stderr}"
     );
+}
+
+/// A reader that quits early (`simulate … --tick-metrics | head -1`) ends
+/// the run with exit code 0 and no panic. The tick-metrics timeline
+/// (about 6000 lines) outgrows a pipe's buffer, so the writes after the
+/// reader left fail with a broken pipe.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args([DEFAULT, "--tick-metrics"])
+        .current_dir(repo_root())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("simulate binary starts");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    assert!(first.starts_with("simulating:"), "{first}");
+    drop(stdout);
+    let mut stderr = String::new();
+    (child.stderr.take().expect("piped stderr"))
+        .read_to_string(&mut stderr)
+        .expect("stderr is UTF-8");
+    let status = child.wait().expect("simulate exits");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -6,7 +6,7 @@ use idio_cache::hierarchy::InvalidateScope;
 use idio_engine::telemetry::TraceFilter;
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::DramConfig;
-use idio_net::gen::{Arrival, TrafficPattern};
+use idio_net::gen::{Arrival, TrafficPattern, MAX_FLOW_SET_FLOWS};
 use idio_net::packet::{Dscp, MIN_FRAME_BYTES};
 use idio_nic::classifier::ClassifierConfig;
 use idio_nic::dma::DmaConfig;
@@ -54,6 +54,48 @@ impl SloSpec {
     /// Whether any bound is actually set.
     pub fn is_bounded(&self) -> bool {
         self.max_p99_ns.is_some() || self.max_drop_rate.is_some()
+    }
+}
+
+/// The largest Flow Director perfect-filter table a configuration may ask
+/// for (1M entries, 128x the hardware's ~8K).
+const MAX_PERFECT_FILTERS: usize = 1 << 20;
+
+/// A value rule that a configuration field breaks, named by its
+/// scenario-file key so a parser can point at the offending value. Time
+/// keys use their base name (`churn`, not `churn_us`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The scenario-file key at fault.
+    pub key: &'static str,
+    /// What is wrong with its value.
+    pub msg: String,
+}
+
+impl FieldError {
+    /// An error about `key`.
+    pub fn new(key: &'static str, msg: impl Into<String>) -> Self {
+        FieldError {
+            key,
+            msg: msg.into(),
+        }
+    }
+}
+
+/// The one rate rule: `rate` (the value of `key`) must be positive and
+/// finite.
+///
+/// # Errors
+///
+/// Returns a [`FieldError`] on `key` otherwise.
+pub fn positive_rate(key: &'static str, rate: f64) -> Result<f64, FieldError> {
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(FieldError::new(
+            key,
+            format!("{key} must be a positive finite rate, got {rate}"),
+        ))
     }
 }
 
@@ -198,6 +240,86 @@ impl TenantSpec {
     pub fn with_slo(mut self, slo: SloSpec) -> Self {
         self.slo = Some(slo);
         self
+    }
+
+    /// Checks the rules on this tenant's own values, CAT masks against
+    /// the hierarchy `h` it runs on (the DDIO ways stay reserved for
+    /// inbound DMA). Rules about how tenants share the machine are
+    /// [`SystemConfig::validate`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule.
+    pub fn check(&self, h: &HierarchyConfig) -> Result<(), FieldError> {
+        let fail = |key, msg: String| Err(FieldError::new(key, msg));
+        if self.name.is_empty() {
+            return fail("name", "name must not be empty".into());
+        }
+        if self.cores.is_empty() {
+            return fail("cores", "cores must list at least one core".into());
+        }
+        if self.flows == 0 {
+            return fail("flows", "flows must be positive".into());
+        }
+        let (flows, len) = (self.flows, self.packet_len);
+        if flows > MAX_FLOW_SET_FLOWS {
+            let msg = format!("flows {flows} out of range (0..={MAX_FLOW_SET_FLOWS})");
+            return fail("flows", msg);
+        }
+        if self.churn == Some(Duration::ZERO) {
+            return fail("churn", "churn must be positive".into());
+        }
+        if self.train == 0 {
+            return fail("train", "train must be positive".into());
+        }
+        if len < MIN_FRAME_BYTES {
+            let msg = format!("packet_len {len} below the Ethernet minimum ({MIN_FRAME_BYTES})");
+            return fail("packet_len", msg);
+        }
+        match self.traffic {
+            TrafficPattern::Steady { rate_gbps } | TrafficPattern::Poisson { rate_gbps, .. } => {
+                positive_rate("rate_gbps", rate_gbps)?;
+            }
+            TrafficPattern::Bursty(b) => {
+                if b.packets_per_burst == 0 {
+                    return fail("burst_packets", "burst_packets must be positive".into());
+                }
+                if b.period == Duration::ZERO {
+                    return fail("burst_period", "burst_period must be positive".into());
+                }
+                // The fit `BurstSpec::for_ring` asserts.
+                let packets = u64::from(b.packets_per_burst);
+                let span = Duration::from_ps(b.intra_gap.as_ps().saturating_mul(packets));
+                let period = b.period;
+                if span >= period {
+                    let msg = format!("burst of {span} does not fit in period {period}");
+                    return fail("burst_packets", msg);
+                }
+            }
+        }
+        if let Some(CatMode::Static(m)) = self.policy.map(|p| p.caps().cat) {
+            if m.is_empty() {
+                return fail("way_mask", "way mask selects no way".into());
+            }
+            let (ways, ddio) = (h.llc.ways, h.ddio_ways);
+            if m.intersect(WayMask::all(ways)) != m {
+                let msg = format!("way mask {m} wider than the {ways}-way LLC");
+                return fail("way_mask", msg);
+            }
+            if !m.intersect(h.ddio_mask()).is_empty() {
+                let msg = format!("way mask {m} overlaps the {ddio} DDIO ways (ways 0..{ddio})");
+                return fail("way_mask", msg);
+            }
+        }
+        if let Some(PoolSpec::Recycle { slots: Some(0) }) = self.pool {
+            return fail("pool", "recycle pool needs at least one slot".into());
+        }
+        if let Some(arrivals) = &self.replay {
+            if arrivals.windows(2).any(|w| w[0].at > w[1].at) {
+                return fail("replay", "replay is not time-ordered".into());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -413,29 +535,56 @@ impl SystemConfig {
         h
     }
 
-    /// Validates cross-cutting constraints.
+    /// Checks the rules on single values: each tenant's
+    /// [`TenantSpec::check`] and the system-wide fields'.
     ///
     /// # Errors
     ///
-    /// Returns a message when a tenant owns no core, a core is owned
-    /// twice or collides with the antagonist, or a nested config is
-    /// invalid.
+    /// Returns the first broken rule, with the index of the tenant it is
+    /// about (`None` for a system-wide field).
+    pub fn check_values(&self) -> Result<(), (Option<usize>, FieldError)> {
+        for (i, t) in self.tenants.iter().enumerate() {
+            t.check(&self.hierarchy).map_err(|e| (Some(i), e))?;
+        }
+        let fail = |key, msg: String| Err((None, FieldError::new(key, msg)));
+        let filters = self.perfect_filter_entries;
+        if filters == 0 {
+            return fail("perfect_filters", "perfect_filters must be positive".into());
+        }
+        if filters > MAX_PERFECT_FILTERS {
+            let msg = format!("perfect_filters {filters} out of range (0..={MAX_PERFECT_FILTERS})");
+            return fail("perfect_filters", msg);
+        }
+        if self.atr_lifetime == Some(Duration::ZERO) {
+            return fail("atr_lifetime", "atr_lifetime must be positive".into());
+        }
+        if self.pool_idle_flush == Some(Duration::ZERO) {
+            return fail("pool_idle_flush", "pool_idle_flush must be positive".into());
+        }
+        Ok(())
+    }
+
+    /// Validates the configuration: [`SystemConfig::check_values`], then
+    /// the rules about how tenants share the machine (core ownership,
+    /// unique names, disjoint flow ports, the wide-set cap) and the
+    /// nested ring, hierarchy, DRAM, DMA, PMD and sampling configs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first violated constraint; a
+    /// tenant's value error reads `tenant '<name>': <msg>`.
     pub fn validate(&self) -> Result<(), String> {
+        self.check_values().map_err(|(tenant, e)| match tenant {
+            Some(i) => format!("tenant '{}': {}", self.tenants[i].name, e.msg),
+            None => e.msg,
+        })?;
         if self.tenants.is_empty() && self.antagonist.is_none() {
             return Err("no workload configured".into());
         }
         let mut seen = std::collections::HashSet::new();
-        for t in &self.tenants {
-            if t.cores.is_empty() {
-                return Err(format!("tenant '{}' owns no cores", t.name));
-            }
-            for &c in &t.cores {
-                if !seen.insert(c) {
-                    return Err(format!("core {c} is owned by two tenants"));
-                }
-            }
-            if let Some(PoolSpec::Recycle { slots: Some(0) }) = t.pool {
-                return Err(format!("tenant '{}': recycle pool with zero slots", t.name));
+        for &c in self.tenants.iter().flat_map(|t| &t.cores) {
+            if !seen.insert(c) {
+                return Err(format!("core {c} is owned by two tenants"));
             }
         }
         if let Some(a) = self.antagonist {
@@ -447,50 +596,7 @@ impl SystemConfig {
             return Err("ring size must be positive".into());
         }
         self.validate_tenants()?;
-        // The scenario-file rules for every generated source (a replay
-        // brings its own arrivals): an Ethernet-sized frame and a
-        // positive, finite rate.
-        for t in self.tenants.iter().filter(|t| t.replay.is_none()) {
-            if t.packet_len < MIN_FRAME_BYTES {
-                return Err(format!(
-                    "tenant '{}': packet_len {} below the Ethernet minimum ({MIN_FRAME_BYTES})",
-                    t.name, t.packet_len
-                ));
-            }
-            if let TrafficPattern::Steady { rate_gbps }
-            | TrafficPattern::Poisson { rate_gbps, .. } = t.traffic
-            {
-                if !(rate_gbps.is_finite() && rate_gbps > 0.0) {
-                    return Err(format!(
-                        "tenant '{}': rate must be positive and finite, got {rate_gbps}",
-                        t.name
-                    ));
-                }
-            }
-        }
-        let h = self.effective_hierarchy();
-        h.validate()?;
-        // Static CAT way masks must fit the LLC and stay clear of the
-        // DDIO partition (which remains reserved for inbound DMA).
-        for (d, caps) in self.policy_table().domain_caps().iter().enumerate() {
-            if let CatMode::Static(m) = caps.cat {
-                if m.is_empty() {
-                    return Err(format!("policy domain {d}: CAT way mask selects no way"));
-                }
-                if m.intersect(WayMask::all(h.llc.ways)) != m {
-                    return Err(format!(
-                        "policy domain {d}: CAT way mask {m} wider than the {}-way LLC",
-                        h.llc.ways
-                    ));
-                }
-                if !m.intersect(h.ddio_mask()).is_empty() {
-                    return Err(format!(
-                        "policy domain {d}: CAT way mask {m} overlaps the {} DDIO ways",
-                        h.ddio_ways
-                    ));
-                }
-            }
-        }
+        self.effective_hierarchy().validate()?;
         self.dram.validate()?;
         self.dma.validate()?;
         self.pmd.validate()?;
@@ -508,64 +614,41 @@ impl SystemConfig {
         t.churn.is_some() || u32::from(t.base_port) + t.flows > 65536
     }
 
-    /// Per-tenant invariants: names are unique, flow
-    /// counts fit the streaming `FlowSet`, and *narrow* tenants' synthetic
-    /// flow port ranges do not collide (colliding ranges would make two
-    /// tenants share a five-tuple and merge at the flow director). Wide
-    /// tenants embed their tenant index in the source address and cannot
-    /// alias anything.
+    /// How tenants share flow identities: names are unique, and
+    /// *narrow* tenants' synthetic flow port ranges do not collide
+    /// (colliding ranges would make two tenants share a five-tuple and
+    /// merge at the flow director). Wide tenants embed their tenant index
+    /// in the source address and cannot alias anything, but only the
+    /// first 240 may be wide.
     fn validate_tenants(&self) -> Result<(), String> {
         let mut names = std::collections::HashSet::new();
         let mut port_ranges: Vec<(String, u32, u32)> = Vec::new();
         for (ti, t) in self.tenants.iter().enumerate() {
-            if t.name.is_empty() {
-                return Err("tenant with empty name".into());
-            }
             if !names.insert(t.name.as_str()) {
                 return Err(format!("duplicate tenant name '{}'", t.name));
             }
-            if t.train == 0 {
-                return Err(format!("tenant '{}' has a zero-packet train", t.name));
+            if t.replay.is_some() {
+                continue;
             }
-            if t.churn == Some(Duration::ZERO) {
-                return Err(format!("tenant '{}' has a zero flow lifetime", t.name));
-            }
-            if let Some(arrivals) = &t.replay {
-                if arrivals.windows(2).any(|w| w[0].at > w[1].at) {
-                    return Err(format!("tenant '{}' replay is not time-ordered", t.name));
-                }
-            } else {
-                if t.flows == 0 {
-                    return Err(format!("tenant '{}' has zero flows", t.name));
-                }
-                if t.flows > idio_net::MAX_FLOW_SET_FLOWS {
+            if Self::tenant_is_wide(t) {
+                if ti > usize::from(idio_net::MAX_FLOW_SET_TAG) {
                     return Err(format!(
-                        "tenant '{}' has {} flows; the streaming flow set caps at {}",
+                        "tenant '{}': at most {} tenants may use wide flow sets",
                         t.name,
-                        t.flows,
-                        idio_net::MAX_FLOW_SET_FLOWS
+                        usize::from(idio_net::MAX_FLOW_SET_TAG) + 1
                     ));
                 }
-                if Self::tenant_is_wide(t) {
-                    if ti > usize::from(idio_net::MAX_FLOW_SET_TAG) {
+            } else {
+                let end = u32::from(t.base_port) + t.flows;
+                for (other, lo, hi) in &port_ranges {
+                    if u32::from(t.base_port) < *hi && *lo < end {
                         return Err(format!(
-                            "tenant '{}': at most {} tenants may use wide flow sets",
-                            t.name,
-                            usize::from(idio_net::MAX_FLOW_SET_TAG) + 1
+                            "tenants '{}' and '{other}' have overlapping flow ports",
+                            t.name
                         ));
                     }
-                } else {
-                    let end = u32::from(t.base_port) + t.flows;
-                    for (other, lo, hi) in &port_ranges {
-                        if u32::from(t.base_port) < *hi && *lo < end {
-                            return Err(format!(
-                                "tenants '{}' and '{other}' have overlapping flow ports",
-                                t.name
-                            ));
-                        }
-                    }
-                    port_ranges.push((t.name.clone(), u32::from(t.base_port), end));
                 }
+                port_ranges.push((t.name.clone(), u32::from(t.base_port), end));
             }
         }
         Ok(())
@@ -719,7 +802,10 @@ mod tests {
             let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
             cfg.tenants[0].traffic = TrafficPattern::Poisson { rate_gbps, seed: 1 };
             let err = cfg.validate().unwrap_err();
-            assert!(err.contains("'workload0': rate must be positive"), "{err}");
+            assert!(
+                err.contains("'workload0': rate_gbps must be a positive finite rate"),
+                "{err}"
+            );
         }
         // A multi-core tenant is checked once, under its own name.
         let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
@@ -727,7 +813,10 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.tenants[0].traffic = TrafficPattern::Steady { rate_gbps: 0.0 };
         let err = cfg.validate().unwrap_err();
-        assert!(err.contains("'a': rate must be positive"), "{err}");
+        assert!(
+            err.contains("'a': rate_gbps must be a positive finite rate"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -780,5 +869,26 @@ mod tests {
             },
         ]);
         reject(vec![unordered], "unordered replay");
+    }
+
+    #[test]
+    fn value_errors_name_their_key_and_tenant() {
+        let mut churn = tenant("a", vec![0], 5000);
+        churn.churn = Some(Duration::ZERO);
+        let h = HierarchyConfig::paper_default(1);
+        assert_eq!(churn.check(&h).unwrap_err().key, "churn");
+        // Replay tenants keep the flow, frame and rate rules.
+        let mut cfg = SystemConfig::touchdrop_scenario(2, bursty());
+        cfg.tenants[1].replay = Some(Vec::new());
+        cfg.tenants[1].flows = 0;
+        let flows = FieldError::new("flows", "flows must be positive");
+        assert_eq!(cfg.check_values(), Err((Some(1), flows)));
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, "tenant 'workload1': flows must be positive");
+        // System-wide fields carry no tenant index.
+        let mut cfg = SystemConfig::touchdrop_scenario(1, bursty());
+        cfg.atr_lifetime = Some(Duration::ZERO);
+        assert_eq!(cfg.check_values().unwrap_err().0, None);
+        assert_eq!(cfg.validate().unwrap_err(), "atr_lifetime must be positive");
     }
 }

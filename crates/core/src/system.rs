@@ -1926,6 +1926,41 @@ mod tests {
         cfg.ring_size = 0;
         let err = System::try_new(cfg).err();
         assert_eq!(err.as_deref(), Some("ring size must be positive"));
+        // Configs that used to panic inside `System::new` (an empty
+        // perfect-filter table, a zero burst period) or run without
+        // complaint (an empty burst, a burst longer than its period).
+        let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
+        cfg.perfect_filter_entries = 0;
+        let err = System::try_new(cfg).err();
+        assert_eq!(err.as_deref(), Some("perfect_filters must be positive"));
+        let burst = |period_us: u64, packets: u32, gap_ns: u64| {
+            let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
+            cfg.tenants[0].traffic = TrafficPattern::Bursty(idio_net::gen::BurstSpec {
+                period: Duration::from_us(period_us),
+                packets_per_burst: packets,
+                intra_gap: Duration::from_ns(gap_ns),
+            });
+            System::try_new(cfg).err()
+        };
+        let err = burst(0, 16, 100);
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("burst_period must be positive")),
+            "{err:?}"
+        );
+        let err = burst(10, 0, 100);
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("burst_packets must be positive")),
+            "{err:?}"
+        );
+        let err = burst(10, 200, 100);
+        assert!(
+            err.as_deref()
+                .is_some_and(|e| e.contains("does not fit in period")),
+            "{err:?}"
+        );
+        assert!(burst(10, 16, 100).is_none(), "a burst that fits builds");
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   construction, so the expanded scenario passes
 //!   [`Scenario::validate`] whenever the resource spaces fit.
 
-use idio_core::net::gen::TrafficPattern;
+use idio_core::config::{positive_rate, FieldError};
+use idio_core::net::gen::{TrafficPattern, MAX_FLOW_SET_FLOWS};
 use idio_core::net::packet::Dscp;
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, PrefetchMode, SteeringPolicy};
 use idio_core::pool::PoolSpec;
@@ -124,6 +125,9 @@ const SLO_MIN_RATE_GBPS: f64 = 0.5;
 /// has a positive, finite rate even deep in the Zipf tail.
 const MIN_RATE_GBPS: f64 = 0.02;
 
+/// The most tenants one `[generate]` table may synthesize.
+const MAX_GEN_TENANTS: usize = 4096;
+
 /// A compact generator spec — the `[generate]` table of a scenario file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenSpec {
@@ -180,6 +184,54 @@ impl GenSpec {
         }
     }
 
+    /// Checks the rules on the spec's own values.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule, named by its `[generate]` key.
+    pub fn check(&self) -> Result<(), FieldError> {
+        let fail = |key, msg: String| Err(FieldError::new(key, msg));
+        let (tenants, flows, frac) = (self.tenants, self.flows_per_tenant, self.attacker_frac);
+        if tenants == 0 {
+            return fail("tenants", "tenants must be positive".into());
+        }
+        if tenants > MAX_GEN_TENANTS {
+            let msg = format!("tenants {tenants} out of range (0..={MAX_GEN_TENANTS})");
+            return fail("tenants", msg);
+        }
+        if self.cores_per_tenant == 0 {
+            return fail(
+                "cores_per_tenant",
+                "cores_per_tenant must be positive".into(),
+            );
+        }
+        if flows == 0 {
+            return fail(
+                "flows_per_tenant",
+                "flows_per_tenant must be positive".into(),
+            );
+        }
+        if flows > MAX_FLOW_SET_FLOWS {
+            let msg = format!("flows_per_tenant {flows} out of range (0..={MAX_FLOW_SET_FLOWS})");
+            return fail("flows_per_tenant", msg);
+        }
+        positive_rate("total_rate_gbps", self.total_rate_gbps)?;
+        if let RateDist::Zipf { s } = self.rate_dist {
+            if !(s.is_finite() && s > 0.0) {
+                let msg = format!("zipf_s must be a positive finite exponent, got {s}");
+                return fail("zipf_s", msg);
+            }
+        }
+        if self.app_classes.is_empty() {
+            return fail("app_classes", "app_classes must not be empty".into());
+        }
+        if !(0.0..=1.0).contains(&frac) {
+            let msg = format!("attacker_frac {frac} out of range (0.0..=1.0)");
+            return fail("attacker_frac", msg);
+        }
+        Ok(())
+    }
+
     /// Expands the spec into `header`'s tenant list (which must be empty:
     /// a scenario is either written out or generated, never both).
     ///
@@ -189,8 +241,8 @@ impl GenSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message when the tenants do not fit the core or port
-    /// space, or the spec is degenerate (zero tenants, no app classes).
+    /// Returns a message when [`GenSpec::check`] fails or the tenants do
+    /// not fit the core or port space.
     pub fn expand(&self, header: Scenario) -> Result<Scenario, String> {
         if !header.tenants.is_empty() {
             return Err(format!(
@@ -199,18 +251,7 @@ impl GenSpec {
                 header.tenants.len()
             ));
         }
-        if self.tenants == 0 {
-            return Err("generator spec with zero tenants".into());
-        }
-        if self.app_classes.is_empty() {
-            return Err("generator spec with no app classes".into());
-        }
-        if self.cores_per_tenant == 0 || self.flows_per_tenant == 0 {
-            return Err("cores_per_tenant and flows_per_tenant must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.attacker_frac) {
-            return Err(format!("attacker_frac {} out of range", self.attacker_frac));
-        }
+        self.check().map_err(|e| e.msg)?;
         let n = self.tenants;
         if n.saturating_mul(self.cores_per_tenant as usize) > u16::MAX as usize + 1 {
             return Err(format!(
@@ -588,15 +629,49 @@ mod tests {
 
     #[test]
     fn resource_exhaustion_is_an_error() {
-        let mut spec = GenSpec::new(9000);
-        spec.flows_per_tenant = 8;
+        // At most 4096 tenants, so the spaces overflow through the
+        // per-tenant counts.
+        let mut spec = GenSpec::new(4096);
+        spec.flows_per_tenant = 16;
         let err = spec.expand(header("big")).unwrap_err();
         assert!(err.contains("port space"), "{err}");
-        let mut spec = GenSpec::new(40_000);
-        spec.cores_per_tenant = 2;
+        let mut spec = GenSpec::new(4096);
+        spec.cores_per_tenant = 17;
         spec.flows_per_tenant = 1;
         let err = spec.expand(header("big")).unwrap_err();
         assert!(err.contains("core space"), "{err}");
+        for (tenants, cores) in [(9000, 1), (40_000, 2)] {
+            let mut spec = GenSpec::new(tenants);
+            spec.cores_per_tenant = cores;
+            let err = spec.expand(header("big")).unwrap_err();
+            assert!(err.contains("out of range (0..=4096)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn check_names_the_key_at_fault() {
+        let key = |edit: fn(&mut GenSpec)| {
+            let mut spec = GenSpec::new(4);
+            edit(&mut spec);
+            spec.check().err().map(|e| e.key)
+        };
+        assert_eq!(key(|_| {}), None);
+        assert_eq!(key(|s| s.tenants = 0), Some("tenants"));
+        assert_eq!(key(|s| s.cores_per_tenant = 0), Some("cores_per_tenant"));
+        assert_eq!(
+            key(|s| s.flows_per_tenant = 1 << 25),
+            Some("flows_per_tenant")
+        );
+        assert_eq!(
+            key(|s| s.total_rate_gbps = f64::NAN),
+            Some("total_rate_gbps")
+        );
+        assert_eq!(
+            key(|s| s.rate_dist = RateDist::Zipf { s: 0.0 }),
+            Some("zipf_s")
+        );
+        assert_eq!(key(|s| s.app_classes.clear()), Some("app_classes"));
+        assert_eq!(key(|s| s.attacker_frac = 1.5), Some("attacker_frac"));
     }
 
     #[test]

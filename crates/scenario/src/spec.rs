@@ -55,7 +55,7 @@ impl Scenario {
     }
 
     /// Table I defaults sized for this scenario, with no tenant yet.
-    fn base_config(&self) -> SystemConfig {
+    pub(crate) fn base_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::paper_default(self.num_cores());
         cfg.policy = self.policy;
         cfg.steering = self.steering;
@@ -92,8 +92,12 @@ impl Scenario {
     }
 
     /// Validates the scenario: a non-empty name, at least one tenant, and
-    /// every derived configuration (mixed and each solo) valid under
-    /// [`SystemConfig::validate`].
+    /// a mixed configuration valid under [`SystemConfig::validate`].
+    ///
+    /// Each solo configuration is then valid too: it holds one of the
+    /// mixed run's tenants, now at index 0, on the same hierarchy, so its
+    /// value rules are a subset of the mixed run's and its cross-tenant
+    /// rules only get easier.
     ///
     /// # Errors
     ///
@@ -107,13 +111,7 @@ impl Scenario {
         }
         self.mixed_config()
             .validate()
-            .map_err(|e| format!("scenario '{}' (mixed): {e}", self.name))?;
-        for (i, t) in self.tenants.iter().enumerate() {
-            self.solo_config(i)
-                .validate()
-                .map_err(|e| format!("scenario '{}' (solo '{}'): {e}", self.name, t.name))?;
-        }
-        Ok(())
+            .map_err(|e| format!("scenario '{}' (mixed): {e}", self.name))
     }
 }
 

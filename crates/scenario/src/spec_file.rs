@@ -25,6 +25,14 @@
 //! token ([`SpecError`]), which the `scenario check` CLI renders as
 //! `file.toml:line:col: message`.
 //!
+//! This module checks syntax, types and names: the grammar, unknown,
+//! duplicate and missing keys, value types and integer widths, name
+//! lookups and key conflicts. Value rules belong to the types the values
+//! configure — [`TenantSpec::check`] and
+//! [`idio_core::config::SystemConfig::check_values`], [`GenSpec::check`]
+//! and [`NfChain::new`] — whose errors name the key at fault; the parser
+//! only positions them at that key's value.
+//!
 //! [`to_file_string`] renders a [`Scenario`] in canonical form such that
 //! `parse_str(to_file_string(s)) == s` for any scenario without replay
 //! tenants (replay arrivals are kept in sidecar trace files named
@@ -34,15 +42,14 @@
 use std::fmt;
 use std::path::Path;
 
-use idio_core::cache::config::HierarchyConfig;
 use idio_core::cache::set::WayMask;
-use idio_core::config::FlowSteering;
-use idio_core::net::gen::{Arrival, BurstSpec, TrafficPattern, MAX_FLOW_SET_FLOWS};
-use idio_core::net::packet::{Dscp, MIN_FRAME_BYTES};
+use idio_core::config::{positive_rate, FlowSteering};
+use idio_core::net::gen::{Arrival, BurstSpec, TrafficPattern};
+use idio_core::net::packet::Dscp;
 use idio_core::net::trace::read_trace;
 use idio_core::policy::{CatMode, PolicyCaps, PolicySpec, PrefetchMode, SteeringPolicy};
 use idio_core::pool::PoolSpec;
-use idio_core::stack::nf::{ChainStage, NfChain, NfKind, MAX_CHAIN_STAGES};
+use idio_core::stack::nf::{ChainStage, NfChain, NfKind};
 use idio_engine::json;
 use idio_engine::time::{wire_time, Duration, SimTime};
 
@@ -532,27 +539,27 @@ fn want_int(e: &Entry) -> Result<i128, SpecError> {
     }
 }
 
-fn want_uint(e: &Entry, max: u128, what: &str) -> Result<u128, SpecError> {
+fn want_uint(e: &Entry, max: u128) -> Result<u128, SpecError> {
     let v = want_int(e)?;
     if v < 0 || v as u128 > max {
         return Err(SpecError::new(
             e.val_pos,
-            format!("{what} {v} out of range (0..={max})"),
+            format!("{} {v} out of range (0..={max})", e.key),
         ));
     }
     Ok(v as u128)
 }
 
-fn want_u64(e: &Entry, what: &str) -> Result<u64, SpecError> {
-    want_uint(e, u64::MAX as u128, what).map(|v| v as u64)
+fn want_u64(e: &Entry) -> Result<u64, SpecError> {
+    want_uint(e, u64::MAX as u128).map(|v| v as u64)
 }
 
-fn want_u32(e: &Entry, what: &str) -> Result<u32, SpecError> {
-    want_uint(e, u32::MAX as u128, what).map(|v| v as u32)
+fn want_u32(e: &Entry) -> Result<u32, SpecError> {
+    want_uint(e, u32::MAX as u128).map(|v| v as u32)
 }
 
-fn want_u16(e: &Entry, what: &str) -> Result<u16, SpecError> {
-    want_uint(e, u16::MAX as u128, what).map(|v| v as u16)
+fn want_u16(e: &Entry) -> Result<u16, SpecError> {
+    want_uint(e, u16::MAX as u128).map(|v| v as u16)
 }
 
 fn want_f64(e: &Entry) -> Result<f64, SpecError> {
@@ -570,15 +577,21 @@ fn want_f64(e: &Entry) -> Result<f64, SpecError> {
     }
 }
 
-fn want_rate(e: &Entry) -> Result<f64, SpecError> {
-    let v = want_f64(e)?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(SpecError::new(
+/// A string array; `[]` lexes as an empty integer array and counts as an
+/// empty string array.
+fn want_strs(e: &Entry) -> Result<&[(String, Pos)], SpecError> {
+    match &e.val {
+        Value::Strs(list) => Ok(list),
+        Value::Ints(list) if list.is_empty() => Ok(&[]),
+        other => Err(SpecError::new(
             e.val_pos,
-            format!("key '{}' must be a positive finite rate, got {v}", e.key),
-        ));
+            format!(
+                "key '{}' expects a string array, found {}",
+                e.key,
+                other.type_name()
+            ),
+        )),
     }
-    Ok(v)
 }
 
 fn check_known_keys(table: &Table, allowed: &[&str]) -> Result<(), SpecError> {
@@ -597,86 +610,52 @@ fn missing(table: &Table, what: &str, key: &str) -> SpecError {
     SpecError::new(table.pos, format!("{what} is missing required key '{key}'"))
 }
 
+fn required<'a>(table: &'a Table, what: &str, key: &str) -> Result<&'a Entry, SpecError> {
+    table.get(key).ok_or_else(|| missing(table, what, key))
+}
+
 /// Unit suffixes a time-valued key accepts, with their picosecond scale.
 const TIME_SUFFIXES: [(&str, u64); 3] = [("us", 1_000_000), ("ns", 1_000), ("ps", 1)];
 
-/// `<name>_us` / `<name>_ns` / `<name>_ps` → picoseconds, rejecting more
-/// than one spelling. The simulator's clocks tick in picoseconds, so the
-/// `_ps` spelling round-trips values the coarser units cannot (e.g. a
-/// 51.2 ns intra-burst gap).
-fn time_ps(table: &Table, base: &str, default_ps: u64) -> Result<u64, SpecError> {
-    Ok(opt_time_ps(table, base)?.map_or(default_ps, |(_, ps)| ps))
-}
-
-/// Like [`time_ps`] but with no default: `None` when no suffixed spelling
-/// of the key is present. Returns the value's position so callers can
-/// anchor range errors (e.g. "churn must be positive") to the token.
-fn opt_time_ps(table: &Table, base: &str) -> Result<Option<(Pos, u64)>, SpecError> {
-    let mut found: Option<(String, Pos, u64)> = None;
+/// An optional duration key: `<name>_us` / `<name>_ns` / `<name>_ps`,
+/// rejecting more than one spelling; `None` when no spelling is present.
+/// The simulator's clocks tick in picoseconds, so the `_ps` spelling
+/// round-trips values the coarser units cannot (e.g. a 51.2 ns
+/// intra-burst gap).
+fn opt_time(table: &Table, base: &str) -> Result<Option<Duration>, SpecError> {
+    let mut found: Option<(String, Duration)> = None;
     for (suffix, scale) in TIME_SUFFIXES {
         let key = format!("{base}_{suffix}");
         let Some(e) = table.get(&key) else { continue };
-        if let Some((first, _, _)) = &found {
+        if let Some((first, _)) = &found {
             return Err(SpecError::new(
                 e.key_pos,
                 format!("give '{first}' or '{key}', not both"),
             ));
         }
-        let v = want_u64(e, &key)?;
-        let ps = v
+        let ps = want_u64(e)?
             .checked_mul(scale)
             .ok_or_else(|| SpecError::new(e.val_pos, format!("{key} overflows picoseconds")))?;
-        found = Some((key, e.val_pos, ps));
+        found = Some((key, Duration::from_ps(ps)));
     }
-    Ok(found.map(|(_, pos, ps)| (pos, ps)))
+    Ok(found.map(|(_, d)| d))
 }
 
-/// Parses an optional positive duration key (`<base>_us/_ns/_ps`),
-/// rejecting zero — a zero flow lifetime or flush window is always a
-/// spec mistake, not a request to disable the feature (omit the key for
-/// that).
-fn opt_positive_time(table: &Table, base: &str) -> Result<Option<Duration>, SpecError> {
-    match opt_time_ps(table, base)? {
-        Some((pos, 0)) => Err(SpecError::new(pos, format!("{base} must be positive"))),
-        Some((_, ps)) => Ok(Some(Duration::from_ps(ps))),
-        None => Ok(None),
-    }
+/// Where a value rule's error about `key` points: the key's value (a time
+/// key's present spelling), `policy` for a CAT mask a custom policy sets,
+/// and the table header for a key the table leaves out.
+fn value_pos(table: &Table, key: &str) -> Pos {
+    let entry = table.get(key).or_else(|| {
+        (TIME_SUFFIXES.iter()).find_map(|(suffix, _)| table.get(&format!("{key}_{suffix}")))
+    });
+    let entry = match entry {
+        None if key == "way_mask" => table.get("policy"),
+        e => e,
+    };
+    entry.map_or(table.pos, |e| e.val_pos)
 }
 
-/// Whether any spelling of the time key `<base>_{us,ns,ps}` is present.
-fn time_key_present(table: &Table, base: &str) -> bool {
-    TIME_SUFFIXES
-        .iter()
-        .any(|(suffix, _)| table.get(&format!("{base}_{suffix}")).is_some())
-}
-
-/// Validates a CAT way mask against the paper hierarchy every scenario
-/// runs on: inside the LLC associativity and disjoint from the DDIO
-/// partition (which stays reserved for inbound DMA).
-fn check_way_mask(mask: WayMask, pos: Pos) -> Result<(), SpecError> {
-    let geom = HierarchyConfig::paper_default(1);
-    if mask.is_empty() {
-        return Err(SpecError::new(pos, "way mask selects no LLC way"));
-    }
-    if mask.intersect(WayMask::all(geom.llc.ways)) != mask {
-        return Err(SpecError::new(
-            pos,
-            format!("way mask {mask} wider than the {}-way LLC", geom.llc.ways),
-        ));
-    }
-    if !mask.intersect(geom.ddio_mask()).is_empty() {
-        return Err(SpecError::new(
-            pos,
-            format!(
-                "way mask {mask} overlaps the {} DDIO ways (ways 0..{})",
-                geom.ddio_ways, geom.ddio_ways
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// Parses a `"0b..."` binary way-mask literal and validates it.
+/// Parses a `"0b..."` binary way-mask literal.
 fn parse_way_mask(s: &str, pos: Pos) -> Result<WayMask, SpecError> {
     let bits = s
         .strip_prefix("0b")
@@ -687,9 +666,7 @@ fn parse_way_mask(s: &str, pos: Pos) -> Result<WayMask, SpecError> {
                 format!("way mask '{s}' must be a binary literal like \"0b111100\""),
             )
         })?;
-    let mask = WayMask::from_bits(bits);
-    check_way_mask(mask, pos)?;
-    Ok(mask)
+    Ok(WayMask::from_bits(bits))
 }
 
 fn parse_policy_spec(s: &str, pos: Pos) -> Result<PolicySpec, SpecError> {
@@ -814,52 +791,20 @@ fn nf_file_name(nf: NfKind) -> &'static str {
 
 /// Parses a `chain = ["parse", ...]` stage list into a chained NF.
 fn parse_chain(e: &Entry) -> Result<NfKind, SpecError> {
-    let list = match &e.val {
-        Value::Strs(list) => list,
-        Value::Ints(list) if list.is_empty() => {
-            return Err(SpecError::new(
-                e.val_pos,
-                "chain must name at least one stage",
-            ));
-        }
-        other => {
-            return Err(SpecError::new(
-                e.val_pos,
-                format!(
-                    "key 'chain' expects a string array, found {}",
-                    other.type_name()
-                ),
-            ));
-        }
-    };
-    if list.len() > MAX_CHAIN_STAGES {
-        return Err(SpecError::new(
-            e.val_pos,
-            format!(
-                "chain has {} stages; at most {MAX_CHAIN_STAGES} supported",
-                list.len()
-            ),
-        ));
-    }
+    let list = want_strs(e)?;
     let mut stages = Vec::with_capacity(list.len());
-    for (i, (s, pos)) in list.iter().enumerate() {
-        let stage = ChainStage::from_name(s).ok_or_else(|| {
+    for (s, pos) in list {
+        stages.push(ChainStage::from_name(s).ok_or_else(|| {
             SpecError::new(
                 *pos,
                 format!(
                     "unknown chain stage '{s}' (expected parse|classify|inspect|rewrite|forward)"
                 ),
             )
-        })?;
-        if stage == ChainStage::Forward && i + 1 != list.len() {
-            return Err(SpecError::new(
-                *pos,
-                "'forward' must be the last stage of a chain",
-            ));
-        }
-        stages.push(stage);
+        })?);
     }
-    let chain = NfChain::new(&stages).map_err(|err| SpecError::new(e.val_pos, err))?;
+    let chain = NfChain::new(&stages)
+        .map_err(|err| SpecError::new(err.stage.map_or(e.val_pos, |i| list[i].1), err.msg))?;
     Ok(NfKind::Chain(chain))
 }
 
@@ -965,81 +910,54 @@ const BURST_KEYS: &[&str] = &[
 ];
 
 fn tenant_traffic(t: &Table, packet_len: u16) -> Result<TrafficPattern, SpecError> {
-    let kind_entry = t
-        .get("traffic")
-        .ok_or_else(|| missing(t, "tenant", "traffic"))?;
+    let kind_entry = required(t, "tenant", "traffic")?;
     let kind = want_str(kind_entry)?;
     match kind {
         "steady" => {
             reject_inapplicable(t, &["seed"], "requires traffic = \"poisson\"")?;
             reject_inapplicable(t, BURST_KEYS, "requires traffic = \"bursty\"")?;
-            let rate = t
-                .get("rate_gbps")
-                .ok_or_else(|| missing(t, "tenant", "rate_gbps"))?;
+            let rate = required(t, "tenant", "rate_gbps")?;
             Ok(TrafficPattern::Steady {
-                rate_gbps: want_rate(rate)?,
+                rate_gbps: want_f64(rate)?,
             })
         }
         "poisson" => {
             reject_inapplicable(t, BURST_KEYS, "requires traffic = \"bursty\"")?;
-            let rate = t
-                .get("rate_gbps")
-                .ok_or_else(|| missing(t, "tenant", "rate_gbps"))?;
-            let seed = t.get("seed").ok_or_else(|| missing(t, "tenant", "seed"))?;
+            let rate = required(t, "tenant", "rate_gbps")?;
+            let seed = required(t, "tenant", "seed")?;
             Ok(TrafficPattern::Poisson {
-                rate_gbps: want_rate(rate)?,
-                seed: want_u64(seed, "seed")?,
+                rate_gbps: want_f64(rate)?,
+                seed: want_u64(seed)?,
             })
         }
         "bursty" => {
             reject_inapplicable(t, &["seed"], "requires traffic = \"poisson\"")?;
-            let packets_e = t
-                .get("burst_packets")
-                .ok_or_else(|| missing(t, "tenant", "burst_packets"))?;
-            let packets = want_u32(packets_e, "burst_packets")?;
-            if packets == 0 {
-                return Err(SpecError::new(
-                    packets_e.val_pos,
-                    "burst_packets must be positive",
-                ));
-            }
-            let period_ps = match time_ps(t, "burst_period", 0)? {
-                0 => return Err(missing(t, "tenant", "burst_period_us")),
-                v => v,
-            };
-            let rate = t.get("rate_gbps");
-            let intra_gap = match (time_key_present(t, "burst_gap"), rate) {
-                (true, Some(e)) => {
+            let packets = want_u32(required(t, "tenant", "burst_packets")?)?;
+            let period = opt_time(t, "burst_period")?
+                .ok_or_else(|| missing(t, "tenant", "burst_period_us"))?;
+            let intra_gap = match (opt_time(t, "burst_gap")?, t.get("rate_gbps")) {
+                (Some(_), Some(e)) => {
                     return Err(SpecError::new(
                         e.key_pos,
                         "give 'burst_gap_ns' or 'rate_gbps', not both",
                     ));
                 }
-                (true, None) => Duration::from_ps(time_ps(t, "burst_gap", 0)?),
-                (false, Some(e)) => {
+                (Some(gap), None) => gap,
+                (None, Some(e)) => {
                     // The paper's for_ring construction: the intra-burst
-                    // gap is the wire time of one frame at the burst rate.
-                    wire_time(u64::from(packet_len), want_rate(e)?)
+                    // gap is the wire time of one frame at the burst rate,
+                    // so the rate is checked here, before `wire_time`.
+                    let rate = positive_rate("rate_gbps", want_f64(e)?)
+                        .map_err(|err| SpecError::new(e.val_pos, err.msg))?;
+                    wire_time(u64::from(packet_len), rate)
                 }
-                (false, None) => return Err(missing(t, "tenant", "burst_gap_ns")),
+                (None, None) => return Err(missing(t, "tenant", "burst_gap_ns")),
             };
-            let spec = BurstSpec {
-                period: Duration::from_ps(period_ps),
+            Ok(TrafficPattern::Bursty(BurstSpec {
+                period,
                 packets_per_burst: packets,
                 intra_gap,
-            };
-            // Same fit check BurstSpec::for_ring asserts, as an error.
-            if spec.intra_gap * u64::from(packets) >= spec.period {
-                return Err(SpecError::new(
-                    packets_e.val_pos,
-                    format!(
-                        "burst of {} does not fit in period {}",
-                        spec.intra_gap * u64::from(packets),
-                        spec.period
-                    ),
-                ));
-            }
-            Ok(TrafficPattern::Bursty(spec))
+            }))
         }
         other => Err(SpecError::new(
             kind_entry.val_pos,
@@ -1049,10 +967,7 @@ fn tenant_traffic(t: &Table, packet_len: u16) -> Result<TrafficPattern, SpecErro
 }
 
 fn tenant_slo(t: &Table) -> Result<Option<SloSpec>, SpecError> {
-    let p99 = t
-        .get("max_p99_ns")
-        .map(|e| want_u64(e, "max_p99_ns"))
-        .transpose()?;
+    let p99 = t.get("max_p99_ns").map(want_u64).transpose()?;
     let drop = match t.get("max_drop_rate") {
         Some(e) => {
             let v = want_f64(e)?;
@@ -1090,11 +1005,7 @@ fn build_tenant(
     default_policy: SteeringPolicy,
 ) -> Result<TenantSpec, SpecError> {
     check_known_keys(t, TENANT_KEYS)?;
-    let name = want_str(t.get("name").ok_or_else(|| missing(t, "tenant", "name"))?)?.to_string();
-    if name.is_empty() {
-        let e = t.get("name").expect("checked above");
-        return Err(SpecError::new(e.val_pos, "tenant name must not be empty"));
-    }
+    let name = want_str(required(t, "tenant", "name")?)?.to_string();
     let nf = match (t.get("nf"), t.get("chain")) {
         (Some(_), Some(chain_entry)) => {
             return Err(SpecError::new(
@@ -1112,11 +1023,9 @@ fn build_tenant(
         }
         None => None,
     };
-    let cores_entry = t
-        .get("cores")
-        .ok_or_else(|| missing(t, "tenant", "cores"))?;
+    let cores_entry = required(t, "tenant", "cores")?;
     let cores = match &cores_entry.val {
-        Value::Ints(list) if !list.is_empty() => {
+        Value::Ints(list) => {
             let mut cores = Vec::with_capacity(list.len());
             for &(v, pos) in list {
                 if !(0..=i128::from(u16::MAX)).contains(&v) {
@@ -1129,12 +1038,6 @@ fn build_tenant(
             }
             cores
         }
-        Value::Ints(_) => {
-            return Err(SpecError::new(
-                cores_entry.val_pos,
-                "tenant must own at least one core",
-            ));
-        }
         other => {
             return Err(SpecError::new(
                 cores_entry.val_pos,
@@ -1145,45 +1048,14 @@ fn build_tenant(
             ));
         }
     };
-    let flows_entry = t
-        .get("flows")
-        .ok_or_else(|| missing(t, "tenant", "flows"))?;
-    let flows = want_uint(flows_entry, u128::from(MAX_FLOW_SET_FLOWS), "flows")? as u32;
-    if flows == 0 {
-        return Err(SpecError::new(
-            flows_entry.val_pos,
-            "flows must be positive",
-        ));
-    }
-    let churn = opt_positive_time(t, "churn")?;
-    let train = match t.get("train") {
-        Some(e) => {
-            let v = want_u32(e, "train")?;
-            if v == 0 {
-                return Err(SpecError::new(e.val_pos, "train must be positive"));
-            }
-            v
-        }
-        None => 1,
-    };
-    let base_port = want_u16(
-        t.get("base_port")
-            .ok_or_else(|| missing(t, "tenant", "base_port"))?,
-        "base_port",
-    )?;
-    let packet_len_entry = t
-        .get("packet_len")
-        .ok_or_else(|| missing(t, "tenant", "packet_len"))?;
-    let packet_len = want_u16(packet_len_entry, "packet_len")?;
-    if packet_len < MIN_FRAME_BYTES {
-        return Err(SpecError::new(
-            packet_len_entry.val_pos,
-            format!("packet_len {packet_len} below the Ethernet minimum ({MIN_FRAME_BYTES})"),
-        ));
-    }
+    let flows = want_u32(required(t, "tenant", "flows")?)?;
+    let churn = opt_time(t, "churn")?;
+    let train = t.get("train").map_or(Ok(1), want_u32)?;
+    let base_port = want_u16(required(t, "tenant", "base_port")?)?;
+    let packet_len = want_u16(required(t, "tenant", "packet_len")?)?;
     let dscp = match t.get("dscp") {
         Some(e) => {
-            let v = want_uint(e, 255, "dscp")? as u8;
+            let v = want_uint(e, 255)? as u8;
             Dscp::new(v).ok_or_else(|| {
                 SpecError::new(e.val_pos, format!("dscp {v} out of range (0..=63)"))
             })?
@@ -1255,45 +1127,22 @@ fn build_tenant(
 
 fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
     check_known_keys(g, GEN_KEYS)?;
-    let tenants_entry = g
-        .get("tenants")
-        .ok_or_else(|| missing(g, "[generate]", "tenants"))?;
-    let tenants = want_uint(tenants_entry, 4096, "tenants")? as usize;
-    if tenants == 0 {
-        return Err(SpecError::new(
-            tenants_entry.val_pos,
-            "tenants must be positive",
-        ));
-    }
+    let tenants = want_uint(required(g, "[generate]", "tenants")?, usize::MAX as u128)? as usize;
     let mut spec = GenSpec::new(tenants);
     if let Some(e) = g.get("seed") {
-        spec.seed = want_u64(e, "seed")?;
+        spec.seed = want_u64(e)?;
     }
     if let Some(e) = g.get("cores_per_tenant") {
-        let v = want_u16(e, "cores_per_tenant")?;
-        if v == 0 {
-            return Err(SpecError::new(
-                e.val_pos,
-                "cores_per_tenant must be positive",
-            ));
-        }
-        spec.cores_per_tenant = v;
+        spec.cores_per_tenant = want_u16(e)?;
     }
     if let Some(e) = g.get("flows_per_tenant") {
-        let v = want_uint(e, u128::from(MAX_FLOW_SET_FLOWS), "flows_per_tenant")? as u32;
-        if v == 0 {
-            return Err(SpecError::new(
-                e.val_pos,
-                "flows_per_tenant must be positive",
-            ));
-        }
-        spec.flows_per_tenant = v;
+        spec.flows_per_tenant = want_u32(e)?;
     }
     if let Some(e) = g.get("base_port") {
-        spec.base_port = want_u16(e, "base_port")?;
+        spec.base_port = want_u16(e)?;
     }
     if let Some(e) = g.get("total_rate_gbps") {
-        spec.total_rate_gbps = want_rate(e)?;
+        spec.total_rate_gbps = want_f64(e)?;
     }
     let dist_entry = g.get("rate_dist");
     let dist_name = dist_entry.map(want_str).transpose()?.unwrap_or("zipf");
@@ -1302,22 +1151,9 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
             reject_inapplicable(g, &["zipf_s"], "requires rate_dist = \"zipf\"")?;
             RateDist::Uniform
         }
-        "zipf" => {
-            let s = match g.get("zipf_s") {
-                Some(e) => {
-                    let v = want_f64(e)?;
-                    if !v.is_finite() || v <= 0.0 {
-                        return Err(SpecError::new(
-                            e.val_pos,
-                            format!("zipf_s must be a positive finite exponent, got {v}"),
-                        ));
-                    }
-                    v
-                }
-                None => 1.1,
-            };
-            RateDist::Zipf { s }
-        }
+        "zipf" => RateDist::Zipf {
+            s: g.get("zipf_s").map_or(Ok(1.1), want_f64)?,
+        },
         other => {
             let e = dist_entry.expect("non-default name comes from an entry");
             return Err(SpecError::new(
@@ -1327,20 +1163,8 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
         }
     };
     if let Some(e) = g.get("app_classes") {
-        let Value::Strs(list) = &e.val else {
-            return Err(SpecError::new(
-                e.val_pos,
-                format!(
-                    "key 'app_classes' expects a string array, found {}",
-                    e.val.type_name()
-                ),
-            ));
-        };
-        if list.is_empty() {
-            return Err(SpecError::new(e.val_pos, "app_classes must not be empty"));
-        }
-        let mut classes = Vec::with_capacity(list.len());
-        for (s, pos) in list {
+        let mut classes = Vec::new();
+        for (s, pos) in want_strs(e)? {
             classes.push(AppClass::from_name(s).ok_or_else(|| {
                 SpecError::new(
                     *pos,
@@ -1351,14 +1175,7 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
         spec.app_classes = classes;
     }
     if let Some(e) = g.get("attacker_frac") {
-        let v = want_f64(e)?;
-        if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-            return Err(SpecError::new(
-                e.val_pos,
-                format!("attacker_frac {v} out of range (0.0..=1.0)"),
-            ));
-        }
-        spec.attacker_frac = v;
+        spec.attacker_frac = want_f64(e)?;
     }
     if let Some(e) = g.get("cat") {
         match want_str(e)? {
@@ -1378,10 +1195,7 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
 
 fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scenario, SpecError> {
     check_known_keys(&raw.top, TOP_KEYS)?;
-    let name_entry = raw
-        .top
-        .get("name")
-        .ok_or_else(|| missing(&raw.top, "scenario", "name"))?;
+    let name_entry = required(&raw.top, "scenario", "name")?;
     let name = want_str(name_entry)?.to_string();
     if name.is_empty() {
         return Err(SpecError::new(
@@ -1422,31 +1236,14 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
         },
         None => FlowSteering::Perfect,
     };
-    let duration = SimTime::from_ps(time_ps(
-        &raw.top,
-        "duration",
-        SimTime::from_us(400).as_ps(),
-    )?);
-    let drain_grace = Duration::from_ps(time_ps(
-        &raw.top,
-        "drain_grace",
-        Duration::from_us(300).as_ps(),
-    )?);
-    let perfect_filters = match raw.top.get("perfect_filters") {
-        Some(e) => {
-            let v = want_uint(e, 1 << 20, "perfect_filters")? as usize;
-            if v == 0 {
-                return Err(SpecError::new(
-                    e.val_pos,
-                    "perfect_filters must be positive",
-                ));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let atr_lifetime = opt_positive_time(&raw.top, "atr_lifetime")?;
-    let pool_idle_flush = opt_positive_time(&raw.top, "pool_idle_flush")?;
+    let duration = (opt_time(&raw.top, "duration")?)
+        .map_or(SimTime::from_us(400), |d| SimTime::from_ps(d.as_ps()));
+    let drain_grace = opt_time(&raw.top, "drain_grace")?.unwrap_or(Duration::from_us(300));
+    let perfect_filters = (raw.top.get("perfect_filters"))
+        .map(|e| want_uint(e, usize::MAX as u128).map(|v| v as usize))
+        .transpose()?;
+    let atr_lifetime = opt_time(&raw.top, "atr_lifetime")?;
+    let pool_idle_flush = opt_time(&raw.top, "pool_idle_flush")?;
 
     let mut scenario = Scenario {
         name,
@@ -1464,6 +1261,8 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
     match (&raw.generate, raw.tenants.is_empty()) {
         (Some(g), true) => {
             let spec = build_generate(g)?;
+            spec.check()
+                .map_err(|err| SpecError::new(value_pos(g, err.key), err.msg))?;
             scenario = spec
                 .expand(scenario)
                 .map_err(|e| SpecError::new(g.pos, format!("[generate] expansion failed: {e}")))?;
@@ -1498,6 +1297,18 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
                 scenario.tenants.push(tenant);
             }
         }
+    }
+    // The value rules are the configuration's own: check the mixed
+    // configuration (moving the tenants in and back, not copying their
+    // replays) and point at the value of the key each error names.
+    let mut mixed = scenario.base_config();
+    mixed.tenants = std::mem::take(&mut scenario.tenants);
+    let checked = mixed.check_values();
+    scenario.tenants = mixed.tenants;
+    if let Err((tenant, err)) = checked {
+        let table =
+            (tenant.and_then(|i| raw.tenants.get(i).or(raw.generate.as_ref()))).unwrap_or(&raw.top);
+        return Err(SpecError::new(value_pos(table, err.key), err.msg));
     }
     Ok(scenario)
 }
@@ -1679,6 +1490,8 @@ pub fn to_file_string(scenario: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idio_core::net::gen::MAX_FLOW_SET_FLOWS;
+    use idio_core::net::packet::MIN_FRAME_BYTES;
     use idio_engine::check::{Cases, Gen};
 
     const MINIMAL: &str = r#"
@@ -1864,6 +1677,14 @@ max_drop_rate = 0.25
             "traffic = \"bursty\"\nburst_packets = 1000\nburst_period_us = 1\nburst_gap_ns = 5000\n",
         ))
         .unwrap_err();
+        assert!(e.msg.contains("does not fit"), "{e}");
+        // A span past u64 picoseconds saturates instead of wrapping.
+        let e = parse_str(&tenant(
+            "traffic = \"bursty\"\nburst_packets = 2\nburst_period_us = 10\n\
+             burst_gap_ps = 9223372036854775808\n",
+        ))
+        .unwrap_err();
+        assert_eq!((e.line, e.col), (10, 17), "{e}");
         assert!(e.msg.contains("does not fit"), "{e}");
         // rates that are not positive and finite, at the rate's value.
         for (rate, needle) in [
@@ -2062,6 +1883,25 @@ attacker_frac = 0.3
                 .then(|| Duration::from_ps(g.u64(1..10_000_000_000))),
             tenants,
         }
+    }
+
+    /// `Scenario::validate` checks only the mixed configuration: a solo
+    /// configuration holds one of its tenants on the same hierarchy, so it
+    /// must be valid whenever the mixed one is.
+    #[test]
+    fn a_valid_mixed_config_implies_valid_solo_configs() {
+        let mut valid = 0;
+        Cases::new(300).run(|g| {
+            let sc = arbitrary_scenario(g);
+            if sc.mixed_config().validate().is_ok() {
+                valid += 1;
+                for i in 0..sc.tenants.len() {
+                    let solo = sc.solo_config(i).validate();
+                    assert!(solo.is_ok(), "solo {i}: {solo:?}\n{sc:?}");
+                }
+            }
+        });
+        assert!(valid > 0, "some arbitrary scenarios are valid");
     }
 
     #[test]

@@ -181,6 +181,16 @@ impl ChainStage {
     }
 }
 
+/// Why [`NfChain::new`] rejected a stage list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainError {
+    /// Index of the offending stage; `None` when the fault is the
+    /// list's length.
+    pub stage: Option<usize>,
+    /// What is wrong.
+    pub msg: String,
+}
+
 /// A validated chain of up to [`MAX_CHAIN_STAGES`] stages. Stored as a
 /// fixed array (unused slots canonically zero-padded with `Parse`) so the
 /// chain is `Copy`, and derived equality/hashing see only canonical forms.
@@ -195,26 +205,28 @@ impl NfChain {
     ///
     /// # Errors
     ///
-    /// Returns a message when the chain is empty, longer than
-    /// [`MAX_CHAIN_STAGES`], or places `forward` anywhere but last.
-    pub fn new(stages: &[ChainStage]) -> Result<NfChain, String> {
+    /// Returns a [`ChainError`] when the chain is empty, longer than
+    /// [`MAX_CHAIN_STAGES`], or places `forward` anywhere but last (the
+    /// error then names that stage).
+    pub fn new(stages: &[ChainStage]) -> Result<NfChain, ChainError> {
+        let whole = |msg: String| ChainError { stage: None, msg };
         if stages.is_empty() {
-            return Err("chain needs at least one stage".into());
+            return Err(whole("chain must name at least one stage".into()));
         }
         if stages.len() > MAX_CHAIN_STAGES {
-            return Err(format!(
+            return Err(whole(format!(
                 "chain has {} stages; at most {MAX_CHAIN_STAGES} supported",
                 stages.len()
-            ));
+            )));
         }
         if let Some(i) = stages[..stages.len() - 1]
             .iter()
             .position(|s| *s == ChainStage::Forward)
         {
-            return Err(format!(
-                "'forward' must be the last stage (found at position {})",
-                i + 1
-            ));
+            return Err(ChainError {
+                stage: Some(i),
+                msg: "'forward' must be the last stage of a chain".into(),
+            });
         }
         let mut arr = [ChainStage::Parse; MAX_CHAIN_STAGES];
         arr[..stages.len()].copy_from_slice(stages);
@@ -639,7 +651,8 @@ mod tests {
         assert!(NfChain::new(&[]).is_err());
         assert!(NfChain::new(&[ChainStage::Parse; MAX_CHAIN_STAGES + 1]).is_err());
         let err = NfChain::new(&[ChainStage::Forward, ChainStage::Parse]).unwrap_err();
-        assert!(err.contains("last stage"), "{err}");
+        assert!(err.msg.contains("last stage"), "{err:?}");
+        assert_eq!(err.stage, Some(0), "the error names the misplaced stage");
         // Max-length chains without forward are fine.
         assert!(NfChain::new(&[ChainStage::Inspect; MAX_CHAIN_STAGES]).is_ok());
     }
