@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use idio_bench::json::{cell_metrics_line, figure_to_json, suite_timing_to_json};
 use idio_bench::{experiment_spec, EXPERIMENTS};
 use idio_core::experiments::Scale;
-use idio_core::sweep::{run_figures_detailed, SweepOptions};
+use idio_core::sweep::{run_figures, SweepOptions};
 
 fn main() -> ExitCode {
     run(&mut io::stdout().lock()).unwrap_or_else(idio_bench::stdout_failed)
@@ -88,10 +88,10 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
         }
     }
 
-    let suite = run_figures_detailed(specs, &opts);
-    let (figures, timing) = (suite.figures, suite.timing);
+    let suite = run_figures(specs, &opts);
+    let timing = &suite.timing;
 
-    for figure in &figures {
+    for figure in &suite.figures {
         if as_json {
             writeln!(out, "{}", figure_to_json(figure))?;
             continue;
@@ -122,7 +122,7 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     // Timing goes to stderr so stdout stays a pure function of the figure
     // results (byte-identical across --jobs values).
     if timings {
-        eprintln!("{}", suite_timing_to_json(&timing));
+        eprintln!("{}", suite_timing_to_json(timing));
     } else {
         let cpu = timing.cpu_total();
         // cpu/wall is the mean number of in-flight cells, which equals the

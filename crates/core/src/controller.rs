@@ -9,8 +9,8 @@
 //! and drives the Fig. 8 FSM.
 //!
 //! Beside it run the two LLC way allocators over the same telemetry: the
-//! IAT-style DDIO way tuner ([`IatTuner`]) and CAT way partitioning
-//! ([`CatPartition`], with its closed-loop [`CatController`]).
+//! IAT-style DDIO way tuner (`IatTuner`) and CAT way partitioning
+//! (`CatPartition`, with its closed-loop [`CatController`]).
 
 use std::fmt::Write as _;
 

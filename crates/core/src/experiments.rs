@@ -2,9 +2,11 @@
 //! evaluation (Sec. VII).
 //!
 //! Each figure is expressed *declaratively*: a `figN_spec` function builds
-//! a [`FigureSpec`] — the list of simulation configurations (cells) behind
-//! the figure plus a pure assembly function that turns the finished
-//! [`crate::sweep::CellOutcome`]s into a printable [`FigureResult`]. The sweep
+//! a [`FigureSpec`] from the figure's rows — each row's key and the
+//! simulation configuration (cell) that measures it — plus a pure assembly
+//! function that turns the keys and the finished cells' reports into a
+//! printable [`FigureResult`]. Most cells are built by `bursty_cfg` or
+//! `steady_cfg`, so a figure states only what it varies. The sweep
 //! orchestrator in [`crate::sweep`] executes the cells, serially or on a
 //! worker pool, with per-cell seeds derived from the cell labels so the
 //! output is independent of scheduling.
@@ -22,7 +24,7 @@ use idio_net::gen::{BurstSpec, TrafficPattern};
 use idio_net::packet::Dscp;
 use idio_stack::nf::NfKind;
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, TenantSpec};
 use crate::policy::SteeringPolicy;
 use crate::report::RunReport;
 use crate::sweep::{FigureSpec, SweepCell};
@@ -37,8 +39,6 @@ pub struct Scale {
     pub period: Duration,
     /// Horizon for steady-traffic experiments.
     pub steady_duration: Duration,
-    /// Ring size for the main experiments (paper: 1024).
-    pub ring: u32,
 }
 
 impl Scale {
@@ -48,36 +48,21 @@ impl Scale {
             periods: 3,
             period: Duration::from_ms(10),
             steady_duration: Duration::from_ms(5),
-            ring: 1024,
         }
     }
 
     /// Shrunk runs for tests and CI (same shapes, several times faster).
     ///
-    /// The ring stays at 1024: the paper's central phenomenon requires the
-    /// DMA ring (1024 × 2 KiB = 2 MiB) to exceed the 1 MiB MLC, so the ring
-    /// cannot be scaled down without losing the effect. Time is shrunk
-    /// instead.
+    /// The rings stay at Table I's 1024 entries at every scale: the paper's
+    /// central phenomenon requires the DMA ring (1024 × 2 KiB = 2 MiB) to
+    /// exceed the 1 MiB MLC, so the ring cannot be scaled down without
+    /// losing the effect. Time is shrunk instead.
     pub fn quick() -> Self {
         Scale {
             periods: 2,
             period: Duration::from_ms(2),
             steady_duration: Duration::from_ms(3),
-            ring: 1024,
         }
-    }
-
-    fn bursty(&self, rate_gbps: f64, packet_len: u16) -> TrafficPattern {
-        TrafficPattern::Bursty(BurstSpec::for_ring(
-            self.ring,
-            packet_len,
-            rate_gbps,
-            self.period,
-        ))
-    }
-
-    fn burst_duration(&self) -> SimTime {
-        SimTime::ZERO + self.period * self.periods
     }
 }
 
@@ -113,6 +98,15 @@ impl FigureResult {
         debug_assert_eq!(row.len(), self.columns.len());
         self.rows.push(row);
     }
+
+    /// Appends `r`'s MLC and LLC writeback timelines as the series
+    /// `<prefix>_mlc_wb` and `<prefix>_llc_wb`.
+    fn push_wb_series(&mut self, prefix: &str, r: &RunReport) {
+        self.series
+            .push((format!("{prefix}_mlc_wb"), r.timelines.mlc_wb.clone()));
+        self.series
+            .push((format!("{prefix}_llc_wb"), r.timelines.llc_wb.clone()));
+    }
 }
 
 impl fmt::Display for FigureResult {
@@ -143,72 +137,71 @@ impl fmt::Display for FigureResult {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        if num == 0 {
-            1.0
-        } else {
-            f64::INFINITY
+/// `num / den` to three decimals; a zero base reads `1.000` when `num` is
+/// zero too and `inf` otherwise.
+fn fmt_ratio(num: u64, den: u64) -> String {
+    match (num, den) {
+        (0, 0) => "1.000".into(),
+        (_, 0) => "inf".into(),
+        _ => format!("{:.3}", num as f64 / den as f64),
+    }
+}
+
+/// The mean burst processing time in ms, or `-` when no burst completed.
+fn exe_ms(r: &RunReport) -> String {
+    r.mean_exe_time(1)
+        .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
+        .unwrap_or_else(|| "-".into())
+}
+
+/// The mean burst processing time as a ratio to `base`'s, or `-` when
+/// either has none.
+fn exe_ratio(r: &RunReport, base: &RunReport) -> String {
+    match (r.mean_exe_time(1), base.mean_exe_time(1)) {
+        (Some(a), Some(b)) if b > Duration::ZERO => {
+            format!("{:.3}", a.as_ps() as f64 / b.as_ps() as f64)
         }
-    } else {
-        num as f64 / den as f64
+        _ => "-".into(),
     }
 }
 
-fn fmt_ratio(r: f64) -> String {
-    if r.is_infinite() {
-        "inf".into()
-    } else {
-        format!("{r:.3}")
-    }
-}
+/// The two policies most figures compare.
+const DDIO_VS_IDIO: [SteeringPolicy; 2] = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
 
-/// Builds the standard bursty-traffic configuration behind most figures.
+/// Builds the bursty-traffic configuration behind most figures: the two
+/// TouchDrop tenants of [`SystemConfig::touchdrop_scenario`] (1514-byte
+/// best-effort frames, Table I's 1024-entry rings) under `policy`, each
+/// receiving one ring's worth of frames per burst period at `rate_gbps`
+/// for `scale.periods` periods. `tenant` sets what a figure varies per
+/// tenant (NF, frame size, DSCP); each burst is sized to the frame size it
+/// leaves.
 fn bursty_cfg(
     scale: Scale,
     rate_gbps: f64,
     policy: SteeringPolicy,
-    kind: NfKind,
-    packet_len: u16,
-    antagonist: bool,
-    dscp: Dscp,
+    tenant: impl Fn(&mut TenantSpec),
 ) -> SystemConfig {
-    let traffic = scale.bursty(rate_gbps, packet_len);
-    let mut cfg = SystemConfig::touchdrop_scenario(2, traffic);
-    cfg.ring_size = scale.ring;
-    cfg.duration = scale.burst_duration();
+    // The steady traffic is a placeholder: every tenant's is replaced below.
+    let mut cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Steady { rate_gbps });
+    cfg.duration = SimTime::ZERO + scale.period * scale.periods;
     cfg.drain_grace = scale.period;
     for t in &mut cfg.tenants {
-        t.nf = kind;
-        t.packet_len = packet_len;
-        t.dscp = dscp;
+        tenant(t);
+        let burst = BurstSpec::for_ring(cfg.ring_size, t.packet_len, rate_gbps, scale.period);
+        t.traffic = TrafficPattern::Bursty(burst);
     }
-    cfg = cfg.with_policy(policy);
-    if antagonist {
-        cfg = cfg.with_antagonist();
-    }
-    cfg
+    cfg.with_policy(policy)
 }
 
-/// Builds the steady-traffic configuration (Figs. 4/13, bloating, sweeps).
-fn steady_cfg(
-    scale: Scale,
-    rate_gbps: f64,
-    ring: u32,
-    policy: SteeringPolicy,
-    one_way: bool,
-) -> SystemConfig {
-    let mut cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Steady { rate_gbps });
-    cfg.ring_size = ring;
+/// Builds the steady-traffic configuration (Fig. 13, bloating, ring
+/// sweep): the two TouchDrop tenants of
+/// [`SystemConfig::touchdrop_scenario`] at a steady 10 Gbps each under
+/// `policy`, for `scale.steady_duration`.
+fn steady_cfg(scale: Scale, policy: SteeringPolicy) -> SystemConfig {
+    let mut cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Steady { rate_gbps: 10.0 });
     cfg.duration = SimTime::ZERO + scale.steady_duration;
     cfg.drain_grace = Duration::from_ms(1);
-    cfg = cfg.with_policy(policy);
-    if one_way {
-        // CAT: confine core fills to a single non-DDIO LLC way (Fig. 4's
-        // `*_1way` configurations).
-        cfg.hierarchy.core_alloc_ways = Some(WayMask::range(2, 3));
-    }
-    cfg
+    cfg.with_policy(policy)
 }
 
 /// Lines of RX data (payload only) delivered in a run — the normalisation
@@ -223,7 +216,7 @@ fn rx_data_lines(report: &RunReport, packet_len: u16) -> u64 {
 
 /// Table I as a (cell-less) figure spec.
 pub fn table1_spec() -> FigureSpec {
-    FigureSpec::new("table1", Vec::new(), |_| table1())
+    FigureSpec::new("table1", Vec::<((), SweepCell)>::new(), |_| table1())
 }
 
 /// Table I: the simulated configuration, as actually instantiated.
@@ -287,7 +280,7 @@ pub fn table1() -> FigureResult {
 
 /// Table II as a (cell-less) figure spec.
 pub fn table2_spec() -> FigureSpec {
-    FigureSpec::new("table2", Vec::new(), |_| table2())
+    FigureSpec::new("table2", Vec::<((), SweepCell)>::new(), |_| table2())
 }
 
 /// Table II: the evaluated functions.
@@ -340,19 +333,13 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
     // cold-start transient); scale the horizon with the ring size.
     let wraps: u64 = if scale.periods >= 3 { 4 } else { 3 };
 
-    let mut cases: Vec<(String, u32, bool, &str, f64)> = Vec::new();
+    let mut cases = Vec::new();
     for ring in [64u32, 1024, 2048] {
-        for (lname, gbps) in loads {
-            cases.push((format!("ring{ring}"), ring, false, lname, gbps));
-        }
+        cases.extend(loads.map(|load| (ring, false, load)));
     }
-    for ring in [1024u32, 2048] {
-        cases.push((format!("ring{ring}_1way"), ring, true, "high", 2.0));
-    }
-
-    let mut cells = Vec::new();
-    let mut meta: Vec<(String, &'static str, SimTime)> = Vec::new();
-    for (name, ring, one_way, lname, gbps) in cases {
+    cases.extend([1024u32, 2048].map(|ring| (ring, true, loads[2])));
+    let rows = cases.into_iter().map(|(ring, one_way, (lname, gbps))| {
+        let name = format!("ring{ring}{}", if one_way { "_1way" } else { "" });
         let pkt_time = idio_engine::time::wire_time(1514, gbps);
         let packets_per_nf = (wraps * u64::from(ring)).max(1500);
         let duration = SimTime::ZERO + pkt_time * packets_per_nf;
@@ -370,12 +357,13 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
             ..idio_cache::config::HierarchyConfig::paper_default(NFS)
         };
         if one_way {
+            // CAT: confine core fills to a single non-DDIO LLC way.
             cfg.hierarchy.core_alloc_ways = Some(WayMask::range(2, 3));
         }
-        cells.push(SweepCell::new(format!("fig4/{name}/{lname}"), cfg));
-        meta.push((name, lname, duration));
-    }
-    FigureSpec::new("fig4", cells, move |outcomes| {
+        let cell = SweepCell::new(format!("fig4/{name}/{lname}"), cfg);
+        ((name, lname, duration), cell)
+    });
+    FigureSpec::new("fig4", rows, |rows| {
         let mut t = FigureResult::new(
             "fig4",
             "MLC and DRAM leaks vs load level and ring size (DDIO, physical-server geometry)",
@@ -388,19 +376,17 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
                 "dram_rd_gbps",
             ],
         );
-        for ((name, lname, duration), o) in meta.into_iter().zip(outcomes) {
-            let r = &o.report;
+        for ((name, lname, duration), r) in rows {
             let rx = rx_data_lines(r, 1514).max(1);
             let secs = duration.as_secs_f64();
-            let dram_wr_gbps = r.totals.dram_wr as f64 * 64.0 * 8.0 / secs / 1e9;
-            let dram_rd_gbps = r.totals.dram_rd as f64 * 64.0 * 8.0 / secs / 1e9;
+            let gbps = |lines: u64| format!("{:.2}", lines as f64 * 64.0 * 8.0 / secs / 1e9);
             t.push_row(vec![
                 name,
                 lname.into(),
-                fmt_ratio(ratio(r.totals.mlc_wb, rx)),
-                fmt_ratio(ratio(r.totals.mlc_inval_by_dma, rx)),
-                format!("{dram_wr_gbps:.2}"),
-                format!("{dram_rd_gbps:.2}"),
+                fmt_ratio(r.totals.mlc_wb, rx),
+                fmt_ratio(r.totals.mlc_inval_by_dma, rx),
+                gbps(r.totals.dram_wr),
+                gbps(r.totals.dram_rd),
             ]);
         }
         t
@@ -417,20 +403,10 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
 ///
 /// Fig. 5 as a declarative sweep (1 cell).
 pub fn fig5_spec(scale: Scale) -> FigureSpec {
-    let cells = vec![SweepCell::new(
-        "fig5/DDIO/100G",
-        bursty_cfg(
-            scale,
-            100.0,
-            SteeringPolicy::Ddio,
-            NfKind::TouchDrop,
-            1514,
-            false,
-            Dscp::BEST_EFFORT,
-        ),
-    )];
-    FigureSpec::new("fig5", cells, |outcomes| {
-        let r = &outcomes[0].report;
+    let cfg = bursty_cfg(scale, 100.0, SteeringPolicy::Ddio, |_| {});
+    let rows = [((), SweepCell::new("fig5/DDIO/100G", cfg))];
+    FigureSpec::new("fig5", rows, |rows| {
+        let r = rows[0].1;
         let mut t = FigureResult::new(
             "fig5",
             "MLC and LLC writebacks, bursty traffic, DDIO",
@@ -447,12 +423,8 @@ pub fn fig5_spec(scale: Scale) -> FigureSpec {
                 format!("{:.2}", series.mean()),
                 format!("{total}"),
             ]);
+            t.series.push((name.into(), series.clone()));
         }
-        t.series = vec![
-            ("mlc_wb".into(), r.timelines.mlc_wb.clone()),
-            ("llc_wb".into(), r.timelines.llc_wb.clone()),
-            ("dma_wr".into(), r.timelines.dma_wr.clone()),
-        ];
         t
     })
 }
@@ -471,26 +443,15 @@ pub fn fig5_spec(scale: Scale) -> FigureSpec {
 ///
 /// Fig. 9 as a declarative sweep (2 rates × 6 policies).
 pub fn fig9_spec(scale: Scale) -> FigureSpec {
-    let mut cells = Vec::new();
-    let mut meta = Vec::new();
+    let mut rows = Vec::new();
     for rate in [100.0f64, 25.0] {
         for policy in SteeringPolicy::ALL {
-            cells.push(SweepCell::new(
-                format!("fig9/{rate:.0}G/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    policy,
-                    NfKind::TouchDrop,
-                    1514,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
-            ));
-            meta.push((rate, policy));
+            let label = format!("fig9/{rate:.0}G/{}", policy.label());
+            let cfg = bursty_cfg(scale, rate, policy, |_| {});
+            rows.push(((rate, policy), SweepCell::new(label, cfg)));
         }
     }
-    FigureSpec::new("fig9", cells, move |outcomes| {
+    FigureSpec::new("fig9", rows, |rows| {
         let mut t = FigureResult::new(
             "fig9",
             "Policy comparison on one burst (TouchDrop)",
@@ -504,12 +465,7 @@ pub fn fig9_spec(scale: Scale) -> FigureSpec {
                 "exe_ms",
             ],
         );
-        for ((rate, policy), o) in meta.into_iter().zip(outcomes) {
-            let r = &o.report;
-            let exe = r
-                .mean_exe_time(1)
-                .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
-                .unwrap_or_else(|| "-".into());
+        for ((rate, policy), r) in rows {
             t.push_row(vec![
                 format!("{rate:.0}G"),
                 policy.label().into(),
@@ -517,16 +473,9 @@ pub fn fig9_spec(scale: Scale) -> FigureSpec {
                 format!("{}", r.totals.llc_wb),
                 format!("{:.1}", r.timelines.mlc_wb.max_value()),
                 format!("{}", r.totals.prefetch_fills),
-                exe,
+                exe_ms(r),
             ]);
-            t.series.push((
-                format!("{}_{}_mlc_wb", rate as u32, policy.label()),
-                r.timelines.mlc_wb.clone(),
-            ));
-            t.series.push((
-                format!("{}_{}_llc_wb", rate as u32, policy.label()),
-                r.timelines.llc_wb.clone(),
-            ));
+            t.push_wb_series(&format!("{}_{}", rate as u32, policy.label()), r);
         }
         t
     })
@@ -546,47 +495,27 @@ pub fn fig9_spec(scale: Scale) -> FigureSpec {
 /// Fig. 10 as a declarative sweep (per scenario × rate: one DDIO base cell
 /// plus the compared policies).
 pub fn fig10_spec(scale: Scale) -> FigureSpec {
-    let mut cells = Vec::new();
-    // (scenario, rate, policies) — each entry consumes 1 + policies.len()
-    // outcomes: the DDIO base first, then the compared policies.
-    let mut plan: Vec<(&'static str, f64, Vec<SteeringPolicy>)> = Vec::new();
+    use SteeringPolicy::{Ddio, Idio, StaticIdio};
+    let mut rows = Vec::new();
     for (scenario, antagonist) in [("solo", false), ("corun", true)] {
+        // The DDIO base cell first, then the compared policies.
+        let policies: &[SteeringPolicy] = if antagonist {
+            &[Ddio, Idio]
+        } else {
+            &[Ddio, StaticIdio, Idio]
+        };
         for rate in [100.0f64, 25.0, 10.0] {
-            let policies: Vec<SteeringPolicy> = if antagonist {
-                vec![SteeringPolicy::Idio]
-            } else {
-                vec![SteeringPolicy::StaticIdio, SteeringPolicy::Idio]
-            };
-            cells.push(SweepCell::new(
-                format!("fig10/{scenario}/{rate:.0}G/DDIO"),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    SteeringPolicy::Ddio,
-                    NfKind::TouchDrop,
-                    1514,
-                    antagonist,
-                    Dscp::BEST_EFFORT,
-                ),
-            ));
-            for &policy in &policies {
-                cells.push(SweepCell::new(
-                    format!("fig10/{scenario}/{rate:.0}G/{}", policy.label()),
-                    bursty_cfg(
-                        scale,
-                        rate,
-                        policy,
-                        NfKind::TouchDrop,
-                        1514,
-                        antagonist,
-                        Dscp::BEST_EFFORT,
-                    ),
-                ));
+            for &policy in policies {
+                let label = format!("fig10/{scenario}/{rate:.0}G/{}", policy.label());
+                let mut cfg = bursty_cfg(scale, rate, policy, |_| {});
+                if antagonist {
+                    cfg = cfg.with_antagonist();
+                }
+                rows.push(((scenario, rate, policy), SweepCell::new(label, cfg)));
             }
-            plan.push((scenario, rate, policies));
         }
     }
-    FigureSpec::new("fig10", cells, move |outcomes| {
+    FigureSpec::new("fig10", rows, |rows| {
         let mut t = FigureResult::new(
             "fig10",
             "Normalised transactions and exe time (vs DDIO)",
@@ -602,39 +531,31 @@ pub fn fig10_spec(scale: Scale) -> FigureSpec {
                 "antag_cpa",
             ],
         );
-        let mut cursor = 0usize;
-        for (scenario, rate, policies) in plan {
-            let base = &outcomes[cursor].report;
-            cursor += 1;
-            let base_exe = base.mean_exe_time(1);
-            for policy in policies {
-                let r = &outcomes[cursor].report;
-                cursor += 1;
-                let exe = match (r.mean_exe_time(1), base_exe) {
-                    (Some(a), Some(b)) if b > Duration::ZERO => {
-                        format!("{:.3}", a.as_ps() as f64 / b.as_ps() as f64)
-                    }
-                    _ => "-".into(),
-                };
-                let cpa = match (r.antagonist_cpa, base.antagonist_cpa) {
-                    (Some(a), Some(b)) if b > 0.0 => format!("{:.3}", a / b),
-                    _ => "-".into(),
-                };
-                t.push_row(vec![
-                    scenario.into(),
-                    format!("{rate:.0}G"),
-                    policy.label().into(),
-                    // NF-core writebacks only: the antagonist's own MLC
-                    // churn is identical across policies and would mask
-                    // the effect in co-run rows.
-                    fmt_ratio(ratio(r.nf_mlc_wb(2), base.nf_mlc_wb(2))),
-                    fmt_ratio(ratio(r.totals.llc_wb, base.totals.llc_wb)),
-                    fmt_ratio(ratio(r.totals.dram_rd, base.totals.dram_rd)),
-                    fmt_ratio(ratio(r.totals.dram_wr, base.totals.dram_wr)),
-                    exe,
-                    cpa,
-                ]);
+        let mut ddio = None;
+        for ((scenario, rate, policy), r) in rows {
+            if policy == Ddio {
+                ddio = Some(r);
+                continue;
             }
+            let base = ddio.expect("each group declares its DDIO base first");
+            let cpa = match (r.antagonist_cpa, base.antagonist_cpa) {
+                (Some(a), Some(b)) if b > 0.0 => format!("{:.3}", a / b),
+                _ => "-".into(),
+            };
+            t.push_row(vec![
+                scenario.into(),
+                format!("{rate:.0}G"),
+                policy.label().into(),
+                // NF-core writebacks only: the antagonist's own MLC
+                // churn is identical across policies and would mask
+                // the effect in co-run rows.
+                fmt_ratio(r.nf_mlc_wb(2), base.nf_mlc_wb(2)),
+                fmt_ratio(r.totals.llc_wb, base.totals.llc_wb),
+                fmt_ratio(r.totals.dram_rd, base.totals.dram_rd),
+                fmt_ratio(r.totals.dram_wr, base.totals.dram_wr),
+                exe_ratio(r, base),
+                cpa,
+            ]);
         }
         t
     })
@@ -652,25 +573,15 @@ pub fn fig10_spec(scale: Scale) -> FigureSpec {
 ///
 /// Fig. 11 as a declarative sweep (2 cells).
 pub fn fig11_spec(scale: Scale) -> FigureSpec {
-    let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
-    let cells = policies
-        .iter()
-        .map(|&policy| {
-            SweepCell::new(
-                format!("fig11/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    25.0,
-                    policy,
-                    NfKind::L2Fwd,
-                    1024,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
-            )
-        })
-        .collect();
-    FigureSpec::new("fig11", cells, move |outcomes| {
+    let rows = DDIO_VS_IDIO.map(|policy| {
+        let cfg = bursty_cfg(scale, 25.0, policy, |t| {
+            t.nf = NfKind::L2Fwd;
+            t.packet_len = 1024;
+        });
+        let label = format!("fig11/{}", policy.label());
+        (policy, SweepCell::new(label, cfg))
+    });
+    FigureSpec::new("fig11", rows, |rows| {
         let mut t = FigureResult::new(
             "fig11",
             "L2Fwd, 1024-byte packets",
@@ -683,8 +594,7 @@ pub fn fig11_spec(scale: Scale) -> FigureSpec {
                 "p99_us",
             ],
         );
-        for (policy, o) in policies.into_iter().zip(outcomes) {
-            let r = &o.report;
+        for (policy, r) in rows {
             let p99 = r
                 .p99()
                 .map(|d| format!("{:.1}", d.as_us_f64()))
@@ -697,14 +607,7 @@ pub fn fig11_spec(scale: Scale) -> FigureSpec {
                 format!("{}", r.totals.completed_packets),
                 p99,
             ]);
-            t.series.push((
-                format!("{}_mlc_wb", policy.label()),
-                r.timelines.mlc_wb.clone(),
-            ));
-            t.series.push((
-                format!("{}_llc_wb", policy.label()),
-                r.timelines.llc_wb.clone(),
-            ));
+            t.push_wb_series(policy.label(), r);
         }
         t
     })
@@ -722,25 +625,15 @@ pub fn fig11_spec(scale: Scale) -> FigureSpec {
 ///
 /// The direct-DRAM experiment as a declarative sweep (2 cells).
 pub fn direct_dram_spec(scale: Scale) -> FigureSpec {
-    let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
-    let cells = policies
-        .iter()
-        .map(|&policy| {
-            SweepCell::new(
-                format!("direct_dram/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    25.0,
-                    policy,
-                    NfKind::L2FwdPayloadDrop,
-                    1514,
-                    false,
-                    Dscp::CLASS1_DEFAULT,
-                ),
-            )
-        })
-        .collect();
-    FigureSpec::new("direct_dram", cells, move |outcomes| {
+    let rows = DDIO_VS_IDIO.map(|policy| {
+        let cfg = bursty_cfg(scale, 25.0, policy, |t| {
+            t.nf = NfKind::L2FwdPayloadDrop;
+            t.dscp = Dscp::CLASS1_DEFAULT;
+        });
+        let label = format!("direct_dram/{}", policy.label());
+        (policy, SweepCell::new(label, cfg))
+    });
+    FigureSpec::new("direct_dram", rows, |rows| {
         let mut t = FigureResult::new(
             "direct_dram",
             "Selective direct DRAM access (L2FwdPayloadDrop, class 1)",
@@ -752,13 +645,12 @@ pub fn direct_dram_spec(scale: Scale) -> FigureSpec {
                 "ddio_allocs",
             ],
         );
-        for (policy, o) in policies.into_iter().zip(outcomes) {
-            let r = &o.report;
+        for (policy, r) in rows {
             let payload_lines = r.totals.rx_packets * 23; // 1514 B = 1 header + 23 payload lines
             t.push_row(vec![
                 policy.label().into(),
                 format!("{}", r.hierarchy.shared.dma_direct_dram.get()),
-                fmt_ratio(ratio(r.totals.dram_wr, payload_lines.max(1))),
+                fmt_ratio(r.totals.dram_wr, payload_lines.max(1)),
                 format!("{}", r.totals.llc_wb),
                 format!("{}", r.hierarchy.shared.ddio_allocs.get()),
             ]);
@@ -780,56 +672,45 @@ pub fn direct_dram_spec(scale: Scale) -> FigureSpec {
 /// Fig. 12 as a declarative sweep (per rate: DDIO-solo base, IDIO-solo,
 /// DDIO-corun, IDIO-corun).
 pub fn fig12_spec(scale: Scale) -> FigureSpec {
-    let rates = [100.0f64, 25.0, 10.0];
-    let variants: [(&'static str, bool, SteeringPolicy); 4] = [
-        ("solo", false, SteeringPolicy::Ddio),
-        ("solo", false, SteeringPolicy::Idio),
-        ("corun", true, SteeringPolicy::Ddio),
-        ("corun", true, SteeringPolicy::Idio),
-    ];
-    let mut cells = Vec::new();
-    for rate in rates {
-        for (scenario, antagonist, policy) in variants {
-            cells.push(SweepCell::new(
-                format!("fig12/{rate:.0}G/{scenario}/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    policy,
-                    NfKind::TouchDrop,
-                    1514,
-                    antagonist,
-                    Dscp::BEST_EFFORT,
-                ),
-            ));
+    let mut rows = Vec::new();
+    for rate in [100.0f64, 25.0, 10.0] {
+        for (scenario, antagonist) in [("solo", false), ("corun", true)] {
+            for policy in DDIO_VS_IDIO {
+                let label = format!("fig12/{rate:.0}G/{scenario}/{}", policy.label());
+                let mut cfg = bursty_cfg(scale, rate, policy, |_| {});
+                if antagonist {
+                    cfg = cfg.with_antagonist();
+                }
+                rows.push(((rate, scenario, policy), SweepCell::new(label, cfg)));
+            }
         }
     }
-    FigureSpec::new("fig12", cells, move |outcomes| {
+    FigureSpec::new("fig12", rows, |rows| {
         let mut t = FigureResult::new(
             "fig12",
             "p50/p99 latency normalised to DDIO solo",
             &["rate", "scenario", "policy", "p50", "p99", "p99_us"],
         );
-        for (i, rate) in rates.into_iter().enumerate() {
-            let chunk = &outcomes[i * variants.len()..(i + 1) * variants.len()];
-            let base = &chunk[0].report; // DDIO solo
+        let mut solo_ddio = None;
+        for ((rate, scenario, policy), r) in rows {
+            if (scenario, policy) == ("solo", SteeringPolicy::Ddio) {
+                solo_ddio = Some(r);
+            }
+            let base = solo_ddio.expect("each rate declares its DDIO-solo base first");
             let (bp50, bp99) = (
                 base.p50().unwrap_or(Duration::from_ns(1)),
                 base.p99().unwrap_or(Duration::from_ns(1)),
             );
-            for ((scenario, _, policy), o) in variants.into_iter().zip(chunk) {
-                let r = &o.report;
-                let p50 = r.p50().unwrap_or(Duration::ZERO);
-                let p99 = r.p99().unwrap_or(Duration::ZERO);
-                t.push_row(vec![
-                    format!("{rate:.0}G"),
-                    scenario.into(),
-                    policy.label().into(),
-                    format!("{:.3}", p50.as_ps() as f64 / bp50.as_ps() as f64),
-                    format!("{:.3}", p99.as_ps() as f64 / bp99.as_ps() as f64),
-                    format!("{:.1}", p99.as_us_f64()),
-                ]);
-            }
+            let p50 = r.p50().unwrap_or(Duration::ZERO);
+            let p99 = r.p99().unwrap_or(Duration::ZERO);
+            t.push_row(vec![
+                format!("{rate:.0}G"),
+                scenario.into(),
+                policy.label().into(),
+                format!("{:.3}", p50.as_ps() as f64 / bp50.as_ps() as f64),
+                format!("{:.3}", p99.as_ps() as f64 / bp99.as_ps() as f64),
+                format!("{:.1}", p99.as_us_f64()),
+            ]);
         }
         t
     })
@@ -847,17 +728,11 @@ pub fn fig12_spec(scale: Scale) -> FigureSpec {
 ///
 /// Fig. 13 as a declarative sweep (2 cells).
 pub fn fig13_spec(scale: Scale) -> FigureSpec {
-    let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
-    let cells = policies
-        .iter()
-        .map(|&policy| {
-            SweepCell::new(
-                format!("fig13/{}", policy.label()),
-                steady_cfg(scale, 10.0, scale.ring, policy, false),
-            )
-        })
-        .collect();
-    FigureSpec::new("fig13", cells, move |outcomes| {
+    let rows = DDIO_VS_IDIO.map(|policy| {
+        let label = format!("fig13/{}", policy.label());
+        (policy, SweepCell::new(label, steady_cfg(scale, policy)))
+    });
+    FigureSpec::new("fig13", rows, |rows| {
         let mut t = FigureResult::new(
             "fig13",
             "Steady 10 Gbps/core TouchDrop",
@@ -869,8 +744,7 @@ pub fn fig13_spec(scale: Scale) -> FigureSpec {
                 "completed",
             ],
         );
-        for (policy, o) in policies.into_iter().zip(outcomes) {
-            let r = &o.report;
+        for (policy, r) in rows {
             t.push_row(vec![
                 policy.label().into(),
                 format!("{:.2}", r.timelines.mlc_wb.mean()),
@@ -878,14 +752,7 @@ pub fn fig13_spec(scale: Scale) -> FigureSpec {
                 format!("{}", r.totals.self_inval),
                 format!("{}", r.totals.completed_packets),
             ]);
-            t.series.push((
-                format!("{}_mlc_wb", policy.label()),
-                r.timelines.mlc_wb.clone(),
-            ));
-            t.series.push((
-                format!("{}_llc_wb", policy.label()),
-                r.timelines.llc_wb.clone(),
-            ));
+            t.push_wb_series(policy.label(), r);
         }
         t
     })
@@ -903,54 +770,33 @@ pub fn fig13_spec(scale: Scale) -> FigureSpec {
 ///
 /// Fig. 14 as a declarative sweep (DDIO base + 5 threshold cells).
 pub fn fig14_spec(scale: Scale) -> FigureSpec {
-    let thresholds = [10.0f64, 25.0, 50.0, 75.0, 100.0];
-    let mut cells = vec![SweepCell::new(
-        "fig14/DDIO-base",
-        bursty_cfg(
-            scale,
-            100.0,
-            SteeringPolicy::Ddio,
-            NfKind::TouchDrop,
-            1514,
-            false,
-            Dscp::BEST_EFFORT,
-        ),
-    )];
-    for thr in thresholds {
-        let mut cfg = bursty_cfg(
-            scale,
-            100.0,
-            SteeringPolicy::Idio,
-            NfKind::TouchDrop,
-            1514,
-            false,
-            Dscp::BEST_EFFORT,
-        );
+    // Row key: the threshold, or `None` for the DDIO base.
+    let base_cfg = bursty_cfg(scale, 100.0, SteeringPolicy::Ddio, |_| {});
+    let mut rows = vec![(None, SweepCell::new("fig14/DDIO-base", base_cfg))];
+    for thr in [10.0f64, 25.0, 50.0, 75.0, 100.0] {
+        let mut cfg = bursty_cfg(scale, 100.0, SteeringPolicy::Idio, |_| {});
         cfg.idio = cfg.idio.with_mlc_thr_mtps(thr);
-        cells.push(SweepCell::new(format!("fig14/thr{thr:.0}"), cfg));
+        rows.push((Some(thr), SweepCell::new(format!("fig14/thr{thr:.0}"), cfg)));
     }
-    FigureSpec::new("fig14", cells, move |outcomes| {
+    FigureSpec::new("fig14", rows, |rows| {
         let mut t = FigureResult::new(
             "fig14",
             "Sensitivity to mlcTHR at 100 Gbps (normalised to DDIO)",
             &["mlc_thr_mtps", "mlc_wb", "llc_wb", "dram_wr", "exe_time"],
         );
-        let base = &outcomes[0].report;
-        let base_exe = base.mean_exe_time(1);
-        for (thr, o) in thresholds.into_iter().zip(&outcomes[1..]) {
-            let r = &o.report;
-            let exe = match (r.mean_exe_time(1), base_exe) {
-                (Some(a), Some(b)) if b > Duration::ZERO => {
-                    format!("{:.3}", a.as_ps() as f64 / b.as_ps() as f64)
-                }
-                _ => "-".into(),
+        let mut ddio = None;
+        for (thr, r) in rows {
+            let Some(thr) = thr else {
+                ddio = Some(r);
+                continue;
             };
+            let base = ddio.expect("the DDIO base is declared first");
             t.push_row(vec![
                 format!("{thr:.0}"),
-                fmt_ratio(ratio(r.totals.mlc_wb, base.totals.mlc_wb)),
-                fmt_ratio(ratio(r.totals.llc_wb, base.totals.llc_wb)),
-                fmt_ratio(ratio(r.totals.dram_wr, base.totals.dram_wr)),
-                exe,
+                fmt_ratio(r.totals.mlc_wb, base.totals.mlc_wb),
+                fmt_ratio(r.totals.llc_wb, base.totals.llc_wb),
+                fmt_ratio(r.totals.dram_wr, base.totals.dram_wr),
+                exe_ratio(r, base),
             ]);
         }
         t
@@ -979,33 +825,21 @@ pub fn future_work_spec(scale: Scale) -> FigureSpec {
         ("queued", PrefetchPacing::Queued),
         ("cpu-paced", PrefetchPacing::CpuPaced { window_packets: 64 }),
     ];
-    let mut cells = Vec::new();
-    let mut meta = Vec::new();
+    let mut rows = Vec::new();
     for rate in [100.0f64, 25.0] {
         for (name, pacing) in variants {
-            let mut cfg = bursty_cfg(
-                scale,
-                rate,
-                SteeringPolicy::Idio,
-                NfKind::TouchDrop,
-                1514,
-                false,
-                Dscp::BEST_EFFORT,
-            );
+            let mut cfg = bursty_cfg(scale, rate, SteeringPolicy::Idio, |_| {});
             cfg.prefetcher.pacing = pacing;
             if matches!(pacing, PrefetchPacing::CpuPaced { .. }) {
                 // The paced queue never drops; give it room for a full
                 // window of parked-then-released packets.
                 cfg.prefetcher.queue_depth = 64 * 32;
             }
-            cells.push(SweepCell::new(
-                format!("future-work/{rate:.0}G/{name}"),
-                cfg,
-            ));
-            meta.push((rate, name));
+            let label = format!("future-work/{rate:.0}G/{name}");
+            rows.push(((rate, name), SweepCell::new(label, cfg)));
         }
     }
-    FigureSpec::new("future-work", cells, move |outcomes| {
+    FigureSpec::new("future-work", rows, |rows| {
         let mut t = FigureResult::new(
             "future-work",
             "Queued vs CPU-paced prefetching (IDIO)",
@@ -1018,19 +852,14 @@ pub fn future_work_spec(scale: Scale) -> FigureSpec {
                 "exe_ms",
             ],
         );
-        for ((rate, name), o) in meta.into_iter().zip(outcomes) {
-            let r = &o.report;
-            let exe = r
-                .mean_exe_time(1)
-                .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
-                .unwrap_or_else(|| "-".into());
+        for ((rate, name), r) in rows {
             t.push_row(vec![
                 format!("{rate:.0}G"),
                 name.into(),
                 format!("{}", r.totals.mlc_wb),
                 format!("{}", r.totals.llc_wb),
                 format!("{}", r.totals.prefetch_fills),
-                exe,
+                exe_ms(r),
             ]);
         }
         t
@@ -1051,24 +880,18 @@ pub fn future_work_spec(scale: Scale) -> FigureSpec {
 ///
 /// The bloating measurement as a declarative sweep (2 cells).
 pub fn bloating_spec(scale: Scale) -> FigureSpec {
-    let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
-    let cells = policies
-        .iter()
-        .map(|&policy| {
-            SweepCell::new(
-                format!("bloating/{}", policy.label()),
-                steady_cfg(scale, 10.0, scale.ring, policy, false),
-            )
-        })
-        .collect();
-    FigureSpec::new("bloating", cells, move |outcomes| {
+    let rows = DDIO_VS_IDIO.map(|policy| {
+        let label = format!("bloating/{}", policy.label());
+        (policy, SweepCell::new(label, steady_cfg(scale, policy)))
+    });
+    FigureSpec::new("bloating", rows, |rows| {
         let mut t = FigureResult::new(
             "bloating",
             "DMA share of LLC capacity (steady 10 Gbps/core)",
             &["policy", "mean_share", "max_share", "final_share"],
         );
-        for (policy, o) in policies.into_iter().zip(outcomes) {
-            let series = &o.report.timelines.dma_llc_share;
+        for (policy, r) in rows {
+            let series = &r.timelines.dma_llc_share;
             let last = series.samples().next_back().map(|s| s.value).unwrap_or(0.0);
             t.push_row(vec![
                 policy.label().into(),
@@ -1099,23 +922,18 @@ pub fn bloating_spec(scale: Scale) -> FigureSpec {
 /// The recycling-mode comparison as a declarative sweep (2 stacks × 2
 /// policies).
 pub fn copy_mode_spec(scale: Scale) -> FigureSpec {
-    let stacks = [
+    let mut rows = Vec::new();
+    for (name, nf) in [
         ("run-to-completion", NfKind::TouchDrop),
         ("copy", NfKind::TouchDropCopy),
-    ];
-    let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
-    let mut cells = Vec::new();
-    let mut meta = Vec::new();
-    for (name, kind) in stacks {
-        for policy in policies {
-            cells.push(SweepCell::new(
-                format!("copy-mode/{name}/{}", policy.label()),
-                bursty_cfg(scale, 25.0, policy, kind, 1514, false, Dscp::BEST_EFFORT),
-            ));
-            meta.push((name, policy));
+    ] {
+        for policy in DDIO_VS_IDIO {
+            let label = format!("copy-mode/{name}/{}", policy.label());
+            let cfg = bursty_cfg(scale, 25.0, policy, |t| t.nf = nf);
+            rows.push(((name, policy), SweepCell::new(label, cfg)));
         }
     }
-    FigureSpec::new("copy-mode", cells, move |outcomes| {
+    FigureSpec::new("copy-mode", rows, |rows| {
         let mut t = FigureResult::new(
             "copy-mode",
             "Run-to-completion vs copy-mode recycling",
@@ -1128,19 +946,14 @@ pub fn copy_mode_spec(scale: Scale) -> FigureSpec {
                 "exe_ms",
             ],
         );
-        for ((name, policy), o) in meta.into_iter().zip(outcomes) {
-            let r = &o.report;
-            let exe = r
-                .mean_exe_time(1)
-                .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
-                .unwrap_or_else(|| "-".into());
+        for ((name, policy), r) in rows {
             t.push_row(vec![
                 name.into(),
                 policy.label().into(),
                 format!("{}", r.totals.mlc_wb),
                 format!("{}", r.totals.llc_wb),
                 format!("{}", r.totals.self_inval),
-                exe,
+                exe_ms(r),
             ]);
         }
         t
@@ -1161,49 +974,32 @@ pub fn copy_mode_spec(scale: Scale) -> FigureSpec {
 ///
 /// The baseline comparison as a declarative sweep (2 rates × 3 policies).
 pub fn baselines_spec(scale: Scale) -> FigureSpec {
-    let policies = [
-        SteeringPolicy::Ddio,
-        SteeringPolicy::IatDynamic,
-        SteeringPolicy::Idio,
-    ];
-    let mut cells = Vec::new();
-    let mut meta = Vec::new();
+    let mut rows = Vec::new();
     for rate in [100.0f64, 25.0] {
-        for policy in policies {
-            cells.push(SweepCell::new(
-                format!("baselines/{rate:.0}G/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    rate,
-                    policy,
-                    NfKind::TouchDrop,
-                    1514,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
-            ));
-            meta.push((rate, policy));
+        for policy in [
+            SteeringPolicy::Ddio,
+            SteeringPolicy::IatDynamic,
+            SteeringPolicy::Idio,
+        ] {
+            let label = format!("baselines/{rate:.0}G/{}", policy.label());
+            let cfg = bursty_cfg(scale, rate, policy, |_| {});
+            rows.push(((rate, policy), SweepCell::new(label, cfg)));
         }
     }
-    FigureSpec::new("baselines", cells, move |outcomes| {
+    FigureSpec::new("baselines", rows, |rows| {
         let mut t = FigureResult::new(
             "baselines",
             "DDIO vs IAT-dynamic vs IDIO (TouchDrop)",
             &["rate", "policy", "mlc_wb", "llc_wb", "dram_wr", "exe_ms"],
         );
-        for ((rate, policy), o) in meta.into_iter().zip(outcomes) {
-            let r = &o.report;
-            let exe = r
-                .mean_exe_time(1)
-                .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
-                .unwrap_or_else(|| "-".into());
+        for ((rate, policy), r) in rows {
             t.push_row(vec![
                 format!("{rate:.0}G"),
                 policy.label().into(),
                 format!("{}", r.totals.mlc_wb),
                 format!("{}", r.totals.llc_wb),
                 format!("{}", r.totals.dram_wr),
-                exe,
+                exe_ms(r),
             ]);
         }
         t
@@ -1224,32 +1020,29 @@ pub fn baselines_spec(scale: Scale) -> FigureSpec {
 ///
 /// The ring-depth sweep as a declarative sweep (5 rings × 2 policies).
 pub fn ring_sweep_spec(scale: Scale) -> FigureSpec {
-    let mut cells = Vec::new();
-    let mut meta = Vec::new();
+    let mut rows = Vec::new();
     for ring in [64u32, 256, 512, 1024, 2048] {
-        for policy in [SteeringPolicy::Ddio, SteeringPolicy::Idio] {
-            cells.push(SweepCell::new(
-                format!("ring-sweep/ring{ring}/{}", policy.label()),
-                steady_cfg(scale, 10.0, ring, policy, false),
-            ));
-            meta.push((ring, policy));
+        for policy in DDIO_VS_IDIO {
+            let label = format!("ring-sweep/ring{ring}/{}", policy.label());
+            let mut cfg = steady_cfg(scale, policy);
+            cfg.ring_size = ring;
+            rows.push(((ring, policy), SweepCell::new(label, cfg)));
         }
     }
-    FigureSpec::new("ring-sweep", cells, move |outcomes| {
+    FigureSpec::new("ring-sweep", rows, |rows| {
         let mut t = FigureResult::new(
             "ring-sweep",
             "Ring-depth sweep at steady 10 Gbps/core",
             &["ring", "policy", "mlc_wb/rx", "inval/rx", "self_inval/rx"],
         );
-        for ((ring, policy), o) in meta.into_iter().zip(outcomes) {
-            let r = &o.report;
+        for ((ring, policy), r) in rows {
             let rx = rx_data_lines(r, 1514).max(1);
             t.push_row(vec![
                 format!("{ring}"),
                 policy.label().into(),
-                fmt_ratio(ratio(r.totals.mlc_wb, rx)),
-                fmt_ratio(ratio(r.totals.mlc_inval_by_dma, rx)),
-                fmt_ratio(ratio(r.totals.self_inval, rx)),
+                fmt_ratio(r.totals.mlc_wb, rx),
+                fmt_ratio(r.totals.mlc_inval_by_dma, rx),
+                fmt_ratio(r.totals.self_inval, rx),
             ]);
         }
         t
@@ -1263,50 +1056,33 @@ pub fn ring_sweep_spec(scale: Scale) -> FigureSpec {
 /// The packet-size sweep as a declarative sweep (per size: DDIO base +
 /// IDIO).
 pub fn packet_sweep_spec(scale: Scale) -> FigureSpec {
-    let lens = [64u16, 256, 1024, 1514];
-    let policies = [SteeringPolicy::Ddio, SteeringPolicy::Idio];
-    let mut cells = Vec::new();
-    for len in lens {
-        for policy in policies {
-            cells.push(SweepCell::new(
-                format!("packet-sweep/{len}B/{}", policy.label()),
-                bursty_cfg(
-                    scale,
-                    25.0,
-                    policy,
-                    NfKind::TouchDrop,
-                    len,
-                    false,
-                    Dscp::BEST_EFFORT,
-                ),
-            ));
+    let mut rows = Vec::new();
+    for len in [64u16, 256, 1024, 1514] {
+        for policy in DDIO_VS_IDIO {
+            let label = format!("packet-sweep/{len}B/{}", policy.label());
+            let cfg = bursty_cfg(scale, 25.0, policy, |t| t.packet_len = len);
+            rows.push(((len, policy), SweepCell::new(label, cfg)));
         }
     }
-    FigureSpec::new("packet-sweep", cells, move |outcomes| {
+    FigureSpec::new("packet-sweep", rows, |rows| {
         let mut t = FigureResult::new(
             "packet-sweep",
             "Packet-size sweep, 25 Gbps bursts",
             &["bytes", "policy", "mlc_wb", "llc_wb", "exe_ratio"],
         );
-        for (i, len) in lens.into_iter().enumerate() {
-            let chunk = &outcomes[i * policies.len()..(i + 1) * policies.len()];
-            let base_exe = chunk[0].report.mean_exe_time(1); // DDIO
-            for (policy, o) in policies.into_iter().zip(chunk) {
-                let r = &o.report;
-                let exe = match (r.mean_exe_time(1), base_exe) {
-                    (Some(a), Some(b)) if b > Duration::ZERO => {
-                        format!("{:.3}", a.as_ps() as f64 / b.as_ps() as f64)
-                    }
-                    _ => "-".into(),
-                };
-                t.push_row(vec![
-                    format!("{len}"),
-                    policy.label().into(),
-                    format!("{}", r.totals.mlc_wb),
-                    format!("{}", r.totals.llc_wb),
-                    exe,
-                ]);
+        let mut ddio = None;
+        for ((len, policy), r) in rows {
+            if policy == SteeringPolicy::Ddio {
+                ddio = Some(r);
             }
+            let base = ddio.expect("each size declares its DDIO base first");
+            t.push_row(vec![
+                format!("{len}"),
+                policy.label().into(),
+                format!("{}", r.totals.mlc_wb),
+                format!("{}", r.totals.llc_wb),
+                exe_ratio(r, base),
+            ]);
         }
         t
     })
@@ -1351,6 +1127,12 @@ pub fn spec_by_name(name: &str, scale: Scale) -> Option<FigureSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_figures, SweepOptions};
+
+    fn run_one(spec: FigureSpec) -> FigureResult {
+        let mut figures = run_figures(vec![spec], &SweepOptions::default()).figures;
+        figures.pop().expect("one figure")
+    }
 
     #[test]
     fn table_rendering_is_aligned() {
@@ -1370,7 +1152,7 @@ mod tests {
 
     #[test]
     fn fig5_quick_smoke_has_two_phases() {
-        let f = fig5_spec(Scale::quick()).run_serial();
+        let f = run_one(fig5_spec(Scale::quick()));
         assert_eq!(f.rows.len(), 3);
         // The timeline series are populated for plotting.
         assert!(f.series.iter().any(|(n, s)| n == "llc_wb" && !s.is_empty()));
@@ -1388,7 +1170,7 @@ mod tests {
 
     #[test]
     fn direct_dram_quick_smoke_ratio_is_one() {
-        let f = direct_dram_spec(Scale::quick()).run_serial();
+        let f = run_one(direct_dram_spec(Scale::quick()));
         // Row order: DDIO then IDIO; column 2 is dram_wr/rx_payload.
         let idio = &f.rows[1];
         assert_eq!(idio[0], "IDIO");
@@ -1398,10 +1180,9 @@ mod tests {
 
     #[test]
     fn ratio_handles_zero_denominator() {
-        assert_eq!(ratio(0, 0), 1.0);
-        assert!(ratio(5, 0).is_infinite());
-        assert_eq!(fmt_ratio(ratio(1, 2)), "0.500");
-        assert_eq!(fmt_ratio(f64::INFINITY), "inf");
+        assert_eq!(fmt_ratio(0, 0), "1.000");
+        assert_eq!(fmt_ratio(5, 0), "inf");
+        assert_eq!(fmt_ratio(1, 2), "0.500");
     }
 
     #[test]

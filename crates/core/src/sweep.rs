@@ -3,8 +3,9 @@
 //! Every paper figure is a *sweep matrix*: dozens of independent
 //! [`System`] runs (cells) whose results are assembled into one table.
 //! This module turns that matrix into explicit data — a [`SweepCell`] is a
-//! labelled [`SystemConfig`], a [`FigureSpec`] is a list of cells plus an
-//! assembly function — and executes the cells on a pool of worker threads
+//! labelled [`SystemConfig`], a [`FigureSpec`] is a list of cells, each
+//! with the key of the table row it measures, plus an assembly function —
+//! and executes the cells on a pool of worker threads ([`run_figures`])
 //! while keeping the output *bit-identical* to a serial run:
 //!
 //! * **Deterministic seeding.** Each cell's RNG seed is derived from the
@@ -294,10 +295,6 @@ type AssembleFn = Box<dyn FnOnce(&[CellOutcome]) -> FigureResult>;
 
 /// A declared figure: its cells plus the function that assembles the
 /// executed cells into the printable [`FigureResult`].
-///
-/// The assembly function receives the outcomes in *declaration order* and
-/// must be a pure function of them (it runs on the coordinating thread,
-/// after all of the figure's cells finished).
 pub struct FigureSpec {
     /// Figure identifier (e.g. `"fig9"`).
     pub id: &'static str,
@@ -316,12 +313,18 @@ impl std::fmt::Debug for FigureSpec {
 }
 
 impl FigureSpec {
-    /// Declares a figure.
-    pub fn new(
+    /// Declares a figure from its rows: each row's key and the cell that
+    /// measures it.
+    ///
+    /// `assemble` receives every key with its cell's report, in
+    /// declaration order, and must be a pure function of them (it runs on
+    /// the coordinating thread, after all of the figure's cells finished).
+    pub fn new<K: 'static>(
         id: &'static str,
-        cells: Vec<SweepCell>,
-        assemble: impl FnOnce(&[CellOutcome]) -> FigureResult + 'static,
+        rows: impl IntoIterator<Item = (K, SweepCell)>,
+        assemble: impl FnOnce(Vec<(K, &RunReport)>) -> FigureResult + 'static,
     ) -> Self {
+        let (keys, cells): (Vec<K>, Vec<SweepCell>) = rows.into_iter().unzip();
         debug_assert!(
             {
                 let mut labels: Vec<&str> = cells.iter().map(|c| c.label.as_str()).collect();
@@ -333,39 +336,19 @@ impl FigureSpec {
         FigureSpec {
             id,
             cells,
-            assemble: Box::new(assemble),
+            assemble: Box::new(move |outcomes: &[CellOutcome]| {
+                assemble(
+                    keys.into_iter()
+                        .zip(outcomes.iter().map(|o| &o.report))
+                        .collect(),
+                )
+            }),
         }
-    }
-
-    /// Runs this figure's cells serially with default options and
-    /// assembles the result — the drop-in replacement for the legacy
-    /// inline-loop figure drivers.
-    pub fn run_serial(self) -> FigureResult {
-        self.run(&SweepOptions::serial()).0
-    }
-
-    /// Runs this figure's cells under `opts` and assembles the result.
-    pub fn run(self, opts: &SweepOptions) -> (FigureResult, FigureTiming) {
-        let id = self.id;
-        let outcomes = run_cells(self.cells, opts);
-        let timing = FigureTiming {
-            id,
-            cells: outcomes.iter().map(cell_timing).collect(),
-        };
-        ((self.assemble)(&outcomes), timing)
-    }
-}
-
-fn cell_timing(o: &CellOutcome) -> CellTiming {
-    CellTiming {
-        label: o.label.clone(),
-        wall: o.wall,
-        events: o.report.profile.clone(),
     }
 }
 
 /// Final telemetry of one executed cell, in declaration order within a
-/// suite run (see [`run_figures_detailed`]).
+/// suite run (see [`run_figures`]).
 #[derive(Debug, Clone)]
 pub struct CellMetrics {
     /// The cell's label.
@@ -386,29 +369,20 @@ pub struct SuiteOutcome {
     pub timing: SuiteTiming,
 }
 
-/// Runs a whole suite of figures over one shared worker pool.
+/// Runs figures — one or a whole suite — over one shared worker pool: the
+/// one way to run a figure.
 ///
 /// All cells of all figures are flattened into a single batch so that a
 /// figure with one long-running cell does not serialise the sweep; results
 /// are regrouped per figure and assembled in declaration order.
-pub fn run_figures(
-    specs: Vec<FigureSpec>,
-    opts: &SweepOptions,
-) -> (Vec<FigureResult>, SuiteTiming) {
-    let out = run_figures_detailed(specs, opts);
-    (out.figures, out.timing)
-}
-
-/// [`run_figures`] plus each cell's final metrics snapshot (the
-/// `repro --metrics` data source).
-pub fn run_figures_detailed(specs: Vec<FigureSpec>, opts: &SweepOptions) -> SuiteOutcome {
+pub fn run_figures(mut specs: Vec<FigureSpec>, opts: &SweepOptions) -> SuiteOutcome {
     let t0 = Instant::now();
-    // Flatten (figure index, cell) pairs, remembering each figure's span.
+    // Flatten the figures' cells, remembering each figure's span.
     let mut flat = Vec::new();
     let mut spans = Vec::with_capacity(specs.len());
-    for spec in &specs {
+    for spec in &mut specs {
         let start = flat.len();
-        flat.extend(spec.cells.iter().cloned());
+        flat.append(&mut spec.cells);
         spans.push(start..flat.len());
     }
     let outcomes = run_cells(flat, opts);
@@ -424,9 +398,14 @@ pub fn run_figures_detailed(specs: Vec<FigureSpec>, opts: &SweepOptions) -> Suit
     let mut timings = Vec::with_capacity(specs.len());
     for (spec, span) in specs.into_iter().zip(spans) {
         let mine = &outcomes[span];
+        let cells = mine.iter().map(|o| CellTiming {
+            label: o.label.clone(),
+            wall: o.wall,
+            events: o.report.profile.clone(),
+        });
         timings.push(FigureTiming {
             id: spec.id,
-            cells: mine.iter().map(cell_timing).collect(),
+            cells: cells.collect(),
         });
         figures.push((spec.assemble)(mine));
     }
@@ -541,21 +520,25 @@ mod tests {
 
     #[test]
     fn figure_spec_assembles_in_declaration_order() {
-        let cells = vec![
-            SweepCell::new("first", tiny_cfg()),
-            SweepCell::new("second", tiny_cfg()),
-        ];
-        let spec = FigureSpec::new("test", cells, |outcomes| {
-            let mut f = FigureResult::new("test", "order", &["label"]);
-            for o in outcomes {
-                f.push_row(vec![o.label.clone()]);
+        // The second cell runs three times as long, so its report is
+        // recognisable: each key must arrive with its own cell's report.
+        let rows = [("first", 50), ("second", 150)].map(|(label, us)| {
+            let mut cfg = tiny_cfg();
+            cfg.duration = SimTime::from_us(us);
+            (label, SweepCell::new(label, cfg))
+        });
+        let spec = FigureSpec::new("test", rows, |rows| {
+            let mut f = FigureResult::new("test", "order", &["label", "rx"]);
+            for (label, r) in rows {
+                f.push_row(vec![label.to_string(), r.totals.rx_packets.to_string()]);
             }
             f
         });
-        let fig = spec.run_serial();
-        assert_eq!(
-            fig.rows,
-            vec![vec!["first".to_string()], vec!["second".to_string()]]
-        );
+        let mut figures = run_figures(vec![spec], &SweepOptions::serial()).figures;
+        let fig = figures.pop().expect("one figure");
+        let labels: Vec<&str> = fig.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(labels, ["first", "second"]);
+        let rx: Vec<u64> = fig.rows.iter().map(|r| r[1].parse().unwrap()).collect();
+        assert!(rx[0] < rx[1], "keys paired with the wrong reports: {rx:?}");
     }
 }

@@ -156,7 +156,7 @@ pub struct GenSpec {
     /// Fraction of tenants pinned to hostile policy overrides.
     pub attacker_frac: f64,
     /// SLO attached to non-attacker [`AppClass::Kvs`] tenants offering at
-    /// least [`SLO_MIN_RATE_GBPS`].
+    /// least `SLO_MIN_RATE_GBPS` (0.5 Gbps).
     pub slo: Option<SloSpec>,
     /// Give every non-attacker tenant an auto CAT partition (`cat =
     /// "auto"` in the `[generate]` table): the closed-loop controller

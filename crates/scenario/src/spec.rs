@@ -8,7 +8,7 @@
 //! same cache hierarchy), which is what makes the interference report an
 //! apples-to-apples comparison.
 
-use idio_core::config::{FlowSteering, SystemConfig};
+use idio_core::config::{FieldError, FlowSteering, SystemConfig};
 use idio_core::policy::SteeringPolicy;
 use idio_engine::time::{Duration, SimTime};
 
@@ -91,8 +91,28 @@ impl Scenario {
         }
     }
 
-    /// Validates the scenario: a non-empty name, at least one tenant, and
-    /// a mixed configuration valid under [`SystemConfig::validate`].
+    /// Checks the scenario's own rules: a non-empty name and at least one
+    /// tenant.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule, keyed by the scenario-file key it is
+    /// about.
+    pub fn check(&self) -> Result<(), FieldError> {
+        if self.name.is_empty() {
+            return Err(FieldError::new("name", "scenario name must not be empty"));
+        }
+        if self.tenants.is_empty() {
+            return Err(FieldError::new(
+                "tenant",
+                "scenario has no tenants (add [[tenant]] tables or a [generate] table)",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validates the scenario: its own rules ([`Scenario::check`]) and a
+    /// mixed configuration valid under [`SystemConfig::validate`].
     ///
     /// Each solo configuration is then valid too: it holds one of the
     /// mixed run's tenants, now at index 0, on the same hierarchy, so its
@@ -103,12 +123,7 @@ impl Scenario {
     ///
     /// Returns a message naming the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
-            return Err("scenario with empty name".into());
-        }
-        if self.tenants.is_empty() {
-            return Err(format!("scenario '{}' has no tenants", self.name));
-        }
+        self.check().map_err(|e| e.msg)?;
         self.mixed_config()
             .validate()
             .map_err(|e| format!("scenario '{}' (mixed): {e}", self.name))
@@ -194,6 +209,23 @@ mod tests {
         );
         // Same core count as the mixed run: contention-only comparison.
         assert_eq!(cfg.hierarchy.num_cores, 3);
+    }
+
+    #[test]
+    fn scenario_rules_name_their_key() {
+        let mut sc = two_tenants();
+        sc.tenants.clear();
+        assert_eq!(sc.check().unwrap_err().key, "tenant");
+        assert!(sc
+            .validate()
+            .unwrap_err()
+            .contains("scenario has no tenants"));
+        sc.name.clear();
+        assert_eq!(sc.check().unwrap_err().key, "name");
+        assert_eq!(
+            sc.validate().unwrap_err(),
+            "scenario name must not be empty"
+        );
     }
 
     #[test]

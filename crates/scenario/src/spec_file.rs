@@ -762,31 +762,16 @@ fn parse_policy_spec(s: &str, pos: Pos) -> Result<PolicySpec, SpecError> {
 }
 
 fn parse_nf(s: &str, pos: Pos) -> Result<NfKind, SpecError> {
-    match s {
-        "touch-drop" => Ok(NfKind::TouchDrop),
-        "l2fwd" => Ok(NfKind::L2Fwd),
-        "l2fwd-payload-drop" => Ok(NfKind::L2FwdPayloadDrop),
-        "touch-drop-copy" => Ok(NfKind::TouchDropCopy),
-        "deep-fwd" => Ok(NfKind::DeepFwd),
-        _ => Err(SpecError::new(
+    NfKind::from_file_name(s).ok_or_else(|| {
+        let names: Vec<&str> = NfKind::NAMED
+            .iter()
+            .filter_map(|nf| nf.file_name())
+            .collect();
+        SpecError::new(
             pos,
-            format!(
-                "unknown nf '{s}' (expected touch-drop|l2fwd|l2fwd-payload-drop|\
-                 touch-drop-copy|deep-fwd)"
-            ),
-        )),
-    }
-}
-
-fn nf_file_name(nf: NfKind) -> &'static str {
-    match nf {
-        NfKind::TouchDrop => "touch-drop",
-        NfKind::L2Fwd => "l2fwd",
-        NfKind::L2FwdPayloadDrop => "l2fwd-payload-drop",
-        NfKind::TouchDropCopy => "touch-drop-copy",
-        NfKind::DeepFwd => "deep-fwd",
-        NfKind::Chain(_) => unreachable!("chains serialize as 'chain = [...]'"),
-    }
+            format!("unknown nf '{s}' (expected {})", names.join("|")),
+        )
+    })
 }
 
 /// Parses a `chain = ["parse", ...]` stage list into a chained NF.
@@ -1195,14 +1180,7 @@ fn build_generate(g: &Table) -> Result<GenSpec, SpecError> {
 
 fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scenario, SpecError> {
     check_known_keys(&raw.top, TOP_KEYS)?;
-    let name_entry = required(&raw.top, "scenario", "name")?;
-    let name = want_str(name_entry)?.to_string();
-    if name.is_empty() {
-        return Err(SpecError::new(
-            name_entry.val_pos,
-            "scenario name must not be empty",
-        ));
-    }
+    let name = want_str(required(&raw.top, "scenario", "name")?)?.to_string();
     let description = raw
         .top
         .get("description")
@@ -1273,13 +1251,7 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
                 "a scenario defines either [[tenant]] tables or one [generate] table, not both",
             ));
         }
-        (None, true) => {
-            return Err(SpecError::new(
-                raw.top.pos,
-                "scenario has no tenants (add [[tenant]] tables or a [generate] table)",
-            ));
-        }
-        (None, false) => {
+        (None, _) => {
             let mut seen: Vec<(String, Pos)> = Vec::new();
             for t in &raw.tenants {
                 let tenant = build_tenant(t, replay_reader, scenario.policy)?;
@@ -1298,6 +1270,7 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
             }
         }
     }
+    (scenario.check()).map_err(|e| SpecError::new(value_pos(&raw.top, e.key), e.msg))?;
     // The value rules are the configuration's own: check the mixed
     // configuration (moving the tenants in and back, not copying their
     // replays) and point at the value of the key each error names.
@@ -1430,7 +1403,8 @@ pub fn to_file_string(scenario: &Scenario) -> String {
                 let _ = writeln!(w, "chain = [{}]", stages.join(", "));
             }
             other => {
-                let _ = writeln!(w, "nf = {}", json::string(nf_file_name(other)));
+                let name = other.file_name().expect("only a chain has no file name");
+                let _ = writeln!(w, "nf = {}", json::string(name));
             }
         }
         if let Some(pool) = t.pool {
@@ -1642,6 +1616,15 @@ max_drop_rate = 0.25
             "invalid number '12q'",
         );
         err_at("name = 7\n", 1, 8, "expects a string, found integer");
+        err_at("name = \"\"\n", 1, 8, "scenario name must not be empty");
+        err_at("name = \"x\"\n", 1, 1, "scenario has no tenants");
+        err_at(
+            "name = \"x\"\n[[tenant]]\nname = \"t\"\nnf = \"warp\"\n",
+            4,
+            6,
+            "unknown nf 'warp' (expected touch-drop|l2fwd|l2fwd-payload-drop|\
+             touch-drop-copy|deep-fwd)",
+        );
         // Missing required keys anchor at the owning table's header.
         err_at("description = \"x\"\n", 1, 1, "missing required key 'name'");
         err_at(

@@ -294,6 +294,38 @@ pub enum NfKind {
 }
 
 impl NfKind {
+    /// Every NF a scenario file names with `nf = "..."` (a chain is
+    /// spelled `chain = [...]`), in file-name order.
+    pub const NAMED: [NfKind; 5] = [
+        NfKind::TouchDrop,
+        NfKind::L2Fwd,
+        NfKind::L2FwdPayloadDrop,
+        NfKind::TouchDropCopy,
+        NfKind::DeepFwd,
+    ];
+
+    /// The scenario-file spelling (`touch-drop`, `l2fwd`,
+    /// `l2fwd-payload-drop`, `touch-drop-copy`, `deep-fwd`); `None` for a
+    /// chain.
+    pub fn file_name(self) -> Option<&'static str> {
+        match self {
+            NfKind::TouchDrop => Some("touch-drop"),
+            NfKind::L2Fwd => Some("l2fwd"),
+            NfKind::L2FwdPayloadDrop => Some("l2fwd-payload-drop"),
+            NfKind::TouchDropCopy => Some("touch-drop-copy"),
+            NfKind::DeepFwd => Some("deep-fwd"),
+            NfKind::Chain(_) => None,
+        }
+    }
+
+    /// Parses a scenario-file spelling (the inverse of
+    /// [`NfKind::file_name`]).
+    pub fn from_file_name(s: &str) -> Option<NfKind> {
+        NfKind::NAMED
+            .into_iter()
+            .find(|nf| nf.file_name() == Some(s))
+    }
+
     /// The workload's display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -608,6 +640,16 @@ mod tests {
     fn names_match_table2() {
         assert_eq!(NfKind::TouchDrop.name(), "TouchDrop");
         assert_eq!(format!("{}", NfKind::L2Fwd), "L2Fwd");
+    }
+
+    #[test]
+    fn file_names_round_trip() {
+        for nf in NfKind::NAMED {
+            let name = nf.file_name().expect("a named NF has a file name");
+            assert_eq!(NfKind::from_file_name(name), Some(nf));
+        }
+        assert_eq!(NfKind::Chain(NfChain::upf()).file_name(), None);
+        assert_eq!(NfKind::from_file_name("TouchDrop"), None);
     }
 
     #[test]

@@ -9,9 +9,7 @@ use idio_bench::json::figures_to_json;
 use idio_core::config::SystemConfig;
 use idio_core::experiments::{self, Scale};
 use idio_core::net::gen::TrafficPattern;
-use idio_core::sweep::{
-    run_cells, run_figures, run_figures_detailed, FigureSpec, SweepCell, SweepOptions,
-};
+use idio_core::sweep::{run_cells, run_figures, FigureSpec, SweepCell, SweepOptions};
 use idio_engine::telemetry::{records_to_ndjson, TraceFilter};
 use idio_engine::time::{Duration, SimTime};
 
@@ -80,18 +78,18 @@ fn sample_specs() -> Vec<FigureSpec> {
 #[test]
 fn figure_json_is_byte_identical_across_worker_counts() {
     let serial = {
-        let (figs, timing) = run_figures(sample_specs(), &SweepOptions::default());
-        assert_eq!(timing.jobs, 1);
-        figures_to_json(&figs)
+        let suite = run_figures(sample_specs(), &SweepOptions::default());
+        assert_eq!(suite.timing.jobs, 1);
+        figures_to_json(&suite.figures)
     };
     let parallel = {
         let opts = SweepOptions {
             jobs: 4,
             ..SweepOptions::default()
         };
-        let (figs, timing) = run_figures(sample_specs(), &opts);
-        assert_eq!(timing.jobs, 4);
-        figures_to_json(&figs)
+        let suite = run_figures(sample_specs(), &opts);
+        assert_eq!(suite.timing.jobs, 4);
+        figures_to_json(&suite.figures)
     };
     assert_eq!(serial, parallel, "--jobs 1 and --jobs 4 output diverged");
 }
@@ -151,7 +149,7 @@ fn suite_cell_metrics_are_deterministic_across_worker_counts() {
             jobs,
             ..SweepOptions::default()
         };
-        let suite = run_figures_detailed(sample_specs(), &opts);
+        let suite = run_figures(sample_specs(), &opts);
         suite
             .cells
             .iter()
@@ -175,7 +173,7 @@ fn suite_timing_covers_every_declared_cell() {
     let specs = sample_specs();
     let declared: Vec<(&'static str, usize)> =
         specs.iter().map(|s| (s.id, s.cells.len())).collect();
-    let (_, timing) = run_figures(specs, &SweepOptions::default());
+    let timing = run_figures(specs, &SweepOptions::default()).timing;
     let measured: Vec<(&'static str, usize)> = timing
         .figures
         .iter()

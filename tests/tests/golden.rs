@@ -13,8 +13,10 @@
 //! The subset covers both tables, a bursty timeline figure (fig5), a
 //! forwarding NF (fig11), direct DRAM placement, steady traffic (fig13)
 //! and the recycling-mode comparison — one figure per simulation regime —
-//! while staying cheap enough for debug-mode CI. The full suite's
-//! `--jobs`-independence is covered by the determinism tests.
+//! while staying cheap enough for debug-mode CI. The other ten quick
+//! figures' tables are pinned by the `golden_metrics` test, which runs
+//! every quick cell anyway. The full suite's `--jobs`-independence is
+//! covered by the determinism tests.
 
 use std::path::PathBuf;
 
@@ -51,7 +53,7 @@ fn quick_suite_matches_blessed_goldens() {
         .collect();
     // Default options: the same root seed and declaration order the repro
     // binary uses, so goldens match `repro --quick --json` rows.
-    let (figures, _) = run_figures(specs, &SweepOptions::default());
+    let figures = run_figures(specs, &SweepOptions::default()).figures;
 
     let dir = golden_dir();
     let mut failures = Vec::new();

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use idio_bench::json::{cell_metrics_line, figure_to_json};
 use idio_bench::{experiment_spec, EXPERIMENTS};
 use idio_core::experiments::Scale;
-use idio_core::sweep::{run_figures_detailed, SweepOptions};
+use idio_core::sweep::{run_figures, SweepOptions};
 
 /// Figure ids whose compact tables this test pins (the `golden` test pins
 /// the rest of the suite).
@@ -62,7 +62,7 @@ fn quick_suite_metrics_match_blessed_goldens() {
         jobs: 2,
         ..SweepOptions::default()
     };
-    let out = run_figures_detailed(specs, &opts);
+    let out = run_figures(specs, &opts);
     let rendered: String = out
         .cells
         .iter()
