@@ -304,6 +304,13 @@ impl Hierarchy {
         &self.cores[core.index()].l1d
     }
 
+    /// Whether no cache holds a line. O(1): the LLC is empty and the MLC
+    /// directory tracks no line; the directory mirrors every MLC line, and
+    /// every L1 line is also in its MLC.
+    pub fn is_empty(&self) -> bool {
+        self.llc.resident_lines() == 0 && self.dir.is_empty()
+    }
+
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.cfg.num_cores
@@ -1113,6 +1120,29 @@ mod tests {
         assert!(!h.mlc(C0).contains(line(20)));
         let fx2 = h.flush_line(line(20));
         assert_eq!(fx2.dram_writes, 0);
+        h.check_invariants();
+    }
+
+    #[test]
+    fn only_touched_cores_allocate_private_planes() {
+        let mut h = Hierarchy::new(HierarchyConfig::paper_default(200));
+        assert!(h.is_empty());
+        assert!(!h.llc().is_allocated());
+        let c7 = CoreId::new(7);
+        h.cpu_write(c7, line(0x4242));
+        h.pcie_write(line(0x100), DmaPlacement::Llc);
+        assert!(!h.is_empty());
+        assert!(h.llc().is_allocated());
+        for c in 0..200 {
+            let core = CoreId::new(c);
+            let touched = core == c7;
+            assert_eq!(h.l1d(core).is_allocated(), touched, "{core} L1D");
+            assert_eq!(h.mlc(core).is_allocated(), touched, "{core} MLC");
+        }
+        let c8 = CoreId::new(8);
+        assert!(!h.mlc(c8).contains(line(0x4242)));
+        assert_eq!(h.mlc(c8).resident_lines(), 0);
+        assert_eq!(h.mlc(c8).iter().count(), 0);
         h.check_invariants();
     }
 

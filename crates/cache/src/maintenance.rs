@@ -110,9 +110,10 @@ fn pages_covering(start: Addr, len: u64) -> impl Iterator<Item = PageAddr> {
     (first..=last).map(PageAddr::new)
 }
 
-/// Kernel-side allocation of an `Invalidatable` buffer: flushes the range
-/// to DRAM (so no stale data from a previous owner can be resurrected) and
-/// then sets the PTE bits.
+/// Kernel-side allocation of an `Invalidatable` buffer: flushes every
+/// page overlapping the range to DRAM (so no stale data from a previous
+/// owner can be resurrected) and then sets those pages' PTE bits. An empty
+/// hierarchy holds no copy to flush, so only the bits are set.
 ///
 /// Returns the DRAM traffic caused by the flush.
 pub fn allocate_invalidatable(
@@ -122,15 +123,15 @@ pub fn allocate_invalidatable(
     len: u64,
 ) -> MemEffects {
     let mut fx = MemEffects::default();
-    for line in lines_covering(start, round_up_to_pages(len)) {
-        fx.merge(hierarchy.flush_line(line));
+    if !hierarchy.is_empty() {
+        for page in pages_covering(start, len) {
+            for line in lines_covering(page.base(), PAGE_SIZE) {
+                fx.merge(hierarchy.flush_line(line));
+            }
+        }
     }
     page_table.mark_invalidatable(start, len);
     fx
-}
-
-fn round_up_to_pages(len: u64) -> u64 {
-    len.div_ceil(PAGE_SIZE) * PAGE_SIZE
 }
 
 /// The checked multi-cacheline invalidate instruction: drops every line of
@@ -244,6 +245,32 @@ mod tests {
         assert_eq!(fx.dram_writes, 1);
         assert!(!h.mlc(C0).contains(base.line()));
         assert!(pt.is_invalidatable(base));
+    }
+
+    #[test]
+    fn allocation_flushes_every_page_it_marks() {
+        let mut h = hierarchy();
+        let mut pt = PageTable::new();
+        let page = Addr::new(0x20000);
+        // Stale dirty data at the head of a page the range starts inside.
+        h.cpu_write(C0, page.line());
+        let fx = allocate_invalidatable(&mut pt, &mut h, Addr::new(0x20040), 64);
+        assert!(pt.is_invalidatable(page));
+        assert_eq!(fx.dram_writes, 1, "the stale line is written back");
+        assert!(!h.mlc(C0).contains(page.line()));
+        h.check_invariants();
+    }
+
+    #[test]
+    fn allocation_on_an_empty_hierarchy_only_marks_pages() {
+        let mut h = hierarchy();
+        let mut pt = PageTable::new();
+        let fx = allocate_invalidatable(&mut pt, &mut h, Addr::new(0x40000), 2 << 20);
+        assert_eq!(fx, MemEffects::default());
+        assert_eq!(pt.invalidatable_pages(), 512);
+        assert!(h.is_empty());
+        assert!(!h.llc().is_allocated() && !h.mlc(C0).is_allocated());
+        assert_eq!(h.stats().shared.dram_writes.get(), 0);
     }
 
     #[test]

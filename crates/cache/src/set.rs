@@ -164,6 +164,10 @@ impl Iterator for SetBits {
 /// A line whose tag does not fit 32 bits cannot be cached: inserting it
 /// panics, and every lookup reports it absent.
 ///
+/// The planes are allocated on the first [`SetAssocCache::insert`]. Until
+/// then the cache holds no memory per set, and every read answers as an
+/// empty cache does, so a core that never runs costs nothing to build.
+///
 /// # Examples
 ///
 /// ```
@@ -189,7 +193,9 @@ pub struct SetAssocCache {
     /// `set * ways + way`. Only meaningful where the set's `valid` bit is
     /// on.
     tags: Box<[u32]>,
-    /// Per-set validity bitmask (bit `w` = way `w` holds a line).
+    /// Per-set validity bitmask (bit `w` = way `w` holds a line). Empty
+    /// until the first insert allocates the planes; an empty `valid` is
+    /// an empty cache.
     valid: Box<[u64]>,
     /// Per-set dirty bitmask (subset of `valid`).
     dirty: Box<[u64]>,
@@ -202,7 +208,7 @@ pub struct SetAssocCache {
     /// whether the line in that slot lies inside a tracked range. The
     /// range membership is computed once at fill time, so evictions and
     /// removals read one bit instead of re-scanning `tracked`. Empty when
-    /// nothing is tracked.
+    /// nothing is tracked or the planes are not allocated yet.
     tracked_bits: Box<[u64]>,
     tracked_resident: usize,
 }
@@ -217,7 +223,8 @@ impl SetAssocCache {
         Self::with_policy(name, num_sets, ways, ReplacementKind::Lru)
     }
 
-    /// Creates a cache with an explicit replacement policy.
+    /// Creates a cache with an explicit replacement policy. No plane is
+    /// allocated until the first insert.
     ///
     /// # Panics
     ///
@@ -236,10 +243,12 @@ impl SetAssocCache {
             name,
             num_sets,
             ways,
-            tags: vec![0; num_sets * ways].into_boxed_slice(),
-            valid: vec![0; num_sets].into_boxed_slice(),
-            dirty: vec![0; num_sets].into_boxed_slice(),
-            policy: ReplacementPolicy::new(kind, num_sets, ways),
+            tags: Box::new([]),
+            valid: Box::new([]),
+            dirty: Box::new([]),
+            // Zero sets: checks the geometry against the policy now and
+            // allocates nothing.
+            policy: ReplacementPolicy::new(kind, 0, ways),
             resident: 0,
             tracked: Box::new([]),
             tracked_bits: Box::new([]),
@@ -312,6 +321,26 @@ impl SetAssocCache {
         self.resident
     }
 
+    /// Whether the planes have been allocated, i.e. whether anything was
+    /// ever inserted.
+    pub fn is_allocated(&self) -> bool {
+        !self.valid.is_empty()
+    }
+
+    /// Allocates the tag, valid, dirty and replacement planes (and the
+    /// tracked-range plane, when ranges are tracked) for the first fill.
+    #[cold]
+    fn allocate(&mut self) {
+        let (sets, ways) = (self.num_sets, self.ways);
+        self.tags = vec![0; sets * ways].into_boxed_slice();
+        self.valid = vec![0; sets].into_boxed_slice();
+        self.dirty = vec![0; sets].into_boxed_slice();
+        self.policy = ReplacementPolicy::new(self.policy.kind(), sets, ways);
+        if !self.tracked.is_empty() {
+            self.tracked_bits = vec![0; sets].into_boxed_slice();
+        }
+    }
+
     /// Splits `line` into its set index and set-relative tag; the tag is
     /// `None` when it does not fit 32 bits.
     #[inline]
@@ -321,13 +350,14 @@ impl SetAssocCache {
         ((l % n) as usize, u32::try_from(l / n).ok())
     }
 
-    /// The way holding `tag` in set `idx`, if any. The single-residency
-    /// invariant (insert refreshes instead of duplicating) makes the
-    /// match unique, so scan order does not matter.
+    /// The way holding `tag` in set `idx`, if any; `None` in an
+    /// unallocated cache. The single-residency invariant (insert
+    /// refreshes instead of duplicating) makes the match unique, so scan
+    /// order does not matter.
     #[inline]
     fn find_way(&self, idx: usize, tag: u32) -> Option<usize> {
         let base = idx * self.ways;
-        SetBits(self.valid[idx]).find(|&w| self.tags[base + w] == tag)
+        SetBits(*self.valid.get(idx)?).find(|&w| self.tags[base + w] == tag)
     }
 
     /// The `(set, way)` slot holding `line`, if resident. A line whose
@@ -421,6 +451,9 @@ impl SetAssocCache {
                 self.num_sets
             );
         };
+        if !self.is_allocated() {
+            self.allocate();
+        }
 
         // Refresh if already resident (any way, even outside the mask:
         // an in-place update does not migrate ways).
@@ -478,14 +511,16 @@ impl SetAssocCache {
 
     /// Iterates over all resident lines (set-major order).
     pub fn iter(&self) -> impl Iterator<Item = LineEntry> + '_ {
-        (0..self.num_sets)
-            .flat_map(move |idx| SetBits(self.valid[idx]).map(move |w| self.entry_at(idx, w)))
+        self.valid
+            .iter()
+            .enumerate()
+            .flat_map(move |(idx, &bits)| SetBits(bits).map(move |w| self.entry_at(idx, w)))
     }
 
     /// Removes every resident line, returning the dirty ones.
     pub fn drain_dirty(&mut self) -> Vec<LineAddr> {
         let mut out = Vec::new();
-        for idx in 0..self.num_sets {
+        for idx in 0..self.valid.len() {
             for w in SetBits(self.valid[idx] & self.dirty[idx]) {
                 out.push(self.line_at(idx, w));
             }
@@ -506,9 +541,9 @@ impl SetAssocCache {
     /// current contents.
     pub fn track_ranges(&mut self, ranges: &[(u64, u64)]) {
         self.tracked = ranges.to_vec().into_boxed_slice();
-        self.tracked_bits = vec![0; self.num_sets].into_boxed_slice();
+        self.tracked_bits = vec![0; self.valid.len()].into_boxed_slice();
         self.tracked_resident = 0;
-        for idx in 0..self.num_sets {
+        for idx in 0..self.valid.len() {
             for w in SetBits(self.valid[idx]) {
                 let l = self.line_at(idx, w).get();
                 if ranges.iter().any(|&(lo, hi)| l >= lo && l < hi) {
@@ -760,6 +795,36 @@ mod tests {
                 .count();
             assert_eq!(c.tracked_resident(), scan);
         }
+    }
+
+    #[test]
+    fn planes_are_allocated_on_the_first_insert() {
+        let mut c = SetAssocCache::with_policy("t", 4, 2, ReplacementKind::Srrip);
+        assert!(!c.is_allocated());
+        assert_eq!((c.num_sets(), c.ways(), c.capacity_lines()), (4, 2, 8));
+        assert!(!c.contains(line(1)));
+        assert!(c.probe(line(1)).is_none());
+        assert!(c.touch(line(1)).is_none());
+        assert!(!c.mark_dirty(line(1)));
+        assert!(c.remove(line(1)).is_none());
+        assert!(c.way_of(line(1)).is_none());
+        assert_eq!(c.iter().count(), 0);
+        assert!(c.drain_dirty().is_empty());
+        assert_eq!(c.resident_lines(), 0);
+        c.track_ranges(&[(0, 4)]);
+        assert_eq!(c.tracked_resident(), 0);
+        assert!(!c.is_allocated(), "reads allocate nothing");
+
+        c.insert(line(2), true, WayMask::all(2));
+        assert!(c.is_allocated());
+        assert!(c.probe(line(2)).unwrap().dirty);
+        assert_eq!(c.tracked_resident(), 1, "earlier ranges count");
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn policy_geometry_is_checked_at_construction() {
+        let _ = SetAssocCache::with_policy("t", 4, 12, ReplacementKind::TreePlru);
     }
 
     #[test]

@@ -158,6 +158,33 @@ fn invariants_hold_with_a_bounded_directory() {
     assert!(back_invalidations > 0, "the bound never bit");
 }
 
+/// Private planes are allocated on a core's first fill: a core that no
+/// read, write or prefetch names stays unallocated and reads as empty,
+/// whatever DMA, invalidations and other cores' traffic do around it.
+#[test]
+fn never_touched_cores_stay_unallocated() {
+    Cases::new(128).run(|g| {
+        let ops = g.vec(1..300, |g| gen_op(g, 6, 64));
+        let mut h = tiny_hierarchy_with(6);
+        for op in &ops {
+            apply(&mut h, *op, InvalidateScope::IncludeLlc);
+        }
+        h.check_invariants();
+        for c in 0..6u16 {
+            let filled = ops.iter().any(|op| {
+                matches!(*op, Op::CpuRead(oc, _) | Op::CpuWrite(oc, _)
+                    | Op::Prefetch(oc, _) | Op::PrefetchDeep(oc, _) if oc == c)
+            });
+            let core = CoreId::new(c);
+            if !filled {
+                assert!(!h.l1d(core).is_allocated(), "core {c}: L1D allocated");
+                assert!(!h.mlc(core).is_allocated(), "core {c}: MLC allocated");
+                assert_eq!(h.mlc(core).iter().count(), 0);
+            }
+        }
+    });
+}
+
 #[test]
 fn reads_are_always_eventually_private() {
     Cases::new(256).run(|g| {
