@@ -1,6 +1,5 @@
 //! Cache hierarchy configuration (geometry, latency, way partitioning).
 
-use crate::replacement::ReplacementKind;
 use crate::set::WayMask;
 
 /// Geometry of one cache level.
@@ -68,15 +67,6 @@ pub struct HierarchyConfig {
     /// victims out of the I/O ways, as CAT-based deployments (and IAT) set
     /// it up. The Fig. 4 `*_1way` configurations restrict this further.
     pub core_alloc_ways: Option<WayMask>,
-    /// Replacement policy of the private caches (L1D and MLC).
-    pub private_replacement: ReplacementKind,
-    /// Replacement policy of the shared LLC.
-    pub llc_replacement: ReplacementKind,
-    /// Capacity of the MLC snoop-filter directory in entries; `None`
-    /// models an unbounded directory. A bounded directory back-invalidates
-    /// the MLC line whose entry is evicted to make room (the structure Yan
-    /// et al. exploit in "Attack Directories, Not Caches").
-    pub directory_entries: Option<usize>,
 }
 
 impl HierarchyConfig {
@@ -96,9 +86,6 @@ impl HierarchyConfig {
             llc: CacheGeometry::new(3 << 20, 12, 24),
             ddio_ways: 2,
             core_alloc_ways: None,
-            private_replacement: ReplacementKind::Lru,
-            llc_replacement: ReplacementKind::Lru,
-            directory_entries: None,
         }
     }
 
@@ -134,7 +121,8 @@ impl HierarchyConfig {
     ///
     /// Returns a human-readable message when the configuration is invalid
     /// (zero cores, DDIO ways exceeding LLC associativity, capacities not
-    /// divisible into sets, or an empty core allocation mask).
+    /// divisible into sets, or a core allocation mask that is empty or
+    /// wider than the LLC).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_cores == 0 {
             return Err("num_cores must be positive".into());
@@ -145,16 +133,20 @@ impl HierarchyConfig {
                 self.ddio_ways, self.llc.ways
             ));
         }
-        if self.core_mask().is_empty() {
+        let core_mask = self.core_mask();
+        if core_mask.is_empty() {
             return Err("core allocation mask selects no LLC way".into());
+        }
+        if core_mask.intersect(WayMask::all(self.llc.ways)) != core_mask {
+            return Err(format!(
+                "core allocation mask {core_mask} wider than the {}-way LLC",
+                self.llc.ways
+            ));
         }
         for (geom, name) in [(self.l1d, "l1d"), (self.mlc, "mlc"), (self.llc, "llc")] {
             if geom.size_bytes % (crate::addr::LINE_SIZE * geom.ways as u64) != 0 {
                 return Err(format!("{name} capacity not divisible into sets"));
             }
-        }
-        if self.directory_entries == Some(0) {
-            return Err("directory must have at least one entry".into());
         }
         for (i, ov) in self.mlc_overrides.iter().enumerate() {
             if let Some(g) = ov {
@@ -210,6 +202,21 @@ mod tests {
         let mut cfg = HierarchyConfig::paper_default(1);
         cfg.core_alloc_ways = Some(WayMask::EMPTY);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_core_mask_wider_than_llc() {
+        let mut cfg = HierarchyConfig::paper_default(1);
+        cfg.core_alloc_ways = Some(WayMask::from_bits(1 << 13));
+        assert_eq!(
+            cfg.validate().unwrap_err(),
+            "core allocation mask ways0b10000000000000 wider than the 12-way LLC"
+        );
+        // Reaching one way past the LLC is as wrong as missing it.
+        cfg.core_alloc_ways = Some(WayMask::range(2, 13));
+        assert!(cfg.validate().is_err());
+        cfg.core_alloc_ways = Some(WayMask::range(2, 12));
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

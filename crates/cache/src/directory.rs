@@ -3,12 +3,11 @@
 //! The LLC of a non-inclusive Skylake-class hierarchy keeps a directory of
 //! cache lines that are valid in some core's MLC, so inbound PCIe writes and
 //! cross-core requests can be filtered to the right private cache. We model
-//! the directory as a map that is unbounded by default — directory-capacity
-//! back-invalidations are orthogonal to the mechanisms IDIO adds — with an
-//! optional entry bound ([`MlcDirectory::with_capacity`]) whose evictions
-//! back-invalidate the displaced MLC lines.
+//! the directory as exact: it tracks every MLC line and never evicts an
+//! entry, since directory-capacity back-invalidations are orthogonal to
+//! the mechanisms IDIO adds.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{CoreId, LineAddr};
@@ -84,12 +83,6 @@ fn split(line: LineAddr) -> (u64, usize) {
     )
 }
 
-#[inline]
-fn lookup(groups: &GroupMap, line: LineAddr) -> Option<CoreId> {
-    let (key, slot) = split(line);
-    groups.get(&key).and_then(|g| g.get(slot))
-}
-
 /// Tracks the one core whose MLC holds each line.
 ///
 /// MLC residency is exclusive: a line lives in at most one core's MLC
@@ -107,8 +100,7 @@ fn lookup(groups: &GroupMap, line: LineAddr) -> Option<CoreId> {
 /// use idio_cache::directory::MlcDirectory;
 ///
 /// let mut dir = MlcDirectory::new(4);
-/// let evicted = dir.add(LineAddr::new(7), CoreId::new(2));
-/// assert!(evicted.is_none(), "unbounded directories never evict");
+/// dir.add(LineAddr::new(7), CoreId::new(2));
 /// assert_eq!(dir.holder(LineAddr::new(7)), Some(CoreId::new(2)));
 /// dir.remove(LineAddr::new(7), CoreId::new(2));
 /// assert_eq!(dir.holder(LineAddr::new(7)), None);
@@ -120,78 +112,35 @@ pub struct MlcDirectory {
     /// Tracked lines over all groups.
     len: usize,
     num_cores: usize,
-    /// Maximum tracked lines; `None` = unbounded.
-    capacity: Option<usize>,
-    /// Lines in insertion order, for capacity evictions; bounded
-    /// directories only. Removed lines leave their entries behind until
-    /// `enqueue` compacts the queue.
-    order: VecDeque<LineAddr>,
-}
-
-/// A directory entry displaced by a capacity conflict. The hierarchy must
-/// back-invalidate the holder's copy of the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirectoryEviction {
-    /// The line whose tracking entry was evicted.
-    pub line: LineAddr,
-    /// The core holding the line.
-    pub holder: CoreId,
 }
 
 impl MlcDirectory {
-    /// Creates an empty, unbounded directory for `num_cores` cores.
+    /// Creates an empty directory for `num_cores` cores.
     ///
     /// # Panics
     ///
     /// Panics if `num_cores` is zero or exceeds the `u16` core-id space.
     pub fn new(num_cores: usize) -> Self {
-        Self::with_capacity(num_cores, None)
-    }
-
-    /// Creates a directory with a bounded entry count. Inserting beyond
-    /// the bound evicts the oldest entry (FIFO) and reports it so the
-    /// caller can back-invalidate the MLC copy — the behaviour that
-    /// makes snoop-filter directories a shared resource worth attacking
-    /// (Yan et al.).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` is zero or exceeds the `u16` core-id space,
-    /// or if `capacity` is `Some(0)`.
-    pub fn with_capacity(num_cores: usize, capacity: Option<usize>) -> Self {
         assert!(
             num_cores > 0 && num_cores <= usize::from(u16::MAX) + 1,
             "1..=65536 cores supported"
         );
-        assert!(capacity != Some(0), "directory capacity must be positive");
         MlcDirectory {
             groups: GroupMap::default(),
             len: 0,
             num_cores,
-            capacity,
-            order: VecDeque::new(),
         }
     }
 
-    /// Records that `core`'s MLC now holds `line`. Returns the entry that
-    /// had to be evicted to make room, if the directory is bounded and
-    /// full. Re-adding the current holder changes nothing.
+    /// Records that `core`'s MLC now holds `line`. Re-adding the current
+    /// holder changes nothing.
     ///
     /// # Panics
     ///
     /// Panics if another core already holds `line`: MLC residency is
     /// exclusive, so a second holder is a directory/cache desync.
-    #[must_use = "a directory eviction requires back-invalidating the MLC copy"]
-    pub fn add(&mut self, line: LineAddr, core: CoreId) -> Option<DirectoryEviction> {
+    pub fn add(&mut self, line: LineAddr, core: CoreId) {
         debug_assert!(core.index() < self.num_cores);
-        // A new line in a full bounded directory makes room first; the
-        // eviction may empty and drop the line's own group.
-        let evicted = match self.capacity {
-            Some(cap) if self.len >= cap && self.holder(line).is_none() => {
-                Some(self.evict_oldest())
-            }
-            _ => None,
-        };
         let (key, slot) = split(line);
         let group = self.groups.entry(key).or_insert(Group::EMPTY);
         if let Some(holder) = group.get(slot) {
@@ -201,46 +150,11 @@ impl MlcDirectory {
                  hold it too (directory/cache desync)",
                 line.get()
             );
-            return None;
+            return;
         }
         group.present |= 1 << slot;
         group.holder[slot] = core;
         self.len += 1;
-        if self.capacity.is_some() {
-            self.enqueue(line);
-        }
-        evicted
-    }
-
-    /// Removes the longest-queued tracked line and reports it.
-    fn evict_oldest(&mut self) -> DirectoryEviction {
-        while let Some(old) = self.order.pop_front() {
-            if let Some(holder) = self.holder(old) {
-                self.remove(old, holder);
-                return DirectoryEviction { line: old, holder };
-            }
-            // Stale queue entry (line already removed); keep popping.
-        }
-        unreachable!("entries outnumber the order queue")
-    }
-
-    /// Queues a newly tracked line for FIFO eviction. Removed lines leave
-    /// their entries behind; once the queue is more than twice the
-    /// tracked lines, those entries are dropped, and so is every entry
-    /// of a line but its first (the one `evict_oldest` reaches first).
-    /// Each compaction costs less than twice the removals since the last
-    /// one.
-    fn enqueue(&mut self, line: LineAddr) {
-        self.order.push_back(line);
-        if self.order.len() > 2 * self.len {
-            let groups = &self.groups;
-            let mut seen = HashSet::with_capacity_and_hasher(
-                self.len,
-                BuildHasherDefault::<LineHasher>::default(),
-            );
-            self.order
-                .retain(|&l| lookup(groups, l).is_some() && seen.insert(l.get()));
-        }
     }
 
     /// Records that `core`'s MLC no longer holds `line`. A no-op unless
@@ -267,7 +181,8 @@ impl MlcDirectory {
     /// The core holding `line`, if any.
     #[inline]
     pub fn holder(&self, line: LineAddr) -> Option<CoreId> {
-        lookup(&self.groups, line)
+        let (key, slot) = split(line);
+        self.groups.get(&key).and_then(|g| g.get(slot))
     }
 
     /// Number of tracked lines.
@@ -292,7 +207,7 @@ mod tests {
     #[test]
     fn add_remove_roundtrip() {
         let mut d = MlcDirectory::new(4);
-        let _ = d.add(line(1), CoreId::new(3));
+        d.add(line(1), CoreId::new(3));
         assert!(d.is_cached(line(1)));
         assert_eq!(d.holder(line(1)), Some(CoreId::new(3)));
         d.remove(line(1), CoreId::new(3));
@@ -304,8 +219,8 @@ mod tests {
     #[should_panic(expected = "core2 already holds line 9, so core5 cannot hold it too")]
     fn second_holder_is_a_desync() {
         let mut d = MlcDirectory::new(8);
-        let _ = d.add(line(9), CoreId::new(2));
-        let _ = d.add(line(9), CoreId::new(5));
+        d.add(line(9), CoreId::new(2));
+        d.add(line(9), CoreId::new(5));
     }
 
     #[test]
@@ -313,7 +228,7 @@ mod tests {
         let mut d = MlcDirectory::new(2);
         d.remove(line(4), CoreId::new(1));
         assert!(d.is_empty());
-        let _ = d.add(line(4), CoreId::new(0));
+        d.add(line(4), CoreId::new(0));
         d.remove(line(4), CoreId::new(1));
         assert!(d.is_cached(line(4)));
     }
@@ -321,8 +236,8 @@ mod tests {
     #[test]
     fn duplicate_add_is_idempotent() {
         let mut d = MlcDirectory::new(2);
-        let _ = d.add(line(4), CoreId::new(1));
-        let _ = d.add(line(4), CoreId::new(1));
+        d.add(line(4), CoreId::new(1));
+        d.add(line(4), CoreId::new(1));
         assert_eq!(d.len(), 1);
         d.remove(line(4), CoreId::new(1));
         assert!(d.is_empty());
@@ -377,7 +292,7 @@ mod tests {
             ];
             for (add, c, l) in script {
                 if add {
-                    assert!(d.add(line(l), CoreId::new(c)).is_none());
+                    d.add(line(l), CoreId::new(c));
                     model.insert(l, c);
                 } else {
                     d.remove(line(l), CoreId::new(c));
@@ -398,7 +313,7 @@ mod tests {
                 if x & (1 << 40) == 0 {
                     // Only the holder (or nobody) may add: exclusivity.
                     let c = *model.entry(l).or_insert(c);
-                    assert!(d.add(line(l), CoreId::new(c)).is_none());
+                    d.add(line(l), CoreId::new(c));
                 } else {
                     d.remove(line(l), CoreId::new(c));
                     if model.get(&l) == Some(&c) {
@@ -428,7 +343,7 @@ mod tests {
         let mut d = MlcDirectory::new(4);
         // Two packets' worth of lines straddling three groups.
         for l in 10..58 {
-            let _ = d.add(line(l), CoreId::new((l % 4) as u16));
+            d.add(line(l), CoreId::new((l % 4) as u16));
         }
         assert_eq!(d.groups.len(), 4);
         for l in 10..58 {
@@ -442,57 +357,14 @@ mod tests {
         assert!(d.groups.is_empty());
     }
 
-    /// A bounded directory whose MLCs evict lines before it fills must
-    /// not queue every fill forever: with 8 lines live under a 64-entry
-    /// bound, the FIFO stays within twice the tracked lines.
-    #[test]
-    fn bounded_fifo_stays_within_twice_the_tracked_lines() {
-        let mut d = MlcDirectory::with_capacity(1, Some(64));
-        let c = CoreId::new(0);
-        for i in 0..100_000u64 {
-            if i >= 8 {
-                d.remove(line(i - 8), c);
-            }
-            assert!(d.add(line(i), c).is_none());
-            assert!(
-                d.order.len() <= 2 * d.len(),
-                "step {i}: {} queued",
-                d.order.len()
-            );
-        }
-        assert_eq!(d.len(), 8);
-    }
-
-    /// Compaction keeps the eviction order: the oldest live line goes
-    /// first, and a line re-added after its removal is not evicted early.
-    #[test]
-    fn bounded_fifo_order_survives_compaction() {
-        let mut d = MlcDirectory::with_capacity(1, Some(4));
-        let c = CoreId::new(0);
-        for l in [1, 2, 3] {
-            assert!(d.add(line(l), c).is_none());
-        }
-        // Churn line 9 until the stale entries force a compaction.
-        for _ in 0..8 {
-            assert!(d.add(line(9), c).is_none());
-            d.remove(line(9), c);
-        }
-        assert!(d.add(line(4), c).is_none());
-        assert!(d.order.len() <= 2 * d.len());
-        let evicted: Vec<u64> = (5..9)
-            .map(|l| d.add(line(l), c).expect("full").line.get())
-            .collect();
-        assert_eq!(evicted, [1, 2, 3, 4]);
-    }
-
     #[test]
     fn directory_tracks_wide_systems() {
         // 200 cores — the generated datacenter scenarios — have ids past
         // any one-word bitmask; the directory keeps them exactly.
         let mut d = MlcDirectory::new(200);
-        let _ = d.add(line(1), CoreId::new(150));
-        let _ = d.add(line(2), CoreId::new(199));
-        let _ = d.add(line(65), CoreId::new(64));
+        d.add(line(1), CoreId::new(150));
+        d.add(line(2), CoreId::new(199));
+        d.add(line(65), CoreId::new(64));
         assert_eq!(d.holder(line(1)), Some(CoreId::new(150)));
         assert_eq!(d.holder(line(2)), Some(CoreId::new(199)));
         assert_eq!(d.holder(line(65)), Some(CoreId::new(64)));

@@ -16,7 +16,8 @@
 //! * **PCIe reads** (TX DMA) pull MLC-resident lines back into the LLC
 //!   before serving the device.
 //! * The **self-invalidate** maintenance operation drops dead buffer lines
-//!   without any writeback (IDIO mechanism 1).
+//!   from the issuing core's private caches and the LLC without any
+//!   writeback (IDIO mechanism 1).
 //! * **Prefetch fills** move a line LLC → MLC on behalf of the IDIO
 //!   controller's hints (IDIO mechanism 2).
 //! * **Direct-DRAM placement** bypasses the hierarchy for class-1 payloads
@@ -128,23 +129,12 @@ pub struct PcieRead {
     pub effects: MemEffects,
 }
 
-/// Scope of a self-invalidation (IDIO's invalidate-without-writeback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InvalidateScope {
-    /// Drop the line from the issuing core's L1D and MLC only (the literal
-    /// instruction semantics of Sec. V-D).
-    PrivateOnly,
-    /// Additionally drop a dead LLC copy (used for zero-copy NFs whose
-    /// buffers were pulled back into the LLC by the TX path, Sec. VII).
-    IncludeLlc,
-}
-
 /// Result of a self-invalidation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvalidateOutcome {
     /// A private (L1/MLC) copy was dropped.
     pub private_dropped: bool,
-    /// An LLC copy was dropped (only with [`InvalidateScope::IncludeLlc`]).
+    /// An LLC copy was dropped.
     pub llc_dropped: bool,
 }
 
@@ -219,28 +209,13 @@ impl Hierarchy {
             .map(|i| {
                 let mlc_geom = cfg.mlc_for_core(i);
                 PrivateCaches {
-                    l1d: SetAssocCache::with_capacity_policy(
-                        "l1d",
-                        cfg.l1d.size_bytes,
-                        cfg.l1d.ways,
-                        cfg.private_replacement,
-                    ),
-                    mlc: SetAssocCache::with_capacity_policy(
-                        "mlc",
-                        mlc_geom.size_bytes,
-                        mlc_geom.ways,
-                        cfg.private_replacement,
-                    ),
+                    l1d: SetAssocCache::with_capacity("l1d", cfg.l1d.size_bytes, cfg.l1d.ways),
+                    mlc: SetAssocCache::with_capacity("mlc", mlc_geom.size_bytes, mlc_geom.ways),
                 }
             })
             .collect();
-        let llc = SetAssocCache::with_capacity_policy(
-            "llc",
-            cfg.llc.size_bytes,
-            cfg.llc.ways,
-            cfg.llc_replacement,
-        );
-        let dir = MlcDirectory::with_capacity(cfg.num_cores, cfg.directory_entries);
+        let llc = SetAssocCache::with_capacity("llc", cfg.llc.size_bytes, cfg.llc.ways);
+        let dir = MlcDirectory::new(cfg.num_cores);
         let stats = HierarchyStats::new(cfg.num_cores);
         let mlc_mask = (0..cfg.num_cores)
             .map(|i| WayMask::all(cfg.mlc_for_core(i).ways))
@@ -372,31 +347,6 @@ impl Hierarchy {
 
     // ----- internal fill helpers -------------------------------------------------
 
-    /// Registers `line` as held by `core`, processing any directory
-    /// capacity eviction: the displaced entry's holder is back-invalidated
-    /// and dirty data is pushed into the LLC.
-    fn dir_add(&mut self, line: LineAddr, core: CoreId) -> MemEffects {
-        let mut fx = MemEffects::default();
-        if let Some(ev) = self.dir.add(line, core) {
-            self.stats.shared.dir_back_invalidations.inc();
-            let hi = ev.holder.index();
-            let mut dirty = false;
-            if let Some(l1) = self.cores[hi].l1d.remove(ev.line) {
-                dirty |= l1.dirty;
-            }
-            if let Some(mlc) = self.cores[hi].mlc.remove(ev.line) {
-                dirty |= mlc.dirty;
-            }
-            // The directory entry itself is already gone.
-            self.stats.core[hi].mlc_wb.inc();
-            if dirty {
-                self.stats.core[hi].mlc_wb_dirty.inc();
-            }
-            fx.merge(self.fill_llc(ev.holder, ev.line, dirty));
-        }
-        fx
-    }
-
     /// Installs `line` into `core`'s MLC, cascading the victim into the LLC
     /// (an "MLC writeback") and a dirty LLC victim to DRAM (an "LLC
     /// writeback"). Updates the directory.
@@ -404,7 +354,7 @@ impl Hierarchy {
         let mut fx = MemEffects::default();
         let ci = core.index();
         let (victim, _) = self.cores[ci].mlc.insert(line, dirty, self.mlc_mask[ci]);
-        fx.merge(self.dir_add(line, core));
+        self.dir.add(line, core);
         if let Some(v) = victim {
             debug_assert_ne!(v.line, line);
             // Back-invalidate the (inclusive) L1 copy; its dirtiness folds
@@ -706,24 +656,20 @@ impl Hierarchy {
     // ----- IDIO mechanisms -------------------------------------------------------
 
     /// The invalidate-without-writeback maintenance operation (IDIO
-    /// mechanism 1). Drops the line from `core`'s private caches — and,
-    /// with [`InvalidateScope::IncludeLlc`], from the LLC — without any
-    /// writeback.
+    /// mechanism 1). Drops the line from `core`'s private caches and from
+    /// the LLC without any writeback. The LLC copy is dead too: a
+    /// zero-copy NF's TX path pulls the buffer back into the LLC
+    /// (Sec. VII).
     ///
     /// Page-permission checking (the `Invalidatable` PTE bit) is enforced a
     /// level up, in [`crate::maintenance`].
-    pub fn self_invalidate(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        scope: InvalidateScope,
-    ) -> InvalidateOutcome {
+    pub fn self_invalidate(&mut self, core: CoreId, line: LineAddr) -> InvalidateOutcome {
         let mut out = InvalidateOutcome::default();
         if self.remove_private(core, line).is_some() {
             self.stats.core[core.index()].self_invalidations.inc();
             out.private_dropped = true;
         }
-        if scope == InvalidateScope::IncludeLlc && self.llc.remove(line).is_some() {
+        if self.llc.remove(line).is_some() {
             self.stats.shared.llc_self_invalidations.inc();
             out.llc_dropped = true;
         }
@@ -857,9 +803,6 @@ mod tests {
             llc: CacheGeometry::new(4 * 4 * 64, 4, 24),
             ddio_ways: 2,
             core_alloc_ways: None,
-            private_replacement: crate::replacement::ReplacementKind::Lru,
-            llc_replacement: crate::replacement::ReplacementKind::Lru,
-            directory_entries: None,
         }
     }
 
@@ -1007,7 +950,7 @@ mod tests {
     fn self_invalidate_drops_without_writeback() {
         let mut h = Hierarchy::new(tiny_config());
         h.cpu_write(C0, line(11));
-        let out = h.self_invalidate(C0, line(11), InvalidateScope::PrivateOnly);
+        let out = h.self_invalidate(C0, line(11));
         assert!(out.private_dropped);
         assert!(!h.mlc(C0).contains(line(11)));
         assert_eq!(h.stats().shared.dram_writes.get(), 0);
@@ -1019,7 +962,7 @@ mod tests {
     fn self_invalidate_llc_scope() {
         let mut h = Hierarchy::new(tiny_config());
         h.pcie_write(line(12), DmaPlacement::Llc);
-        let out = h.self_invalidate(C0, line(12), InvalidateScope::IncludeLlc);
+        let out = h.self_invalidate(C0, line(12));
         assert!(!out.private_dropped);
         assert!(out.llc_dropped);
         assert!(!h.llc().contains(line(12)));
@@ -1028,7 +971,7 @@ mod tests {
     #[test]
     fn self_invalidate_absent_line_is_noop() {
         let mut h = Hierarchy::new(tiny_config());
-        let out = h.self_invalidate(C0, line(42), InvalidateScope::IncludeLlc);
+        let out = h.self_invalidate(C0, line(42));
         assert!(!out.private_dropped && !out.llc_dropped);
         assert_eq!(h.stats().core(C0).self_invalidations.get(), 0);
     }

@@ -2,9 +2,10 @@
 //!
 //! The cache substrate of the IDIO reproduction: a line-granular model of a
 //! Skylake-class **non-inclusive** cache hierarchy with private MLCs (L2), a
-//! shared victim LLC with **DDIO ways**, an MLC snoop-filter directory, and
-//! the cache-maintenance extensions IDIO adds (invalidate-without-writeback
-//! guarded by an `Invalidatable` PTE bit).
+//! shared victim LLC with **DDIO ways**, an exact MLC snoop-filter
+//! directory, and the cache-maintenance extensions IDIO adds
+//! (invalidate-without-writeback guarded by an `Invalidatable` PTE bit).
+//! Every cache level uses true LRU replacement.
 //!
 //! The hierarchy is a pure, deterministic state machine: operations report
 //! what happened (hit level, victims, DRAM traffic) and the caller — the
@@ -56,10 +57,9 @@ pub mod stats;
 pub use addr::{Addr, CoreId, LineAddr, PageAddr, LINE_SIZE, PAGE_SIZE};
 pub use config::{CacheGeometry, HierarchyConfig};
 pub use hierarchy::{
-    CpuAccess, DmaPlacement, Hierarchy, HitLevel, InvalidateOutcome, InvalidateScope, MemEffects,
-    PcieRead, PcieReadSource, PcieWrite, PcieWriteKind, PrefetchOutcome,
+    CpuAccess, DmaPlacement, Hierarchy, HitLevel, InvalidateOutcome, MemEffects, PcieRead,
+    PcieReadSource, PcieWrite, PcieWriteKind, PrefetchOutcome,
 };
 pub use maintenance::{allocate_invalidatable, invalidate_range, NotInvalidatableError, PageTable};
-pub use replacement::{ReplacementKind, ReplacementPolicy};
 pub use set::{SetAssocCache, Victim, WayMask};
 pub use stats::{CoreCacheStats, HierarchyStats, SharedCacheStats};

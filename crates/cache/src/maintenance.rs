@@ -12,7 +12,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::addr::{lines_covering, Addr, CoreId, PageAddr, PAGE_SIZE};
-use crate::hierarchy::{Hierarchy, InvalidateScope, MemEffects};
+use crate::hierarchy::{Hierarchy, MemEffects};
 
 /// Error returned when a maintenance operation violates page permissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +135,9 @@ pub fn allocate_invalidatable(
 }
 
 /// The checked multi-cacheline invalidate instruction: drops every line of
-/// `[start, start + len)` from `core`'s private caches (and the LLC under
-/// [`InvalidateScope::IncludeLlc`]) without writeback, after verifying the
-/// `Invalidatable` PTE bit on every touched page.
+/// `[start, start + len)` from `core`'s private caches and the LLC without
+/// writeback, after verifying the `Invalidatable` PTE bit on every touched
+/// page.
 ///
 /// Returns the number of lines that actually held a dropped copy.
 ///
@@ -152,12 +152,11 @@ pub fn invalidate_range(
     core: CoreId,
     start: Addr,
     len: u64,
-    scope: InvalidateScope,
 ) -> Result<u64, NotInvalidatableError> {
     page_table.check_range(start, len)?;
     let mut dropped = 0;
     for line in lines_covering(start, len) {
-        let out = hierarchy.self_invalidate(core, line, scope);
+        let out = hierarchy.self_invalidate(core, line);
         if out.private_dropped || out.llc_dropped {
             dropped += 1;
         }
@@ -202,15 +201,7 @@ mod tests {
         let mut h = hierarchy();
         let pt = PageTable::new();
         h.cpu_write(C0, Addr::new(0x4000).line());
-        let err = invalidate_range(
-            &mut h,
-            &pt,
-            C0,
-            Addr::new(0x4000),
-            64,
-            InvalidateScope::PrivateOnly,
-        )
-        .unwrap_err();
+        let err = invalidate_range(&mut h, &pt, C0, Addr::new(0x4000), 64).unwrap_err();
         assert_eq!(err.page, Addr::new(0x4000).page());
         // Nothing was dropped: the line is still cached.
         assert!(h.mlc(C0).contains(Addr::new(0x4000).line()));
@@ -226,8 +217,8 @@ mod tests {
         for line in lines_covering(base, 2048) {
             h.cpu_write(C0, line);
         }
-        let dropped = invalidate_range(&mut h, &pt, C0, base, 2048, InvalidateScope::PrivateOnly)
-            .expect("range is invalidatable");
+        let dropped =
+            invalidate_range(&mut h, &pt, C0, base, 2048).expect("range is invalidatable");
         assert_eq!(dropped, 32);
         // No writebacks to DRAM happened for the dropped dirty lines.
         assert_eq!(h.stats().shared.dram_writes.get(), 0);
@@ -280,8 +271,7 @@ mod tests {
         let base = Addr::new(0x30000);
         pt.mark_invalidatable(base, 4096);
         h.pcie_write(base.line(), DmaPlacement::Llc);
-        let dropped =
-            invalidate_range(&mut h, &pt, C0, base, 64, InvalidateScope::IncludeLlc).unwrap();
+        let dropped = invalidate_range(&mut h, &pt, C0, base, 64).unwrap();
         assert_eq!(dropped, 1);
         assert!(!h.llc().contains(base.line()));
     }

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use crate::addr::LineAddr;
-use crate::replacement::{ReplacementKind, ReplacementPolicy};
+use crate::replacement;
 
 /// A bitmask selecting a subset of a cache's ways.
 ///
@@ -199,7 +199,8 @@ pub struct SetAssocCache {
     valid: Box<[u64]>,
     /// Per-set dirty bitmask (subset of `valid`).
     dirty: Box<[u64]>,
-    policy: ReplacementPolicy,
+    /// LRU recency rank per slot (see [`crate::replacement`]).
+    ranks: Box<[u8]>,
     resident: usize,
     /// Half-open `[lo, hi)` raw-line ranges whose occupancy is counted
     /// incrementally; see [`SetAssocCache::track_ranges`].
@@ -220,23 +221,6 @@ impl SetAssocCache {
     ///
     /// Panics if `num_sets` or `ways` is zero, or `ways > 64`.
     pub fn new(name: &'static str, num_sets: usize, ways: usize) -> Self {
-        Self::with_policy(name, num_sets, ways, ReplacementKind::Lru)
-    }
-
-    /// Creates a cache with an explicit replacement policy. No plane is
-    /// allocated until the first insert.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_sets` or `ways` is zero, `ways > 64`, or the policy
-    /// has associativity constraints the geometry violates (tree-PLRU
-    /// needs a power-of-two way count).
-    pub fn with_policy(
-        name: &'static str,
-        num_sets: usize,
-        ways: usize,
-        kind: ReplacementKind,
-    ) -> Self {
         assert!(num_sets > 0, "cache needs at least one set");
         assert!(ways > 0 && ways <= 64, "ways must be in 1..=64");
         SetAssocCache {
@@ -246,9 +230,7 @@ impl SetAssocCache {
             tags: Box::new([]),
             valid: Box::new([]),
             dirty: Box::new([]),
-            // Zero sets: checks the geometry against the policy now and
-            // allocates nothing.
-            policy: ReplacementPolicy::new(kind, 0, ways),
+            ranks: Box::new([]),
             resident: 0,
             tracked: Box::new([]),
             tracked_bits: Box::new([]),
@@ -268,32 +250,6 @@ impl SetAssocCache {
             "capacity {bytes} not divisible into {ways}-way sets"
         );
         Self::new(name, (lines / ways as u64) as usize, ways)
-    }
-
-    /// Creates a cache from a capacity in bytes with an explicit
-    /// replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// As [`SetAssocCache::with_policy`] and
-    /// [`SetAssocCache::with_capacity`].
-    pub fn with_capacity_policy(
-        name: &'static str,
-        bytes: u64,
-        ways: usize,
-        kind: ReplacementKind,
-    ) -> Self {
-        let lines = bytes / crate::addr::LINE_SIZE;
-        assert!(
-            bytes.is_multiple_of(crate::addr::LINE_SIZE * ways as u64),
-            "capacity {bytes} not divisible into {ways}-way sets"
-        );
-        Self::with_policy(name, (lines / ways as u64) as usize, ways, kind)
-    }
-
-    /// The replacement policy in use.
-    pub fn replacement_kind(&self) -> ReplacementKind {
-        self.policy.kind()
     }
 
     /// The cache's name (for diagnostics).
@@ -327,7 +283,7 @@ impl SetAssocCache {
         !self.valid.is_empty()
     }
 
-    /// Allocates the tag, valid, dirty and replacement planes (and the
+    /// Allocates the tag, valid, dirty and LRU rank planes (and the
     /// tracked-range plane, when ranges are tracked) for the first fill.
     #[cold]
     fn allocate(&mut self) {
@@ -335,7 +291,7 @@ impl SetAssocCache {
         self.tags = vec![0; sets * ways].into_boxed_slice();
         self.valid = vec![0; sets].into_boxed_slice();
         self.dirty = vec![0; sets].into_boxed_slice();
-        self.policy = ReplacementPolicy::new(self.policy.kind(), sets, ways);
+        self.ranks = replacement::ranks(sets, ways);
         if !self.tracked.is_empty() {
             self.tracked_bits = vec![0; sets].into_boxed_slice();
         }
@@ -383,6 +339,12 @@ impl SetAssocCache {
         }
     }
 
+    /// Set `idx`'s slice of the LRU rank plane.
+    #[inline]
+    fn set_ranks(&mut self, idx: usize) -> &mut [u8] {
+        &mut self.ranks[idx * self.ways..(idx + 1) * self.ways]
+    }
+
     /// Whether `line` is resident. Does not touch LRU state.
     pub fn contains(&self, line: LineAddr) -> bool {
         self.lookup(line).is_some()
@@ -393,11 +355,10 @@ impl SetAssocCache {
         self.lookup(line).map(|(idx, w)| self.entry_at(idx, w))
     }
 
-    /// Looks up `line`, updating replacement state on hit. Returns the
-    /// entry.
+    /// Looks up `line`, updating LRU state on hit. Returns the entry.
     pub fn touch(&mut self, line: LineAddr) -> Option<LineEntry> {
         let (idx, w) = self.lookup(line)?;
-        self.policy.on_touch(idx, w);
+        replacement::promote(self.set_ranks(idx), w);
         Some(self.entry_at(idx, w))
     }
 
@@ -459,7 +420,7 @@ impl SetAssocCache {
         // an in-place update does not migrate ways).
         if let Some(w) = self.find_way(idx, tag) {
             self.dirty[idx] |= u64::from(dirty) << w;
-            self.policy.on_touch(idx, w);
+            replacement::promote(self.set_ranks(idx), w);
             return (None, w);
         }
 
@@ -469,23 +430,23 @@ impl SetAssocCache {
         if free != 0 {
             let w = free.trailing_zeros() as usize;
             self.fill_slot(idx, w, tag, dirty);
-            self.policy.on_insert(idx, w);
+            replacement::promote(self.set_ranks(idx), w);
             self.resident += 1;
             self.track_slot(idx, w, line);
             return (None, w);
         }
 
-        // Evict the policy's victim among the permitted ways.
+        // Evict the least recent permitted line.
         assert!(
             mask.0 & ways_bits != 0,
             "{}: way mask {mask} selects no way",
             self.name
         );
-        let victim_way = self.policy.victim(idx, mask, self.ways);
+        let victim_way = replacement::victim(self.set_ranks(idx), mask);
         let old = self.entry_at(idx, victim_way);
         self.untrack_slot(idx, victim_way);
         self.fill_slot(idx, victim_way, tag, dirty);
-        self.policy.on_insert(idx, victim_way);
+        replacement::promote(self.set_ranks(idx), victim_way);
         self.track_slot(idx, victim_way, line);
         (
             Some(Victim {
@@ -799,7 +760,7 @@ mod tests {
 
     #[test]
     fn planes_are_allocated_on_the_first_insert() {
-        let mut c = SetAssocCache::with_policy("t", 4, 2, ReplacementKind::Srrip);
+        let mut c = SetAssocCache::new("t", 4, 2);
         assert!(!c.is_allocated());
         assert_eq!((c.num_sets(), c.ways(), c.capacity_lines()), (4, 2, 8));
         assert!(!c.contains(line(1)));
@@ -819,12 +780,6 @@ mod tests {
         assert!(c.is_allocated());
         assert!(c.probe(line(2)).unwrap().dirty);
         assert_eq!(c.tracked_resident(), 1, "earlier ranges count");
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn policy_geometry_is_checked_at_construction() {
-        let _ = SetAssocCache::with_policy("t", 4, 12, ReplacementKind::TreePlru);
     }
 
     #[test]

@@ -85,12 +85,8 @@ pub struct SharedCacheStats {
     pub dram_reads: Counter,
     /// DRAM line writes issued by the hierarchy (LLC WBs + direct DMA).
     pub dram_writes: Counter,
-    /// Lines whose LLC copy was dropped by an extended-scope
-    /// self-invalidation.
+    /// Lines whose LLC copy was dropped by a self-invalidation.
     pub llc_self_invalidations: Counter,
-    /// MLC lines back-invalidated because their snoop-filter directory
-    /// entry was evicted (bounded-directory configurations only).
-    pub dir_back_invalidations: Counter,
 }
 
 /// Complete hierarchy statistics: one [`CoreCacheStats`] per core plus the

@@ -6,7 +6,7 @@
 
 use idio_cache::addr::{CoreId, LineAddr};
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
-use idio_cache::hierarchy::{DmaPlacement, Hierarchy, InvalidateScope};
+use idio_cache::hierarchy::{DmaPlacement, Hierarchy};
 use idio_cache::set::{SetAssocCache, WayMask};
 use idio_engine::check::{Cases, Gen};
 
@@ -39,7 +39,7 @@ fn gen_op(g: &mut Gen, cores: u16, lines: u64) -> Op {
     }
 }
 
-fn apply(h: &mut Hierarchy, op: Op, scope: InvalidateScope) {
+fn apply(h: &mut Hierarchy, op: Op) {
     match op {
         Op::CpuRead(c, l) => {
             h.cpu_read(CoreId::new(c), LineAddr::new(l));
@@ -57,7 +57,7 @@ fn apply(h: &mut Hierarchy, op: Op, scope: InvalidateScope) {
             h.pcie_read(LineAddr::new(l));
         }
         Op::Invalidate(c, l) => {
-            h.self_invalidate(CoreId::new(c), LineAddr::new(l), scope);
+            h.self_invalidate(CoreId::new(c), LineAddr::new(l));
         }
         Op::Prefetch(c, l) => {
             h.prefetch_fill(CoreId::new(c), LineAddr::new(l));
@@ -76,10 +76,6 @@ fn tiny_hierarchy() -> Hierarchy {
 }
 
 fn tiny_hierarchy_with(cores: usize) -> Hierarchy {
-    tiny_hierarchy_bounded(cores, None)
-}
-
-fn tiny_hierarchy_bounded(cores: usize, directory_entries: Option<usize>) -> Hierarchy {
     Hierarchy::new(HierarchyConfig {
         num_cores: cores,
         l1d: CacheGeometry::new(2 * 2 * 64, 2, 2),
@@ -88,9 +84,6 @@ fn tiny_hierarchy_bounded(cores: usize, directory_entries: Option<usize>) -> Hie
         llc: CacheGeometry::new(4 * 4 * 64, 4, 24),
         ddio_ways: 2,
         core_alloc_ways: None,
-        private_replacement: idio_cache::replacement::ReplacementKind::Lru,
-        llc_replacement: idio_cache::replacement::ReplacementKind::Lru,
-        directory_entries,
     })
 }
 
@@ -116,7 +109,7 @@ fn invariants_hold_under_arbitrary_op_sequences() {
         let ops = g.vec(1..200, |g| gen_op(g, 2, 64));
         let mut h = tiny_hierarchy();
         for op in ops {
-            apply(&mut h, op, InvalidateScope::IncludeLlc);
+            apply(&mut h, op);
             assert_single_residency(&h, 64, op);
         }
         h.check_invariants();
@@ -131,31 +124,11 @@ fn invariants_hold_past_64_cores() {
         let ops = g.vec(1..400, |g| gen_op(g, 70, 48));
         let mut h = tiny_hierarchy_with(70);
         for op in ops {
-            apply(&mut h, op, InvalidateScope::PrivateOnly);
+            apply(&mut h, op);
             assert_single_residency(&h, 48, op);
         }
         h.check_invariants();
     });
-}
-
-/// A directory bounded below the MLCs' 24 lines: capacity evictions
-/// back-invalidate MLC lines mid-operation, and the directory must still
-/// mirror MLC residency after every single op.
-#[test]
-fn invariants_hold_with_a_bounded_directory() {
-    let mut back_invalidations = 0;
-    Cases::new(128).run(|g| {
-        let entries = g.usize(1..20);
-        let ops = g.vec(1..300, |g| gen_op(g, 3, 64));
-        let mut h = tiny_hierarchy_bounded(3, Some(entries));
-        for op in ops {
-            apply(&mut h, op, InvalidateScope::IncludeLlc);
-            h.check_invariants();
-            assert_single_residency(&h, 64, op);
-        }
-        back_invalidations += h.stats().shared.dir_back_invalidations.get();
-    });
-    assert!(back_invalidations > 0, "the bound never bit");
 }
 
 /// Private planes are allocated on a core's first fill: a core that no
@@ -167,7 +140,7 @@ fn never_touched_cores_stay_unallocated() {
         let ops = g.vec(1..300, |g| gen_op(g, 6, 64));
         let mut h = tiny_hierarchy_with(6);
         for op in &ops {
-            apply(&mut h, *op, InvalidateScope::IncludeLlc);
+            apply(&mut h, *op);
         }
         h.check_invariants();
         for c in 0..6u16 {
@@ -193,7 +166,7 @@ fn reads_are_always_eventually_private() {
         let line = g.u64(0..64);
         let mut h = tiny_hierarchy();
         for op in warm {
-            apply(&mut h, op, InvalidateScope::PrivateOnly);
+            apply(&mut h, op);
         }
         // Whatever the state, after a CPU read the line is in that core's
         // L1 and MLC and in no other core's private caches.

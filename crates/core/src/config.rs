@@ -2,7 +2,6 @@
 
 use idio_cache::addr::CoreId;
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
-use idio_cache::hierarchy::InvalidateScope;
 use idio_engine::telemetry::TraceFilter;
 use idio_engine::time::{Duration, SimTime};
 use idio_mem::DramConfig;
@@ -56,6 +55,10 @@ impl SloSpec {
         self.max_p99_ns.is_some() || self.max_drop_rate.is_some()
     }
 }
+
+/// The statistics sampling interval of every run's timelines (10 µs, as
+/// in the paper's figures).
+pub const SAMPLE_INTERVAL: Duration = Duration::from_us(10);
 
 /// The largest Flow Director perfect-filter table a configuration may ask
 /// for (1M entries, 128x the hardware's ~8K).
@@ -385,8 +388,6 @@ pub struct SystemConfig {
     pub idio: IdioConfig,
     /// MLC prefetcher settings.
     pub prefetcher: PrefetcherConfig,
-    /// Scope of the self-invalidate instruction.
-    pub invalidate_scope: InvalidateScope,
     /// The tenants: per-tenant multi-flow (or replayed) sources, each
     /// spread across its own cores' queues via the flow director / RSS.
     /// To replay a trace, give it a tenant with [`TenantSpec::replay`].
@@ -399,8 +400,6 @@ pub struct SystemConfig {
     pub duration: SimTime,
     /// Extra time allowed for queued packets to drain after traffic stops.
     pub drain_grace: Duration,
-    /// Statistics sampling interval (10 µs in the paper's figures).
-    pub sample_interval: Duration,
     /// Which components the run's tracer records (off by default; see
     /// [`idio_engine::telemetry::Tracer`]). Trace output is deterministic:
     /// a pure function of the configuration and seed.
@@ -459,13 +458,11 @@ impl SystemConfig {
             policy: SteeringPolicy::Ddio,
             idio: IdioConfig::paper_default(),
             prefetcher: PrefetcherConfig::default(),
-            invalidate_scope: InvalidateScope::IncludeLlc,
             tenants: Vec::new(),
             antagonist: None,
             steering: FlowSteering::default(),
             duration: SimTime::from_ms(10),
             drain_grace: Duration::from_ms(5),
-            sample_interval: Duration::from_us(10),
             trace: TraceFilter::off(),
             profile_events: false,
             tick_metrics: false,
@@ -567,7 +564,7 @@ impl SystemConfig {
     /// Validates the configuration: [`SystemConfig::check_values`], then
     /// the rules about how tenants share the machine (core ownership,
     /// unique names, disjoint flow ports, the wide-set cap) and the
-    /// nested ring, hierarchy, DRAM, DMA, PMD and sampling configs.
+    /// nested ring, hierarchy, DRAM, DMA and PMD configs.
     ///
     /// # Errors
     ///
@@ -600,9 +597,6 @@ impl SystemConfig {
         self.dram.validate()?;
         self.dma.validate()?;
         self.pmd.validate()?;
-        if self.sample_interval == Duration::ZERO {
-            return Err("sample interval must be positive".into());
-        }
         Ok(())
     }
 

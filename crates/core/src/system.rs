@@ -33,7 +33,7 @@ use idio_stack::antagonist::{AntagonistConfig, LlcAntagonist};
 use idio_stack::nf::{ChainStage, MemOp, NfKind, PacketAction, PacketCtx, PacketWork};
 use idio_stack::timing::CoreTiming;
 
-use crate::config::{FlowSteering, SystemConfig};
+use crate::config::{FlowSteering, SystemConfig, SAMPLE_INTERVAL};
 use crate::controller::{CatPartition, IatTuner, IdioController, Placement};
 use crate::fd::{FdAccounting, FdTenant};
 use crate::fsm::MlcStatus;
@@ -618,19 +618,16 @@ impl System {
         // hard stop, so the timelines are sized once, exactly (up to a
         // cap past which they grow as needed).
         const MAX_RESERVED_TICKS: u64 = 1 << 20;
-        let ticks = hard_stop
-            .as_ps()
-            .checked_div(cfg.sample_interval.as_ps())
-            .map_or(0, |t| t.min(MAX_RESERVED_TICKS));
+        let ticks = (hard_stop.as_ps() / SAMPLE_INTERVAL.as_ps()).min(MAX_RESERVED_TICKS);
         let rates = RATES.map(|name| {
-            let mut r = RateSampler::scaled(name, cfg.sample_interval, MTPS);
+            let mut r = RateSampler::scaled(name, SAMPLE_INTERVAL, MTPS);
             r.reserve(ticks as usize);
             r
         });
         // The occupancy gauge samples every tenth tick (see on_sample_tick).
         let mut dma_llc_share = TimeSeries::ratio(
             "dma_llc_share",
-            cfg.sample_interval * 10,
+            SAMPLE_INTERVAL * 10,
             hier.llc().capacity_lines() as u64,
         );
         dma_llc_share.reserve((ticks / 10) as usize);
@@ -711,7 +708,7 @@ impl System {
             Event::ControlTick,
         );
         self.queue
-            .schedule_at(SimTime::ZERO + self.cfg.sample_interval, Event::SampleTick);
+            .schedule_at(SimTime::ZERO + SAMPLE_INTERVAL, Event::SampleTick);
     }
 
     fn arm_next_arrival(&mut self, gen: usize) {
@@ -1191,14 +1188,12 @@ impl System {
         self.tracer.record(now, "maint", "invalidate", move || {
             format!("core=core{core} buf={buf} lines={lines}")
         });
-        let scope = self.cfg.invalidate_scope;
         if let Err(e) = invalidate_range(
             &mut self.hier,
             &self.page_table,
             CoreId::new(core as u16),
             buf,
             u64::from(lines) * LINE_SIZE,
-            scope,
         ) {
             panic!(
                 "invalidate on core{core} rejected for buffer {buf} \
@@ -1464,7 +1459,7 @@ impl System {
             let dma = self.hier.llc().tracked_resident();
             self.dma_llc_share.push(now, dma as u64);
         }
-        let next = now + self.cfg.sample_interval;
+        let next = now + SAMPLE_INTERVAL;
         if next <= self.hard_stop {
             self.queue.schedule_at(next, Event::SampleTick);
         }
@@ -1648,8 +1643,7 @@ mod tests {
     #[test]
     fn timelines_hold_one_sample_per_tick_to_the_hard_stop() {
         let cfg = steady_cfg(10.0, SteeringPolicy::Idio);
-        let ticks =
-            ((cfg.duration + cfg.drain_grace).as_ps() / cfg.sample_interval.as_ps()) as usize;
+        let ticks = ((cfg.duration + cfg.drain_grace).as_ps() / SAMPLE_INTERVAL.as_ps()) as usize;
         assert_eq!(ticks, 50);
         let t = System::new(cfg).run().timelines;
         for s in [
@@ -1961,6 +1955,15 @@ mod tests {
             "{err:?}"
         );
         assert!(burst(10, 16, 100).is_none(), "a burst that fits builds");
+        // A core allocation mask past the LLC's ways used to build and
+        // panic at the first core-side LLC fill.
+        let mut cfg = steady_cfg(10.0, SteeringPolicy::Ddio);
+        cfg.hierarchy.core_alloc_ways = Some(idio_cache::set::WayMask::from_bits(1 << 13));
+        let err = System::try_new(cfg).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("core allocation mask ways0b10000000000000 wider than the 12-way LLC")
+        );
     }
 
     #[test]

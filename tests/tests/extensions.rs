@@ -1,9 +1,8 @@
 //! End-to-end tests of the extensions beyond the paper's evaluation:
 //! copy-mode recycling, the CPU-paced future-work prefetcher, the IAT
-//! dynamic-ways baseline, the DMA-bloat occupancy gauge, bounded
-//! directories, and alternative replacement policies at system level.
+//! dynamic-ways baseline and the DMA-bloat occupancy gauge at system
+//! level.
 
-use idio_core::cache::replacement::ReplacementKind;
 use idio_core::config::SystemConfig;
 use idio_core::net::gen::{BurstSpec, TrafficPattern};
 use idio_core::policy::SteeringPolicy;
@@ -116,32 +115,6 @@ fn bloat_gauge_separates_policies() {
 }
 
 #[test]
-fn alternative_replacement_policies_run_end_to_end() {
-    for kind in [ReplacementKind::Srrip, ReplacementKind::Random] {
-        let mut cfg = base_cfg(25.0);
-        cfg.hierarchy.llc_replacement = kind;
-        cfg.hierarchy.private_replacement = kind;
-        let r = System::new(cfg.with_policy(SteeringPolicy::Idio)).run();
-        assert_eq!(
-            r.totals.completed_packets, r.totals.rx_packets,
-            "{kind}: all packets complete"
-        );
-    }
-}
-
-#[test]
-fn bounded_directory_system_stays_consistent() {
-    let mut cfg = base_cfg(25.0);
-    cfg.hierarchy.directory_entries = Some(8192);
-    let r = System::new(cfg.with_policy(SteeringPolicy::Ddio)).run();
-    assert!(
-        r.hierarchy.shared.dir_back_invalidations.get() > 0,
-        "an 8k-entry directory is under pressure from 2 MLC working sets"
-    );
-    assert_eq!(r.totals.completed_packets, r.totals.rx_packets);
-}
-
-#[test]
 fn poisson_traffic_runs_end_to_end() {
     let mut cfg = SystemConfig::touchdrop_scenario(
         2,
@@ -173,7 +146,7 @@ fn deepfwd_combines_deep_touch_with_tx() {
     // Every frame line is read back out by the NIC for TX.
     assert!(r.hierarchy.shared.pcie_reads.get() >= r.totals.rx_packets * 24);
     // Deep inspection touched everything, so the whole frame was
-    // prefetchable; invalidation fires after TX (IncludeLlc scope).
+    // prefetchable; invalidation fires after TX and drops the LLC copy.
     assert!(r.totals.self_inval >= r.totals.rx_packets * 24);
 }
 
