@@ -4,9 +4,10 @@
 Runs every workload through BENCHMARK.json's command (perfbench) for
 GATE_SECONDS, keeps each run's stdout in perf-out/<workload>.txt under the
 current directory, and reads the JSON object on its last line. The gate
-fails when a run's outputs do not check (`correct` is not true, or `failed` is not 0), when a workload has no
-baseline entry, or when its host-scaled `wall_s` exceeds BOUND times the
-committed baseline.
+fails when a run exits non-zero, when its outputs do not check (`correct`
+is not true, or `failed` is not 0), when a workload has no baseline entry,
+or when its host-scaled `wall_s` exceeds BOUND times the committed
+baseline.
 
     python3 .github/perf_gate.py           # run and check (CI)
     python3 .github/perf_gate.py --bless   # measure a new baseline
@@ -53,7 +54,10 @@ def main():
         cmd = bench["command"] + ["--workload", w, "--seconds", str(seconds)]
         print("$ " + " ".join(cmd), flush=True)
         with open(out, "w") as f:
-            subprocess.run(cmd, cwd=ROOT, stdout=f, check=False)
+            code = subprocess.run(cmd, cwd=ROOT, stdout=f, check=False).returncode
+        if code != 0:
+            problems.append(f"{w}: perfbench exited with status {code} (output in {out})")
+            continue
         try:
             res = last_json_line(out)
             wall = res["metrics"]["wall_s"]["value"]

@@ -54,6 +54,23 @@ impl SloSpec {
     pub fn is_bounded(&self) -> bool {
         self.max_p99_ns.is_some() || self.max_drop_rate.is_some()
     }
+
+    /// Checks the bounds' values: a drop-rate bound is a finite fraction
+    /// in `0.0..=1.0` (a `NaN` bound would never fail, a negative one
+    /// always would).
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken rule, keyed `max_drop_rate`.
+    pub fn check(&self) -> Result<(), FieldError> {
+        match self.max_drop_rate {
+            Some(v) if !(v.is_finite() && (0.0..=1.0).contains(&v)) => Err(FieldError::new(
+                "max_drop_rate",
+                format!("max_drop_rate {v} out of range (0.0..=1.0)"),
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The statistics sampling interval of every run's timelines (10 µs, as
@@ -322,7 +339,7 @@ impl TenantSpec {
                 return fail("replay", "replay is not time-ordered".into());
             }
         }
-        Ok(())
+        self.slo.as_ref().map_or(Ok(()), SloSpec::check)
     }
 }
 
@@ -544,6 +561,9 @@ impl SystemConfig {
             t.check(&self.hierarchy).map_err(|e| (Some(i), e))?;
         }
         let fail = |key, msg: String| Err((None, FieldError::new(key, msg)));
+        if self.duration == SimTime::ZERO {
+            return fail("duration", "duration must be positive".into());
+        }
         let filters = self.perfect_filter_entries;
         if filters == 0 {
             return fail("perfect_filters", "perfect_filters must be positive".into());
@@ -884,5 +904,9 @@ mod tests {
         cfg.atr_lifetime = Some(Duration::ZERO);
         assert_eq!(cfg.check_values().unwrap_err().0, None);
         assert_eq!(cfg.validate().unwrap_err(), "atr_lifetime must be positive");
+        cfg.atr_lifetime = None;
+        cfg.duration = SimTime::ZERO;
+        let zero = FieldError::new("duration", "duration must be positive");
+        assert_eq!(cfg.check_values(), Err((None, zero)));
     }
 }

@@ -29,16 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod headers;
 pub mod packet;
 pub mod trace;
 
 pub use gen::{
     Arrival, BurstSpec, FlowSet, FlowSpec, MultiFlowGen, TrafficGen, TrafficPattern,
     MAX_FLOW_SET_FLOWS, MAX_FLOW_SET_TAG,
-};
-pub use headers::{
-    parse_wire_header, wire_header, EthernetHeader, Ipv4Header, MacAddr, ParseError, UdpHeader,
 };
 pub use packet::{Dscp, FiveTuple, Packet, HEADER_BYTES, MIN_FRAME_BYTES, MTU_FRAME_BYTES};
 pub use trace::{read_trace, write_trace, TraceError};

@@ -176,7 +176,7 @@ pub struct FlowDirector {
     /// ATR entries older than this are invalidated on first touch.
     /// `None` disables aging.
     atr_lifetime: Option<Duration>,
-    /// RSS indirection table: hash → queue, software-programmable.
+    /// RSS indirection table: hash → queue (the power-on identity spread).
     rss_table: Vec<QueueId>,
     stats: FdStats,
 }
@@ -230,21 +230,6 @@ impl FlowDirector {
     /// disables aging.
     pub fn set_atr_lifetime(&mut self, lifetime: Option<Duration>) {
         self.atr_lifetime = lifetime;
-    }
-
-    /// Reprograms the RSS indirection table (`ethtool -X` style). The
-    /// table size stays fixed; each entry must name a valid queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty or names an out-of-range queue.
-    pub fn set_rss_table(&mut self, entries: &[QueueId]) {
-        assert!(!entries.is_empty(), "RSS table cannot be empty");
-        assert!(
-            entries.iter().all(|q| q.0 < self.num_queues),
-            "RSS entry names an out-of-range queue"
-        );
-        self.rss_table = entries.to_vec();
     }
 
     /// The current RSS indirection table.
@@ -683,21 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn rss_indirection_table_is_programmable() {
-        let mut fd = FlowDirector::new(4, 16);
-        // Point every RSS bucket at queue 3.
-        fd.set_rss_table(&[QueueId(3)]);
-        for port in 0..20 {
-            let f = FiveTuple::udp(1, 2, port, 9);
-            assert_eq!(
-                fd.lookup(SimTime::ZERO, &f),
-                (QueueId(3), SteeringSource::Rss)
-            );
-        }
-        assert_eq!(fd.rss_table().len(), 1);
-    }
-
-    #[test]
     fn default_rss_spread_covers_all_queues() {
         let mut fd = FlowDirector::new(4, 16);
         let mut hit = [false; 4];
@@ -800,13 +770,6 @@ mod tests {
             SteeringSource::FilterTable
         );
         assert_eq!(fd.stats().atr_aged, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-range queue")]
-    fn rss_oob_queue_rejected() {
-        let mut fd = FlowDirector::new(2, 8);
-        fd.set_rss_table(&[QueueId(2)]);
     }
 
     #[test]

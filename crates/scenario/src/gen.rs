@@ -229,7 +229,9 @@ impl GenSpec {
             let msg = format!("attacker_frac {frac} out of range (0.0..=1.0)");
             return fail("attacker_frac", msg);
         }
-        Ok(())
+        // Checked here too: the SLO reaches no tenant when no kvs tenant
+        // offers enough load.
+        self.slo.as_ref().map_or(Ok(()), SloSpec::check)
     }
 
     /// Expands the spec into `header`'s tenant list (which must be empty:
@@ -672,6 +674,19 @@ mod tests {
         );
         assert_eq!(key(|s| s.app_classes.clear()), Some("app_classes"));
         assert_eq!(key(|s| s.attacker_frac = 1.5), Some("attacker_frac"));
+    }
+
+    #[test]
+    fn slo_bound_is_checked_even_when_no_tenant_receives_it() {
+        let mut spec = GenSpec::new(4);
+        spec.app_classes = vec![AppClass::Bulk];
+        spec.slo = Some(SloSpec {
+            max_p99_ns: None,
+            max_drop_rate: Some(f64::NAN),
+        });
+        assert_eq!(spec.check().unwrap_err().key, "max_drop_rate");
+        let err = spec.expand(header("nan-slo")).unwrap_err();
+        assert_eq!(err, "max_drop_rate NaN out of range (0.0..=1.0)");
     }
 
     #[test]

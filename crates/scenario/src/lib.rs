@@ -27,10 +27,11 @@
 //! the replay traces they name, so each is defined once. A file's
 //! `[generate]` table ([`gen::GenSpec`]) expands a compact spec into
 //! hundreds of tenants deterministically. The report path *streams*:
-//! each sweep cell is folded into per-tenant aggregates on the worker
-//! that ran it ([`report::ScenarioReportBuilder`]), so memory stays
-//! O(tenants), not O(cells × histograms), with the JSON still
-//! byte-identical at any worker count.
+//! each sweep cell is reduced on the worker that ran it and written
+//! straight into the per-tenant records of the report
+//! ([`report::ScenarioReportBuilder`]), so memory stays O(tenants), not
+//! O(cells × histograms), with the JSON still byte-identical at any
+//! worker count.
 //!
 //! # Quick start
 //!

@@ -6,14 +6,15 @@
 //! tested exactly like the paper figures.
 //!
 //! For datacenter-scale scenarios (hundreds of tenants, one solo cell
-//! each) the report is assembled *streamingly* through a
-//! [`ScenarioReportBuilder`]: every finished cell is reduced to a small
-//! [`CellFold`] on the worker that ran it — dropping the full
-//! [`RunReport`] with its histograms immediately — and the folds are
-//! merged into per-tenant running aggregates. Peak builder memory is
-//! O(tenants), not O(cells × histograms), and because each fold is a pure
-//! function of its own cell, the assembled JSON stays byte-identical at
-//! any `--jobs`.
+//! each) the report is assembled *streamingly* by a
+//! [`ScenarioReportBuilder`], which holds the report itself: every
+//! finished cell is reduced to a small [`CellFold`] on the worker that
+//! ran it — dropping the full [`RunReport`] with its histograms
+//! immediately. The mixed cell's fold is the run totals plus every
+//! tenant's finished [`TenantReport`]; a solo cell's is one latency
+//! summary. Peak builder memory is O(tenants), not O(cells × histograms),
+//! and because each fold is a pure function of its own cell, the
+//! assembled JSON stays byte-identical at any `--jobs`.
 
 use idio_core::report::RunReport;
 use idio_engine::json;
@@ -194,7 +195,7 @@ impl SloOutcome {
 }
 
 /// Everything the scenario runner measured about one tenant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// Tenant name.
     pub name: String,
@@ -381,45 +382,17 @@ fn merged_latency(report: &RunReport, cores: &[u16]) -> Option<LatencyStats> {
     })
 }
 
-fn sum_counters(report: &RunReport, names: impl Iterator<Item = String>) -> u64 {
-    names.map(|n| report.metrics.counter(&n)).sum()
-}
-
-/// Everything the mixed run contributes about one tenant, already reduced
-/// to fixed-size aggregates (no histograms retained).
-#[derive(Debug, Clone)]
-pub struct TenantMixed {
-    /// Packets delivered into the tenant's rings.
-    pub rx_packets: u64,
-    /// Packets dropped at the tenant's full rings.
-    pub rx_drops: u64,
-    /// Packets the tenant's NFs fully processed.
-    pub completed: u64,
-    /// MLC writebacks of the tenant's cores.
-    pub mlc_wb: u64,
-    /// Steering mix of DMA lines destined to the tenant's cores.
-    pub steer: SteerMix,
-    /// Merged latency summary of the tenant's cores.
-    pub latency: Option<LatencyStats>,
-    /// Buffer-pool aggregates of the tenant's queues (explicit pools
-    /// only).
-    pub pool: Option<PoolAgg>,
-    /// Flow-director steering mix of the tenant's queues (`fd.*`-exporting
-    /// runs only).
-    pub fd: Option<FdMix>,
-}
-
-/// The mixed cell reduced to run totals plus per-tenant aggregates.
-#[derive(Debug, Clone)]
-pub struct MixedFold {
-    /// Packets the NIC delivered, across all tenants.
-    pub rx_packets: u64,
-    /// Packets dropped at full rings, across all tenants.
-    pub rx_drops: u64,
-    /// Packets fully processed, across all tenants.
-    pub completed: u64,
-    /// Per-tenant aggregates, in scenario declaration order.
-    pub tenants: Vec<TenantMixed>,
+/// Sums the counters `{prefix}{id}.{key}` over `ids` (absent counters
+/// read 0).
+fn sum_counters(
+    report: &RunReport,
+    prefix: &str,
+    ids: impl IntoIterator<Item = impl std::fmt::Display>,
+    key: &str,
+) -> u64 {
+    (ids.into_iter())
+        .map(|id| report.metrics.counter(&format!("{prefix}{id}.{key}")))
+        .sum()
 }
 
 /// One scenario cell reduced to the fixed-size aggregate the report needs
@@ -427,8 +400,19 @@ pub struct MixedFold {
 /// the cell's full [`RunReport`] can be dropped immediately.
 #[derive(Debug, Clone)]
 pub enum CellFold {
-    /// The mixed cell (always cell 0 of a scenario sweep).
-    Mixed(MixedFold),
+    /// The mixed cell (always cell 0 of a scenario sweep): the run totals
+    /// and every tenant's finished mixed-run record.
+    Mixed {
+        /// Packets the NIC delivered, across all tenants.
+        rx_packets: u64,
+        /// Packets dropped at full rings, across all tenants.
+        rx_drops: u64,
+        /// Packets fully processed, across all tenants.
+        completed: u64,
+        /// Per-tenant records in scenario declaration order, without the
+        /// solo latency, interference and SLO outcome.
+        tenants: Vec<TenantReport>,
+    },
     /// The solo cell of tenant `tenant`: only its merged latency summary
     /// is kept.
     Solo {
@@ -440,83 +424,79 @@ pub enum CellFold {
     },
 }
 
-/// Per-tenant slot of the streaming builder: the static identity copied
-/// from the scenario plus the aggregates folded in so far.
+/// What the builder reads about one tenant but the report does not print.
 #[derive(Debug, Clone)]
-struct TenantSlot {
-    name: String,
-    nf: &'static str,
-    cores: Vec<u16>,
+struct TenantInputs {
     /// The tenant's queue indices in the mixed run (queue `q` is the
     /// `q`-th core in the order of the tenants' `cores` lists).
     queues: std::ops::Range<usize>,
     packet_len: u16,
-    policy: Option<String>,
+    /// The SLO bounds, when at least one is set.
     slo: Option<SloSpec>,
     /// Whether the tenant declared an explicit buffer pool — gates the
     /// `pool.q{q}.*` counter sums so pool-free tenants render unchanged.
     has_pool: bool,
-    mixed: Option<TenantMixed>,
-    /// `Some(...)` once the solo cell folded (its inner value may still be
-    /// `None` when the solo run completed no packets).
-    solo_latency: Option<Option<LatencyStats>>,
+    solo_folded: bool,
 }
 
 /// Streaming assembly of a [`ScenarioReport`]: cells are reduced to
 /// [`CellFold`]s on the workers ([`reduce`](Self::reduce), `&self`, safe
-/// to call concurrently) and merged into per-tenant running aggregates
-/// ([`fold`](Self::fold)); [`finish`](Self::finish) materialises the
-/// report once every cell has been folded.
+/// to call concurrently) and written into the report the builder holds
+/// ([`fold`](Self::fold)); [`finish`](Self::finish) adds interference
+/// and SLO outcomes once every cell has been folded.
 ///
 /// The builder never stores a [`RunReport`]: its memory is O(tenants)
 /// regardless of how many packets, flows or histogram buckets the cells
-/// produced. Fold order does not matter — every fold targets its own slot
-/// — which is what keeps the report byte-identical at any worker count.
+/// produced. Fold order does not matter — every fold writes its own
+/// fields — which is what keeps the report byte-identical at any worker
+/// count.
 #[derive(Debug, Clone)]
 pub struct ScenarioReportBuilder {
-    scenario: String,
-    description: String,
-    policy: &'static str,
-    root_seed: u64,
-    duration_ns: u64,
-    totals: Option<(u64, u64, u64)>,
-    tenants: Vec<TenantSlot>,
+    report: ScenarioReport,
+    tenants: Vec<TenantInputs>,
+    mixed_folded: bool,
 }
 
 impl ScenarioReportBuilder {
-    /// Prepares the builder for `scenario`: copies the static per-tenant
-    /// identity (names, cores, queue spans, SLO bounds) and leaves every
-    /// aggregate slot empty.
+    /// Prepares the builder for `scenario`: the report header and one
+    /// record per tenant with its identity (name, nf, cores, policy
+    /// label) filled and every measurement empty.
     pub fn new(scenario: &Scenario, root_seed: u64) -> Self {
         let mut next_queue = 0usize;
-        let tenants = scenario
-            .tenants
-            .iter()
-            .map(|t| {
-                let queues = next_queue..next_queue + t.cores.len();
-                next_queue = queues.end;
-                TenantSlot {
-                    name: t.name.clone(),
-                    nf: t.nf.name(),
-                    cores: t.cores.clone(),
-                    queues,
-                    packet_len: t.packet_len,
-                    policy: t.policy.map(|p| p.label()),
-                    slo: t.slo.filter(SloSpec::is_bounded),
-                    has_pool: t.pool.is_some(),
-                    mixed: None,
-                    solo_latency: None,
-                }
-            })
-            .collect();
+        let mut tenants = Vec::with_capacity(scenario.tenants.len());
+        let mut records = Vec::with_capacity(scenario.tenants.len());
+        for t in &scenario.tenants {
+            let queues = next_queue..next_queue + t.cores.len();
+            next_queue = queues.end;
+            tenants.push(TenantInputs {
+                queues,
+                packet_len: t.packet_len,
+                slo: t.slo.filter(SloSpec::is_bounded),
+                has_pool: t.pool.is_some(),
+                solo_folded: false,
+            });
+            records.push(TenantReport {
+                name: t.name.clone(),
+                nf: t.nf.name(),
+                cores: t.cores.clone(),
+                policy: t.policy.map(|p| p.label()),
+                ..TenantReport::default()
+            });
+        }
         ScenarioReportBuilder {
-            scenario: scenario.name.clone(),
-            description: scenario.description.clone(),
-            policy: scenario.policy.label(),
-            root_seed,
-            duration_ns: scenario.duration.as_ns(),
-            totals: None,
+            report: ScenarioReport {
+                scenario: scenario.name.clone(),
+                description: scenario.description.clone(),
+                policy: scenario.policy.label(),
+                root_seed,
+                duration_ns: scenario.duration.as_ns(),
+                rx_packets: 0,
+                rx_drops: 0,
+                completed: 0,
+                tenants: records,
+            },
             tenants,
+            mixed_folded: false,
         }
     }
 
@@ -534,151 +514,121 @@ impl ScenarioReportBuilder {
     /// Panics if `cell >= self.num_cells()`.
     pub fn reduce(&self, cell: usize, report: &RunReport) -> CellFold {
         assert!(cell < self.num_cells(), "cell {cell} out of range");
-        if cell == 0 {
-            let tenants = self
-                .tenants
-                .iter()
-                .map(|slot| TenantMixed {
-                    rx_packets: sum_counters(
-                        report,
-                        slot.queues.clone().map(|q| format!("queue{q}.rx.packets")),
-                    ),
-                    rx_drops: sum_counters(
-                        report,
-                        slot.queues.clone().map(|q| format!("queue{q}.rx.drops")),
-                    ),
-                    completed: sum_counters(
-                        report,
-                        slot.cores
-                            .iter()
-                            .map(|c| format!("core{c}.packets.completed")),
-                    ),
-                    mlc_wb: slot
-                        .cores
-                        .iter()
+        let records = &self.report.tenants;
+        if cell > 0 {
+            let tenant = cell - 1;
+            let latency = merged_latency(report, &records[tenant].cores);
+            return CellFold::Solo { tenant, latency };
+        }
+        let has_fd = report.metrics.counters().any(|(k, _)| k.starts_with("fd."));
+        let duration_s = self.report.duration_ns as f64 * 1e-9;
+        let tenants = (records.iter().zip(&self.tenants))
+            .map(|(template, t)| {
+                let cores = &template.cores;
+                let queue_sum = |prefix, key| sum_counters(report, prefix, t.queues.clone(), key);
+                let rx_packets = queue_sum("queue", "rx.packets");
+                let rx_drops = queue_sum("queue", "rx.drops");
+                let completed = sum_counters(report, "core", cores, "packets.completed");
+                // An idle tenant (nothing offered) divides 0 by 1.
+                let offered = (rx_packets + rx_drops).max(1);
+                TenantReport {
+                    rx_packets,
+                    rx_drops,
+                    drop_rate: rx_drops as f64 / offered as f64,
+                    completed,
+                    throughput_gbps: completed as f64 * f64::from(t.packet_len) * 8.0
+                        / duration_s
+                        / 1e9,
+                    mlc_wb: (cores.iter())
                         .map(|&c| report.hierarchy.core[c as usize].mlc_wb.get())
                         .sum(),
                     steer: SteerMix {
-                        llc: sum_counters(
-                            report,
-                            slot.cores.iter().map(|c| format!("core{c}.steer.llc")),
-                        ),
-                        mlc: sum_counters(
-                            report,
-                            slot.cores.iter().map(|c| format!("core{c}.steer.mlc")),
-                        ),
-                        dram: sum_counters(
-                            report,
-                            slot.cores.iter().map(|c| format!("core{c}.steer.dram")),
-                        ),
+                        llc: sum_counters(report, "core", cores, "steer.llc"),
+                        mlc: sum_counters(report, "core", cores, "steer.mlc"),
+                        dram: sum_counters(report, "core", cores, "steer.dram"),
                     },
-                    latency: merged_latency(report, &slot.cores),
-                    pool: slot.has_pool.then(|| PoolAgg {
-                        recycled: sum_counters(
-                            report,
-                            slot.queues.clone().map(|q| format!("pool.q{q}.recycled")),
-                        ),
-                        starved: sum_counters(
-                            report,
-                            slot.queues.clone().map(|q| format!("pool.q{q}.starved")),
-                        ),
-                        spilled: sum_counters(
-                            report,
-                            slot.queues.clone().map(|q| format!("pool.q{q}.spilled")),
-                        ),
+                    latency: merged_latency(report, cores),
+                    pool: t.has_pool.then(|| PoolAgg {
+                        recycled: queue_sum("pool.q", "recycled"),
+                        starved: queue_sum("pool.q", "starved"),
+                        spilled: queue_sum("pool.q", "spilled"),
                     }),
-                    fd: report
-                        .metrics
-                        .counters()
-                        .any(|(k, _)| k.starts_with("fd."))
-                        .then(|| FdMix {
-                            perfect: sum_counters(
-                                report,
-                                slot.queues.clone().map(|q| format!("fd.q{q}.perfect")),
-                            ),
-                            atr: sum_counters(
-                                report,
-                                slot.queues.clone().map(|q| format!("fd.q{q}.atr")),
-                            ),
-                            collision: sum_counters(
-                                report,
-                                slot.queues.clone().map(|q| format!("fd.q{q}.collision")),
-                            ),
-                            rss: sum_counters(
-                                report,
-                                slot.queues.clone().map(|q| format!("fd.q{q}.rss")),
-                            ),
-                            mis_steered: sum_counters(
-                                report,
-                                slot.queues.clone().map(|q| format!("fd.q{q}.mis")),
-                            ),
-                        }),
-                })
-                .collect();
-            CellFold::Mixed(MixedFold {
-                rx_packets: report.totals.rx_packets,
-                rx_drops: report.totals.rx_drops,
-                completed: report.totals.completed_packets,
-                tenants,
+                    fd: has_fd.then(|| FdMix {
+                        perfect: queue_sum("fd.q", "perfect"),
+                        atr: queue_sum("fd.q", "atr"),
+                        collision: queue_sum("fd.q", "collision"),
+                        rss: queue_sum("fd.q", "rss"),
+                        mis_steered: queue_sum("fd.q", "mis"),
+                    }),
+                    ..template.clone()
+                }
             })
-        } else {
-            let tenant = cell - 1;
-            CellFold::Solo {
-                tenant,
-                latency: merged_latency(report, &self.tenants[tenant].cores),
-            }
+            .collect();
+        CellFold::Mixed {
+            rx_packets: report.totals.rx_packets,
+            rx_drops: report.totals.rx_drops,
+            completed: report.totals.completed_packets,
+            tenants,
         }
     }
 
-    /// Merges one fold into the running aggregates. Order-independent:
-    /// every fold fills its own slot.
+    /// Writes one fold into the report. Order-independent: every fold
+    /// writes its own fields, and a mixed fold keeps the solo latencies
+    /// folded before it.
     ///
     /// # Panics
     ///
-    /// Panics if the fold's slot was already filled (a cell folded twice)
-    /// or a solo fold names an out-of-range tenant.
+    /// Panics if the cell was already folded or a solo fold names an
+    /// out-of-range tenant.
     pub fn fold(&mut self, fold: CellFold) {
         match fold {
-            CellFold::Mixed(m) => {
-                assert!(self.totals.is_none(), "mixed cell folded twice");
-                assert_eq!(m.tenants.len(), self.tenants.len());
-                self.totals = Some((m.rx_packets, m.rx_drops, m.completed));
-                for (slot, t) in self.tenants.iter_mut().zip(m.tenants) {
-                    slot.mixed = Some(t);
+            CellFold::Mixed {
+                rx_packets,
+                rx_drops,
+                completed,
+                tenants,
+            } => {
+                assert!(!self.mixed_folded, "mixed cell folded twice");
+                assert_eq!(tenants.len(), self.tenants.len());
+                self.mixed_folded = true;
+                self.report.rx_packets = rx_packets;
+                self.report.rx_drops = rx_drops;
+                self.report.completed = completed;
+                for (record, mixed) in self.report.tenants.iter_mut().zip(tenants) {
+                    *record = TenantReport {
+                        solo_latency: record.solo_latency,
+                        ..mixed
+                    };
                 }
             }
             CellFold::Solo { tenant, latency } => {
-                let slot = &mut self.tenants[tenant];
-                assert!(
-                    slot.solo_latency.is_none(),
-                    "solo cell of tenant {tenant} folded twice"
-                );
-                slot.solo_latency = Some(latency);
+                let t = &mut self.tenants[tenant];
+                assert!(!t.solo_folded, "solo cell of tenant {tenant} folded twice");
+                t.solo_folded = true;
+                self.report.tenants[tenant].solo_latency = latency;
             }
         }
     }
 
-    /// Materialises the report: computes interference and SLO outcomes
-    /// from the folded aggregates.
+    /// Finishes the report: computes each tenant's interference and SLO
+    /// outcome from its folded measurements.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first cell that was never folded.
-    pub fn finish(self) -> Result<ScenarioReport, String> {
-        let (rx_packets, rx_drops, completed) = self
-            .totals
-            .ok_or_else(|| format!("scenario '{}': mixed cell never folded", self.scenario))?;
-        let duration_s = self.duration_ns as f64 * 1e-9;
-        let mut tenants = Vec::with_capacity(self.tenants.len());
-        for slot in self.tenants {
-            let mixed = slot.mixed.expect("filled together with totals");
-            let solo_latency = slot.solo_latency.ok_or_else(|| {
-                format!(
-                    "scenario '{}': solo cell of tenant '{}' never folded",
-                    self.scenario, slot.name
-                )
-            })?;
-            let interference = match (mixed.latency, solo_latency) {
+    pub fn finish(mut self) -> Result<ScenarioReport, String> {
+        let scenario = &self.report.scenario;
+        if !self.mixed_folded {
+            return Err(format!("scenario '{scenario}': mixed cell never folded"));
+        }
+        for (record, t) in self.report.tenants.iter_mut().zip(&self.tenants) {
+            if !t.solo_folded {
+                return Err(format!(
+                    "scenario '{scenario}': solo cell of tenant '{}' never folded",
+                    record.name
+                ));
+            }
+            record.interference = match (record.latency, record.solo_latency) {
                 (Some(m), Some(s)) => Some(Interference {
                     p50_delta_ns: m.p50_ns as i64 - s.p50_ns as i64,
                     p99_delta_ns: m.p99_ns as i64 - s.p99_ns as i64,
@@ -690,16 +640,11 @@ impl ScenarioReportBuilder {
                 }),
                 _ => None,
             };
-            let offered = mixed.rx_packets + mixed.rx_drops;
-            let drop_rate = if offered == 0 {
-                0.0
-            } else {
-                mixed.rx_drops as f64 / offered as f64
-            };
             // SLO bounds are asserted against the *mixed* run — the whole
             // point of an objective is surviving the neighbors.
-            let slo = slot.slo.map(|s| {
-                let actual_p99_ns = mixed.latency.map(|l| l.p99_ns);
+            record.slo = t.slo.map(|s| {
+                let actual_p99_ns = record.latency.map(|l| l.p99_ns);
+                let drop_rate = record.drop_rate;
                 let mut violations = Vec::new();
                 if let Some(bound) = s.max_p99_ns {
                     match actual_p99_ns {
@@ -726,39 +671,8 @@ impl ScenarioReportBuilder {
                     violations,
                 }
             });
-            tenants.push(TenantReport {
-                name: slot.name,
-                nf: slot.nf,
-                cores: slot.cores,
-                rx_packets: mixed.rx_packets,
-                rx_drops: mixed.rx_drops,
-                drop_rate,
-                completed: mixed.completed,
-                throughput_gbps: mixed.completed as f64 * f64::from(slot.packet_len) * 8.0
-                    / duration_s
-                    / 1e9,
-                mlc_wb: mixed.mlc_wb,
-                steer: mixed.steer,
-                latency: mixed.latency,
-                solo_latency,
-                interference,
-                policy: slot.policy,
-                slo,
-                pool: mixed.pool,
-                fd: mixed.fd,
-            });
         }
-        Ok(ScenarioReport {
-            scenario: self.scenario,
-            description: self.description,
-            policy: self.policy,
-            root_seed: self.root_seed,
-            duration_ns: self.duration_ns,
-            rx_packets,
-            rx_drops,
-            completed,
-            tenants,
-        })
+        Ok(self.report)
     }
 }
 

@@ -11,8 +11,8 @@
 //! reduced to a [`crate::report::CellFold`] on the worker that ran it and
 //! its full [`idio_core::report::RunReport`] is dropped right there, so a
 //! 200-tenant scenario (201 cells, each with per-core histograms) peaks at
-//! `jobs` live reports plus O(tenants) of folded aggregates — not
-//! O(cells × histograms).
+//! `jobs` live reports plus the report being built (one record per
+//! tenant) — not O(cells × histograms).
 
 use idio_core::sweep::{run_cells_map, SweepCell, SweepOptions};
 
@@ -62,6 +62,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> Result<Scenario
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::CellFold;
     use idio_core::config::FlowSteering;
     use idio_core::net::gen::TrafficPattern;
     use idio_core::policy::SteeringPolicy;
@@ -188,6 +189,51 @@ mod tests {
         let mut sc = tiny();
         sc.tenants[1].cores = vec![0];
         assert!(run_scenario(&sc, &SweepOptions::serial()).is_err());
+    }
+
+    /// The builder of `tiny()` and the folds of its cells, in cell order.
+    fn tiny_folds() -> (ScenarioReportBuilder, Vec<CellFold>) {
+        let sc = tiny();
+        let b = ScenarioReportBuilder::new(&sc, 1);
+        let opts = SweepOptions::serial();
+        let folds = run_cells_map(scenario_cells(&sc), &opts, |i, o| b.reduce(i, &o.report));
+        (b, folds)
+    }
+
+    #[test]
+    fn fold_order_does_not_change_the_report() {
+        let (b, folds) = tiny_folds();
+        let mut in_order = b.clone();
+        for f in folds.iter().cloned() {
+            in_order.fold(f);
+        }
+        // Every solo cell first, the mixed cell last.
+        let mut solos_first = b;
+        for f in folds.into_iter().rev() {
+            solos_first.fold(f);
+        }
+        let (a, z) = (in_order.finish().unwrap(), solos_first.finish().unwrap());
+        assert!(z.tenants.iter().all(|t| t.solo_latency.is_some()));
+        assert_eq!(a.to_json(), z.to_json());
+    }
+
+    #[test]
+    fn builder_names_the_tenant_whose_solo_cell_is_missing() {
+        let (mut b, mut folds) = tiny_folds();
+        folds.pop(); // tenant 'b's solo cell
+        for f in folds {
+            b.fold(f);
+        }
+        let err = b.finish().unwrap_err();
+        assert_eq!(err, "scenario 'tiny': solo cell of tenant 'b' never folded");
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed cell folded twice")]
+    fn folding_the_mixed_cell_twice_panics() {
+        let (mut b, folds) = tiny_folds();
+        b.fold(folds[0].clone());
+        b.fold(folds[0].clone());
     }
 
     #[test]

@@ -229,6 +229,24 @@ mod tests {
     }
 
     #[test]
+    fn slo_drop_rate_bound_must_be_a_fraction() {
+        for bound in [0.0, 1.0, f64::NAN, -1.0, 1.5] {
+            let mut sc = two_tenants();
+            sc.tenants[1] = sc.tenants[1].clone().with_slo(SloSpec {
+                max_p99_ns: None,
+                max_drop_rate: Some(bound),
+            });
+            if (0.0..=1.0).contains(&bound) {
+                assert_eq!(sc.validate(), Ok(()));
+                continue;
+            }
+            let err = sc.validate().unwrap_err();
+            let want = format!("tenant 'b': max_drop_rate {bound} out of range (0.0..=1.0)");
+            assert!(err.ends_with(&want), "{err}");
+        }
+    }
+
+    #[test]
     fn double_owned_core_rejected() {
         let mut sc = two_tenants();
         sc.tenants[1].cores = vec![1];

@@ -29,8 +29,9 @@
 //! duplicate and missing keys, value types and integer widths, name
 //! lookups and key conflicts. Value rules belong to the types the values
 //! configure — [`TenantSpec::check`] and
-//! [`idio_core::config::SystemConfig::check_values`], [`GenSpec::check`]
-//! and [`NfChain::new`] — whose errors name the key at fault; the parser
+//! [`idio_core::config::SystemConfig::check_values`], [`SloSpec::check`],
+//! [`GenSpec::check`] and [`NfChain::new`] — whose errors name the key at
+//! fault; the parser
 //! only positions them at that key's value.
 //!
 //! [`to_file_string`] renders a [`Scenario`] in canonical form such that
@@ -953,19 +954,7 @@ fn tenant_traffic(t: &Table, packet_len: u16) -> Result<TrafficPattern, SpecErro
 
 fn tenant_slo(t: &Table) -> Result<Option<SloSpec>, SpecError> {
     let p99 = t.get("max_p99_ns").map(want_u64).transpose()?;
-    let drop = match t.get("max_drop_rate") {
-        Some(e) => {
-            let v = want_f64(e)?;
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(SpecError::new(
-                    e.val_pos,
-                    format!("max_drop_rate {v} out of range (0.0..=1.0)"),
-                ));
-            }
-            Some(v)
-        }
-        None => None,
-    };
+    let drop = t.get("max_drop_rate").map(want_f64).transpose()?;
     if p99.is_none() && drop.is_none() {
         return Ok(None);
     }
@@ -1632,6 +1621,22 @@ max_drop_rate = 0.25
             3,
             1,
             "missing required key 'nf'",
+        );
+    }
+
+    #[test]
+    fn horizon_and_slo_value_rules_are_positioned() {
+        let tenant = "[[tenant]]\nname = \"t\"\nnf = \"l2fwd\"\ncores = [0]\nflows = 1\n\
+                      base_port = 1000\npacket_len = 256\ntraffic = \"steady\"\nrate_gbps = 1.0\n";
+        let zero = format!("name = \"x\"\nduration_us = 0\n{tenant}");
+        err_at(&zero, 2, 15, "duration must be positive");
+        let slo = format!("name = \"x\"\n{tenant}max_drop_rate = -0.5\n");
+        err_at(&slo, 11, 17, "max_drop_rate -0.5 out of range (0.0..=1.0)");
+        err_at(
+            "name = \"x\"\n[generate]\ntenants = 2\nmax_drop_rate = 2\n",
+            4,
+            17,
+            "max_drop_rate 2 out of range (0.0..=1.0)",
         );
     }
 
