@@ -88,7 +88,13 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
         }
     }
 
-    let suite = run_figures(specs, &opts);
+    let suite = match run_figures(specs, &opts) {
+        Ok(suite) => suite,
+        Err(e) => {
+            eprintln!("error: invalid configuration: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     let timing = &suite.timing;
 
     for figure in &suite.figures {

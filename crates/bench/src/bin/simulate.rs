@@ -253,7 +253,13 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
             progress: false,
             profile_events: false,
         };
-        let outcomes = run_cells(cells, &opts);
+        let outcomes = match run_cells(cells, &opts) {
+            Ok(outcomes) => outcomes,
+            Err(e) => {
+                eprintln!("error: invalid configuration: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        };
         // Host time goes to stderr so stdout stays a pure function of the
         // scenario and seed (byte-identical at any --jobs).
         writeln!(

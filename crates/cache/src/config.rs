@@ -121,8 +121,9 @@ impl HierarchyConfig {
     ///
     /// Returns a human-readable message when the configuration is invalid
     /// (zero cores, DDIO ways exceeding LLC associativity, capacities not
-    /// divisible into sets, or a core allocation mask that is empty or
-    /// wider than the LLC).
+    /// divisible into sets, a core allocation mask that is empty or wider
+    /// than the LLC, or an L1D not smaller than some core's MLC: L1 is
+    /// inclusive in the MLC).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_cores == 0 {
             return Err("num_cores must be positive".into());
@@ -153,6 +154,16 @@ impl HierarchyConfig {
                 if g.size_bytes % (crate::addr::LINE_SIZE * g.ways as u64) != 0 {
                     return Err(format!("mlc override for core {i} not divisible into sets"));
                 }
+            }
+        }
+        for i in 0..self.num_cores {
+            let mlc = self.mlc_for_core(i);
+            if self.l1d.size_bytes >= mlc.size_bytes {
+                return Err(format!(
+                    "l1d capacity {} B not smaller than core {i}'s {} B mlc, \
+                     which holds every L1 line",
+                    self.l1d.size_bytes, mlc.size_bytes
+                ));
             }
         }
         Ok(())
@@ -217,6 +228,24 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.core_alloc_ways = Some(WayMask::range(2, 12));
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_an_l1d_not_smaller_than_an_mlc() {
+        let mut cfg = HierarchyConfig::paper_default(3);
+        cfg.mlc_overrides[2] = Some(CacheGeometry::new(64 << 10, 8, 12));
+        assert_eq!(
+            cfg.validate().unwrap_err(),
+            "l1d capacity 65536 B not smaller than core 2's 65536 B mlc, \
+             which holds every L1 line"
+        );
+        cfg.mlc_overrides[2] = Some(CacheGeometry::new(128 << 10, 8, 12));
+        assert!(cfg.validate().is_ok());
+        cfg.l1d = CacheGeometry::new(2 << 20, 2, 2);
+        assert!(cfg
+            .validate()
+            .unwrap_err()
+            .starts_with("l1d capacity 2097152 B"));
     }
 
     #[test]

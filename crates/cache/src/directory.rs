@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{CoreId, LineAddr};
+use crate::set::SetBits;
 
 /// A multiplicative hasher for group numbers (fxhash-style). The
 /// directory is probed on every DMA line and every MLC miss, and the
@@ -74,6 +75,17 @@ impl Group {
     }
 }
 
+/// Groups are equal when they track the same lines with the same holders;
+/// what an untracked slot still holds does not count.
+impl PartialEq for Group {
+    fn eq(&self, other: &Group) -> bool {
+        self.present == other.present
+            && SetBits(u64::from(self.present)).all(|i| self.holder[i] == other.holder[i])
+    }
+}
+
+impl Eq for Group {}
+
 /// A line's group number and its slot within the group.
 #[inline]
 fn split(line: LineAddr) -> (u64, usize) {
@@ -105,7 +117,7 @@ fn split(line: LineAddr) -> (u64, usize) {
 /// dir.remove(LineAddr::new(7), CoreId::new(2));
 /// assert_eq!(dir.holder(LineAddr::new(7)), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlcDirectory {
     /// Each group with at least one tracked line, by group number.
     groups: GroupMap,

@@ -185,8 +185,6 @@ pub struct Hierarchy {
     llc: SetAssocCache,
     dir: MlcDirectory,
     stats: HierarchyStats,
-    mlc_mask: Vec<WayMask>,
-    l1_mask: WayMask,
     /// Per-core CAT override of the LLC core-fill mask. `None` follows the
     /// shared [`HierarchyConfig::core_mask`] (and therefore tracks IAT
     /// DDIO-way retuning); `Some` pins the core's demand fills and MLC
@@ -217,10 +215,6 @@ impl Hierarchy {
         let llc = SetAssocCache::with_capacity("llc", cfg.llc.size_bytes, cfg.llc.ways);
         let dir = MlcDirectory::new(cfg.num_cores);
         let stats = HierarchyStats::new(cfg.num_cores);
-        let mlc_mask = (0..cfg.num_cores)
-            .map(|i| WayMask::all(cfg.mlc_for_core(i).ways))
-            .collect();
-        let l1_mask = WayMask::all(cfg.l1d.ways);
         let cat_mask = vec![None; cfg.num_cores];
         Hierarchy {
             cfg,
@@ -228,8 +222,6 @@ impl Hierarchy {
             llc,
             dir,
             stats,
-            mlc_mask,
-            l1_mask,
             cat_mask,
         }
     }
@@ -347,13 +339,21 @@ impl Hierarchy {
 
     // ----- internal fill helpers -------------------------------------------------
 
+    /// The LLC ways `core`'s demand fills and MLC victims allocate
+    /// through: its CAT partition if pinned, the shared core mask
+    /// otherwise.
+    fn llc_fill_mask(&self, core: CoreId) -> WayMask {
+        self.cat_mask[core.index()].unwrap_or_else(|| self.cfg.core_mask())
+    }
+
     /// Installs `line` into `core`'s MLC, cascading the victim into the LLC
     /// (an "MLC writeback") and a dirty LLC victim to DRAM (an "LLC
     /// writeback"). Updates the directory.
     fn fill_mlc(&mut self, core: CoreId, line: LineAddr, dirty: bool) -> MemEffects {
         let mut fx = MemEffects::default();
         let ci = core.index();
-        let (victim, _) = self.cores[ci].mlc.insert(line, dirty, self.mlc_mask[ci]);
+        let mlc = &mut self.cores[ci].mlc;
+        let (victim, _) = mlc.insert(line, dirty, WayMask::all(mlc.ways()));
         self.dir.add(line, core);
         if let Some(v) = victim {
             debug_assert_ne!(v.line, line);
@@ -378,8 +378,7 @@ impl Hierarchy {
     /// core mask otherwise), handling the victim cascade to DRAM.
     fn fill_llc(&mut self, from: CoreId, line: LineAddr, dirty: bool) -> MemEffects {
         let mut fx = MemEffects::default();
-        let mask = self.cat_mask[from.index()].unwrap_or_else(|| self.cfg.core_mask());
-        let (victim, _) = self.llc.insert(line, dirty, mask);
+        let (victim, _) = self.llc.insert(line, dirty, self.llc_fill_mask(from));
         if let Some(v) = victim {
             if v.dirty {
                 self.stats.shared.llc_wb.inc();
@@ -400,7 +399,8 @@ impl Hierarchy {
             self.cores[ci].mlc.contains(line),
             "L1 fill breaks inclusion"
         );
-        let (victim, _) = self.cores[ci].l1d.insert(line, false, self.l1_mask);
+        let l1d = &mut self.cores[ci].l1d;
+        let (victim, _) = l1d.insert(line, false, WayMask::all(l1d.ways()));
         if let Some(v) = victim {
             if v.dirty {
                 // Fold L1 dirtiness back into the MLC copy.
@@ -543,6 +543,50 @@ impl Hierarchy {
             level: HitLevel::Dram,
             effects: fx,
         }
+    }
+
+    /// Warms the caches with `lines` stores by `core` to the consecutive
+    /// lines from `first` on, as a co-runner initialising its buffer does
+    /// before measurement (Sec. VI). The hierarchy ends exactly as after
+    /// that many [`Hierarchy::cpu_write`]s in line order, but is written
+    /// in one pass per level instead of one fill cascade per line. No
+    /// statistics are counted: a warm-up is followed by
+    /// [`Hierarchy::reset_stats`].
+    ///
+    /// The closed form holds because every level is true LRU, every
+    /// stored line is new, and L1 holds fewer lines than the MLC (see
+    /// [`HierarchyConfig::validate`]), so each line leaves L1 before the
+    /// MLC evicts it and no back-invalidation reorders L1. Every level
+    /// then sees its arrivals in line order and evicts them first in,
+    /// first out ([`SetAssocCache::fill_run`]):
+    /// * L1 and the MLC keep the last lines of the run, all dirty, and
+    ///   the directory records the MLC's lines for `core`;
+    /// * the MLC evicts line `x` when line `x + mlc_lines` arrives, so
+    ///   the LLC receives the run minus its last `mlc_lines` lines, dirty,
+    ///   in line order, through `core`'s LLC fill mask.
+    ///
+    /// Planes are allocated in the order the replay allocates them: the
+    /// MLC, then L1, then the LLC on the first MLC victim.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cache holds a line, or if one the run fills was ever
+    /// filled.
+    pub fn warm_writes(&mut self, core: CoreId, first: LineAddr, lines: u64) {
+        assert!(self.is_empty(), "warm_writes needs an empty hierarchy");
+        let llc_mask = self.llc_fill_mask(core);
+        let pc = &mut self.cores[core.index()];
+        let mlc_lines = pc.mlc.capacity_lines() as u64;
+        debug_assert!(pc.l1d.capacity_lines() < pc.mlc.capacity_lines());
+        pc.mlc
+            .fill_run(first, lines, true, WayMask::all(pc.mlc.ways()));
+        let kept = lines.min(mlc_lines);
+        for i in lines - kept..lines {
+            self.dir.add(first.offset(i), core);
+        }
+        pc.l1d
+            .fill_run(first, lines, true, WayMask::all(pc.l1d.ways()));
+        self.llc.fill_run(first, lines - kept, true, llc_mask);
     }
 
     // ----- PCIe / DMA path -------------------------------------------------------
@@ -791,6 +835,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::CacheGeometry;
+    use idio_engine::check::{Cases, Gen};
 
     fn tiny_config() -> HierarchyConfig {
         // 2 cores; L1 2 sets x 2 ways, MLC 4 sets x 2 ways, LLC 4 sets x 4
@@ -1157,6 +1202,148 @@ mod tests {
             h.llc().way_of(line(7)).unwrap() < 2,
             "DMA keeps the DDIO ways regardless of CAT pins"
         );
+    }
+
+    /// The reference [`Hierarchy::warm_writes`] must reproduce: one
+    /// `cpu_write` per line, in line order, then zeroed statistics.
+    fn replay_writes(h: &mut Hierarchy, core: CoreId, first: LineAddr, lines: u64) {
+        for i in 0..lines {
+            h.cpu_write(core, first.offset(i));
+        }
+        h.reset_stats();
+    }
+
+    /// Asserts identical tag, valid, dirty and rank planes and resident
+    /// counts at every level, identical directory holders and identical
+    /// statistics.
+    fn assert_same_state(a: &Hierarchy, b: &Hierarchy, ctx: &str) {
+        for (ci, (pa, pb)) in a.cores.iter().zip(&b.cores).enumerate() {
+            assert!(pa.l1d == pb.l1d, "{ctx}: core {ci}'s L1D differs");
+            assert!(pa.mlc == pb.mlc, "{ctx}: core {ci}'s MLC differs");
+        }
+        assert!(a.llc == b.llc, "{ctx}: the LLC differs");
+        assert!(a.dir == b.dir, "{ctx}: the directory differs");
+        assert_eq!(
+            format!("{:?}", a.stats),
+            format!("{:?}", b.stats),
+            "{ctx}: statistics differ"
+        );
+    }
+
+    /// A geometry of `sets` x `ways` lines.
+    fn geometry(sets: u64, ways: usize, latency: u64) -> CacheGeometry {
+        CacheGeometry::new(sets * ways as u64 * 64, ways, latency)
+    }
+
+    /// A random operation on one of `cores` cores and a line below
+    /// `span`: its kind, core and line.
+    fn random_op(g: &mut Gen, cores: usize, span: u64) -> (u64, CoreId, LineAddr) {
+        let core = CoreId::new(g.u16(0..cores as u16));
+        (g.u64(0..9), core, line(g.u64(0..span)))
+    }
+
+    /// Applies an operation of [`random_op`], returning its outcome.
+    fn apply_op(h: &mut Hierarchy, (kind, core, l): (u64, CoreId, LineAddr)) -> String {
+        match kind {
+            0 => format!("{:?}", h.cpu_read(core, l)),
+            1 => format!("{:?}", h.cpu_write(core, l)),
+            2 => format!("{:?}", h.pcie_write(l, DmaPlacement::Llc)),
+            3 => format!("{:?}", h.pcie_write(l, DmaPlacement::Dram)),
+            4 => format!("{:?}", h.pcie_read(l)),
+            5 => format!("{:?}", h.self_invalidate(core, l)),
+            6 => format!("{:?}", h.prefetch_fill(core, l)),
+            7 => format!("{:?}", h.prefetch_fill_deep(core, l)),
+            _ => format!("{:?}", h.flush_line(l)),
+        }
+    }
+
+    #[test]
+    fn warm_writes_matches_the_cpu_write_replay() {
+        Cases::new(300).run(|g| {
+            let cores = g.usize(1..4);
+            let (l1_sets, l1_ways) = (g.u64(1..5), g.usize(1..5));
+            let l1_lines = l1_sets * l1_ways as u64;
+            // An MLC of more lines than L1, as validation demands.
+            let mlc = |g: &mut Gen| {
+                let ways = g.usize(1..7);
+                geometry(l1_lines / ways as u64 + 1 + g.u64(0..4), ways, 12)
+            };
+            let llc_ways = g.usize(2..9);
+            let mut cfg = HierarchyConfig {
+                num_cores: cores,
+                l1d: geometry(l1_sets, l1_ways, 2),
+                mlc: mlc(g),
+                mlc_overrides: vec![None; cores],
+                llc: geometry(g.u64(1..9), llc_ways, 24),
+                ddio_ways: g.usize(1..llc_ways),
+                core_alloc_ways: None,
+            };
+            let core = CoreId::new(g.u16(0..cores as u16));
+            if g.bool() {
+                cfg.mlc_overrides[core.index()] = Some(mlc(g));
+            }
+            if g.bool() {
+                let ways = g.u64(1..1 << llc_ways);
+                cfg.core_alloc_ways = Some(WayMask::from_bits(ways));
+            }
+            let mut warm = Hierarchy::new(cfg.clone());
+            let mut replay = Hierarchy::new(cfg);
+            if g.u64(0..4) == 0 {
+                let pin = Some(WayMask::from_bits(g.u64(1..1 << llc_ways)));
+                warm.set_cat_mask(core, pin);
+                replay.set_cat_mask(core, pin);
+            }
+            let mlc_lines = warm.mlc(core).capacity_lines() as u64;
+            let both = mlc_lines + warm.llc().capacity_lines() as u64;
+            let lines = match g.u64(0..4) {
+                0 => g.u64(0..l1_lines + 1),
+                1 => g.u64(l1_lines..mlc_lines + 1),
+                2 => g.u64(mlc_lines..both + 1),
+                _ => g.u64(both..3 * both + 2),
+            };
+            let first = line(g.u64(0..1000));
+            let ctx = format!("{lines} lines from {first} by {core}");
+            warm.warm_writes(core, first, lines);
+            replay_writes(&mut replay, core, first, lines);
+            assert_same_state(&warm, &replay, &ctx);
+            warm.check_invariants();
+
+            let span = first.get() + lines + 64;
+            for i in 0..200 {
+                let op = random_op(g, cores, span);
+                let (a, b) = (apply_op(&mut warm, op), apply_op(&mut replay, op));
+                assert_eq!(a, b, "{ctx}: follow-on op {i}, {op:?}");
+            }
+            assert_same_state(&warm, &replay, &format!("{ctx}, after the follow-on ops"));
+            warm.check_invariants();
+        });
+    }
+
+    #[test]
+    fn warm_writes_matches_the_replay_on_the_co_run_geometry() {
+        // The co-run cells' hierarchy: the antagonist core's 256 KiB MLC
+        // and a 3 MiB buffer, from a line-aligned and an unaligned base.
+        let mut cfg = HierarchyConfig::paper_default(3);
+        cfg.mlc_overrides[2] = Some(CacheGeometry::new(256 << 10, 8, 12));
+        let core = CoreId::new(2);
+        for first in [line(0x40_0000), line(0x40_0007)] {
+            let mut warm = Hierarchy::new(cfg.clone());
+            let mut replay = Hierarchy::new(cfg.clone());
+            warm.warm_writes(core, first, 49_152);
+            replay_writes(&mut replay, core, first, 49_152);
+            assert_same_state(&warm, &replay, &format!("from {first}"));
+            warm.check_invariants();
+            assert_eq!(warm.llc().resident_lines(), 4096 * 10);
+            assert_eq!(warm.dir.len(), 4096);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty hierarchy")]
+    fn warm_writes_rejects_a_hierarchy_that_holds_lines() {
+        let mut h = Hierarchy::new(tiny_config());
+        h.pcie_write(line(3), DmaPlacement::Llc);
+        h.warm_writes(C0, line(8), 4);
     }
 
     #[test]

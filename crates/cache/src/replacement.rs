@@ -30,6 +30,21 @@ pub fn promote(set: &mut [u8], way: usize) {
     set[way] = 0;
 }
 
+/// Ranks the ways of a never-touched set that the bit pattern `touched`
+/// leaves out, behind the touched ones. Promotions keep the untouched
+/// ways in their initial order, the highest way the most recent, so they
+/// take ranks `touched.count_ones()..ways` from the highest way down.
+/// The touched ways' ranks are the caller's to write.
+pub fn rank_untouched(set: &mut [u8], touched: u64) {
+    let mut rank = touched.count_ones() as u8;
+    for w in (0..set.len()).rev() {
+        if touched & (1 << w) == 0 {
+            set[w] = rank;
+            rank += 1;
+        }
+    }
+}
+
 /// The least recent way of `set` among those `mask` permits.
 ///
 /// Allocation-free: the permitted ways are scanned as a bit pattern.

@@ -164,9 +164,13 @@ impl Iterator for SetBits {
 /// A line whose tag does not fit 32 bits cannot be cached: inserting it
 /// panics, and every lookup reports it absent.
 ///
-/// The planes are allocated on the first [`SetAssocCache::insert`]. Until
-/// then the cache holds no memory per set, and every read answers as an
-/// empty cache does, so a core that never runs costs nothing to build.
+/// The planes are allocated on the first [`SetAssocCache::insert`] or
+/// [`SetAssocCache::fill_run`]. Until then the cache holds no memory per
+/// set, and every read answers as an empty cache does, so a core that
+/// never runs costs nothing to build.
+///
+/// Two caches are equal when every plane matches slot for slot, including
+/// the tag an invalid slot last held.
 ///
 /// # Examples
 ///
@@ -184,7 +188,7 @@ impl Iterator for SetBits {
 /// let (victim, _) = c.insert(LineAddr::new(8), false, mask);
 /// assert_eq!(victim.unwrap().line, LineAddr::new(0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     name: &'static str,
     num_sets: usize,
@@ -456,6 +460,70 @@ impl SetAssocCache {
             }),
             victim_way,
         )
+    }
+
+    /// Fills a never-filled cache with the consecutive lines
+    /// `[first, first + len)`, leaving exactly the state that inserting
+    /// them one by one in line order, each with `dirty` through `mask`,
+    /// leaves, but in one pass over the sets instead of one insert per
+    /// line.
+    ///
+    /// Every line is new, so a set fills its `k` permitted ways lowest
+    /// first and then evicts them round-robin: its arrival `r` lands in
+    /// its `(r mod k)`-th permitted way, and only the last `k` arrivals
+    /// stay. Those rank by recency; the other ways keep their initial
+    /// order behind them. An empty run allocates nothing, as no insert
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was ever filled, if `mask` selects no way
+    /// below `self.ways()`, or if the last line's set-relative tag does
+    /// not fit 32 bits.
+    pub fn fill_run(&mut self, first: LineAddr, len: u64, dirty: bool, mask: WayMask) {
+        if len == 0 {
+            return;
+        }
+        assert!(
+            !self.is_allocated(),
+            "{}: fill_run needs a cache that was never filled",
+            self.name
+        );
+        let permitted: Vec<usize> = SetBits(mask.0 & WayMask::all(self.ways).0).collect();
+        assert!(
+            !permitted.is_empty(),
+            "{}: way mask {mask} selects no way",
+            self.name
+        );
+        let last = first.offset(len - 1);
+        assert!(
+            self.locate(last).1.is_some(),
+            "{}: line {} does not fit a 32-bit tag with {} sets",
+            self.name,
+            last.get(),
+            self.num_sets
+        );
+        self.allocate();
+        let (sets, ways, k) = (self.num_sets as u64, self.ways, permitted.len() as u64);
+        // The j-th set the run reaches gets the lines `first + j + r * sets`.
+        for j in 0..len.min(sets) {
+            let head = first.get() + j;
+            let idx = (head % sets) as usize;
+            let arrivals = (len - j).div_ceil(sets);
+            let mut touched = 0u64;
+            for r in arrivals.saturating_sub(k)..arrivals {
+                let w = permitted[(r % k) as usize];
+                let line = head + r * sets;
+                self.tags[idx * ways + w] = (line / sets) as u32;
+                self.ranks[idx * ways + w] = (arrivals - 1 - r) as u8;
+                touched |= 1 << w;
+                self.track_slot(idx, w, LineAddr::new(line));
+            }
+            replacement::rank_untouched(self.set_ranks(idx), touched);
+            self.valid[idx] = touched;
+            self.dirty[idx] = if dirty { touched } else { 0 };
+            self.resident += touched.count_ones() as usize;
+        }
     }
 
     #[inline]
@@ -780,6 +848,45 @@ mod tests {
         assert!(c.is_allocated());
         assert!(c.probe(line(2)).unwrap().dirty);
         assert_eq!(c.tracked_resident(), 1, "earlier ranges count");
+    }
+
+    #[test]
+    fn fill_run_matches_inserting_the_run_line_by_line() {
+        let masks = [
+            WayMask::all(3),
+            WayMask::from_bits(0b101),
+            WayMask::first(1),
+        ];
+        let runs = [
+            (0, 0, true),
+            (1, 0, true),
+            (5, 1, false),
+            (13, 0, true),
+            (40, 1, true),
+            (41, 2, false),
+            (100, 0, true),
+        ];
+        for (len, mask, dirty) in runs {
+            let mut inserted = SetAssocCache::new("t", 5, 3);
+            let mut filled = SetAssocCache::new("t", 5, 3);
+            inserted.track_ranges(&[(10, 20)]);
+            filled.track_ranges(&[(10, 20)]);
+            for l in 7..7 + len {
+                inserted.insert(line(l), dirty, masks[mask]);
+            }
+            filled.fill_run(line(7), len, dirty, masks[mask]);
+            assert!(filled == inserted, "len {len}, mask {}", masks[mask]);
+            assert_eq!(filled.is_allocated(), len > 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never filled")]
+    fn fill_run_rejects_a_cache_that_was_filled() {
+        let mut c = SetAssocCache::new("t", 2, 2);
+        c.insert(line(1), false, WayMask::all(2));
+        c.remove(line(1));
+        c.fill_run(line(4), 3, true, WayMask::all(2));
     }
 
     #[test]

@@ -1130,7 +1130,9 @@ mod tests {
     use crate::sweep::{run_figures, SweepOptions};
 
     fn run_one(spec: FigureSpec) -> FigureResult {
-        let mut figures = run_figures(vec![spec], &SweepOptions::default()).figures;
+        let mut figures = run_figures(vec![spec], &SweepOptions::default())
+            .expect("built-in cells are valid")
+            .figures;
         figures.pop().expect("one figure")
     }
 

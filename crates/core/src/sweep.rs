@@ -238,7 +238,12 @@ where
 /// Each cell's config gets its seed overwritten with
 /// `derive_seed(root_seed, label)` before the run, making the outcome a
 /// pure function of `(cell, root_seed)` — independent of `jobs`.
-pub fn run_cells(cells: Vec<SweepCell>, opts: &SweepOptions) -> Vec<CellOutcome> {
+///
+/// # Errors
+///
+/// Returns the [`System::try_new`] message of the first invalid cell in
+/// declaration order, prefixed with its label.
+pub fn run_cells(cells: Vec<SweepCell>, opts: &SweepOptions) -> Result<Vec<CellOutcome>, String> {
     run_cells_map(cells, opts, |_, outcome| outcome)
 }
 
@@ -254,7 +259,16 @@ pub fn run_cells(cells: Vec<SweepCell>, opts: &SweepOptions) -> Vec<CellOutcome>
 /// values are returned in declaration order, so the result is exactly
 /// `run_cells(...)` mapped through `f` — byte-identical at any
 /// [`SweepOptions::jobs`].
-pub fn run_cells_map<O, F>(cells: Vec<SweepCell>, opts: &SweepOptions, f: F) -> Vec<O>
+///
+/// # Errors
+///
+/// Returns the [`System::try_new`] message of the first invalid cell in
+/// declaration order, prefixed with its label; the valid cells still run.
+pub fn run_cells_map<O, F>(
+    cells: Vec<SweepCell>,
+    opts: &SweepOptions,
+    f: F,
+) -> Result<Vec<O>, String>
 where
     O: Send,
     F: Fn(usize, CellOutcome) -> O + Sync,
@@ -272,13 +286,14 @@ where
             cfg.profile_events = true;
         }
         let t0 = Instant::now();
-        let report = System::new(cfg).run();
+        let system = System::try_new(cfg).map_err(|e| format!("cell {label}: {e}"))?;
+        let report = system.run();
         let wall = t0.elapsed();
         if progress {
             let k = done.fetch_add(1, Ordering::Relaxed) + 1;
             eprintln!("[{k}/{total}] {label} ({wall:.1?})");
         }
-        f(
+        Ok(f(
             i,
             CellOutcome {
                 label,
@@ -286,8 +301,10 @@ where
                 report,
                 wall,
             },
-        )
+        ))
     })
+    .into_iter()
+    .collect()
 }
 
 /// The assembly stage of a figure: outcomes in declaration order → table.
@@ -375,7 +392,14 @@ pub struct SuiteOutcome {
 /// All cells of all figures are flattened into a single batch so that a
 /// figure with one long-running cell does not serialise the sweep; results
 /// are regrouped per figure and assembled in declaration order.
-pub fn run_figures(mut specs: Vec<FigureSpec>, opts: &SweepOptions) -> SuiteOutcome {
+///
+/// # Errors
+///
+/// Returns [`run_cells`]' error when a cell's configuration is invalid.
+pub fn run_figures(
+    mut specs: Vec<FigureSpec>,
+    opts: &SweepOptions,
+) -> Result<SuiteOutcome, String> {
     let t0 = Instant::now();
     // Flatten the figures' cells, remembering each figure's span.
     let mut flat = Vec::new();
@@ -385,7 +409,7 @@ pub fn run_figures(mut specs: Vec<FigureSpec>, opts: &SweepOptions) -> SuiteOutc
         flat.append(&mut spec.cells);
         spans.push(start..flat.len());
     }
-    let outcomes = run_cells(flat, opts);
+    let outcomes = run_cells(flat, opts)?;
     let cells = outcomes
         .iter()
         .map(|o| CellMetrics {
@@ -415,11 +439,11 @@ pub fn run_figures(mut specs: Vec<FigureSpec>, opts: &SweepOptions) -> SuiteOutc
         root_seed: opts.root_seed,
         figures: timings,
     };
-    SuiteOutcome {
+    Ok(SuiteOutcome {
         figures,
         cells,
         timing,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -461,8 +485,8 @@ mod tests {
             SweepCell::new("b", tiny_cfg()),
             SweepCell::new("a", tiny_cfg()),
         ];
-        let out1 = run_cells(cells, &SweepOptions::serial());
-        let out2 = run_cells(swapped, &SweepOptions::serial());
+        let out1 = run_cells(cells, &SweepOptions::serial()).unwrap();
+        let out2 = run_cells(swapped, &SweepOptions::serial()).unwrap();
         assert_eq!(out1[0].seed, out2[1].seed, "seed follows the label");
         assert_eq!(out1[1].seed, out2[0].seed);
         assert_ne!(out1[0].seed, out1[1].seed);
@@ -475,14 +499,15 @@ mod tests {
                 .map(|i| SweepCell::new(format!("cell{i}"), tiny_cfg()))
                 .collect::<Vec<_>>()
         };
-        let serial = run_cells(mk(), &SweepOptions::serial());
+        let serial = run_cells(mk(), &SweepOptions::serial()).unwrap();
         let parallel = run_cells(
             mk(),
             &SweepOptions {
                 jobs: 4,
                 ..SweepOptions::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.label, p.label);
@@ -500,7 +525,7 @@ mod tests {
         };
         // The folded value keeps only a tiny summary; compare against the
         // unfolded path to prove the fold sees the same outcomes.
-        let full = run_cells(mk(), &SweepOptions::serial());
+        let full = run_cells(mk(), &SweepOptions::serial()).unwrap();
         let folded = run_cells_map(
             mk(),
             &SweepOptions {
@@ -508,13 +533,33 @@ mod tests {
                 ..SweepOptions::default()
             },
             |i, o| (i, o.label.clone(), o.seed, o.report.totals.rx_packets),
-        );
+        )
+        .unwrap();
         assert_eq!(full.len(), folded.len());
         for (i, (fi, label, seed, rx)) in folded.iter().enumerate() {
             assert_eq!(i, *fi);
             assert_eq!(&full[i].label, label);
             assert_eq!(full[i].seed, *seed);
             assert_eq!(full[i].report.totals.rx_packets, *rx);
+        }
+    }
+
+    #[test]
+    fn an_invalid_cell_is_an_error_naming_its_label() {
+        let mut bad = tiny_cfg();
+        bad.hierarchy.ddio_ways = 0;
+        let cells = vec![
+            SweepCell::new("good", tiny_cfg()),
+            SweepCell::new("bad/ddio", bad.clone()),
+            SweepCell::new("worse", bad),
+        ];
+        for jobs in [1, 3] {
+            let opts = SweepOptions {
+                jobs,
+                ..SweepOptions::default()
+            };
+            let err = run_cells(cells.clone(), &opts).unwrap_err();
+            assert_eq!(err, "cell bad/ddio: ddio_ways 0 must be in 1..=12");
         }
     }
 
@@ -534,7 +579,9 @@ mod tests {
             }
             f
         });
-        let mut figures = run_figures(vec![spec], &SweepOptions::serial()).figures;
+        let mut figures = run_figures(vec![spec], &SweepOptions::serial())
+            .unwrap()
+            .figures;
         let fig = figures.pop().expect("one figure");
         let labels: Vec<&str> = fig.rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(labels, ["first", "second"]);

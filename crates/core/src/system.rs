@@ -589,10 +589,8 @@ impl System {
         // Warm-up: the antagonist initialises its buffer (Sec. VI), then all
         // statistics start from zero.
         if let Some((core, ant)) = &antagonist {
-            let lines: Vec<LineAddr> = ant.warmup_lines().collect();
-            for l in lines {
-                hier.cpu_write(*core, l);
-            }
+            let (first, lines) = ant.warmup_lines();
+            hier.warm_writes(*core, first, lines);
         }
         hier.reset_stats();
         dram.reset_stats();

@@ -56,7 +56,7 @@ impl fmt::Display for CoreRangeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "core {} exceeds the 62 addressable by IDIO's 6-bit TLP encoding",
+            "{} is past the 63 cores (0-62) that IDIO's 6-bit TLP encoding addresses",
             self.core
         )
     }
@@ -201,6 +201,15 @@ mod tests {
         let err = TlpHeader::encode(meta(63, AppClass::Class0, false, false)).unwrap_err();
         assert_eq!(err.core, CoreId::new(63));
         assert!(err.to_string().contains("6-bit"));
+    }
+
+    #[test]
+    fn core_range_error_names_the_63_addressable_cores() {
+        let err = TlpHeader::encode(meta(64, AppClass::Class0, false, false)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "core64 is past the 63 cores (0-62) that IDIO's 6-bit TLP encoding addresses"
+        );
     }
 
     #[test]

@@ -43,8 +43,9 @@ pub fn scenario_cells(scenario: &Scenario) -> Vec<SweepCell> {
 ///
 /// # Errors
 ///
-/// Returns the validation message when the scenario is malformed; the
-/// simulation itself cannot fail.
+/// Returns the validation message when the scenario is malformed, or
+/// when a cell's configuration is invalid; the simulation itself cannot
+/// fail.
 pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> Result<ScenarioReport, String> {
     scenario.validate()?;
     let mut builder = ScenarioReportBuilder::new(scenario, opts.root_seed);
@@ -52,7 +53,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> Result<Scenario
     debug_assert_eq!(cells.len(), builder.num_cells());
     // Reduce on the workers (dropping each RunReport as soon as its cell
     // finishes), then fold the per-cell aggregates on this thread.
-    let folds = run_cells_map(cells, opts, |i, outcome| builder.reduce(i, &outcome.report));
+    let folds = run_cells_map(cells, opts, |i, outcome| builder.reduce(i, &outcome.report))?;
     for fold in folds {
         builder.fold(fold);
     }
@@ -196,7 +197,8 @@ mod tests {
         let sc = tiny();
         let b = ScenarioReportBuilder::new(&sc, 1);
         let opts = SweepOptions::serial();
-        let folds = run_cells_map(scenario_cells(&sc), &opts, |i, o| b.reduce(i, &o.report));
+        let folds =
+            run_cells_map(scenario_cells(&sc), &opts, |i, o| b.reduce(i, &o.report)).unwrap();
         (b, folds)
     }
 

@@ -116,11 +116,11 @@ impl LlcAntagonist {
         self.cfg.base.line().offset(self.rng.below(self.lines))
     }
 
-    /// Every line of the buffer, for cache warm-up before measurement
-    /// (Sec. VI: "we warm up caches by initializing the allocated buffer").
-    pub fn warmup_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        let first = self.cfg.base.line();
-        (0..self.lines).map(move |i| first.offset(i))
+    /// The buffer as a run of lines, its first line and its length, for
+    /// cache warm-up before measurement (Sec. VI: "we warm up caches by
+    /// initializing the allocated buffer").
+    pub fn warmup_lines(&self) -> (LineAddr, u64) {
+        (self.cfg.base.line(), self.lines)
     }
 
     /// Records a completed access that took `elapsed`.
@@ -157,10 +157,10 @@ mod tests {
             think_cycles: 1,
         };
         let a = LlcAntagonist::new(cfg, SimRng::seed_from(3));
-        let lines: Vec<_> = a.warmup_lines().collect();
-        assert_eq!(lines.len(), 10);
-        assert_eq!(lines[0], Addr::new(0x2000).line());
-        assert_eq!(lines[9], Addr::new(0x2000 + 9 * 64).line());
+        let (first, lines) = a.warmup_lines();
+        assert_eq!(lines, 10);
+        assert_eq!(first, Addr::new(0x2000).line());
+        assert_eq!(first.offset(9), Addr::new(0x2000 + 9 * 64).line());
     }
 
     #[test]

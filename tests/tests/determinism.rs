@@ -32,11 +32,13 @@ fn same_root_seed_reproduces_identical_totals() {
     let first = run_cells(
         vec![antagonist_cell("det/a"), antagonist_cell("det/b")],
         &opts,
-    );
+    )
+    .unwrap();
     let second = run_cells(
         vec![antagonist_cell("det/a"), antagonist_cell("det/b")],
         &opts,
-    );
+    )
+    .unwrap();
     for (x, y) in first.iter().zip(&second) {
         assert_eq!(x.seed, y.seed);
         assert_eq!(
@@ -55,14 +57,16 @@ fn different_root_seeds_derive_different_cell_seeds() {
             root_seed: 1,
             ..SweepOptions::default()
         },
-    );
+    )
+    .unwrap();
     let b = run_cells(
         vec![antagonist_cell("det/a")],
         &SweepOptions {
             root_seed: 2,
             ..SweepOptions::default()
         },
-    );
+    )
+    .unwrap();
     assert_ne!(a[0].seed, b[0].seed);
 }
 
@@ -78,7 +82,7 @@ fn sample_specs() -> Vec<FigureSpec> {
 #[test]
 fn figure_json_is_byte_identical_across_worker_counts() {
     let serial = {
-        let suite = run_figures(sample_specs(), &SweepOptions::default());
+        let suite = run_figures(sample_specs(), &SweepOptions::default()).unwrap();
         assert_eq!(suite.timing.jobs, 1);
         figures_to_json(&suite.figures)
     };
@@ -87,7 +91,7 @@ fn figure_json_is_byte_identical_across_worker_counts() {
             jobs: 4,
             ..SweepOptions::default()
         };
-        let suite = run_figures(sample_specs(), &opts);
+        let suite = run_figures(sample_specs(), &opts).unwrap();
         assert_eq!(suite.timing.jobs, 4);
         figures_to_json(&suite.figures)
     };
@@ -132,8 +136,8 @@ fn trace_and_metrics_are_byte_identical_across_worker_counts() {
             })
             .collect()
     };
-    let serial = render(run_cells(cells(), &opts(1)));
-    let parallel = render(run_cells(cells(), &opts(4)));
+    let serial = render(run_cells(cells(), &opts(1)).unwrap());
+    let parallel = render(run_cells(cells(), &opts(4)).unwrap());
     assert_eq!(
         serial, parallel,
         "--jobs 1 and --jobs 4 trace/metrics diverged"
@@ -149,7 +153,7 @@ fn suite_cell_metrics_are_deterministic_across_worker_counts() {
             jobs,
             ..SweepOptions::default()
         };
-        let suite = run_figures(sample_specs(), &opts);
+        let suite = run_figures(sample_specs(), &opts).unwrap();
         suite
             .cells
             .iter()
@@ -173,7 +177,7 @@ fn suite_timing_covers_every_declared_cell() {
     let specs = sample_specs();
     let declared: Vec<(&'static str, usize)> =
         specs.iter().map(|s| (s.id, s.cells.len())).collect();
-    let timing = run_figures(specs, &SweepOptions::default()).timing;
+    let timing = run_figures(specs, &SweepOptions::default()).unwrap().timing;
     let measured: Vec<(&'static str, usize)> = timing
         .figures
         .iter()

@@ -53,7 +53,9 @@ fn quick_suite_matches_blessed_goldens() {
         .collect();
     // Default options: the same root seed and declaration order the repro
     // binary uses, so goldens match `repro --quick --json` rows.
-    let figures = run_figures(specs, &SweepOptions::default()).figures;
+    let figures = run_figures(specs, &SweepOptions::default())
+        .unwrap()
+        .figures;
 
     let dir = golden_dir();
     let mut failures = Vec::new();

@@ -62,7 +62,7 @@ fn quick_suite_metrics_match_blessed_goldens() {
         jobs: 2,
         ..SweepOptions::default()
     };
-    let out = run_figures(specs, &opts);
+    let out = run_figures(specs, &opts).unwrap();
     let rendered: String = out
         .cells
         .iter()
