@@ -1,4 +1,4 @@
-//! Cache hierarchy configuration (geometry, latency, way partitioning).
+//! Cache hierarchy configuration (geometry and way partitioning).
 
 use crate::set::WayMask;
 
@@ -9,18 +9,12 @@ pub struct CacheGeometry {
     pub size_bytes: u64,
     /// Associativity.
     pub ways: usize,
-    /// Access latency in core cycles.
-    pub latency_cycles: u64,
 }
 
 impl CacheGeometry {
     /// Creates a geometry.
-    pub const fn new(size_bytes: u64, ways: usize, latency_cycles: u64) -> Self {
-        CacheGeometry {
-            size_bytes,
-            ways,
-            latency_cycles,
-        }
+    pub const fn new(size_bytes: u64, ways: usize) -> Self {
+        CacheGeometry { size_bytes, ways }
     }
 
     /// Capacity in 64-byte lines.
@@ -32,8 +26,9 @@ impl CacheGeometry {
 /// Full hierarchy configuration.
 ///
 /// The defaults follow the paper's Table I gem5 configuration with the
-/// Fig. 5 LLC scaling: 64 KiB 2-way L1D (2 CC), 1 MiB 8-way MLC (12 CC),
-/// and a 3 MiB 12-way shared LLC (24 CC) of which 2 ways are DDIO ways.
+/// Fig. 5 LLC scaling: 64 KiB 2-way L1D, 1 MiB 8-way MLC, and a 3 MiB
+/// 12-way shared LLC of which 2 ways are DDIO ways. Access latencies are
+/// the core timing model's (`idio_stack::timing`), not the geometry's.
 ///
 /// # Examples
 ///
@@ -80,10 +75,10 @@ impl HierarchyConfig {
         assert!(num_cores > 0, "need at least one core");
         HierarchyConfig {
             num_cores,
-            l1d: CacheGeometry::new(64 << 10, 2, 2),
-            mlc: CacheGeometry::new(1 << 20, 8, 12),
+            l1d: CacheGeometry::new(64 << 10, 2),
+            mlc: CacheGeometry::new(1 << 20, 8),
             mlc_overrides: vec![None; num_cores],
-            llc: CacheGeometry::new(3 << 20, 12, 24),
+            llc: CacheGeometry::new(3 << 20, 12),
             ddio_ways: 2,
             core_alloc_ways: None,
         }
@@ -183,9 +178,9 @@ mod tests {
     #[test]
     fn paper_default_matches_table1() {
         let cfg = HierarchyConfig::paper_default(2);
-        assert_eq!(cfg.l1d, CacheGeometry::new(65536, 2, 2));
-        assert_eq!(cfg.mlc, CacheGeometry::new(1048576, 8, 12));
-        assert_eq!(cfg.llc.latency_cycles, 24);
+        assert_eq!(cfg.l1d, CacheGeometry::new(65536, 2));
+        assert_eq!(cfg.mlc, CacheGeometry::new(1048576, 8));
+        assert_eq!(cfg.llc, CacheGeometry::new(3 << 20, 12));
         assert_eq!(cfg.mlc.lines(), 16384);
         assert!(cfg.validate().is_ok());
     }
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn mlc_override_applies() {
         let mut cfg = HierarchyConfig::paper_default(3);
-        cfg.mlc_overrides[1] = Some(CacheGeometry::new(256 << 10, 8, 12));
+        cfg.mlc_overrides[1] = Some(CacheGeometry::new(256 << 10, 8));
         assert_eq!(cfg.mlc_for_core(1).size_bytes, 256 << 10);
         assert_eq!(cfg.mlc_for_core(0).size_bytes, 1 << 20);
         assert!(cfg.validate().is_ok());
@@ -233,15 +228,15 @@ mod tests {
     #[test]
     fn validate_rejects_an_l1d_not_smaller_than_an_mlc() {
         let mut cfg = HierarchyConfig::paper_default(3);
-        cfg.mlc_overrides[2] = Some(CacheGeometry::new(64 << 10, 8, 12));
+        cfg.mlc_overrides[2] = Some(CacheGeometry::new(64 << 10, 8));
         assert_eq!(
             cfg.validate().unwrap_err(),
             "l1d capacity 65536 B not smaller than core 2's 65536 B mlc, \
              which holds every L1 line"
         );
-        cfg.mlc_overrides[2] = Some(CacheGeometry::new(128 << 10, 8, 12));
+        cfg.mlc_overrides[2] = Some(CacheGeometry::new(128 << 10, 8));
         assert!(cfg.validate().is_ok());
-        cfg.l1d = CacheGeometry::new(2 << 20, 2, 2);
+        cfg.l1d = CacheGeometry::new(2 << 20, 2);
         assert!(cfg
             .validate()
             .unwrap_err()

@@ -842,10 +842,10 @@ mod tests {
         // ways with 2 DDIO ways — small enough to force evictions quickly.
         HierarchyConfig {
             num_cores: 2,
-            l1d: CacheGeometry::new(2 * 2 * 64, 2, 2),
-            mlc: CacheGeometry::new(4 * 2 * 64, 2, 12),
+            l1d: CacheGeometry::new(2 * 2 * 64, 2),
+            mlc: CacheGeometry::new(4 * 2 * 64, 2),
             mlc_overrides: vec![None; 2],
-            llc: CacheGeometry::new(4 * 4 * 64, 4, 24),
+            llc: CacheGeometry::new(4 * 4 * 64, 4),
             ddio_ways: 2,
             core_alloc_ways: None,
         }
@@ -1231,8 +1231,8 @@ mod tests {
     }
 
     /// A geometry of `sets` x `ways` lines.
-    fn geometry(sets: u64, ways: usize, latency: u64) -> CacheGeometry {
-        CacheGeometry::new(sets * ways as u64 * 64, ways, latency)
+    fn geometry(sets: u64, ways: usize) -> CacheGeometry {
+        CacheGeometry::new(sets * ways as u64 * 64, ways)
     }
 
     /// A random operation on one of `cores` cores and a line below
@@ -1266,15 +1266,15 @@ mod tests {
             // An MLC of more lines than L1, as validation demands.
             let mlc = |g: &mut Gen| {
                 let ways = g.usize(1..7);
-                geometry(l1_lines / ways as u64 + 1 + g.u64(0..4), ways, 12)
+                geometry(l1_lines / ways as u64 + 1 + g.u64(0..4), ways)
             };
             let llc_ways = g.usize(2..9);
             let mut cfg = HierarchyConfig {
                 num_cores: cores,
-                l1d: geometry(l1_sets, l1_ways, 2),
+                l1d: geometry(l1_sets, l1_ways),
                 mlc: mlc(g),
                 mlc_overrides: vec![None; cores],
-                llc: geometry(g.u64(1..9), llc_ways, 24),
+                llc: geometry(g.u64(1..9), llc_ways),
                 ddio_ways: g.usize(1..llc_ways),
                 core_alloc_ways: None,
             };
@@ -1324,7 +1324,7 @@ mod tests {
         // The co-run cells' hierarchy: the antagonist core's 256 KiB MLC
         // and a 3 MiB buffer, from a line-aligned and an unaligned base.
         let mut cfg = HierarchyConfig::paper_default(3);
-        cfg.mlc_overrides[2] = Some(CacheGeometry::new(256 << 10, 8, 12));
+        cfg.mlc_overrides[2] = Some(CacheGeometry::new(256 << 10, 8));
         let core = CoreId::new(2);
         for first in [line(0x40_0000), line(0x40_0007)] {
             let mut warm = Hierarchy::new(cfg.clone());

@@ -78,10 +78,10 @@ fn tiny_hierarchy() -> Hierarchy {
 fn tiny_hierarchy_with(cores: usize) -> Hierarchy {
     Hierarchy::new(HierarchyConfig {
         num_cores: cores,
-        l1d: CacheGeometry::new(2 * 2 * 64, 2, 2),
-        mlc: CacheGeometry::new(4 * 2 * 64, 2, 12),
+        l1d: CacheGeometry::new(2 * 2 * 64, 2),
+        mlc: CacheGeometry::new(4 * 2 * 64, 2),
         mlc_overrides: vec![None; cores],
-        llc: CacheGeometry::new(4 * 4 * 64, 4, 24),
+        llc: CacheGeometry::new(4 * 4 * 64, 4),
         ddio_ways: 2,
         core_alloc_ways: None,
     })

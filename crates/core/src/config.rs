@@ -3,16 +3,11 @@
 use idio_cache::addr::CoreId;
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
 use idio_engine::telemetry::TraceFilter;
-use idio_engine::time::{Duration, SimTime};
-use idio_mem::DramConfig;
+use idio_engine::time::{wire_time, Duration, SimTime};
 use idio_net::gen::{Arrival, TrafficPattern, MAX_FLOW_SET_FLOWS};
 use idio_net::packet::{Dscp, MIN_FRAME_BYTES};
-use idio_nic::classifier::ClassifierConfig;
-use idio_nic::dma::DmaConfig;
 use idio_pool::PoolSpec;
 use idio_stack::nf::NfKind;
-use idio_stack::pmd::PmdConfig;
-use idio_stack::timing::TimingConfig;
 
 use idio_cache::set::WayMask;
 
@@ -299,6 +294,12 @@ impl TenantSpec {
         match self.traffic {
             TrafficPattern::Steady { rate_gbps } | TrafficPattern::Poisson { rate_gbps, .. } => {
                 positive_rate("rate_gbps", rate_gbps)?;
+                // A frame that takes 0 ps would never advance the clock.
+                if wire_time(u64::from(len), rate_gbps) == Duration::ZERO {
+                    let msg =
+                        format!("rate_gbps {rate_gbps} sends a {len}-byte frame in under 1 ps");
+                    return fail("rate_gbps", msg);
+                }
             }
             TrafficPattern::Bursty(b) => {
                 if b.packets_per_burst == 0 {
@@ -343,26 +344,12 @@ impl TenantSpec {
     }
 }
 
-/// The LLCAntagonist co-runner (Sec. VI).
+/// The LLCAntagonist co-runner (Sec. VI), with the buffer and think time
+/// of `idio_stack::antagonist`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AntagonistSpec {
     /// The core running the antagonist.
     pub core: CoreId,
-    /// Its buffer size in bytes.
-    pub buffer_bytes: u64,
-    /// Compute cycles between dependent accesses.
-    pub think_cycles: u64,
-}
-
-impl AntagonistSpec {
-    /// The paper's setting: pinned core with an LLC-thrashing buffer.
-    pub fn paper_default(core: CoreId) -> Self {
-        AntagonistSpec {
-            core,
-            buffer_bytes: 3 << 20,
-            think_cycles: 2,
-        }
-    }
 }
 
 /// Everything needed to build and run a [`crate::system::System`].
@@ -371,12 +358,6 @@ pub struct SystemConfig {
     /// Cache hierarchy (Table I; antagonist MLC override applied by the
     /// builder).
     pub hierarchy: HierarchyConfig,
-    /// DRAM model.
-    pub dram: DramConfig,
-    /// Core timing model.
-    pub timing: TimingConfig,
-    /// Polling-mode driver parameters.
-    pub pmd: PmdConfig,
     /// NIC ring depth per queue.
     pub ring_size: u32,
     /// Flow Director perfect-match (EP) filter capacity. Tenant flows are
@@ -393,10 +374,6 @@ pub struct SystemConfig {
     /// (checked at control ticks). `None` = pools hold their footprint
     /// forever (legacy behavior).
     pub pool_idle_flush: Option<Duration>,
-    /// NIC-side classifier settings.
-    pub classifier: ClassifierConfig,
-    /// PCIe/DMA settings.
-    pub dma: DmaConfig,
     /// The system-default placement policy — the bottom layer of the
     /// policy table. [`TenantSpec::policy`] overrides it per tenant;
     /// [`SystemConfig::policy_table`] resolves the layering.
@@ -463,15 +440,10 @@ impl SystemConfig {
     pub fn paper_default(num_cores: usize) -> Self {
         SystemConfig {
             hierarchy: HierarchyConfig::paper_default(num_cores.max(1)),
-            dram: DramConfig::default(),
-            timing: TimingConfig::default(),
-            pmd: PmdConfig::default(),
             ring_size: 1024,
             perfect_filter_entries: idio_nic::DEFAULT_FILTER_TABLE_ENTRIES,
             atr_lifetime: None,
             pool_idle_flush: None,
-            classifier: ClassifierConfig::paper_default(),
-            dma: DmaConfig::default(),
             policy: SteeringPolicy::Ddio,
             idio: IdioConfig::paper_default(),
             prefetcher: PrefetcherConfig::default(),
@@ -517,7 +489,7 @@ impl SystemConfig {
     /// to 256 KiB per Sec. VI.
     pub fn with_antagonist(mut self) -> Self {
         let core = CoreId::new(self.num_cores() as u16);
-        self.antagonist = Some(AntagonistSpec::paper_default(core));
+        self.antagonist = Some(AntagonistSpec { core });
         self
     }
 
@@ -540,11 +512,7 @@ impl SystemConfig {
         if let Some(a) = self.antagonist {
             // Sec. VI: the antagonist core's MLC is set to 256 KiB so it
             // stays sensitive to LLC contention.
-            h.mlc_overrides[a.core.index()] = Some(CacheGeometry::new(
-                256 << 10,
-                h.mlc.ways,
-                h.mlc.latency_cycles,
-            ));
+            h.mlc_overrides[a.core.index()] = Some(CacheGeometry::new(256 << 10, h.mlc.ways));
         }
         h
     }
@@ -583,8 +551,8 @@ impl SystemConfig {
 
     /// Validates the configuration: [`SystemConfig::check_values`], then
     /// the rules about how tenants share the machine (core ownership,
-    /// unique names, disjoint flow ports, the wide-set cap) and the
-    /// nested ring, hierarchy, DRAM, DMA and PMD configs.
+    /// unique names, disjoint flow ports, the wide-set cap), the ring
+    /// size and the hierarchy.
     ///
     /// # Errors
     ///
@@ -613,11 +581,7 @@ impl SystemConfig {
             return Err("ring size must be positive".into());
         }
         self.validate_tenants()?;
-        self.effective_hierarchy().validate()?;
-        self.dram.validate()?;
-        self.dma.validate()?;
-        self.pmd.validate()?;
-        Ok(())
+        self.effective_hierarchy().validate()
     }
 
     /// Whether tenant `t` uses the wide (source-address-spilling) flow
@@ -718,7 +682,9 @@ mod tests {
     #[test]
     fn antagonist_collision_rejected() {
         let mut cfg = SystemConfig::touchdrop_scenario(2, bursty()).with_antagonist();
-        cfg.antagonist = Some(AntagonistSpec::paper_default(CoreId::new(1)));
+        cfg.antagonist = Some(AntagonistSpec {
+            core: CoreId::new(1),
+        });
         assert!(cfg.validate().is_err());
     }
 

@@ -24,42 +24,32 @@ use idio_nic::tlp::{AppClass, TlpMeta};
 use crate::fsm::{MlcStatus, PrefetchFsm};
 use crate::policy::{CatMode, PolicyCaps, PolicyTable, PrefetchMode};
 
+/// Control-plane sampling interval (Sec. V-B: 1 µs).
+pub const CONTROL_INTERVAL: Duration = Duration::from_us(1);
+
+/// Number of control intervals averaged into `mlcWBAvg` (Sec. V-B: 8192).
+pub const AVG_WINDOW: u32 = 8192;
+
 /// Controller configuration (Sec. V-B and VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdioConfig {
-    /// Control-plane sampling interval (1 µs).
-    pub control_interval: Duration,
-    /// Number of control intervals averaged into `mlcWBAvg` (8192).
-    pub avg_window: u32,
-    /// MLC-pressure threshold `mlcTHR`, in writebacks per control interval.
-    /// The paper's 50 MTPS over 1 µs is 50 writebacks/interval.
+    /// MLC-pressure threshold `mlcTHR`, in writebacks per
+    /// [`CONTROL_INTERVAL`]. The paper's 50 MTPS over 1 µs is 50
+    /// writebacks/interval.
     pub mlc_thr: u32,
-    /// The rate intent behind `mlc_thr`, in milli-MTPS (fixed point so the
-    /// config stays `Eq`/`Hash`-able). When set, the effective threshold
-    /// is recomputed from this and the *current* `control_interval`, so
-    /// changing the interval after [`IdioConfig::with_mlc_thr_mtps`] can
-    /// never leave a stale `mlc_thr`.
-    pub mlc_thr_mtps_milli: Option<u64>,
 }
 
 impl IdioConfig {
     /// The paper's experimentally chosen values.
     pub fn paper_default() -> Self {
-        IdioConfig {
-            control_interval: Duration::from_us(1),
-            avg_window: 8192,
-            mlc_thr: 50,
-            mlc_thr_mtps_milli: None,
-        }
+        IdioConfig { mlc_thr: 50 }
     }
 
-    /// Sets `mlcTHR` from a rate in MTPS (million transactions/second).
-    ///
-    /// The intent is stored, so a later `control_interval` change
-    /// (via [`IdioConfig::with_control_interval`] or direct field
-    /// assignment) transparently rescales the effective threshold. Rates
-    /// that round to zero writebacks per interval are rounded *up* to 1 —
-    /// a zero threshold would silently disable pressure detection.
+    /// Sets `mlcTHR` from a rate in MTPS (million transactions/second),
+    /// rounded to milli-MTPS and then to writebacks per
+    /// [`CONTROL_INTERVAL`]. Rates that round to zero writebacks per
+    /// interval are rounded *up* to 1 — a zero threshold would silently
+    /// disable pressure detection.
     ///
     /// # Panics
     ///
@@ -69,32 +59,11 @@ impl IdioConfig {
             mtps.is_finite() && mtps > 0.0,
             "mlcTHR rate must be finite and positive, got {mtps}"
         );
-        self.mlc_thr_mtps_milli = Some(((mtps * 1e3).round() as u64).max(1));
-        self.mlc_thr = self.effective_mlc_thr();
+        let milli = ((mtps * 1e3).round() as u64).max(1);
+        // milli-MTPS → transactions/second → per interval.
+        let per_interval = milli as f64 * 1e3 * CONTROL_INTERVAL.as_secs_f64();
+        self.mlc_thr = (per_interval.round().min(u32::MAX as f64) as u32).max(1);
         self
-    }
-
-    /// Sets the control interval, rescaling `mlc_thr` when it was derived
-    /// from an MTPS rate.
-    pub fn with_control_interval(mut self, interval: Duration) -> Self {
-        self.control_interval = interval;
-        self.mlc_thr = self.effective_mlc_thr();
-        self
-    }
-
-    /// The threshold actually applied by the controller, in writebacks per
-    /// `control_interval`: recomputed from the stored MTPS intent (if any)
-    /// and the current interval, and never zero.
-    pub fn effective_mlc_thr(&self) -> u32 {
-        let thr = match self.mlc_thr_mtps_milli {
-            Some(milli) => {
-                // milli-MTPS → transactions/second → per interval.
-                let per_interval = milli as f64 * 1e3 * self.control_interval.as_secs_f64();
-                per_interval.round().min(u32::MAX as f64) as u32
-            }
-            None => self.mlc_thr,
-        };
-        thr.max(1)
     }
 }
 
@@ -170,13 +139,9 @@ impl IdioController {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero or the averaging window is zero.
-    pub fn new(mut cfg: IdioConfig, num_cores: usize) -> Self {
+    /// Panics if `num_cores` is zero.
+    pub fn new(cfg: IdioConfig, num_cores: usize) -> Self {
         assert!(num_cores > 0, "need at least one core");
-        assert!(cfg.avg_window > 0, "averaging window must be positive");
-        // Resolve the threshold once against the final interval, so an
-        // intent stored before an interval change still applies correctly.
-        cfg.mlc_thr = cfg.effective_mlc_thr();
         IdioController {
             cfg,
             fsm: vec![PrefetchFsm::new(); num_cores],
@@ -272,10 +237,9 @@ impl IdioController {
             self.fsm[i].update(high);
             t.wb_acc += u64::from(t.wb_1us);
             t.intervals += 1;
-            if t.intervals >= self.cfg.avg_window {
+            if t.intervals >= AVG_WINDOW {
                 // Alg. 1 lines 20–24: refresh the long-run average.
-                t.wb_avg =
-                    (t.wb_acc / u64::from(self.cfg.avg_window)).min(u64::from(u32::MAX)) as u32;
+                t.wb_avg = (t.wb_acc / u64::from(AVG_WINDOW)).min(u64::from(u32::MAX)) as u32;
                 t.wb_acc = 0;
                 t.intervals = 0;
             }
@@ -283,52 +247,28 @@ impl IdioController {
     }
 }
 
-/// Configuration of the closed-loop CAT way allocator.
-///
-/// Mirrors the IAT way-tuner's cadence and hysteresis: slices grow
-/// promptly under pressure and are given back only after a sustained
-/// quiet period, so the partition does not flap at the control rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CatConfig {
-    /// Control ticks between slice evaluations (25 → every 25 µs at the
-    /// paper's 1 µs control interval, matching the IAT tuner).
-    pub period: u64,
-    /// Per-evaluation MLC-writeback delta (summed over the domain's
-    /// cores) above which the domain is considered under pressure.
-    pub grow_thr: u64,
-    /// Consecutive quiet evaluations before a way is given back.
-    pub quiet_evals: u32,
-    /// Smallest slice an auto domain ever holds.
-    pub min_ways: usize,
-    /// Largest slice an auto domain ever holds.
-    pub max_ways: usize,
-    /// Ways always left to the shared (non-CAT) core pool.
-    pub min_shared: usize,
-}
+// The closed-loop CAT way allocator's calibration. It mirrors the IAT
+// way-tuner's cadence and hysteresis: slices grow promptly under pressure
+// and are given back only after a sustained quiet period, so the partition
+// does not flap at the control rate. The slice bounds suit the 12-way
+// paper LLC: slices of 1..6 ways per domain, at least 2 ways always
+// shared. The 6-way ceiling matters: the LLC has twice the sets of an MLC,
+// so a slice only out-holds the 8-way MLC once it exceeds 4 ways — a
+// smaller cap could never protect anything the MLC did not already.
 
-impl CatConfig {
-    /// Defaults matched to the 12-way paper LLC: slices of 1..6 ways per
-    /// domain, at least 2 ways always shared, IAT-tuner cadence. The
-    /// 6-way ceiling matters: the LLC has twice the sets of an MLC, so a
-    /// slice only out-holds the 8-way MLC once it exceeds 4 ways — a
-    /// smaller cap could never protect anything the MLC did not already.
-    pub fn paper_default() -> Self {
-        CatConfig {
-            period: 25,
-            grow_thr: 25,
-            quiet_evals: 40,
-            min_ways: 1,
-            max_ways: 6,
-            min_shared: 2,
-        }
-    }
-}
-
-impl Default for CatConfig {
-    fn default() -> Self {
-        CatConfig::paper_default()
-    }
-}
+/// Control ticks between slice evaluations (every 25 µs, as the IAT tuner).
+const CAT_PERIOD: u64 = 25;
+/// Per-evaluation MLC-writeback delta (summed over the domain's cores)
+/// above which the domain is considered under pressure.
+const CAT_GROW_THR: u64 = 25;
+/// Consecutive quiet evaluations before a way is given back.
+const CAT_QUIET_EVALS: u32 = 40;
+/// Smallest slice an auto domain ever holds.
+const CAT_MIN_WAYS: usize = 1;
+/// Largest slice an auto domain ever holds.
+const CAT_MAX_WAYS: usize = 6;
+/// Ways always left to the shared (non-CAT) core pool.
+const CAT_MIN_SHARED: usize = 2;
 
 #[derive(Debug, Clone, Copy)]
 struct CatSlot {
@@ -365,7 +305,6 @@ pub struct CatPlan {
 /// in its slice) and narrows it only after a sustained quiet period.
 #[derive(Debug, Clone)]
 pub struct CatController {
-    cfg: CatConfig,
     /// One slot per policy domain; `None` = domain is not auto-managed.
     slots: Vec<Option<CatSlot>>,
     ticks: u64,
@@ -375,26 +314,14 @@ pub struct CatController {
 impl CatController {
     /// Creates an allocator for the given domains; `auto[d]` says whether
     /// domain `d` asked for closed-loop management. Every managed domain
-    /// starts at `min_ways`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate configuration (zero period, zero slice
-    /// floor, or an inverted `min_ways > max_ways` range).
-    pub fn new(cfg: CatConfig, auto: &[bool]) -> Self {
-        assert!(cfg.period > 0, "evaluation period must be positive");
-        assert!(cfg.min_ways > 0, "a CAT slice needs at least one way");
-        assert!(
-            cfg.min_ways <= cfg.max_ways,
-            "min_ways must not exceed max_ways"
-        );
+    /// starts at the smallest slice.
+    pub fn new(auto: &[bool]) -> Self {
         CatController {
-            cfg,
             slots: auto
                 .iter()
                 .map(|&a| {
                     a.then_some(CatSlot {
-                        ways: cfg.min_ways,
+                        ways: CAT_MIN_WAYS,
                         last_wb: 0,
                         quiet: 0,
                     })
@@ -403,11 +330,6 @@ impl CatController {
             ticks: 0,
             reallocations: 0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CatConfig {
-        &self.cfg
     }
 
     /// Current slice width of domain `d` (`None` when not auto-managed).
@@ -422,11 +344,11 @@ impl CatController {
 
     /// Control-tick entry point: feed the cumulative MLC-writeback
     /// counter of every policy domain (summed over the domain's cores).
-    /// Evaluates slices every `period` ticks; returns `true` when any
-    /// slice width changed and masks must be re-planned.
+    /// Evaluates slices every 25 ticks; returns `true` when any slice
+    /// width changed and masks must be re-planned.
     ///
     /// `budget` is the number of ways currently available to auto slices
-    /// in total (LLC ways − DDIO ways − `min_shared`); growth stops when
+    /// in total (LLC ways − DDIO ways − the 2 always-shared ways); growth stops when
     /// the summed slices would exceed it, so an IAT-widened DDIO
     /// partition transparently squeezes CAT's head-room.
     ///
@@ -436,7 +358,7 @@ impl CatController {
     pub fn tick(&mut self, domain_wb: &[u64], budget: usize) -> bool {
         assert_eq!(domain_wb.len(), self.slots.len());
         self.ticks += 1;
-        if !self.ticks.is_multiple_of(self.cfg.period) {
+        if !self.ticks.is_multiple_of(CAT_PERIOD) {
             return false;
         }
         let mut total: usize = self.slots.iter().flatten().map(|s| s.ways).sum();
@@ -446,9 +368,9 @@ impl CatController {
             let wb = domain_wb[d];
             let delta = wb.saturating_sub(s.last_wb);
             s.last_wb = wb;
-            if delta > self.cfg.grow_thr {
+            if delta > CAT_GROW_THR {
                 s.quiet = 0;
-                if s.ways < self.cfg.max_ways && total < budget {
+                if s.ways < CAT_MAX_WAYS && total < budget {
                     s.ways += 1;
                     total += 1;
                     changed = true;
@@ -456,7 +378,7 @@ impl CatController {
                 }
             } else if delta == 0 {
                 s.quiet += 1;
-                if s.quiet >= self.cfg.quiet_evals && s.ways > self.cfg.min_ways {
+                if s.quiet >= CAT_QUIET_EVALS && s.ways > CAT_MIN_WAYS {
                     s.ways -= 1;
                     total -= 1;
                     s.quiet = 0;
@@ -473,12 +395,12 @@ impl CatController {
     /// Lays the current slices out over the given LLC geometry.
     ///
     /// Slices are carved top-down in domain order, never touching the
-    /// bottom `ddio_ways + min_shared` ways; a slice that no longer fits
+    /// bottom `ddio_ways` + 2 shared ways; a slice that no longer fits
     /// (the DDIO partition grew) is clamped, and dropped to the shared
     /// pool when clamped below one way. Deterministic: same slices and
     /// geometry → same plan.
     pub fn plan(&self, llc_ways: usize, ddio_ways: usize) -> CatPlan {
-        let floor = ddio_ways + self.cfg.min_shared;
+        let floor = ddio_ways + CAT_MIN_SHARED;
         let mut cursor = llc_ways;
         let domain_mask = self
             .slots
@@ -599,9 +521,7 @@ impl CatPartition {
         let caps = policy.domain_caps();
         let auto: Vec<bool> = caps.iter().map(|c| c.cat == CatMode::Auto).collect();
         let mut cat = CatPartition {
-            auto: policy
-                .any_cat_auto()
-                .then(|| CatController::new(CatConfig::paper_default(), &auto)),
+            auto: policy.any_cat_auto().then(|| CatController::new(&auto)),
             core_domain,
             planned_ddio: 0,
             domain_wb: Vec::with_capacity(auto.len()),
@@ -659,7 +579,7 @@ impl CatPartition {
             }
         }
         let (ddio, llc_ways) = (hier.ddio_ways(), hier.config().llc.ways);
-        let budget = llc_ways.saturating_sub(ddio + cat.config().min_shared);
+        let budget = llc_ways.saturating_sub(ddio + CAT_MIN_SHARED);
         if cat.tick(&self.domain_wb, budget) || ddio != self.planned_ddio {
             tracer.record(now, "cat", "realloc", || {
                 let mut widths = String::new();
@@ -733,32 +653,12 @@ mod tests {
     }
 
     #[test]
-    fn mtps_intent_survives_interval_change() {
-        // Regression: with_mlc_thr_mtps used to bake the interval in at
-        // call time, so changing the interval afterwards left a stale
-        // threshold (50 instead of 100 here).
-        let cfg = IdioConfig::paper_default()
-            .with_mlc_thr_mtps(50.0)
-            .with_control_interval(Duration::from_us(2));
-        assert_eq!(cfg.mlc_thr, 100);
-        assert_eq!(cfg.effective_mlc_thr(), 100);
-
-        // Direct field assignment is also rescued at controller build.
-        let mut cfg = IdioConfig::paper_default().with_mlc_thr_mtps(50.0);
-        cfg.control_interval = Duration::from_us(4);
-        assert_eq!(cfg.effective_mlc_thr(), 200);
-        let c = IdioController::new(cfg, 1);
-        assert_eq!(c.config().mlc_thr, 200);
-    }
-
-    #[test]
     fn tiny_mtps_rounds_up_to_one_not_zero() {
         // Regression: 0.2 MTPS over 1 µs is 0.2 WB/interval, which used to
         // round to a threshold of 0 — a value that makes *any* writeback
         // count as pressure, silently disabling MLC steering.
         let cfg = IdioConfig::paper_default().with_mlc_thr_mtps(0.2);
         assert_eq!(cfg.mlc_thr, 1);
-        assert_eq!(cfg.effective_mlc_thr(), 1);
     }
 
     #[test]
@@ -854,15 +754,9 @@ mod tests {
 
     #[test]
     fn average_window_updates() {
-        let cfg = IdioConfig {
-            control_interval: Duration::from_us(1),
-            avg_window: 4,
-            mlc_thr: 50,
-            mlc_thr_mtps_milli: None,
-        };
-        let mut c = IdioController::new(cfg, 1);
+        let mut c = IdioController::new(IdioConfig::paper_default(), 1);
         let mut wb = 0u64;
-        for _ in 0..4 {
+        for _ in 0..AVG_WINDOW {
             wb += 100;
             c.control_tick(&[wb]);
         }
@@ -890,19 +784,18 @@ mod tests {
 
     // ---- CAT allocator -----------------------------------------------------
 
-    /// Fast-cadence config so tests don't need hundreds of ticks.
-    fn cat_cfg() -> CatConfig {
-        CatConfig {
-            period: 1,
-            grow_thr: 25,
-            quiet_evals: 3,
-            ..CatConfig::paper_default()
+    /// Ticks through one evaluation period with the counters `wb`,
+    /// returning whether the evaluation changed a slice.
+    fn eval(c: &mut CatController, wb: &[u64], budget: usize) -> bool {
+        for _ in 1..CAT_PERIOD {
+            assert!(!c.tick(wb, budget), "evaluated off the period boundary");
         }
+        c.tick(wb, budget)
     }
 
     #[test]
     fn cat_slices_start_at_the_floor_and_carve_from_the_top() {
-        let c = CatController::new(cat_cfg(), &[false, true, true]);
+        let c = CatController::new(&[false, true, true]);
         assert_eq!(c.ways(0), None);
         assert_eq!(c.ways(1), Some(1));
         assert_eq!(c.ways(2), Some(1));
@@ -922,26 +815,31 @@ mod tests {
 
     #[test]
     fn cat_grows_under_pressure_and_shrinks_after_quiet() {
-        let mut c = CatController::new(cat_cfg(), &[true]);
+        let mut c = CatController::new(&[true]);
         let budget = 12 - 2 - 2;
         // Sustained pressure: the slice widens one way per evaluation up
         // to the per-domain cap.
         let mut wb = 0u64;
         for _ in 0..10 {
             wb += 100;
-            c.tick(&[wb], budget);
+            eval(&mut c, &[wb], budget);
         }
-        assert_eq!(c.ways(0), Some(6));
-        // Silence: only after `quiet_evals` consecutive quiet checks does
-        // a way go back, one at a time.
-        assert!(!c.tick(&[wb], budget));
-        assert!(!c.tick(&[wb], budget));
-        assert!(c.tick(&[wb], budget));
+        assert_eq!(c.ways(0), Some(CAT_MAX_WAYS));
+        // Silence: only after `CAT_QUIET_EVALS` consecutive quiet checks
+        // does a way go back, one at a time.
+        for _ in 1..CAT_QUIET_EVALS {
+            assert!(!eval(&mut c, &[wb], budget));
+        }
+        assert!(eval(&mut c, &[wb], budget));
         assert_eq!(c.ways(0), Some(5));
         // Low-but-nonzero traffic resets the quiet streak.
-        assert!(!c.tick(&[wb + 1], budget));
-        assert!(!c.tick(&[wb + 1], budget));
-        assert!(!c.tick(&[wb + 1], budget));
+        for _ in 1..CAT_QUIET_EVALS {
+            assert!(!eval(&mut c, &[wb], budget));
+        }
+        wb += 1;
+        for _ in 0..CAT_QUIET_EVALS {
+            assert!(!eval(&mut c, &[wb], budget));
+        }
         assert_eq!(c.ways(0), Some(5));
         assert!(c.reallocations() >= 4);
     }
@@ -950,11 +848,11 @@ mod tests {
     fn cat_growth_respects_the_shared_budget() {
         // Three hungry domains, budget of 4 ways total: growth stops when
         // the summed slices hit the budget, regardless of per-domain cap.
-        let mut c = CatController::new(cat_cfg(), &[true, true, true]);
+        let mut c = CatController::new(&[true, true, true]);
         let mut wb = 0u64;
         for _ in 0..10 {
             wb += 1000;
-            c.tick(&[wb, wb, wb], 4);
+            eval(&mut c, &[wb, wb, wb], 4);
         }
         let total: usize = (0..3).map(|d| c.ways(d).unwrap()).sum();
         assert_eq!(total, 4);
@@ -962,11 +860,11 @@ mod tests {
 
     #[test]
     fn cat_plan_clamps_when_ddio_grows() {
-        let mut c = CatController::new(cat_cfg(), &[true, true]);
+        let mut c = CatController::new(&[true, true]);
         let mut wb = 0u64;
         for _ in 0..10 {
             wb += 100;
-            c.tick(&[wb, wb], 8);
+            eval(&mut c, &[wb, wb], 8);
         }
         assert_eq!(c.ways(0), Some(4));
         assert_eq!(c.ways(1), Some(4));
@@ -986,13 +884,7 @@ mod tests {
 
     #[test]
     fn cat_evaluates_only_on_period_boundaries() {
-        let mut c = CatController::new(
-            CatConfig {
-                period: 25,
-                ..cat_cfg()
-            },
-            &[true],
-        );
+        let mut c = CatController::new(&[true]);
         for t in 1..=24 {
             assert!(!c.tick(&[t * 1000], 8));
         }

@@ -22,7 +22,10 @@ use idio_engine::stats::TimeSeries;
 use idio_engine::time::{Duration, SimTime};
 use idio_net::gen::{BurstSpec, TrafficPattern};
 use idio_net::packet::Dscp;
+use idio_nic::classifier::RX_BURST_THR_BYTES;
 use idio_stack::nf::NfKind;
+use idio_stack::pmd::DEFAULT_BATCH;
+use idio_stack::timing::{L1_CYCLES, LLC_CYCLES, MLC_CYCLES};
 
 use crate::config::{SystemConfig, TenantSpec};
 use crate::policy::SteeringPolicy;
@@ -219,7 +222,8 @@ pub fn table1_spec() -> FigureSpec {
     FigureSpec::new("table1", Vec::<((), SweepCell)>::new(), |_| table1())
 }
 
-/// Table I: the simulated configuration, as actually instantiated.
+/// Table I: the simulated configuration, as actually instantiated. The
+/// latencies are the ones the core timing model charges.
 pub fn table1() -> FigureResult {
     let cfg = SystemConfig::touchdrop_scenario(2, TrafficPattern::Steady { rate_gbps: 10.0 });
     let h = cfg.effective_hierarchy();
@@ -233,39 +237,33 @@ pub fn table1() -> FigureResult {
         (
             "L1D (size, assoc, lat)",
             format!(
-                "{} KiB, {}, {} CC",
+                "{} KiB, {}, {L1_CYCLES} CC",
                 h.l1d.size_bytes >> 10,
-                h.l1d.ways,
-                h.l1d.latency_cycles
+                h.l1d.ways
             ),
         ),
         (
             "MLC (size, assoc, lat)",
             format!(
-                "{} MiB, {}, {} CC",
+                "{} MiB, {}, {MLC_CYCLES} CC",
                 h.mlc.size_bytes >> 20,
-                h.mlc.ways,
-                h.mlc.latency_cycles
+                h.mlc.ways
             ),
         ),
         (
             "LLC (size, assoc, lat)",
             format!(
-                "{} MiB, {}, {} CC",
+                "{} MiB, {}, {LLC_CYCLES} CC",
                 h.llc.size_bytes >> 20,
-                h.llc.ways,
-                h.llc.latency_cycles
+                h.llc.ways
             ),
         ),
         ("DDIO ways", format!("{}", h.ddio_ways)),
-        ("DRAM", "DDR4-3200, 2 ch".into()),
+        ("DRAM", format!("DDR4-3200, {} ch", idio_mem::CHANNELS)),
         ("network", "100 Gbps-class, 1514 B packets".into()),
         ("ring size", format!("{}", cfg.ring_size)),
-        ("batch size", format!("{}", cfg.pmd.batch_size)),
-        (
-            "rxBurstTHR",
-            format!("{} B / 1 us", cfg.classifier.rx_burst_thr_bytes),
-        ),
+        ("batch size", format!("{DEFAULT_BATCH}")),
+        ("rxBurstTHR", format!("{RX_BURST_THR_BYTES} B / 1 us")),
         (
             "mlcTHR",
             format!("{} WB / 1 us (50 MTPS)", cfg.idio.mlc_thr),
@@ -352,7 +350,7 @@ pub fn fig4_spec(scale: Scale) -> FigureSpec {
         // = 8.25 MiB (the paper's 22 MiB hosts 10 NFs at the same ratio).
         cfg.hierarchy = idio_cache::config::HierarchyConfig {
             num_cores: NFS,
-            llc: idio_cache::config::CacheGeometry::new(12288 * 11 * 64, 11, 24),
+            llc: idio_cache::config::CacheGeometry::new(12288 * 11 * 64, 11),
             mlc_overrides: vec![None; NFS],
             ..idio_cache::config::HierarchyConfig::paper_default(NFS)
         };

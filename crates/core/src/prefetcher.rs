@@ -37,13 +37,14 @@ pub enum PrefetchPacing {
     },
 }
 
+/// Minimum gap between issued prefetches (LLC→MLC move pipeline rate).
+pub const ISSUE_GAP: Duration = Duration::from_ns(5);
+
 /// Prefetcher parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetcherConfig {
     /// Queue depth (default 32, Sec. V-C).
     pub queue_depth: usize,
-    /// Minimum gap between issued prefetches (LLC→MLC move pipeline rate).
-    pub issue_gap: Duration,
     /// Hint admission policy.
     pub pacing: PrefetchPacing,
 }
@@ -52,7 +53,6 @@ impl Default for PrefetcherConfig {
     fn default() -> Self {
         PrefetcherConfig {
             queue_depth: 32,
-            issue_gap: Duration::from_ns(5),
             pacing: PrefetchPacing::Queued,
         }
     }
@@ -71,7 +71,7 @@ pub struct PrefetcherStats {
 
 /// One core's MLC prefetch queue.
 ///
-/// The event-driven pacing (one issue per [`PrefetcherConfig::issue_gap`])
+/// The event-driven pacing (one issue per [`ISSUE_GAP`])
 /// is driven by the system simulator; this structure owns the queue state.
 ///
 /// # Examples
@@ -252,7 +252,6 @@ mod tests {
     fn queue_overflow_drops_hints() {
         let mut p = MlcPrefetcher::new(PrefetcherConfig {
             queue_depth: 2,
-            issue_gap: Duration::from_ns(10),
             pacing: PrefetchPacing::Queued,
         });
         assert!(p.push(line(1)));
@@ -284,7 +283,6 @@ mod tests {
     fn zero_depth_rejected() {
         let _ = MlcPrefetcher::new(PrefetcherConfig {
             queue_depth: 0,
-            issue_gap: Duration::from_ns(10),
             pacing: PrefetchPacing::Queued,
         });
     }

@@ -13,7 +13,6 @@ use idio_cache::stats::HierarchyStats;
 use idio_engine::stats::{LatencyRecorder, TimeSeries};
 use idio_engine::telemetry::{MetricsSnapshot, TraceRecord};
 use idio_engine::time::{Duration, SimTime};
-use idio_mem::DramStats;
 
 use crate::policy::SteeringPolicy;
 
@@ -244,8 +243,6 @@ pub struct RunReport {
     pub totals: RunTotals,
     /// Full hierarchy statistics snapshot.
     pub hierarchy: HierarchyStats,
-    /// DRAM statistics snapshot.
-    pub dram: DramStats,
     /// Sampled timelines.
     pub timelines: Timelines,
     /// Per-NF-core latency summaries.

@@ -20,7 +20,7 @@ use idio_engine::rng::SimRng;
 use idio_engine::stats::{LatencyRecorder, RateSampler, TimeSeries};
 use idio_engine::telemetry::{Histogram, MetricsRegistry, Tracer, DEFAULT_TRACE_CAPACITY};
 use idio_engine::time::{Duration, SimTime};
-use idio_mem::{DramModel, DramOp};
+use idio_mem::DramModel;
 use idio_net::gen::{Arrival, FlowSet, MultiFlowGen, TrafficPattern};
 use idio_net::packet::{FiveTuple, Packet};
 use idio_nic::flow_director::QueueId;
@@ -29,18 +29,19 @@ use idio_nic::ring::RxSlot;
 use idio_nic::tlp::TlpMeta;
 use idio_nic::tx::TxRing;
 use idio_pool::BufPool;
-use idio_stack::antagonist::{AntagonistConfig, LlcAntagonist};
+use idio_stack::antagonist::{AntagonistConfig, LlcAntagonist, BUFFER_BYTES, THINK_CYCLES};
 use idio_stack::nf::{ChainStage, MemOp, NfKind, PacketAction, PacketCtx, PacketWork};
-use idio_stack::timing::CoreTiming;
+use idio_stack::pmd::DEFAULT_BATCH;
+use idio_stack::timing::{CoreTiming, FREQ};
 
 use crate::config::{FlowSteering, SystemConfig, SAMPLE_INTERVAL};
-use crate::controller::{CatPartition, IatTuner, IdioController, Placement};
+use crate::controller::{CatPartition, IatTuner, IdioController, Placement, CONTROL_INTERVAL};
 use crate::fd::{FdAccounting, FdTenant};
 use crate::fsm::MlcStatus;
 use crate::layout::{AddressMap, QueueRegions};
 use crate::policy::{PolicyCaps, PolicyTable};
 use crate::pools::Pools;
-use crate::prefetcher::{HintArena, MlcPrefetcher};
+use crate::prefetcher::{HintArena, MlcPrefetcher, ISSUE_GAP};
 use crate::report::{
     column_sums, write_counts, BurstTracker, EventTypeProfile, LatencySummary, RunReport,
     RunTotals, Timelines,
@@ -305,7 +306,6 @@ pub struct System {
     page_table: PageTable,
     ctrl: IdioController,
     prefetchers: Vec<MlcPrefetcher>,
-    timing: CoreTiming,
     nf: Vec<Option<NfState>>,
     antagonist: Option<(CoreId, LlcAntagonist)>,
     gens: Vec<ArrivalSource>,
@@ -397,7 +397,7 @@ impl System {
         let effective_hierarchy = cfg.effective_hierarchy();
         let num_cores = effective_hierarchy.num_cores;
         let mut hier = Hierarchy::new(effective_hierarchy);
-        let mut dram = DramModel::new(cfg.dram);
+        let dram = DramModel::default();
         let mut page_table = PageTable::new();
         let mut rng = SimRng::seed_from(cfg.seed);
 
@@ -434,8 +434,6 @@ impl System {
             NicConfig {
                 ring_size: cfg.ring_size,
                 queue_core,
-                classifier: cfg.classifier.clone(),
-                dma: cfg.dma,
                 perfect_filter_entries: cfg.perfect_filter_entries,
                 filter_table_entries: idio_nic::flow_director::DEFAULT_FILTER_TABLE_ENTRIES,
                 atr_lifetime: cfg.atr_lifetime,
@@ -574,16 +572,8 @@ impl System {
 
         // --- antagonist ---------------------------------------------------------
         let antagonist = cfg.antagonist.map(|spec| {
-            let base = map.alloc(spec.buffer_bytes);
-            let ant = LlcAntagonist::new(
-                AntagonistConfig {
-                    base,
-                    size_bytes: spec.buffer_bytes,
-                    think_cycles: spec.think_cycles,
-                },
-                rng.fork(1),
-            );
-            (spec.core, ant)
+            let ant_cfg = AntagonistConfig::llc_thrashing(map.alloc(BUFFER_BYTES));
+            (spec.core, LlcAntagonist::new(ant_cfg, rng.fork(1)))
         });
 
         // Warm-up: the antagonist initialises its buffer (Sec. VI), then all
@@ -593,7 +583,6 @@ impl System {
             hier.warm_writes(*core, first, lines);
         }
         hier.reset_stats();
-        dram.reset_stats();
 
         let ctrl = IdioController::new(cfg.idio, num_cores);
         let prefetchers = (0..num_cores)
@@ -609,7 +598,6 @@ impl System {
             crate::prefetcher::PrefetchPacing::Queued => 0,
         };
         let hints = HintArena::new(num_cores, hint_cap);
-        let timing = CoreTiming::new(cfg.timing);
         const MTPS: f64 = 1e-6;
         let hard_stop = cfg.duration + cfg.drain_grace;
         // Sample ticks fall at every multiple of the interval up to the
@@ -661,7 +649,6 @@ impl System {
             page_table,
             ctrl,
             prefetchers,
-            timing,
             nf,
             antagonist,
             rates,
@@ -701,10 +688,8 @@ impl System {
         if self.antagonist.is_some() {
             self.queue.schedule_at(SimTime::ZERO, Event::AntagonistNext);
         }
-        self.queue.schedule_at(
-            SimTime::ZERO + self.cfg.idio.control_interval,
-            Event::ControlTick,
-        );
+        self.queue
+            .schedule_at(SimTime::ZERO + CONTROL_INTERVAL, Event::ControlTick);
         self.queue
             .schedule_at(SimTime::ZERO + SAMPLE_INTERVAL, Event::SampleTick);
     }
@@ -842,11 +827,8 @@ impl System {
     }
 
     fn charge_dram(&mut self, now: SimTime, fx: MemEffects) {
-        for _ in 0..fx.dram_writes {
-            self.dram.request(now, DramOp::Write);
-        }
-        for _ in 0..fx.dram_reads {
-            self.dram.request(now, DramOp::Read);
+        for _ in 0..fx.dram_writes + fx.dram_reads {
+            self.dram.request(now);
         }
     }
 
@@ -989,9 +971,8 @@ impl System {
         let pf = &mut self.prefetchers[core];
         if !pf.issue_pending {
             pf.issue_pending = true;
-            let gap = pf.config().issue_gap;
             self.queue
-                .schedule_at(now + gap, Event::PrefetchIssue { core });
+                .schedule_at(now + ISSUE_GAP, Event::PrefetchIssue { core });
         }
     }
 
@@ -1044,9 +1025,8 @@ impl System {
         if self.prefetchers[core].is_empty() {
             self.prefetchers[core].issue_pending = false;
         } else {
-            let gap = self.prefetchers[core].config().issue_gap;
             self.queue
-                .schedule_at(now + gap, Event::PrefetchIssue { core });
+                .schedule_at(now + ISSUE_GAP, Event::PrefetchIssue { core });
         }
     }
 
@@ -1063,7 +1043,7 @@ impl System {
         let st = self.nf_state(core, "DescWriteback");
         if !st.busy {
             st.busy = true;
-            let poll = self.timing.poll();
+            let poll = CoreTiming::poll();
             self.queue.schedule_at(now + poll, Event::CoreWake { core });
         }
     }
@@ -1076,15 +1056,14 @@ impl System {
 
         // Refill the batch if needed.
         let queue = self.nf_state(core, "CoreWake").queue;
-        let batch_size = self.cfg.pmd.batch_size;
         let mut extra = Duration::ZERO;
         if self.nf_state(core, "CoreWake").batch.is_empty() {
-            let got = self.nic.ring_mut(queue).pop_completed(batch_size);
+            let got = self.nic.ring_mut(queue).pop_completed(DEFAULT_BATCH);
             if got.is_empty() {
                 self.nf_state(core, "CoreWake").busy = false;
                 return;
             }
-            extra = self.timing.batch();
+            extra = CoreTiming::batch();
             self.nf_state(core, "CoreWake").batch.extend(got);
         }
 
@@ -1124,7 +1103,7 @@ impl System {
         let mut work = std::mem::take(&mut st.scratch);
         kind.packet_work_into(&ctx, &mut work);
         let core_id = CoreId::new(core as u16);
-        let mut service = self.timing.per_packet();
+        let mut service = CoreTiming::per_packet();
         // Chain-stage attribution: each mark closes the segment of ops
         // since the previous mark; segment service lands in that stage's
         // histogram (empty for single NFs — `marks` is empty).
@@ -1150,11 +1129,10 @@ impl System {
                 let cost = if acc.level == HitLevel::Dram {
                     debug_assert!(fx.dram_reads >= 1);
                     fx.dram_reads -= 1;
-                    let done = self.dram.request(now, DramOp::Read);
-                    self.timing
-                        .access_cost(HitLevel::Dram, Some(done.saturating_since(now)))
+                    let done = self.dram.request(now);
+                    CoreTiming::access_cost(HitLevel::Dram, Some(done.saturating_since(now)))
                 } else {
-                    self.timing.access_cost(acc.level, None)
+                    CoreTiming::access_cost(acc.level, None)
                 };
                 self.charge_dram(now, fx);
                 service += cost;
@@ -1171,7 +1149,7 @@ impl System {
         // service when the buffer is freed inline (drop path). Recycle
         // pools self-invalidate on every free regardless of policy caps.
         if work.action == PacketAction::Drop && self.invalidates_on_free(queue) {
-            service += self.timing.invalidate(ctx.frame_lines());
+            service += CoreTiming::invalidate(ctx.frame_lines());
         }
         let action = work.action;
         let st = self.nf_state(core, "CoreWake");
@@ -1309,24 +1287,22 @@ impl System {
     }
 
     fn on_antagonist(&mut self, now: SimTime) {
-        let (core, line, think) = {
+        let (core, line) = {
             let (core, ant) = self.antagonist.as_mut().expect("antagonist event");
-            (*core, ant.next_line(), ant.config().think_cycles)
+            (*core, ant.next_line())
         };
         let acc = self.hier.cpu_read(core, line);
         let mut fx = acc.effects;
         // Dependent random loads: DRAM latency is fully exposed (no MLP).
         let cost = if acc.level == HitLevel::Dram {
             fx.dram_reads = fx.dram_reads.saturating_sub(1);
-            let done = self.dram.request(now, DramOp::Read);
-            self.timing
-                .access_cost_dependent(HitLevel::Dram, Some(done.saturating_since(now)))
+            let done = self.dram.request(now);
+            CoreTiming::access_cost_dependent(HitLevel::Dram, Some(done.saturating_since(now)))
         } else {
-            self.timing.access_cost_dependent(acc.level, None)
+            CoreTiming::access_cost_dependent(acc.level, None)
         };
         self.charge_dram(now, fx);
-        let think = self.timing.config().freq.cycles_to_duration(think);
-        let elapsed = cost + think;
+        let elapsed = cost + FREQ.cycles_to_duration(THINK_CYCLES);
         self.antagonist.as_mut().unwrap().1.record(elapsed);
         if now + elapsed <= self.hard_stop {
             self.queue.schedule_at(now + elapsed, Event::AntagonistNext);
@@ -1386,7 +1362,7 @@ impl System {
         if self.cfg.tick_metrics {
             self.record_tick_metrics(now);
         }
-        let next = now + self.cfg.idio.control_interval;
+        let next = now + CONTROL_INTERVAL;
         if next <= self.hard_stop {
             self.queue.schedule_at(next, Event::ControlTick);
         }
@@ -1488,11 +1464,10 @@ impl System {
                 Some((CoreId::new(ci as u16), s))
             })
             .collect();
-        let ps_per_cycle = self.timing.config().freq.ps_per_cycle();
         let antagonist_cpa = self
             .antagonist
             .as_ref()
-            .map(|(_, a)| a.stats().cycles_per_access(ps_per_cycle));
+            .map(|(_, a)| a.stats().cycles_per_access(FREQ.ps_per_cycle()));
 
         // ---- fold final counters into the metrics registry -----------------
         let backwards = self.rates.iter().map(|s| s.backwards_samples()).sum();
@@ -1600,7 +1575,6 @@ impl System {
             finished_at: self.queue.now(),
             totals,
             hierarchy: self.hier.stats().clone(),
-            dram: self.dram.stats().clone(),
             timelines: Timelines {
                 mlc_wb,
                 llc_wb,

@@ -10,7 +10,6 @@ use idio_core::nic::tlp::{AppClass, TlpMeta};
 use idio_core::policy::SteeringPolicy;
 use idio_core::prefetcher::{MlcPrefetcher, PrefetchPacing, PrefetcherConfig};
 use idio_engine::check::{Cases, Gen};
-use idio_engine::time::Duration;
 
 fn gen_meta(g: &mut Gen, cores: u16) -> TlpMeta {
     TlpMeta {
@@ -142,7 +141,6 @@ fn prefetch_queue_depth_is_a_hard_bound() {
         let pushes = g.u64(1..300);
         let mut p = MlcPrefetcher::new(PrefetcherConfig {
             queue_depth: depth,
-            issue_gap: Duration::from_ns(5),
             pacing: PrefetchPacing::Queued,
         });
         let mut accepted = 0u64;

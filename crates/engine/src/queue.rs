@@ -286,12 +286,6 @@ impl<E> EventQueue<E> {
         self.clamped
     }
 
-    /// Timestamp of the next event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.active.peek().map(|s| s.at)
-    }
-
     /// `(timestamp, sequence)` key of the next event, if any. The key is
     /// the queue's total order: an event with a smaller key pops first.
     #[inline]
@@ -408,7 +402,7 @@ mod tests {
     fn peek_does_not_advance_time() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_ns(10), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(10)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_ns(10), 0)));
         assert_eq!(q.now(), SimTime::ZERO);
     }
 

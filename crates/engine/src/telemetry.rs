@@ -259,14 +259,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `value` into histogram `name`, creating it if absent.
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
     /// Merges a fully built histogram into histogram `name`, creating it
     /// if absent (for folding externally maintained per-core histograms
     /// in at export time, mirroring [`MetricsRegistry::counter_set`]).
@@ -636,16 +628,6 @@ impl Tracer {
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
         self.buf.drain(..).collect()
     }
-
-    /// NDJSON rendering of the held records.
-    pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for r in &self.buf {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -760,7 +742,9 @@ mod tests {
         m.counter_inc("z.last");
         m.counter_inc("a.first");
         m.gauge_set("share", 0.125);
-        m.histogram_record("lat", 7);
+        let mut lat = Histogram::new();
+        lat.record(7);
+        m.histogram_merge("lat", &lat);
         let json = m.to_json();
         assert!(!json.contains('\n'), "single line: {json}");
         let a = json.find("a.first").unwrap();
@@ -824,12 +808,10 @@ mod tests {
     fn ndjson_escapes_and_terminates_lines() {
         let mut t = Tracer::new(TraceFilter::all(), 4);
         t.record(SimTime::from_us(2), "c", "e", || "a\"b".into());
-        let nd = t.to_ndjson();
         assert_eq!(
-            nd,
+            records_to_ndjson(&t.take_records()),
             "{\"t_ps\":2000000,\"c\":\"c\",\"e\":\"e\",\"d\":\"a\\\"b\"}\n"
         );
-        assert_eq!(records_to_ndjson(&t.take_records()), nd);
         assert!(t.is_empty());
     }
 

@@ -355,7 +355,7 @@ impl Freq {
     /// # Panics
     ///
     /// Panics if `ghz` is not finite and positive.
-    pub fn from_ghz(ghz: f64) -> Self {
+    pub const fn from_ghz(ghz: f64) -> Self {
         assert!(ghz.is_finite() && ghz > 0.0, "frequency must be positive");
         Freq {
             ps_per_cycle: (1_000.0 / ghz).round() as u64,
@@ -372,12 +372,6 @@ impl Freq {
     #[inline]
     pub const fn cycles_to_duration(self, cycles: u64) -> Duration {
         Duration::from_ps(cycles * self.ps_per_cycle)
-    }
-
-    /// Converts a duration to whole cycles, truncated.
-    #[inline]
-    pub const fn duration_to_cycles(self, d: Duration) -> u64 {
-        d.as_ps() / self.ps_per_cycle
     }
 }
 
@@ -450,7 +444,6 @@ mod tests {
         let f = Freq::from_ghz(3.0);
         assert_eq!(f.ps_per_cycle(), 333);
         assert_eq!(f.cycles_to_duration(12).as_ps(), 3_996);
-        assert_eq!(f.duration_to_cycles(Duration::from_ns(1)), 3);
     }
 
     #[test]

@@ -2,207 +2,59 @@
 //!
 //! A bandwidth/latency DRAM model for the IDIO reproduction.
 //!
-//! The model follows the Table I configuration (DDR4-3200). Each channel is
-//! a bandwidth-limited server: a line transfer occupies the channel for
-//! `64 B / channel_bandwidth`, requests queue FIFO per channel, and every
-//! request additionally pays a fixed device latency (CAS + controller).
-//! That is deliberately simpler than a bank-state DRAM simulator — the
-//! paper's observations depend on *how much* DRAM traffic each policy
-//! generates and on congestion-induced queueing, not on bank-level timing.
+//! The model follows the Table I configuration: two channels of
+//! DDR4-3200. Each channel is a bandwidth-limited server: a line transfer
+//! occupies the channel for [`LINE_SERVICE`], requests queue FIFO per
+//! channel, and every request additionally pays [`DEVICE_LATENCY`]. That is
+//! deliberately simpler than a bank-state DRAM simulator — the paper's
+//! observations depend on *how much* DRAM traffic each policy generates
+//! and on congestion-induced queueing, not on bank-level timing.
 //!
 //! # Examples
 //!
 //! ```
 //! use idio_engine::time::SimTime;
-//! use idio_mem::{DramConfig, DramModel, DramOp};
+//! use idio_mem::{DramModel, DEVICE_LATENCY, LINE_SERVICE};
 //!
-//! let mut dram = DramModel::new(DramConfig::default());
-//! let done = dram.request(SimTime::ZERO, DramOp::Read);
-//! assert!(done > SimTime::ZERO);
-//! assert_eq!(dram.stats().reads.get(), 1);
+//! let mut dram = DramModel::default();
+//! let done = dram.request(SimTime::ZERO);
+//! assert_eq!(done, SimTime::ZERO + DEVICE_LATENCY + LINE_SERVICE);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use idio_engine::stats::Counter;
 use idio_engine::time::{Duration, SimTime};
 
-/// Kind of a DRAM line transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DramOp {
-    /// A 64-byte line read.
-    Read,
-    /// A 64-byte line write.
-    Write,
-}
+/// Independent DDR4-3200 channels (Table I).
+pub const CHANNELS: usize = 2;
 
-/// DRAM model configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DramConfig {
-    /// Number of independent channels.
-    pub channels: usize,
-    /// Per-channel sustained bandwidth in bytes/second.
-    pub channel_bytes_per_sec: f64,
-    /// Fixed device latency added to every request.
-    pub device_latency: Duration,
-}
+/// Service time of one 64-byte line on a channel: 64 B at DDR4-3200's
+/// 25.6 GB/s is 2.5 ns.
+pub const LINE_SERVICE: Duration = Duration::from_ps(2500);
 
-impl DramConfig {
-    /// DDR4-3200 with `channels` channels: 25.6 GB/s per channel and 50 ns
-    /// device latency.
-    pub fn ddr4_3200(channels: usize) -> Self {
-        DramConfig {
-            channels,
-            channel_bytes_per_sec: 25.6e9,
-            device_latency: Duration::from_ns(50),
-        }
-    }
-
-    /// Service time of one 64-byte line on a channel.
-    pub fn line_service_time(&self) -> Duration {
-        Duration::from_ps((64.0 / self.channel_bytes_per_sec * 1e12).round() as u64)
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the channel count is zero or the bandwidth is
-    /// not positive.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 {
-            return Err("at least one DRAM channel required".into());
-        }
-        if self.channel_bytes_per_sec <= 0.0 || !self.channel_bytes_per_sec.is_finite() {
-            return Err("channel bandwidth must be positive".into());
-        }
-        Ok(())
-    }
-}
-
-impl Default for DramConfig {
-    /// Two channels of DDR4-3200.
-    fn default() -> Self {
-        DramConfig::ddr4_3200(2)
-    }
-}
-
-/// DRAM traffic counters.
-#[derive(Debug, Clone, Default)]
-pub struct DramStats {
-    /// Line reads served.
-    pub reads: Counter,
-    /// Line writes served.
-    pub writes: Counter,
-    /// Sum of queueing delays in picoseconds (time waiting for a channel).
-    pub total_queue_ps: Counter,
-    /// Cumulative channel busy time in picoseconds across all channels.
-    pub busy_ps: Counter,
-}
-
-impl DramStats {
-    /// Total line transactions.
-    pub fn total(&self) -> u64 {
-        self.reads.get() + self.writes.get()
-    }
-
-    /// Bytes moved.
-    pub fn bytes(&self) -> u64 {
-        self.total() * 64
-    }
-
-    /// Mean queueing delay per request.
-    pub fn mean_queue_delay(&self) -> Duration {
-        match self.total_queue_ps.get().checked_div(self.total()) {
-            None => Duration::ZERO,
-            Some(ps) => Duration::from_ps(ps),
-        }
-    }
-}
+/// Fixed device latency (CAS + controller) added to every request.
+pub const DEVICE_LATENCY: Duration = Duration::from_ns(50);
 
 /// The DRAM timing model.
 ///
 /// Requests are assigned to channels round-robin, approximating line
 /// interleaving.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DramModel {
-    cfg: DramConfig,
-    next_free: Vec<SimTime>,
+    next_free: [SimTime; CHANNELS],
     rr: usize,
-    service: Duration,
-    stats: DramStats,
 }
 
 impl DramModel {
-    /// Creates a model from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(cfg: DramConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DRAM config: {e}");
-        }
-        DramModel {
-            next_free: vec![SimTime::ZERO; cfg.channels],
-            rr: 0,
-            service: cfg.line_service_time(),
-            cfg,
-            stats: DramStats::default(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &DramStats {
-        &self.stats
-    }
-
-    /// Zeroes the statistics (channel occupancy state is retained).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
-
     /// Issues one line transaction at `now`; returns its completion time
     /// (queueing + device latency + transfer).
-    pub fn request(&mut self, now: SimTime, op: DramOp) -> SimTime {
+    pub fn request(&mut self, now: SimTime) -> SimTime {
         let ch = self.rr;
-        self.rr = (self.rr + 1) % self.next_free.len();
+        self.rr = (self.rr + 1) % CHANNELS;
         let start = self.next_free[ch].max(now);
-        let queue_delay = start - now;
-        self.next_free[ch] = start + self.service;
-        match op {
-            DramOp::Read => self.stats.reads.inc(),
-            DramOp::Write => self.stats.writes.inc(),
-        }
-        self.stats.total_queue_ps.add(queue_delay.as_ps());
-        self.stats.busy_ps.add(self.service.as_ps());
-        start + self.cfg.device_latency + self.service
-    }
-
-    /// Issues `n` line transactions at `now`; returns the completion time
-    /// of the last one. Convenience for multi-line DRAM effects reported by
-    /// the cache hierarchy.
-    pub fn request_many(&mut self, now: SimTime, op: DramOp, n: u32) -> SimTime {
-        let mut done = now;
-        for _ in 0..n {
-            done = done.max(self.request(now, op));
-        }
-        done
-    }
-
-    /// Aggregate bandwidth utilisation over `[0, now]`, in `0.0..=1.0`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        let capacity = now.as_ps() as f64 * self.next_free.len() as f64;
-        (self.stats.busy_ps.get() as f64 / capacity).min(1.0)
+        self.next_free[ch] = start + LINE_SERVICE;
+        start + DEVICE_LATENCY + LINE_SERVICE
     }
 }
 
@@ -212,77 +64,36 @@ mod tests {
 
     #[test]
     fn line_service_time_ddr4_3200() {
-        let cfg = DramConfig::ddr4_3200(1);
         // 64 B / 25.6 GB/s = 2.5 ns.
-        assert_eq!(cfg.line_service_time(), Duration::from_ps(2500));
+        let ps = (64.0 / 25.6e9 * 1e12_f64).round() as u64;
+        assert_eq!(LINE_SERVICE, Duration::from_ps(ps));
     }
 
     #[test]
     fn unloaded_latency_is_device_plus_transfer() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(1));
-        let done = d.request(SimTime::from_ns(100), DramOp::Read);
+        let mut d = DramModel::default();
+        let done = d.request(SimTime::from_ns(100));
         assert_eq!(done, SimTime::from_ns(100) + Duration::from_ps(52_500));
-        assert_eq!(d.stats().mean_queue_delay(), Duration::ZERO);
     }
 
     #[test]
     fn back_to_back_requests_queue() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(1));
+        let mut d = DramModel::default();
         let t = SimTime::ZERO;
-        let first = d.request(t, DramOp::Write);
-        let second = d.request(t, DramOp::Write);
-        // The second waits for the channel: 2.5 ns extra.
-        assert_eq!(second - first, Duration::from_ps(2500));
-        assert_eq!(d.stats().total_queue_ps.get(), 2500);
+        let first = d.request(t);
+        d.request(t);
+        // The third request finds both channels busy and waits 2.5 ns
+        // for the first one.
+        let third = d.request(t);
+        assert_eq!(third - first, Duration::from_ps(2500));
     }
 
     #[test]
     fn channels_serve_in_parallel() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(2));
+        let mut d = DramModel::default();
         let t = SimTime::ZERO;
-        let a = d.request(t, DramOp::Read);
-        let b = d.request(t, DramOp::Read);
+        let a = d.request(t);
+        let b = d.request(t);
         assert_eq!(a, b, "two channels absorb two requests without queueing");
-    }
-
-    #[test]
-    fn request_many_counts_and_orders() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(2));
-        let done = d.request_many(SimTime::ZERO, DramOp::Write, 4);
-        assert_eq!(d.stats().writes.get(), 4);
-        // 4 lines over 2 channels: second wave queues 2.5 ns.
-        assert_eq!(done.as_ps(), 50_000 + 2 * 2500);
-    }
-
-    #[test]
-    fn utilization_accumulates() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(1));
-        for _ in 0..100 {
-            d.request(SimTime::ZERO, DramOp::Read);
-        }
-        // 100 lines * 2.5 ns busy over a 1 us window on one channel = 25%.
-        let u = d.utilization(SimTime::from_us(1));
-        assert!((u - 0.25).abs() < 1e-9, "got {u}");
-        assert_eq!(d.stats().bytes(), 6400);
-    }
-
-    #[test]
-    fn reset_stats_keeps_channel_state() {
-        let mut d = DramModel::new(DramConfig::ddr4_3200(1));
-        d.request(SimTime::ZERO, DramOp::Read);
-        d.reset_stats();
-        assert_eq!(d.stats().total(), 0);
-        // Channel still busy: a new request at t=0 queues.
-        d.request(SimTime::ZERO, DramOp::Read);
-        assert!(d.stats().total_queue_ps.get() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid DRAM config")]
-    fn zero_channels_rejected() {
-        let _ = DramModel::new(DramConfig {
-            channels: 0,
-            ..DramConfig::default()
-        });
     }
 }

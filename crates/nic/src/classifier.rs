@@ -3,7 +3,7 @@
 //! For every inbound packet the classifier determines:
 //!
 //! 1. the **application class** from the DSCP field of the IP header
-//!    (a configurable set of code points maps to class 1);
+//!    ([`Dscp::CLASS1_DEFAULT`] marks class 1);
 //! 2. which DMA transaction carries the packet **header** (the first line —
 //!    all common protocol headers fit in 64 bytes);
 //! 3. the **destination core** (resolved by Flow Director / ADQ, passed in
@@ -18,43 +18,12 @@ use idio_net::packet::{Dscp, Packet};
 
 use crate::tlp::AppClass;
 
-/// Classifier configuration.
-#[derive(Debug, Clone)]
-pub struct ClassifierConfig {
-    /// DSCP values treated as application class 1.
-    pub class1_dscps: Vec<Dscp>,
-    /// Burst counter window (1 µs in the paper).
-    pub burst_window: Duration,
-    /// Byte threshold per window above which a burst is signalled.
-    /// The paper sets `rxBurstTHR` to 10 Gbps, i.e. 1250 bytes per 1 µs.
-    pub rx_burst_thr_bytes: u32,
-}
+/// Burst counter window (1 µs in the paper).
+pub const BURST_WINDOW: Duration = Duration::from_us(1);
 
-impl ClassifierConfig {
-    /// The paper's experimental setting: `rxBurstTHR` = 10 Gbps over a 1 µs
-    /// window, class 1 marked by [`Dscp::CLASS1_DEFAULT`].
-    pub fn paper_default() -> Self {
-        ClassifierConfig {
-            class1_dscps: vec![Dscp::CLASS1_DEFAULT],
-            burst_window: Duration::from_us(1),
-            rx_burst_thr_bytes: 1250,
-        }
-    }
-
-    /// Sets the burst threshold from a line rate in Gbps (bytes within one
-    /// window at that rate).
-    pub fn with_burst_thr_gbps(mut self, gbps: f64) -> Self {
-        let bytes = gbps * 1e9 / 8.0 * self.burst_window.as_secs_f64();
-        self.rx_burst_thr_bytes = bytes.round() as u32;
-        self
-    }
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig::paper_default()
-    }
-}
+/// Byte threshold per window above which a burst is signalled: the
+/// paper's `rxBurstTHR` of 10 Gbps is 1250 bytes per 1 µs window.
+pub const RX_BURST_THR_BYTES: u32 = 1250;
 
 /// Classification outcome for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,10 +50,10 @@ struct BurstCounter {
 /// use idio_cache::addr::CoreId;
 /// use idio_engine::time::SimTime;
 /// use idio_net::packet::{Dscp, FiveTuple, Packet};
-/// use idio_nic::classifier::{ClassifierConfig, IdioClassifier};
+/// use idio_nic::classifier::IdioClassifier;
 /// use idio_nic::tlp::AppClass;
 ///
-/// let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 2);
+/// let mut cl = IdioClassifier::new(2);
 /// let pkt = Packet::new(0, 1514, FiveTuple::default(), Dscp::BEST_EFFORT);
 /// let c = cl.classify(SimTime::ZERO, &pkt, CoreId::new(0));
 /// assert_eq!(c.app_class, AppClass::Class0);
@@ -93,8 +62,6 @@ struct BurstCounter {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdioClassifier {
-    cfg: ClassifierConfig,
-    class1: [bool; 64],
     counters: Vec<BurstCounter>,
     bursts_signalled: u64,
 }
@@ -104,28 +71,13 @@ impl IdioClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero or the burst window is zero.
-    pub fn new(cfg: ClassifierConfig, num_cores: usize) -> Self {
+    /// Panics if `num_cores` is zero.
+    pub fn new(num_cores: usize) -> Self {
         assert!(num_cores > 0, "need at least one core");
-        assert!(
-            cfg.burst_window > Duration::ZERO,
-            "burst window must be positive"
-        );
-        let mut class1 = [false; 64];
-        for d in &cfg.class1_dscps {
-            class1[d.get() as usize] = true;
-        }
         IdioClassifier {
-            cfg,
-            class1,
             counters: vec![BurstCounter::default(); num_cores],
             bursts_signalled: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ClassifierConfig {
-        &self.cfg
     }
 
     /// Total burst-start notifications emitted.
@@ -139,20 +91,20 @@ impl IdioClassifier {
     ///
     /// Panics if `dest_core` is out of range.
     pub fn classify(&mut self, at: SimTime, packet: &Packet, dest_core: CoreId) -> PacketClass {
-        let app_class = if self.class1[packet.dscp.get() as usize] {
+        let app_class = if packet.dscp == Dscp::CLASS1_DEFAULT {
             AppClass::Class1
         } else {
             AppClass::Class0
         };
 
         let ctr = &mut self.counters[dest_core.index()];
-        let window_idx = at.as_ps() / self.cfg.burst_window.as_ps();
+        let window_idx = at.as_ps() / BURST_WINDOW.as_ps();
         if window_idx != ctr.window_idx {
             // The 1 us window rolled over: reset the 32-bit counter. The
             // burst signal re-arms only after a quiet window (one that
             // stayed below the threshold), so a sustained multi-window
             // burst signals its *arrival* once, not once per window.
-            let prev_over = ctr.bytes > self.cfg.rx_burst_thr_bytes;
+            let prev_over = ctr.bytes > RX_BURST_THR_BYTES;
             let contiguous = window_idx == ctr.window_idx + 1;
             ctr.window_idx = window_idx;
             ctr.bytes = 0;
@@ -162,7 +114,7 @@ impl IdioClassifier {
         }
         ctr.bytes = ctr.bytes.saturating_add(u32::from(packet.len));
 
-        let burst_started = if !ctr.signalled && ctr.bytes > self.cfg.rx_burst_thr_bytes {
+        let burst_started = if !ctr.signalled && ctr.bytes > RX_BURST_THR_BYTES {
             ctr.signalled = true;
             self.bursts_signalled += 1;
             true
@@ -191,7 +143,7 @@ mod tests {
 
     #[test]
     fn dscp_mapping_to_class1() {
-        let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 1);
+        let mut cl = IdioClassifier::new(1);
         let c = cl.classify(SimTime::ZERO, &pkt(200, Dscp::CLASS1_DEFAULT), C0);
         assert_eq!(c.app_class, AppClass::Class1);
         let c = cl.classify(SimTime::ZERO, &pkt(200, Dscp::BEST_EFFORT), C0);
@@ -200,7 +152,7 @@ mod tests {
 
     #[test]
     fn burst_signalled_once_per_sustained_burst() {
-        let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 1);
+        let mut cl = IdioClassifier::new(1);
         // 100 Gbps: an MTU frame every ~121 ns, 8 frames in the window.
         let mut signals = 0;
         for i in 0..8 {
@@ -218,7 +170,7 @@ mod tests {
 
     #[test]
     fn slow_traffic_never_signals() {
-        let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 1);
+        let mut cl = IdioClassifier::new(1);
         // 1 Gbps of small frames: 125 bytes per window.
         for i in 0..100 {
             let t = SimTime::from_us(i);
@@ -229,7 +181,7 @@ mod tests {
 
     #[test]
     fn counters_are_per_core() {
-        let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 2);
+        let mut cl = IdioClassifier::new(2);
         // Saturate core 0's counter; core 1 stays quiet.
         let c = cl.classify(SimTime::ZERO, &pkt(1514, Dscp::BEST_EFFORT), C0);
         assert!(c.burst_started);
@@ -239,7 +191,7 @@ mod tests {
 
     #[test]
     fn sustained_burst_signals_only_at_arrival() {
-        let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 1);
+        let mut cl = IdioClassifier::new(1);
         // 100 Gbps sustained for 5 us: ~8 frames per 1 us window.
         let mut signals = 0;
         for i in 0..40u64 {
@@ -256,7 +208,7 @@ mod tests {
 
     #[test]
     fn new_burst_after_quiet_window_resignals() {
-        let mut cl = IdioClassifier::new(ClassifierConfig::paper_default(), 1);
+        let mut cl = IdioClassifier::new(1);
         assert!(
             cl.classify(SimTime::ZERO, &pkt(1514, Dscp::BEST_EFFORT), C0)
                 .burst_started
@@ -271,7 +223,8 @@ mod tests {
 
     #[test]
     fn threshold_from_gbps() {
-        let cfg = ClassifierConfig::paper_default().with_burst_thr_gbps(20.0);
-        assert_eq!(cfg.rx_burst_thr_bytes, 2500);
+        // 10 Gbps over one window.
+        let bytes = 10e9 / 8.0 * BURST_WINDOW.as_secs_f64();
+        assert_eq!(RX_BURST_THR_BYTES, bytes.round() as u32);
     }
 }

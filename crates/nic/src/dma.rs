@@ -2,53 +2,23 @@
 //!
 //! The DMA engine serialises line-granular PCIe transactions onto the link
 //! between the NIC and the root complex. It is a bandwidth-limited server:
-//! each 64-byte transaction occupies the link for `64 B / pcie_bandwidth`,
-//! and requests queue FIFO. Inbound writes (RX) and outbound reads (TX)
+//! each 64-byte transaction occupies the link for [`LINE_TIME`], and
+//! requests queue FIFO. Inbound writes (RX) and outbound reads (TX)
 //! share the same engine, modelling shared PCIe bandwidth.
 
 use idio_engine::time::{Duration, SimTime};
 
-/// DMA engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DmaConfig {
-    /// Effective PCIe payload bandwidth in bytes/second. Defaults to a
-    /// x16 Gen3 link's ~16 GB/s, comfortably above a 100 Gbps port
-    /// (12.5 GB/s) so the link itself is not the bottleneck.
-    pub bytes_per_sec: f64,
-    /// Delay between the completion of a packet's payload DMA and the
-    /// descriptor writeback becoming visible to the driver. The paper
-    /// measures ~1.9 µs between the first DMA transaction and the start of
-    /// the execution phase (Sec. VII).
-    pub desc_writeback_delay: Duration,
-}
+/// Service time of one 64-byte transaction on the link: 64 B at the
+/// ~16 GB/s effective payload bandwidth of a x16 Gen3 link, comfortably
+/// above a 100 Gbps port (12.5 GB/s) so the link itself is not the
+/// bottleneck.
+pub const LINE_TIME: Duration = Duration::from_ns(4);
 
-impl DmaConfig {
-    /// Service time of one 64-byte transaction on the link.
-    pub fn line_time(&self) -> Duration {
-        Duration::from_ps((64.0 / self.bytes_per_sec * 1e12).round() as u64)
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the bandwidth is not positive.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bytes_per_sec <= 0.0 || !self.bytes_per_sec.is_finite() {
-            return Err("pcie bandwidth must be positive".into());
-        }
-        Ok(())
-    }
-}
-
-impl Default for DmaConfig {
-    fn default() -> Self {
-        DmaConfig {
-            bytes_per_sec: 16.0e9,
-            desc_writeback_delay: Duration::from_us_f64(1.9),
-        }
-    }
-}
+/// Delay between the completion of a packet's payload DMA and the
+/// descriptor writeback becoming visible to the driver. The paper measures
+/// ~1.9 µs between the first DMA transaction and the start of the
+/// execution phase (Sec. VII).
+pub const DESC_WRITEBACK_DELAY: Duration = Duration::from_ns(1900);
 
 /// The schedule of one multi-line DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,43 +59,20 @@ impl DmaSchedule {
 ///
 /// ```
 /// use idio_engine::time::SimTime;
-/// use idio_nic::dma::{DmaConfig, DmaEngine};
+/// use idio_nic::dma::DmaEngine;
 ///
-/// let mut dma = DmaEngine::new(DmaConfig::default());
+/// let mut dma = DmaEngine::default();
 /// // A 1514-byte frame: 24 line transactions, 4 ns each.
 /// let s = dma.schedule(SimTime::ZERO, 24);
 /// assert_eq!(s.lines, 24);
 /// assert_eq!(s.done().as_ns(), 96);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DmaEngine {
-    cfg: DmaConfig,
-    line_time: Duration,
     next_free: SimTime,
 }
 
 impl DmaEngine {
-    /// Creates an engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(cfg: DmaConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DMA config: {e}");
-        }
-        DmaEngine {
-            line_time: cfg.line_time(),
-            cfg,
-            next_free: SimTime::ZERO,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DmaConfig {
-        &self.cfg
-    }
-
     /// Reserves link time for a `lines`-line transfer requested at `now`;
     /// returns the per-line schedule.
     ///
@@ -137,7 +84,7 @@ impl DmaEngine {
         let first = self.next_free.max(now);
         let sched = DmaSchedule {
             first,
-            gap: self.line_time,
+            gap: LINE_TIME,
             lines,
         };
         self.next_free = sched.done();
@@ -156,13 +103,14 @@ mod tests {
 
     #[test]
     fn line_time_matches_bandwidth() {
-        let cfg = DmaConfig::default();
-        assert_eq!(cfg.line_time(), Duration::from_ns(4));
+        // 64 B at 16 GB/s.
+        let ps = (64.0 / 16.0e9 * 1e12_f64).round() as u64;
+        assert_eq!(LINE_TIME, Duration::from_ps(ps));
     }
 
     #[test]
     fn transfers_serialise_on_the_link() {
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::default();
         let a = dma.schedule(SimTime::ZERO, 10);
         let b = dma.schedule(SimTime::ZERO, 10);
         assert_eq!(b.first, a.done());
@@ -171,7 +119,7 @@ mod tests {
 
     #[test]
     fn idle_link_starts_immediately() {
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::default();
         dma.schedule(SimTime::ZERO, 1);
         let s = dma.schedule(SimTime::from_us(5), 1);
         assert_eq!(s.first, SimTime::from_us(5));
@@ -179,7 +127,7 @@ mod tests {
 
     #[test]
     fn schedule_iter_yields_paced_times() {
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::default();
         let s = dma.schedule(SimTime::ZERO, 3);
         let times: Vec<_> = s.iter().collect();
         assert_eq!(
@@ -192,6 +140,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty DMA")]
     fn zero_line_transfer_rejected() {
-        DmaEngine::new(DmaConfig::default()).schedule(SimTime::ZERO, 0);
+        DmaEngine::default().schedule(SimTime::ZERO, 0);
     }
 }

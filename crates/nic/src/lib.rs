@@ -22,8 +22,8 @@ pub mod ring;
 pub mod tlp;
 pub mod tx;
 
-pub use classifier::{ClassifierConfig, IdioClassifier, PacketClass};
-pub use dma::{DmaConfig, DmaEngine, DmaSchedule};
+pub use classifier::{IdioClassifier, PacketClass};
+pub use dma::{DmaEngine, DmaSchedule};
 pub use flow_director::{
     FdStats, FilterInstall, FlowDirector, QueueId, SteeringSource, DEFAULT_FILTER_TABLE_ENTRIES,
     PERFECT_WAYS,

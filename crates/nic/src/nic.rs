@@ -13,8 +13,8 @@ use idio_engine::stats::Counter;
 use idio_engine::time::{Duration, SimTime};
 use idio_net::packet::Packet;
 
-use crate::classifier::{ClassifierConfig, IdioClassifier, PacketClass};
-use crate::dma::{DmaConfig, DmaEngine, DmaSchedule};
+use crate::classifier::{IdioClassifier, PacketClass};
+use crate::dma::{DmaEngine, DmaSchedule, DESC_WRITEBACK_DELAY, LINE_TIME};
 use crate::flow_director::{FlowDirector, QueueId, SteeringSource, DEFAULT_FILTER_TABLE_ENTRIES};
 use crate::ring::{RxRing, RxSlot, DESC_BYTES};
 #[cfg(test)]
@@ -37,10 +37,6 @@ pub struct NicConfig {
     pub ring_size: u32,
     /// Core each queue is pinned to (ADQ); also defines the queue count.
     pub queue_core: Vec<CoreId>,
-    /// Classifier settings.
-    pub classifier: ClassifierConfig,
-    /// DMA/PCIe settings.
-    pub dma: DmaConfig,
     /// Flow Director ATR filter-table entries.
     pub filter_table_entries: usize,
     /// Flow Director perfect-match (EP) filter slots.
@@ -57,14 +53,11 @@ pub struct NicConfig {
 }
 
 impl NicConfig {
-    /// A NIC with one queue per core in `cores`, 1024-deep rings, and the
-    /// paper-default classifier and DMA settings.
+    /// A NIC with one queue per core in `cores` and 1024-deep rings.
     pub fn per_core_queues(cores: &[CoreId]) -> Self {
         NicConfig {
             ring_size: 1024,
             queue_core: cores.to_vec(),
-            classifier: ClassifierConfig::paper_default(),
-            dma: DmaConfig::default(),
             filter_table_entries: DEFAULT_FILTER_TABLE_ENTRIES,
             perfect_filter_entries: DEFAULT_FILTER_TABLE_ENTRIES,
             atr_lifetime: None,
@@ -76,8 +69,8 @@ impl NicConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message for an empty queue map, zero ring size, or invalid
-    /// DMA settings.
+    /// Returns a message for an empty queue map, zero ring size, or a
+    /// policy-domain map of the wrong length.
     pub fn validate(&self) -> Result<(), String> {
         if self.queue_core.is_empty() {
             return Err("NIC needs at least one queue".into());
@@ -94,7 +87,7 @@ impl NicConfig {
                 self.queue_core.len()
             ));
         }
-        self.dma.validate()
+        Ok(())
     }
 }
 
@@ -242,8 +235,8 @@ impl Nic {
             cfg.filter_table_entries,
         );
         flow_director.set_atr_lifetime(cfg.atr_lifetime);
-        let classifier = IdioClassifier::new(cfg.classifier.clone(), num_cores);
-        let dma = DmaEngine::new(cfg.dma);
+        let classifier = IdioClassifier::new(num_cores);
+        let dma = DmaEngine::default();
         let queue_stats = (0..cfg.queue_core.len())
             .map(|_| QueueStats::default())
             .collect();
@@ -341,10 +334,10 @@ impl Nic {
 
         // Descriptor writeback: coalesced, visible after the delay.
         let desc_lines = (DESC_BYTES / 64) as u32;
-        let desc_start = payload.done() + self.cfg.dma.desc_writeback_delay;
+        let desc_start = payload.done() + DESC_WRITEBACK_DELAY;
         let descriptor = DmaSchedule {
             first: desc_start,
-            gap: self.cfg.dma.line_time(),
+            gap: LINE_TIME,
             lines: desc_lines,
         };
         self.stats.desc_writebacks.inc();
@@ -429,7 +422,7 @@ mod tests {
         assert_eq!(dma.descriptor.lines, 2);
         // Descriptor lands after payload + 1.9 us coalescing delay.
         let gap = dma.descriptor.first - dma.payload.done();
-        assert_eq!(gap, DmaConfig::default().desc_writeback_delay);
+        assert_eq!(gap, DESC_WRITEBACK_DELAY);
         assert_eq!(n.stats().rx_packets.get(), 1);
     }
 

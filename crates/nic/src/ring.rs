@@ -174,11 +174,6 @@ impl RxRing {
         self.occupied()
     }
 
-    /// Byte span of all DMA buffers (for address-map layout).
-    pub fn buf_region_bytes(&self) -> u64 {
-        DEFAULT_BUF_BYTES * u64::from(self.size)
-    }
-
     /// Byte span of the descriptor array.
     pub fn desc_region_bytes(&self) -> u64 {
         self.desc_stride * u64::from(self.size)
@@ -314,7 +309,6 @@ mod tests {
         assert_eq!(r.buf_addr(0), Addr::new(0x100000));
         assert_eq!(r.buf_addr(3), Addr::new(0x100000 + 3 * 2048));
         assert_eq!(r.desc_addr(5), Addr::new(0x200000 + 5 * 128));
-        assert_eq!(r.buf_region_bytes(), 8 * 2048);
         assert_eq!(r.desc_region_bytes(), 8 * 128);
     }
 

@@ -247,6 +247,31 @@ mod tests {
     }
 
     #[test]
+    fn a_rate_that_sends_a_frame_in_under_a_picosecond_is_rejected() {
+        // 1514 bytes at 3e7 Gbps take 0.40 ps: the generator's clock
+        // would never advance.
+        for rate_gbps in [3e7, 1e300] {
+            let traffics = [
+                TrafficPattern::Steady { rate_gbps },
+                TrafficPattern::Poisson { rate_gbps, seed: 1 },
+            ];
+            for traffic in traffics {
+                let mut sc = two_tenants();
+                sc.tenants[0].traffic = traffic;
+                let err = sc.validate().unwrap_err();
+                let want = format!(
+                    "tenant 'a': rate_gbps {rate_gbps} sends a 1514-byte frame in under 1 ps"
+                );
+                assert!(err.ends_with(&want), "{err}");
+            }
+        }
+        // 1.2 ps a frame still advances the clock.
+        let mut sc = two_tenants();
+        sc.tenants[0].traffic = TrafficPattern::Steady { rate_gbps: 1e7 };
+        assert_eq!(sc.validate(), Ok(()));
+    }
+
+    #[test]
     fn double_owned_core_rejected() {
         let mut sc = two_tenants();
         sc.tenants[1].cores = vec![1];

@@ -1680,6 +1680,10 @@ max_drop_rate = 0.25
             ("0", "positive finite rate"),
             ("1e999", "positive finite rate"),
             ("nan", "invalid number 'nan'"),
+            (
+                "3e7",
+                "rate_gbps 30000000 sends a 256-byte frame in under 1 ps",
+            ),
         ] {
             let src = tenant(&format!("traffic = \"steady\"\nrate_gbps = {rate}\n"));
             let e = parse_str(&src).unwrap_err();

@@ -10,6 +10,13 @@ use idio_engine::rng::SimRng;
 use idio_engine::stats::Counter;
 use idio_engine::time::Duration;
 
+/// The co-run antagonist's buffer: as large as the 3 MiB LLC, so its
+/// random accesses contend for every LLC way.
+pub const BUFFER_BYTES: u64 = 3 << 20;
+
+/// Compute cycles between two dependent accesses.
+pub const THINK_CYCLES: u64 = 2;
+
 /// Configuration of the antagonist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AntagonistConfig {
@@ -17,18 +24,14 @@ pub struct AntagonistConfig {
     pub base: Addr,
     /// Buffer size in bytes.
     pub size_bytes: u64,
-    /// Compute cycles between dependent accesses.
-    pub think_cycles: u64,
 }
 
 impl AntagonistConfig {
-    /// An 8 MiB buffer (well beyond the 3 MiB LLC) at `base` with a short
-    /// think time.
+    /// A [`BUFFER_BYTES`] buffer at `base`.
     pub fn llc_thrashing(base: Addr) -> Self {
         AntagonistConfig {
             base,
-            size_bytes: 8 << 20,
-            think_cycles: 2,
+            size_bytes: BUFFER_BYTES,
         }
     }
 }
@@ -139,7 +142,6 @@ mod tests {
         let cfg = AntagonistConfig {
             base: Addr::new(0x1000),
             size_bytes: 4096,
-            think_cycles: 1,
         };
         let mut a = LlcAntagonist::new(cfg, SimRng::seed_from(3));
         for _ in 0..1000 {
@@ -154,7 +156,6 @@ mod tests {
         let cfg = AntagonistConfig {
             base: Addr::new(0x2000),
             size_bytes: 640,
-            think_cycles: 1,
         };
         let a = LlcAntagonist::new(cfg, SimRng::seed_from(3));
         let (first, lines) = a.warmup_lines();
@@ -190,7 +191,6 @@ mod tests {
         let cfg = AntagonistConfig {
             base: Addr::new(0),
             size_bytes: 32,
-            think_cycles: 1,
         };
         let _ = LlcAntagonist::new(cfg, SimRng::seed_from(0));
     }

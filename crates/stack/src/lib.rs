@@ -3,7 +3,7 @@
 //! The DPDK-like userspace software stack of the IDIO reproduction: the
 //! Table II network functions expressed as per-packet memory-access
 //! programs (descriptor read, mbuf metadata write, header/payload touches,
-//! zero-copy TX), polling-mode-driver batch parameters, the LLCAntagonist
+//! zero-copy TX), the polling-mode-driver batch size, the LLCAntagonist
 //! contention workload, and the parametric core timing model that converts
 //! cache hit levels into service time.
 //!
@@ -41,5 +41,5 @@ pub use nf::{
     ChainStage, MemOp, NfChain, NfKind, PacketAction, PacketCtx, PacketWork, StageMark,
     MAX_CHAIN_STAGES, MBUF_META_BYTES,
 };
-pub use pmd::{PmdConfig, DEFAULT_BATCH};
-pub use timing::{CoreTiming, TimingConfig};
+pub use pmd::DEFAULT_BATCH;
+pub use timing::CoreTiming;

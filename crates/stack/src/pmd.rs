@@ -1,42 +1,13 @@
-//! Polling-mode-driver parameters and batch bookkeeping.
+//! Polling-mode-driver parameters.
 //!
 //! DPDK applications poll their receive rings and process packets in
 //! batches (default 32) to amortise driver overhead and improve locality
 //! (Sec. III, observation 1). The event-driven poll loop itself lives in
-//! the full-system simulator; this module holds its parameters and the
-//! per-core batch accounting used to decide when buffers are freed.
+//! the full-system simulator; this module holds its batch size.
 
-/// DPDK's default receive batch size.
+/// DPDK's default receive batch size: the most packets one `rx_burst`
+/// call takes.
 pub const DEFAULT_BATCH: u32 = 32;
-
-/// Polling-mode-driver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmdConfig {
-    /// Maximum packets taken per `rx_burst` call.
-    pub batch_size: u32,
-}
-
-impl PmdConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the batch size is zero.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.batch_size == 0 {
-            return Err("batch size must be positive".into());
-        }
-        Ok(())
-    }
-}
-
-impl Default for PmdConfig {
-    fn default() -> Self {
-        PmdConfig {
-            batch_size: DEFAULT_BATCH,
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -44,13 +15,6 @@ mod tests {
 
     #[test]
     fn default_matches_dpdk() {
-        assert_eq!(PmdConfig::default().batch_size, 32);
-        assert!(PmdConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn zero_batch_rejected() {
-        let cfg = PmdConfig { batch_size: 0 };
-        assert!(cfg.validate().is_err());
+        assert_eq!(DEFAULT_BATCH, 32);
     }
 }

@@ -4,115 +4,78 @@
 //! core is a service-time model: each line access costs a latency decided
 //! by where it hit, divided by a memory-level-parallelism (MLP) factor for
 //! levels the core can overlap, plus a small per-line compute cost. The
-//! constants are calibrated (see `DESIGN.md`) so the CPU keeps up with
+//! constants below are calibrated (see `DESIGN.md`) so the CPU keeps up with
 //! 10 Gbps/core, roughly matches 25 Gbps, and falls behind 100 Gbps — the
 //! regime structure all of the paper's burst observations depend on.
 
 use idio_cache::hierarchy::HitLevel;
 use idio_engine::time::{Duration, Freq};
 
-/// Timing-model parameters, in core cycles at [`TimingConfig::freq`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingConfig {
-    /// Core frequency (Table I: 3 GHz).
-    pub freq: Freq,
-    /// L1D hit cost.
-    pub l1_cycles: u64,
-    /// MLC hit cost (Table I: 12 CC plus lookup overheads).
-    pub mlc_cycles: u64,
-    /// LLC hit cost including the mesh round trip.
-    pub llc_cycles: u64,
-    /// Cache-to-cache transfer cost.
-    pub remote_cycles: u64,
-    /// Extra cycles on an LLC miss before DRAM takes over (miss handling).
-    pub llc_miss_overhead_cycles: u64,
-    /// Memory-level parallelism applied to DRAM accesses (sequential
-    /// buffer touching is prefetch/overlap friendly).
-    pub dram_mlp: u64,
-    /// Per-line compute cost (load + checksum-ish work).
-    pub per_line_work_cycles: u64,
-    /// Fixed per-packet software overhead (descriptor parsing, mbuf
-    /// bookkeeping, API crossing).
-    pub per_packet_cycles: u64,
-    /// Cost of one empty PMD poll iteration.
-    pub poll_cycles: u64,
-    /// Fixed cost of a non-empty `rx_burst` call (amortised over a batch).
-    pub batch_cycles: u64,
-    /// Cost of one self-invalidate instruction (per line).
-    pub invalidate_cycles: u64,
+/// Core clock (Table I: 3 GHz).
+pub const FREQ: Freq = Freq::from_ghz(3.0);
+/// L1D hit cost in cycles (Table I: 2 CC).
+pub const L1_CYCLES: u64 = 2;
+/// MLC hit cost in cycles: Table I's 12 CC plus lookup overheads.
+pub const MLC_CYCLES: u64 = 14;
+/// LLC hit cost in cycles, including the mesh round trip (Table I lists
+/// 24 CC for the array alone).
+pub const LLC_CYCLES: u64 = 60;
+/// Cache-to-cache transfer cost in cycles.
+pub const REMOTE_CYCLES: u64 = 80;
+/// Extra cycles on an LLC miss before DRAM takes over (miss handling).
+pub const LLC_MISS_OVERHEAD_CYCLES: u64 = 20;
+/// Memory-level parallelism applied to DRAM accesses (sequential buffer
+/// touching is prefetch/overlap friendly).
+pub const DRAM_MLP: u64 = 4;
+/// Per-line compute cost in cycles (load + checksum-ish work).
+pub const PER_LINE_WORK_CYCLES: u64 = 6;
+/// Fixed per-packet software overhead in cycles (descriptor parsing, mbuf
+/// bookkeeping, API crossing).
+pub const PER_PACKET_CYCLES: u64 = 300;
+/// Cost of one empty PMD poll iteration, in cycles.
+pub const POLL_CYCLES: u64 = 60;
+/// Fixed cost of a non-empty `rx_burst` call in cycles (amortised over a
+/// batch).
+pub const BATCH_CYCLES: u64 = 80;
+/// Cost of one self-invalidate instruction (per line), in cycles.
+pub const INVALIDATE_CYCLES: u64 = 1;
+
+/// The DRAM latency charged when the caller has no queue-aware one.
+const DEFAULT_DRAM_LATENCY: Duration = Duration::from_ns(52);
+
+const fn cycles(c: u64) -> Duration {
+    FREQ.cycles_to_duration(c)
 }
 
-impl Default for TimingConfig {
-    fn default() -> Self {
-        TimingConfig {
-            freq: Freq::from_ghz(3.0),
-            l1_cycles: 2,
-            mlc_cycles: 14,
-            llc_cycles: 60,
-            remote_cycles: 80,
-            llc_miss_overhead_cycles: 20,
-            dram_mlp: 4,
-            per_line_work_cycles: 6,
-            per_packet_cycles: 300,
-            poll_cycles: 60,
-            batch_cycles: 80,
-            invalidate_cycles: 1,
-        }
-    }
-}
-
-/// Computes access and software costs from a [`TimingConfig`].
+/// Access and software costs of one core, from the constants above.
 ///
 /// # Examples
 ///
 /// ```
 /// use idio_cache::hierarchy::HitLevel;
-/// use idio_stack::timing::{CoreTiming, TimingConfig};
+/// use idio_stack::timing::CoreTiming;
 ///
-/// let t = CoreTiming::new(TimingConfig::default());
-/// let mlc = t.access_cost(HitLevel::Mlc, None);
-/// let llc = t.access_cost(HitLevel::Llc, None);
+/// let mlc = CoreTiming::access_cost(HitLevel::Mlc, None);
+/// let llc = CoreTiming::access_cost(HitLevel::Llc, None);
 /// assert!(llc > mlc, "LLC residency costs more than MLC residency");
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct CoreTiming {
-    cfg: TimingConfig,
-}
+pub struct CoreTiming;
 
 impl CoreTiming {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dram_mlp` is zero.
-    pub fn new(cfg: TimingConfig) -> Self {
-        assert!(cfg.dram_mlp > 0, "MLP factor must be positive");
-        CoreTiming { cfg }
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &TimingConfig {
-        &self.cfg
-    }
-
-    fn cycles(&self, c: u64) -> Duration {
-        self.cfg.freq.cycles_to_duration(c)
-    }
-
     /// Cost of one demand line access that hit at `level`. For
     /// [`HitLevel::Dram`], `dram_latency` is the memory model's
     /// queue-aware completion latency for this request.
-    pub fn access_cost(&self, level: HitLevel, dram_latency: Option<Duration>) -> Duration {
-        let work = self.cycles(self.cfg.per_line_work_cycles);
+    pub fn access_cost(level: HitLevel, dram_latency: Option<Duration>) -> Duration {
+        let work = cycles(PER_LINE_WORK_CYCLES);
         match level {
-            HitLevel::L1 => self.cycles(self.cfg.l1_cycles) + work,
-            HitLevel::Mlc => self.cycles(self.cfg.mlc_cycles) + work,
-            HitLevel::Llc => self.cycles(self.cfg.llc_cycles) + work,
-            HitLevel::RemoteMlc => self.cycles(self.cfg.remote_cycles) + work,
+            HitLevel::L1 => cycles(L1_CYCLES) + work,
+            HitLevel::Mlc => cycles(MLC_CYCLES) + work,
+            HitLevel::Llc => cycles(LLC_CYCLES) + work,
+            HitLevel::RemoteMlc => cycles(REMOTE_CYCLES) + work,
             HitLevel::Dram => {
-                let dram = dram_latency.unwrap_or_else(|| Duration::from_ns(52));
-                let overlapped = Duration::from_ps(dram.as_ps() / self.cfg.dram_mlp);
-                self.cycles(self.cfg.llc_miss_overhead_cycles) + overlapped + work
+                let dram = dram_latency.unwrap_or(DEFAULT_DRAM_LATENCY);
+                let overlapped = Duration::from_ps(dram.as_ps() / DRAM_MLP);
+                cycles(LLC_MISS_OVERHEAD_CYCLES) + overlapped + work
             }
         }
     }
@@ -120,46 +83,34 @@ impl CoreTiming {
     /// Cost of one *dependent* line access (pointer-chasing style, as the
     /// LLCAntagonist performs): DRAM latency is fully exposed, with no
     /// memory-level-parallelism overlap.
-    pub fn access_cost_dependent(
-        &self,
-        level: HitLevel,
-        dram_latency: Option<Duration>,
-    ) -> Duration {
+    pub fn access_cost_dependent(level: HitLevel, dram_latency: Option<Duration>) -> Duration {
         match level {
             HitLevel::Dram => {
-                let dram = dram_latency.unwrap_or_else(|| Duration::from_ns(52));
-                self.cycles(self.cfg.llc_miss_overhead_cycles)
-                    + dram
-                    + self.cycles(self.cfg.per_line_work_cycles)
+                let dram = dram_latency.unwrap_or(DEFAULT_DRAM_LATENCY);
+                cycles(LLC_MISS_OVERHEAD_CYCLES) + dram + cycles(PER_LINE_WORK_CYCLES)
             }
-            other => self.access_cost(other, None),
+            other => Self::access_cost(other, None),
         }
     }
 
     /// Fixed per-packet software cost.
-    pub fn per_packet(&self) -> Duration {
-        self.cycles(self.cfg.per_packet_cycles)
+    pub fn per_packet() -> Duration {
+        cycles(PER_PACKET_CYCLES)
     }
 
     /// Cost of an empty poll iteration.
-    pub fn poll(&self) -> Duration {
-        self.cycles(self.cfg.poll_cycles)
+    pub fn poll() -> Duration {
+        cycles(POLL_CYCLES)
     }
 
     /// Fixed cost of a non-empty `rx_burst`.
-    pub fn batch(&self) -> Duration {
-        self.cycles(self.cfg.batch_cycles)
+    pub fn batch() -> Duration {
+        cycles(BATCH_CYCLES)
     }
 
     /// Cost of self-invalidating `lines` cache lines.
-    pub fn invalidate(&self, lines: u32) -> Duration {
-        self.cycles(self.cfg.invalidate_cycles * u64::from(lines))
-    }
-}
-
-impl Default for CoreTiming {
-    fn default() -> Self {
-        CoreTiming::new(TimingConfig::default())
+    pub fn invalidate(lines: u32) -> Duration {
+        cycles(INVALIDATE_CYCLES * u64::from(lines))
     }
 }
 
@@ -169,12 +120,11 @@ mod tests {
 
     #[test]
     fn cost_ordering_matches_hierarchy() {
-        let t = CoreTiming::default();
-        let l1 = t.access_cost(HitLevel::L1, None);
-        let mlc = t.access_cost(HitLevel::Mlc, None);
-        let llc = t.access_cost(HitLevel::Llc, None);
-        let remote = t.access_cost(HitLevel::RemoteMlc, None);
-        let dram = t.access_cost(HitLevel::Dram, Some(Duration::from_ns(60)));
+        let l1 = CoreTiming::access_cost(HitLevel::L1, None);
+        let mlc = CoreTiming::access_cost(HitLevel::Mlc, None);
+        let llc = CoreTiming::access_cost(HitLevel::Llc, None);
+        let remote = CoreTiming::access_cost(HitLevel::RemoteMlc, None);
+        let dram = CoreTiming::access_cost(HitLevel::Dram, Some(Duration::from_ns(60)));
         assert!(l1 < mlc && mlc < llc && llc < remote);
         // With MLP overlap DRAM may undercut a remote-MLC transfer, but it
         // must stay costlier than an LLC hit.
@@ -183,30 +133,24 @@ mod tests {
 
     #[test]
     fn dram_mlp_overlaps_latency() {
-        let serial_cfg = TimingConfig {
-            dram_mlp: 1,
-            ..TimingConfig::default()
-        };
-        let serial =
-            CoreTiming::new(serial_cfg).access_cost(HitLevel::Dram, Some(Duration::from_ns(80)));
-        let mlp4_cfg = TimingConfig {
-            dram_mlp: 4,
-            ..TimingConfig::default()
-        };
-        let mlp4 =
-            CoreTiming::new(mlp4_cfg).access_cost(HitLevel::Dram, Some(Duration::from_ns(80)));
-        assert_eq!(serial - mlp4, Duration::from_ns(60));
+        // A dependent access exposes all 80 ns; an overlapped one a quarter.
+        let dram = Some(Duration::from_ns(80));
+        let serial = CoreTiming::access_cost_dependent(HitLevel::Dram, dram);
+        let overlapped = CoreTiming::access_cost(HitLevel::Dram, dram);
+        assert_eq!(DRAM_MLP, 4);
+        assert_eq!(serial - overlapped, Duration::from_ns(60));
     }
 
     #[test]
     fn regime_structure_holds() {
         // 1514-byte TouchDrop packet: 24 payload + 2 desc + 2 mbuf lines.
-        let t = CoreTiming::default();
-        let service_mlc = t.per_packet() + t.access_cost(HitLevel::Mlc, None) * 28 + t.batch() / 32;
-        let service_llc = t.per_packet()
-            + t.access_cost(HitLevel::Llc, None) * 24
-            + t.access_cost(HitLevel::Mlc, None) * 4
-            + t.batch() / 32;
+        let service_mlc = CoreTiming::per_packet()
+            + CoreTiming::access_cost(HitLevel::Mlc, None) * 28
+            + CoreTiming::batch() / 32;
+        let service_llc = CoreTiming::per_packet()
+            + CoreTiming::access_cost(HitLevel::Llc, None) * 24
+            + CoreTiming::access_cost(HitLevel::Mlc, None) * 4
+            + CoreTiming::batch() / 32;
         let at_100g = idio_engine::time::wire_time(1514, 100.0);
         let at_25g = idio_engine::time::wire_time(1514, 25.0);
         let at_10g = idio_engine::time::wire_time(1514, 10.0);
@@ -221,17 +165,6 @@ mod tests {
 
     #[test]
     fn invalidate_cost_scales_with_lines() {
-        let t = CoreTiming::default();
-        assert_eq!(t.invalidate(24), t.invalidate(12) * 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "MLP")]
-    fn zero_mlp_rejected() {
-        let cfg = TimingConfig {
-            dram_mlp: 0,
-            ..TimingConfig::default()
-        };
-        let _ = CoreTiming::new(cfg);
+        assert_eq!(CoreTiming::invalidate(24), CoreTiming::invalidate(12) * 2);
     }
 }

@@ -1,6 +1,7 @@
-//! Trace-driven replay: record a stochastic arrival sequence, write it to
-//! a trace file, read it back, and replay the *same* packets through DDIO
-//! and IDIO — apples-to-apples comparison on identical traffic.
+//! Trace-driven replay: record a stochastic arrival sequence, write it in
+//! the trace-file format, read it back, and replay the *same* packets
+//! through DDIO and IDIO — apples-to-apples comparison on identical
+//! traffic.
 //!
 //! ```text
 //! cargo run -p idio-examples --release --bin trace-replay
@@ -30,17 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         traces.push(gen.collect::<Vec<_>>());
     }
 
-    // 2. Serialise and re-parse through the on-disk trace format.
-    let path = std::env::temp_dir().join("idio_replay.trace");
-    {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        write_trace(&mut file, &traces[0])?;
-    }
-    let replayed = read_trace(std::io::BufReader::new(std::fs::File::open(&path)?))?;
+    // 2. Serialise and re-parse through the trace-file format, in memory.
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, &traces[0])?;
+    let replayed = read_trace(bytes.as_slice())?;
     println!(
-        "recorded {} arrivals to {} and read {} back",
+        "recorded {} arrivals to a {}-byte trace and read {} back",
         traces[0].len(),
-        path.display(),
+        bytes.len(),
         replayed.len()
     );
 
@@ -74,6 +72,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.p99().expect("packets completed"),
         );
     }
-    std::fs::remove_file(&path).ok();
     Ok(())
 }

@@ -72,9 +72,11 @@ fn m2_static_equals_idio_at_moderate_rates() {
 #[test]
 fn m2_headers_are_prefetched_even_when_payload_is_not() {
     // At a rate below rxBurstTHR no bursts are signalled, so payload stays
-    // in the LLC; headers still go to the MLC.
+    // in the LLC; headers still go to the MLC. 1024-byte frames at 5 Gbps
+    // arrive 1.64 us apart, so no 1 us window ever holds more than the
+    // 1024 bytes of one frame, under the 1250-byte threshold.
     let mut cfg = SystemConfig::touchdrop_scenario(1, TrafficPattern::Steady { rate_gbps: 5.0 });
-    cfg.classifier.rx_burst_thr_bytes = u32::MAX; // never signal a burst
+    cfg.tenants[0].packet_len = 1024;
     cfg.duration = SimTime::from_ms(1);
     let r = System::new(cfg.with_policy(SteeringPolicy::Idio)).run();
     assert!(r.totals.prefetch_fills > 0, "headers still admitted");
