@@ -7,91 +7,73 @@
 //! entry, since directory-capacity back-invalidations are orthogonal to
 //! the mechanisms IDIO adds.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::fmt;
 
 use crate::addr::{CoreId, LineAddr};
 use crate::set::SetBits;
 
-/// A multiplicative hasher for group numbers (fxhash-style). The
-/// directory is probed on every DMA line and every MLC miss, and the
-/// default SipHash dominates those lookups; group numbers need no
-/// DoS resistance, only good avalanche, which one odd-constant multiply
-/// provides. The map is never iterated, so hash order can't leak into
-/// simulation results.
-#[derive(Default)]
-pub struct LineHasher(u64);
+/// Lines per page: 4,096 consecutive lines (256 KiB of memory), one
+/// presence bit and one holder each. A 1514-byte frame's 24 lines share
+/// one presence word and 48 bytes of holders, so the DMA, prefetch and
+/// read of a packet touch the same few cache lines of the table.
+const PAGE_BITS: u32 = 12;
+const PAGE_LINES: usize = 1 << PAGE_BITS;
 
-impl Hasher for LineHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Only fixed-width integer keys are ever hashed here.
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
+/// Pages per chunk: 4,096, so a chunk spans 2^24 lines (1 GiB of memory)
+/// in a 32 KiB table of page pointers.
+const CHUNK_BITS: u32 = 12;
+const CHUNK_PAGES: usize = 1 << CHUNK_BITS;
 
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The low bits of a multiply are weak; fold the high bits down
-        // since HashMap buckets by the low bits.
-        self.0 ^ (self.0 >> 32)
-    }
+/// The tracked lines of one page and their holders.
+#[derive(Clone)]
+struct Page {
+    /// Bit `i % 64` of word `i / 64` is set while line `i` of the page
+    /// is tracked.
+    present: [u64; PAGE_LINES / 64],
+    /// `holder[i]` is the core holding line `i`; meaningless unless its
+    /// presence bit is set, so every core id stays usable.
+    holder: [CoreId; PAGE_LINES],
 }
 
-type GroupMap = HashMap<u64, Group, BuildHasherDefault<LineHasher>>;
-
-/// Lines per directory group: 16 consecutive lines (1 KiB), one bit of
-/// [`Group::present`] each. A 1514-byte frame's 24 lines span two groups,
-/// so the DMA, prefetch and read of a packet's lines share two probes'
-/// worth of table memory instead of touching 24 cold buckets.
-const GROUP_LINES: u64 = u16::BITS as u64;
-
-/// The tracked lines of one group and their holders.
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    /// Bit `i` is set while line `i` of the group is tracked. A group
-    /// whose mask reaches zero leaves the map.
-    present: u16,
-    /// `holder[i]` is the core holding line `i`; meaningless unless bit
-    /// `i` of `present` is set, so every core id stays usable.
-    holder: [CoreId; GROUP_LINES as usize],
-}
-
-impl Group {
-    const EMPTY: Group = Group {
-        present: 0,
-        holder: [CoreId::new(0); GROUP_LINES as usize],
+impl Page {
+    const EMPTY: Page = Page {
+        present: [0; PAGE_LINES / 64],
+        holder: [CoreId::new(0); PAGE_LINES],
     };
 
     #[inline]
-    fn get(&self, slot: usize) -> Option<CoreId> {
-        (self.present & (1 << slot) != 0).then_some(self.holder[slot])
+    fn get(&self, i: usize) -> Option<CoreId> {
+        (self.present[i / 64] >> (i % 64) & 1 == 1).then_some(self.holder[i])
+    }
+
+    fn is_empty(&self) -> bool {
+        self.present.iter().all(|&w| w == 0)
     }
 }
 
-/// Groups are equal when they track the same lines with the same holders;
+/// Pages are equal when they track the same lines with the same holders;
 /// what an untracked slot still holds does not count.
-impl PartialEq for Group {
-    fn eq(&self, other: &Group) -> bool {
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
         self.present == other.present
-            && SetBits(u64::from(self.present)).all(|i| self.holder[i] == other.holder[i])
+            && self.present.iter().enumerate().all(|(w, &bits)| {
+                SetBits(bits).all(|b| self.holder[w * 64 + b] == other.holder[w * 64 + b])
+            })
     }
 }
 
-impl Eq for Group {}
+/// The page pointers of one chunk, each allocated on the first add to its
+/// page.
+type Chunk = [Option<Box<Page>>; CHUNK_PAGES];
 
-/// A line's group number and its slot within the group.
+/// A line's chunk, the page within the chunk and the line within the page.
 #[inline]
-fn split(line: LineAddr) -> (u64, usize) {
+fn split(line: LineAddr) -> (usize, usize, usize) {
+    let l = line.get();
     (
-        line.get() / GROUP_LINES,
-        (line.get() % GROUP_LINES) as usize,
+        (l >> (PAGE_BITS + CHUNK_BITS)) as usize,
+        (l >> PAGE_BITS) as usize % CHUNK_PAGES,
+        l as usize % PAGE_LINES,
     )
 }
 
@@ -100,10 +82,20 @@ fn split(line: LineAddr) -> (u64, usize) {
 /// MLC residency is exclusive: a line lives in at most one core's MLC
 /// (cache-to-cache transfers move it, DMA writes invalidate it, and
 /// prefetches never take a line from another core). So each line needs
-/// a single [`CoreId`], for any core count. Lines are kept in groups of
-/// 16 consecutive lines under one map entry, a presence mask beside 16
-/// holders. A second holder would mean the directory and the caches
-/// disagree, and [`MlcDirectory::add`] panics on it.
+/// a single [`CoreId`], for any core count. A second holder would mean
+/// the directory and the caches disagree, and [`MlcDirectory::add`]
+/// panics on it.
+///
+/// The table is indexed by line number, with no hashing: a line's page
+/// of 4,096 lines holds a presence bit and a holder per line, and a
+/// chunk of 4,096 page pointers spans 2^24 lines. A page and a chunk are
+/// allocated on the first add into them and kept until the directory is
+/// dropped; the top level is a vector of chunk pointers grown to the
+/// highest chunk added. So a lookup is three dependent loads, any line an
+/// MLC can hold (a set-relative tag below 2^32: lines below 2^43 for a
+/// 2048-set MLC) fits, and the memory is 8 bytes per 2^24 lines below
+/// the highest line added, plus 32 KiB per chunk and 8.5 KiB per page
+/// ever added to. A lookup of a line no add reached allocates nothing.
 ///
 /// # Examples
 ///
@@ -117,11 +109,12 @@ fn split(line: LineAddr) -> (u64, usize) {
 /// dir.remove(LineAddr::new(7), CoreId::new(2));
 /// assert_eq!(dir.holder(LineAddr::new(7)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct MlcDirectory {
-    /// Each group with at least one tracked line, by group number.
-    groups: GroupMap,
-    /// Tracked lines over all groups.
+    /// Chunk `c` holds the pages of lines `c * 2^24 .. (c + 1) * 2^24`;
+    /// `None` until a line in it is added.
+    chunks: Vec<Option<Box<Chunk>>>,
+    /// Tracked lines over all pages.
     len: usize,
     num_cores: usize,
 }
@@ -138,10 +131,31 @@ impl MlcDirectory {
             "1..=65536 cores supported"
         );
         MlcDirectory {
-            groups: GroupMap::default(),
+            chunks: Vec::new(),
             len: 0,
             num_cores,
         }
+    }
+
+    /// The page holding `line`, if any add ever reached it, with the
+    /// line's index in it.
+    #[inline]
+    fn page(&self, line: LineAddr) -> Option<(&Page, usize)> {
+        let (c, p, i) = split(line);
+        let page = self.chunks.get(c)?.as_deref()?[p].as_deref()?;
+        Some((page, i))
+    }
+
+    /// Every allocated page with its page number (line number / 4,096).
+    fn pages(&self) -> impl Iterator<Item = (usize, &Page)> {
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            chunk.iter().flat_map(move |chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(p, page)| Some((c * CHUNK_PAGES + p, page.as_deref()?)))
+            })
+        })
     }
 
     /// Records that `core`'s MLC now holds `line`. Re-adding the current
@@ -153,9 +167,13 @@ impl MlcDirectory {
     /// exclusive, so a second holder is a directory/cache desync.
     pub fn add(&mut self, line: LineAddr, core: CoreId) {
         debug_assert!(core.index() < self.num_cores);
-        let (key, slot) = split(line);
-        let group = self.groups.entry(key).or_insert(Group::EMPTY);
-        if let Some(holder) = group.get(slot) {
+        let (c, p, i) = split(line);
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(|| Box::new([const { None }; CHUNK_PAGES]));
+        let page = chunk[p].get_or_insert_with(|| Box::new(Page::EMPTY));
+        if let Some(holder) = page.get(i) {
             assert!(
                 holder == core,
                 "directory add: {holder} already holds line {}, so {core} cannot \
@@ -164,24 +182,25 @@ impl MlcDirectory {
             );
             return;
         }
-        group.present |= 1 << slot;
-        group.holder[slot] = core;
+        page.present[i / 64] |= 1 << (i % 64);
+        page.holder[i] = core;
         self.len += 1;
     }
 
     /// Records that `core`'s MLC no longer holds `line`. A no-op unless
     /// `core` is the line's holder.
     pub fn remove(&mut self, line: LineAddr, core: CoreId) {
-        let (key, slot) = split(line);
-        let Some(group) = self.groups.get_mut(&key) else {
+        let (c, p, i) = split(line);
+        let Some(page) = self
+            .chunks
+            .get_mut(c)
+            .and_then(|chunk| chunk.as_deref_mut()?[p].as_deref_mut())
+        else {
             return;
         };
-        if group.get(slot) == Some(core) {
-            group.present &= !(1 << slot);
+        if page.get(i) == Some(core) {
+            page.present[i / 64] &= !(1 << (i % 64));
             self.len -= 1;
-            if group.present == 0 {
-                self.groups.remove(&key);
-            }
         }
     }
 
@@ -193,8 +212,8 @@ impl MlcDirectory {
     /// The core holding `line`, if any.
     #[inline]
     pub fn holder(&self, line: LineAddr) -> Option<CoreId> {
-        let (key, slot) = split(line);
-        self.groups.get(&key).and_then(|g| g.get(slot))
+        let (page, i) = self.page(line)?;
+        page.get(i)
     }
 
     /// Number of tracked lines.
@@ -205,6 +224,36 @@ impl MlcDirectory {
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+/// Directories are equal when they track the same lines with the same
+/// holders, whatever pages each has allocated.
+impl PartialEq for MlcDirectory {
+    fn eq(&self, other: &MlcDirectory) -> bool {
+        // Equal counts and every page of `self` matched leave `other` no
+        // line outside those pages.
+        self.num_cores == other.num_cores
+            && self.len == other.len
+            && self.pages().all(|(n, page)| {
+                let first = LineAddr::new((n * PAGE_LINES) as u64);
+                match other.page(first) {
+                    Some((theirs, _)) => page == theirs,
+                    None => page.is_empty(),
+                }
+            })
+    }
+}
+
+impl Eq for MlcDirectory {}
+
+impl fmt::Debug for MlcDirectory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MlcDirectory")
+            .field("len", &self.len)
+            .field("num_cores", &self.num_cores)
+            .field("pages", &self.pages().count())
+            .finish()
     }
 }
 
@@ -261,46 +310,64 @@ mod tests {
         let _ = MlcDirectory::new(0);
     }
 
+    /// The largest line a 2048-set MLC can hold: set-relative tag
+    /// 2^32 - 1 in set 2047.
+    const MLC_MAX_LINE: u64 = (u32::MAX as u64) * 2048 + 2047;
+
     /// Core counts on both sides of 64 (the width of a one-word holder
     /// mask), a 200-core system and the full 65536-core id space. A
-    /// scripted prefix puts lines of one group under different cores,
-    /// core id 65535 at a group's last line and the next group's first
-    /// line, and lines on both sides of each boundary near 16·k; then a
-    /// deterministic op sequence over 19 groups follows. The directory is
-    /// checked against a `BTreeMap` reference model after every step, and
-    /// removing every line at the end must leave no group behind.
+    /// scripted prefix puts lines of one page under different cores,
+    /// core id 65535 on both sides of a page boundary, a chunk boundary
+    /// and the largest line a 2048-set MLC can hold; then a deterministic
+    /// op sequence over windows at each of those places follows. The
+    /// directory is checked against a `BTreeMap` reference model after
+    /// every step, and removing every line at the end must leave it empty.
     #[test]
     fn directory_matches_reference_model_across_core_counts() {
         use std::collections::BTreeMap;
+        let page = PAGE_LINES as u64;
+        let chunk = page * CHUNK_PAGES as u64;
+        let top = MLC_MAX_LINE;
+        assert_eq!(top, (1 << 43) - 1);
+        let mut mlc = crate::set::SetAssocCache::new("mlc", 2048, 8);
+        mlc.fill(line(top), false, crate::set::WayMask::all(8));
+        // Windows of 300 lines that straddle line 0's page, a page
+        // boundary, a chunk boundary, and end at the largest line.
+        let windows = [0, page - 150, 3 * chunk - 150, top - 299];
         for num_cores in [63usize, 64, 65, 200, 65536] {
-            let top = (num_cores - 1) as u16;
+            let hi = (num_cores - 1) as u16;
             let mut d = MlcDirectory::new(num_cores);
             let mut model: BTreeMap<u64, u16> = BTreeMap::new();
             let check = |d: &MlcDirectory, model: &BTreeMap<u64, u16>, l: u64| {
                 assert_eq!(d.len(), model.len(), "{num_cores} cores: len");
                 assert_eq!(d.holder(line(l)), model.get(&l).map(|&c| CoreId::new(c)));
             };
-            // (add?, core, line): group 0 split four ways, the top core id
-            // on both sides of the 15|16 and 31|32 boundaries, and removals
-            // by non-holders (no-ops) and holders across each boundary.
+            // (add?, core, line): page 0 split four ways, the top core id
+            // on both sides of a page, a chunk and the top line, and
+            // removals by non-holders (no-ops) and holders across each
+            // boundary.
             let script = [
                 (true, 0, 0),
                 (true, 1, 1),
-                (true, top, 2),
-                (true, top / 2, 3),
-                (true, top, 15),
-                (true, top, 16),
-                (true, 0, 17),
-                (true, 1, 31),
-                (true, top, 32),
-                (false, 0, 15),
-                (false, top, 16),
-                (false, top, 15),
-                (true, 1, 15),
-                (false, 1, 31),
+                (true, hi, 2),
+                (true, hi / 2, 3),
+                (true, hi, page - 1),
+                (true, hi, page),
+                (true, 0, page + 1),
+                (true, 1, chunk - 1),
+                (true, hi, chunk),
+                (true, hi, top),
+                (true, 0, top - 1),
+                (false, 0, page - 1),
+                (false, hi, page),
+                (false, hi, page - 1),
+                (true, 1, page - 1),
+                (false, 1, chunk - 1),
+                (false, 0, top),
+                (false, hi, top),
                 (false, 0, 0),
                 (false, 1, 1),
-                (false, top, 2),
+                (false, hi, 2),
             ];
             for (add, c, l) in script {
                 if add {
@@ -321,7 +388,7 @@ mod tests {
                 x ^= x >> 7;
                 x ^= x << 17;
                 let c = (x % num_cores as u64) as u16;
-                let l = (x >> 20) % 300;
+                let l = windows[(x >> 50) as usize % windows.len()] + (x >> 20) % 300;
                 if x & (1 << 40) == 0 {
                     // Only the holder (or nobody) may add: exclusivity.
                     let c = *model.entry(l).or_insert(c);
@@ -334,39 +401,47 @@ mod tests {
                 }
                 check(&d, &model, l);
             }
-            for l in 0..300 {
+            for l in windows.iter().flat_map(|&w| w..w + 300) {
                 let want = model.get(&l).map(|&c| CoreId::new(c));
                 assert_eq!(d.holder(line(l)), want, "{num_cores} cores: line {l}");
                 assert_eq!(d.is_cached(line(l)), want.is_some());
             }
-            let groups: std::collections::BTreeSet<u64> =
-                model.keys().map(|l| l / GROUP_LINES).collect();
-            assert_eq!(d.groups.len(), groups.len(), "{num_cores} cores: groups");
+            let before = d.clone();
             for (&l, &c) in &model {
                 d.remove(line(l), CoreId::new(c));
             }
             assert!(d.is_empty());
-            assert_eq!(d.groups.len(), 0, "{num_cores} cores: empty groups leaked");
+            assert!(d.pages().all(|(_, p)| p.is_empty()), "{num_cores} cores");
+            assert!(
+                d == MlcDirectory::new(num_cores),
+                "allocated pages do not count"
+            );
+            assert!(d != before || model.is_empty());
         }
     }
 
     #[test]
-    fn emptied_groups_leave_the_map() {
+    fn holder_of_an_untouched_line_allocates_nothing() {
         let mut d = MlcDirectory::new(4);
-        // Two packets' worth of lines straddling three groups.
-        for l in 10..58 {
+        assert_eq!(d.holder(line(MLC_MAX_LINE)), None);
+        assert!(d.chunks.is_empty());
+        // Two packets' worth of lines straddling a page boundary.
+        let first = PAGE_LINES as u64 - 24;
+        for l in first..first + 48 {
             d.add(line(l), CoreId::new((l % 4) as u16));
         }
-        assert_eq!(d.groups.len(), 4);
-        for l in 10..58 {
-            d.remove(line(l), CoreId::new((l % 4) as u16));
-            let live_groups = (l + 1..58)
-                .map(|l| l / GROUP_LINES)
-                .collect::<std::collections::BTreeSet<_>>();
-            assert_eq!(d.groups.len(), live_groups.len(), "after removing {l}");
+        assert_eq!((d.chunks.len(), d.pages().count()), (1, 2));
+        for far in [MLC_MAX_LINE, 1 << 24, 5 * PAGE_LINES as u64, first - 1] {
+            assert_eq!(d.holder(line(far)), None, "line {far}");
+            assert!(!d.is_cached(line(far)));
         }
-        assert!(d.is_empty());
-        assert!(d.groups.is_empty());
+        d.remove(line(MLC_MAX_LINE), CoreId::new(0));
+        assert_eq!(
+            (d.chunks.len(), d.pages().count()),
+            (1, 2),
+            "lookups allocated"
+        );
+        assert_eq!(d.len(), 48);
     }
 
     #[test]

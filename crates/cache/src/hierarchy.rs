@@ -346,14 +346,15 @@ impl Hierarchy {
         self.cat_mask[core.index()].unwrap_or_else(|| self.cfg.core_mask())
     }
 
-    /// Installs `line` into `core`'s MLC, cascading the victim into the LLC
-    /// (an "MLC writeback") and a dirty LLC victim to DRAM (an "LLC
+    /// Installs `line`, which every caller has just found absent from
+    /// `core`'s MLC, into that MLC, cascading the victim into the LLC (an
+    /// "MLC writeback") and a dirty LLC victim to DRAM (an "LLC
     /// writeback"). Updates the directory.
     fn fill_mlc(&mut self, core: CoreId, line: LineAddr, dirty: bool) -> MemEffects {
         let mut fx = MemEffects::default();
         let ci = core.index();
         let mlc = &mut self.cores[ci].mlc;
-        let (victim, _) = mlc.insert(line, dirty, WayMask::all(mlc.ways()));
+        let (victim, _) = mlc.fill(line, dirty, WayMask::all(mlc.ways()));
         self.dir.add(line, core);
         if let Some(v) = victim {
             debug_assert_ne!(v.line, line);
@@ -373,12 +374,14 @@ impl Hierarchy {
         fx
     }
 
-    /// Installs a line into the LLC on behalf of `from` through that
-    /// core's allocation mask (its CAT partition if pinned, the shared
-    /// core mask otherwise), handling the victim cascade to DRAM.
+    /// Installs a line that `from`'s MLC has just given up into the LLC
+    /// through that core's allocation mask (its CAT partition if pinned,
+    /// the shared core mask otherwise), handling the victim cascade to
+    /// DRAM. Exclusivity keeps an MLC line out of the LLC, so the line is
+    /// absent there.
     fn fill_llc(&mut self, from: CoreId, line: LineAddr, dirty: bool) -> MemEffects {
         let mut fx = MemEffects::default();
-        let (victim, _) = self.llc.insert(line, dirty, self.llc_fill_mask(from));
+        let (victim, _) = self.llc.fill(line, dirty, self.llc_fill_mask(from));
         if let Some(v) = victim {
             if v.dirty {
                 self.stats.shared.llc_wb.inc();
@@ -391,16 +394,17 @@ impl Hierarchy {
         fx
     }
 
-    /// Installs `line` into `core`'s L1D. The line must already be MLC
-    /// resident (L1 is inclusive in the MLC).
-    fn fill_l1(&mut self, core: CoreId, line: LineAddr) {
+    /// Installs `line`, which `core`'s L1D has just missed, into that L1D,
+    /// dirty for a store. The line must already be MLC resident (L1 is
+    /// inclusive in the MLC).
+    fn fill_l1(&mut self, core: CoreId, line: LineAddr, dirty: bool) {
         let ci = core.index();
         debug_assert!(
             self.cores[ci].mlc.contains(line),
             "L1 fill breaks inclusion"
         );
         let l1d = &mut self.cores[ci].l1d;
-        let (victim, _) = l1d.insert(line, false, WayMask::all(l1d.ways()));
+        let (victim, _) = l1d.fill(line, dirty, WayMask::all(l1d.ways()));
         if let Some(v) = victim {
             if v.dirty {
                 // Fold L1 dirtiness back into the MLC copy.
@@ -469,25 +473,19 @@ impl Hierarchy {
         let mut fx = MemEffects::default();
 
         // L1 hit.
-        if self.cores[ci].l1d.touch(line).is_some() {
+        if self.cores[ci].l1d.hit(line, store).is_some() {
             self.stats.core[ci].l1_hits.inc();
-            if store {
-                self.cores[ci].l1d.mark_dirty(line);
-            }
             return CpuAccess {
                 level: HitLevel::L1,
                 effects: fx,
             };
         }
 
-        // MLC hit.
-        if self.cores[ci].mlc.touch(line).is_some() {
+        // MLC hit. The L1 has missed, and past this point so has the MLC,
+        // so the fills below make no probe.
+        if self.cores[ci].mlc.hit(line, store).is_some() {
             self.stats.core[ci].mlc_hits.inc();
-            self.fill_l1(core, line);
-            if store {
-                self.cores[ci].l1d.mark_dirty(line);
-                self.cores[ci].mlc.mark_dirty(line);
-            }
+            self.fill_l1(core, line, store);
             return CpuAccess {
                 level: HitLevel::Mlc,
                 effects: fx,
@@ -501,10 +499,7 @@ impl Hierarchy {
             self.stats.shared.llc_hits.inc();
             self.stats.core[ci].llc_hits.inc();
             fx.merge(self.fill_mlc(core, line, entry.dirty || store));
-            self.fill_l1(core, line);
-            if store {
-                self.cores[ci].l1d.mark_dirty(line);
-            }
+            self.fill_l1(core, line, store);
             return CpuAccess {
                 level: HitLevel::Llc,
                 effects: fx,
@@ -518,10 +513,7 @@ impl Hierarchy {
                 let dirty = self.remove_private_held(holder, line, "cpu_access c2c");
                 self.stats.core[ci].c2c_transfers.inc();
                 fx.merge(self.fill_mlc(core, line, dirty || store));
-                self.fill_l1(core, line);
-                if store {
-                    self.cores[ci].l1d.mark_dirty(line);
-                }
+                self.fill_l1(core, line, store);
                 return CpuAccess {
                     level: HitLevel::RemoteMlc,
                     effects: fx,
@@ -535,10 +527,7 @@ impl Hierarchy {
         self.stats.shared.dram_reads.inc();
         fx.dram_reads += 1;
         fx.merge(self.fill_mlc(core, line, store));
-        self.fill_l1(core, line);
-        if store {
-            self.cores[ci].l1d.mark_dirty(line);
-        }
+        self.fill_l1(core, line, store);
         CpuAccess {
             level: HitLevel::Dram,
             effects: fx,
@@ -621,11 +610,9 @@ impl Hierarchy {
                 }
             }
             DmaPlacement::Llc => {
-                if self.llc.contains(line) {
+                if self.llc.hit(line, true).is_some() {
                     // In-place update, regardless of which way holds it
                     // (Fig. 1 steps P2-2 / P3-1).
-                    let (victim, _) = self.llc.insert(line, true, self.cfg.ddio_mask());
-                    debug_assert!(victim.is_none());
                     self.stats.shared.ddio_updates.inc();
                     PcieWrite {
                         kind: PcieWriteKind::LlcUpdate,
@@ -634,7 +621,7 @@ impl Hierarchy {
                     }
                 } else {
                     // Write-allocate into the DDIO ways (Fig. 1 step P5-1).
-                    let (victim, _) = self.llc.insert(line, true, self.cfg.ddio_mask());
+                    let (victim, _) = self.llc.fill(line, true, self.cfg.ddio_mask());
                     self.stats.shared.ddio_allocs.inc();
                     if let Some(v) = victim {
                         self.stats.shared.ddio_evictions.inc();
@@ -1097,6 +1084,35 @@ mod tests {
         assert!(h.mlc(C1).probe(line(17)).unwrap().dirty);
         assert_eq!(h.stats().core(C1).c2c_transfers.get(), 1);
         h.check_invariants();
+    }
+
+    #[test]
+    fn a_store_dirties_both_private_copies_at_every_level() {
+        let mut h = Hierarchy::new(tiny_config());
+        // Line 3 leaves C0's L1 (set 1 takes 5 and 7) but stays in its
+        // MLC; line 9 is DMA'd into the LLC; C1 holds line 11.
+        for l in [3, 5, 7] {
+            h.cpu_read(C0, line(l));
+        }
+        h.pcie_write(line(9), DmaPlacement::Llc);
+        h.cpu_read(C1, line(11));
+        for (l, level) in [
+            (1, HitLevel::Dram),
+            (3, HitLevel::Mlc),
+            (9, HitLevel::Llc),
+            (11, HitLevel::RemoteMlc),
+            (11, HitLevel::L1),
+        ] {
+            assert_eq!(h.cpu_write(C0, line(l)).level, level, "line {l}");
+            for cache in [h.l1d(C0), h.mlc(C0)] {
+                assert_eq!(
+                    cache.probe(line(l)).map(|e| e.dirty),
+                    Some(true),
+                    "line {l}"
+                );
+            }
+            h.check_invariants();
+        }
     }
 
     #[test]

@@ -161,13 +161,13 @@ impl Iterator for SetBits {
 /// is the hottest data structure in the simulator — every DMA line, CPU
 /// access and prefetch lands here.
 ///
-/// A line whose tag does not fit 32 bits cannot be cached: inserting it
-/// panics, and every lookup reports it absent.
+/// A line whose tag does not fit 32 bits cannot be cached: inserting or
+/// filling it panics, and every lookup reports it absent.
 ///
-/// The planes are allocated on the first [`SetAssocCache::insert`] or
-/// [`SetAssocCache::fill_run`]. Until then the cache holds no memory per
-/// set, and every read answers as an empty cache does, so a core that
-/// never runs costs nothing to build.
+/// The planes are allocated on the first [`SetAssocCache::insert`],
+/// [`SetAssocCache::fill`] or [`SetAssocCache::fill_run`]. Until then the
+/// cache holds no memory per set, and every read answers as an empty
+/// cache does, so a core that never runs costs nothing to build.
 ///
 /// Two caches are equal when every plane matches slot for slot, including
 /// the tag an invalid slot last held.
@@ -312,8 +312,8 @@ impl SetAssocCache {
 
     /// The way holding `tag` in set `idx`, if any; `None` in an
     /// unallocated cache. The single-residency invariant (insert
-    /// refreshes instead of duplicating) makes the match unique, so scan
-    /// order does not matter.
+    /// refreshes instead of duplicating, and fill takes only absent lines)
+    /// makes the match unique, so scan order does not matter.
     #[inline]
     fn find_way(&self, idx: usize, tag: u32) -> Option<usize> {
         let base = idx * self.ways;
@@ -361,9 +361,24 @@ impl SetAssocCache {
 
     /// Looks up `line`, updating LRU state on hit. Returns the entry.
     pub fn touch(&mut self, line: LineAddr) -> Option<LineEntry> {
+        self.hit(line, false)
+    }
+
+    /// Looks up `line`; on a hit, updates LRU state and OR-s `dirty` into
+    /// the slot it found, so a store dirties its hit without a second
+    /// probe. Returns the entry as updated.
+    #[inline]
+    pub fn hit(&mut self, line: LineAddr, dirty: bool) -> Option<LineEntry> {
         let (idx, w) = self.lookup(line)?;
-        replacement::promote(self.set_ranks(idx), w);
+        self.refresh(idx, w, dirty);
         Some(self.entry_at(idx, w))
+    }
+
+    /// Promotes slot `(idx, w)` to most recent and OR-s `dirty` into it.
+    #[inline]
+    fn refresh(&mut self, idx: usize, w: usize, dirty: bool) {
+        self.dirty[idx] |= u64::from(dirty) << w;
+        replacement::promote(self.set_ranks(idx), w);
     }
 
     /// Marks `line` dirty if resident; returns whether it was resident.
@@ -395,18 +410,42 @@ impl SetAssocCache {
     /// Returns `(victim, way)`: the evicted line (if any) and the way the
     /// new line was placed in. If `line` is already resident (in any way),
     /// the existing entry is refreshed instead: its LRU stamp is updated,
-    /// `dirty` is OR-ed in, and no eviction occurs.
+    /// `dirty` is OR-ed in, and no eviction occurs. A caller that knows
+    /// `line` is absent calls [`SetAssocCache::fill`], which skips the
+    /// probe.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` selects no way below `self.ways()`, or if `line`'s
-    /// set-relative tag does not fit 32 bits.
+    /// Panics if `line` is absent and `mask` selects no way below
+    /// `self.ways()`, or if `line`'s set-relative tag does not fit 32
+    /// bits.
     pub fn insert(
         &mut self,
         line: LineAddr,
         dirty: bool,
         mask: WayMask,
     ) -> (Option<Victim>, usize) {
+        match self.lookup(line) {
+            Some((idx, w)) => {
+                self.refresh(idx, w, dirty);
+                (None, w)
+            }
+            None => self.fill(line, dirty, mask),
+        }
+    }
+
+    /// Allocates `line`, which the caller knows is not resident, into a
+    /// way permitted by `mask`, evicting the LRU permitted line if the
+    /// permitted ways are full. Returns `(victim, way)` as
+    /// [`SetAssocCache::insert`] does, but makes no probe: filling a
+    /// resident line would hold it twice, and a debug build panics on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` selects no way below `self.ways()`, or if `line`'s
+    /// set-relative tag does not fit 32 bits.
+    #[inline]
+    pub fn fill(&mut self, line: LineAddr, dirty: bool, mask: WayMask) -> (Option<Victim>, usize) {
         let (idx, tag) = self.locate(line);
         let Some(tag) = tag else {
             panic!(
@@ -419,14 +458,12 @@ impl SetAssocCache {
         if !self.is_allocated() {
             self.allocate();
         }
-
-        // Refresh if already resident (any way, even outside the mask:
-        // an in-place update does not migrate ways).
-        if let Some(w) = self.find_way(idx, tag) {
-            self.dirty[idx] |= u64::from(dirty) << w;
-            replacement::promote(self.set_ranks(idx), w);
-            return (None, w);
-        }
+        debug_assert!(
+            self.find_way(idx, tag).is_none(),
+            "{}: fill of resident line {}",
+            self.name,
+            line.get()
+        );
 
         // Prefer the lowest invalid permitted way.
         let ways_bits = WayMask::all(self.ways).0;
@@ -630,6 +667,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idio_engine::check::{Cases, Gen};
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -887,6 +925,79 @@ mod tests {
         c.insert(line(1), false, WayMask::all(2));
         c.remove(line(1));
         c.fill_run(line(4), 3, true, WayMask::all(2));
+    }
+
+    /// A random history on a small cache: inserts through random masks,
+    /// touches, removals and dirtying hits over a span of lines that
+    /// forces evictions.
+    fn random_cache(g: &mut Gen) -> SetAssocCache {
+        let (sets, ways) = (g.usize(1..5), g.usize(1..6));
+        let mut c = SetAssocCache::new("t", sets, ways);
+        if g.bool() {
+            c.track_ranges(&[(0, 8)]);
+        }
+        let span = (sets * ways * 2) as u64;
+        for _ in 0..g.usize(0..40) {
+            let l = line(g.u64(0..span));
+            match g.u64(0..4) {
+                0 => {
+                    c.remove(l);
+                }
+                1 => {
+                    c.hit(l, g.bool());
+                }
+                _ => {
+                    let mask = WayMask::from_bits(g.u64(1..1 << ways));
+                    c.insert(l, g.bool(), mask);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn fill_of_an_absent_line_equals_insert() {
+        Cases::new(400).run(|g| {
+            let mut filled = random_cache(g);
+            let mut inserted = filled.clone();
+            let span = (filled.capacity_lines() * 3) as u64;
+            let l = line(g.u64(0..span));
+            if filled.contains(l) {
+                return;
+            }
+            let mask = WayMask::from_bits(g.u64(1..1 << filled.ways()));
+            let dirty = g.bool();
+            assert_eq!(filled.fill(l, dirty, mask), inserted.insert(l, dirty, mask));
+            assert!(filled == inserted, "line {l}, mask {mask}, dirty {dirty}");
+            assert_eq!(filled.probe(l).map(|e| e.dirty), Some(dirty));
+        });
+    }
+
+    #[test]
+    fn a_dirtying_hit_equals_touch_then_mark_dirty() {
+        Cases::new(400).run(|g| {
+            let mut hit = random_cache(g);
+            let mut touched = hit.clone();
+            let l = line(g.u64(0..(hit.capacity_lines() * 2) as u64));
+            let dirty = g.bool();
+            let got = hit.hit(l, dirty);
+            let want = touched.touch(l);
+            if dirty {
+                touched.mark_dirty(l);
+            }
+            assert_eq!(got.map(|e| e.line), want.map(|e| e.line));
+            assert_eq!(got, touched.probe(l));
+            assert!(hit == touched, "line {l}, dirty {dirty}");
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fill of resident line 3")]
+    fn filling_a_resident_line_is_caught_in_debug_builds() {
+        let mut c = SetAssocCache::new("t", 2, 2);
+        c.insert(line(3), false, WayMask::all(2));
+        c.fill(line(3), true, WayMask::all(2));
     }
 
     #[test]

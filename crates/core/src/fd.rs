@@ -5,6 +5,9 @@
 //! driver's refresh of churned flows' perfect filters, and the `fd.*`
 //! metrics and tick-log section.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use idio_engine::telemetry::{MetricsRegistry, Tracer};
 use idio_engine::time::SimTime;
 use idio_net::gen::FlowSet;
@@ -21,19 +24,73 @@ const MIX_KEYS: [&str; 5] = ["perfect", "atr", "collision", "rss", "mis"];
 /// arrivals derive from, its queue group, and which flow slots the driver
 /// holds perfect filters for.
 pub(crate) struct FdTenant {
-    pub(crate) set: FlowSet,
-    pub(crate) queues: Vec<QueueId>,
+    set: FlowSet,
+    queues: Vec<QueueId>,
     /// Pinned flow slots with the flow index last installed for each —
     /// the driver's view of its own filters. Under churn, a slot whose
     /// live index moved past the pinned one is refreshed at the next
     /// control tick (install the new incarnation, evicting if full).
-    pub(crate) pinned: Vec<(u32, u32)>,
+    pinned: Vec<(u32, u32)>,
+    /// Under churn, a min-heap of each pinned slot's next turnover time
+    /// with its position in `pinned`; empty without churn. A tick looks
+    /// only at the slots whose turnover has passed.
+    turnovers: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Positions in `pinned` due at the current tick (kept to reuse its
+    /// allocation).
+    due: Vec<u32>,
 }
 
 impl FdTenant {
+    /// Bookkeeping for a tenant whose driver holds perfect filters for the
+    /// flow slots `pinned`, each installed with its first incarnation.
+    pub(crate) fn new(set: FlowSet, queues: Vec<QueueId>, pinned: Vec<u32>) -> Self {
+        let turnovers = pinned
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &slot)| {
+                Some(Reverse((set.next_turnover(slot, SimTime::ZERO)?, i as u32)))
+            })
+            .collect();
+        FdTenant {
+            set,
+            queues,
+            pinned: pinned.into_iter().map(|slot| (slot, slot)).collect(),
+            turnovers,
+            due: Vec::new(),
+        }
+    }
+
     /// The home queue of flow slot `slot`.
     fn queue_of(&self, slot: u32) -> QueueId {
         self.queues[slot as usize % self.queues.len()]
+    }
+
+    /// Hands `install` the new flow and home queue of every pinned slot
+    /// whose flow turned over since it was last looked at, in pinned
+    /// order, as a scan of every pinned slot would, and re-arms each such
+    /// slot's next turnover. A slot whose index came back to the
+    /// installed one (the generation counter wrapped between ticks) is
+    /// not re-installed, as the scan would not.
+    fn refresh(&mut self, now: SimTime, mut install: impl FnMut(FiveTuple, QueueId)) {
+        while let Some(&Reverse((at, i))) = self.turnovers.peek() {
+            if at > now {
+                break;
+            }
+            self.turnovers.pop();
+            self.due.push(i);
+        }
+        self.due.sort_unstable();
+        for &i in &self.due {
+            let (slot, last) = self.pinned[i as usize];
+            let idx = self.set.index_at(slot, now);
+            if idx != last {
+                install(self.set.tuple_of(idx), self.queue_of(slot));
+                self.pinned[i as usize].1 = idx;
+            }
+            let next = self.set.next_turnover(slot, now).expect("a churning set");
+            self.turnovers.push(Reverse((next, i)));
+        }
+        self.due.clear();
     }
 }
 
@@ -109,17 +166,9 @@ impl FdAccounting {
     /// be evicted — matching drivers that do not garbage-collect rules.
     pub(crate) fn refresh(&mut self, now: SimTime, fdir: &mut FlowDirector) {
         for t in self.tenants.iter_mut().flatten() {
-            if t.set.churn().is_none() {
-                continue;
-            }
-            for i in 0..t.pinned.len() {
-                let (slot, last) = t.pinned[i];
-                let idx = t.set.index_at(slot, now);
-                if idx != last {
-                    fdir.install_perfect_evicting(t.set.tuple_of(idx), t.queue_of(slot));
-                    t.pinned[i].1 = idx;
-                }
-            }
+            t.refresh(now, |flow, queue| {
+                fdir.install_perfect_evicting(flow, queue);
+            });
         }
     }
 
@@ -155,5 +204,64 @@ impl FdAccounting {
         self.tick_last = total;
         line.push_str(",\"fd\":");
         write_counts(line, &MIX_KEYS, &delta);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use idio_engine::check::Cases;
+    use idio_engine::time::Duration;
+    use idio_net::packet::Dscp;
+
+    /// The refresh the heap replaces: every pinned slot's index at `now`,
+    /// in pinned order.
+    fn scan(
+        set: &FlowSet,
+        queues: &[QueueId],
+        pinned: &mut [(u32, u32)],
+        now: SimTime,
+    ) -> Vec<(FiveTuple, QueueId)> {
+        let mut installs = Vec::new();
+        for (slot, last) in pinned.iter_mut() {
+            let idx = set.index_at(*slot, now);
+            if idx != *last {
+                installs.push((set.tuple_of(idx), queues[*slot as usize % queues.len()]));
+                *last = idx;
+            }
+        }
+        installs
+    }
+
+    #[test]
+    fn heap_refresh_matches_the_full_scan() {
+        Cases::new(200).run(|g| {
+            let flows = g.u32(1..3000);
+            // Lifetimes from a few picoseconds (the generation counter
+            // wraps between ticks) to many control intervals.
+            let life = match g.u64(0..3) {
+                0 => Duration::from_ps(g.u64(1..2000)),
+                1 => Duration::from_ns(g.u64(1..3000)),
+                _ => Duration::from_us(g.u64(1..50)),
+            };
+            let set = FlowSet::new(1, flows, 5000, 64, Dscp::BEST_EFFORT).with_churn(life);
+            let queues: Vec<QueueId> = (0..g.u16(1..5)).map(QueueId).collect();
+            let pins = g.u32(1..flows.min(200) + 1);
+            let slots: Vec<u32> = (0..pins)
+                .map(|p| (u64::from(p) * u64::from(flows) / u64::from(pins)) as u32)
+                .collect();
+            let mut heap = FdTenant::new(set, queues.clone(), slots.clone());
+            let mut pinned: Vec<(u32, u32)> = slots.iter().map(|&s| (s, s)).collect();
+            let interval = Duration::from_ns(g.u64(1..3000));
+            let mut now = SimTime::ZERO;
+            for tick in 0..300 {
+                let mut got = Vec::new();
+                heap.refresh(now, |flow, q| got.push((flow, q)));
+                let want = scan(&set, &queues, &mut pinned, now);
+                assert_eq!(got, want, "tick {tick} at {now}, life {life}");
+                assert_eq!(heap.pinned, pinned);
+                now += interval;
+            }
+        });
     }
 }

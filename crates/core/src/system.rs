@@ -23,6 +23,7 @@ use idio_engine::time::{Duration, SimTime};
 use idio_mem::DramModel;
 use idio_net::gen::{Arrival, FlowSet, MultiFlowGen, TrafficPattern};
 use idio_net::packet::{FiveTuple, Packet};
+use idio_nic::dma::LINE_TIME;
 use idio_nic::flow_director::QueueId;
 use idio_nic::nic::{Nic, NicConfig, RingLayout};
 use idio_nic::ring::RxSlot;
@@ -134,10 +135,9 @@ struct DmaBatch {
     arrival: SimTime,
     /// Per-queue packet sequence number (for CPU-paced prefetching).
     seq: u64,
-    /// Time line 0 reaches the root complex.
+    /// Time line 0 reaches the root complex; line `i` follows
+    /// `i` [`LINE_TIME`]s later.
     first: SimTime,
-    /// Gap between consecutive lines.
-    gap: Duration,
     /// Total payload lines.
     lines: u32,
     /// Index of the next line to apply (continuation resume point).
@@ -499,17 +499,13 @@ impl System {
                         let q = queues[slot as usize % queues.len()];
                         nic.flow_director_mut()
                             .install_perfect(set.tuple_of(slot), q);
-                        pinned.push((slot, slot));
+                        pinned.push(slot);
                     }
                 }
                 if set.is_wide() || t.flows as usize > pin_budget {
                     fd_active = true;
                 }
-                fd_tenants.push(Some(FdTenant {
-                    set,
-                    queues,
-                    pinned,
-                }));
+                fd_tenants.push(Some(FdTenant::new(set, queues, pinned)));
                 gens.push(ArrivalSource::Multi(Box::new(MultiFlowGen::streaming(
                     set,
                     t.traffic,
@@ -802,7 +798,6 @@ impl System {
                     arrival: now,
                     seq,
                     first: dma.payload.first,
-                    gap: dma.payload.gap,
                     lines: dma.payload.lines,
                     next: 0,
                     batch_seq,
@@ -845,7 +840,7 @@ impl System {
 
     /// Applies one batched-DMA event from payload line `b.next` onward.
     ///
-    /// Each line is applied at its own timestamp `first + gap * i`
+    /// Each line is applied at its own timestamp `first + LINE_TIME * i`
     /// (identical DRAM queueing and burst accounting to the per-line
     /// events this replaces). Before applying line `i`, the queue head is
     /// compared against the line's order key `(at_i, batch_seq)`: if some
@@ -857,7 +852,7 @@ impl System {
     fn on_dma_packet(&mut self, b: DmaBatch) {
         let mut applied: u64 = 0;
         for i in b.next..b.lines {
-            let at = b.first + b.gap * u64::from(i);
+            let at = b.first + LINE_TIME * u64::from(i);
             if let Some(key) = self.queue.peek_key() {
                 if key < (at, b.batch_seq) {
                     self.queue.schedule_resume(
@@ -1130,9 +1125,9 @@ impl System {
                     debug_assert!(fx.dram_reads >= 1);
                     fx.dram_reads -= 1;
                     let done = self.dram.request(now);
-                    CoreTiming::access_cost(HitLevel::Dram, Some(done.saturating_since(now)))
+                    CoreTiming::dram_cost(done.saturating_since(now))
                 } else {
-                    CoreTiming::access_cost(acc.level, None)
+                    CoreTiming::hit_cost(acc.level)
                 };
                 self.charge_dram(now, fx);
                 service += cost;
@@ -1297,9 +1292,9 @@ impl System {
         let cost = if acc.level == HitLevel::Dram {
             fx.dram_reads = fx.dram_reads.saturating_sub(1);
             let done = self.dram.request(now);
-            CoreTiming::access_cost_dependent(HitLevel::Dram, Some(done.saturating_since(now)))
+            CoreTiming::dram_cost_dependent(done.saturating_since(now))
         } else {
-            CoreTiming::access_cost_dependent(acc.level, None)
+            CoreTiming::hit_cost(acc.level)
         };
         self.charge_dram(now, fx);
         let elapsed = cost + FREQ.cycles_to_duration(THINK_CYCLES);

@@ -379,11 +379,6 @@ impl FlowSet {
         self.train
     }
 
-    /// The flow lifetime, when churn is enabled.
-    pub fn churn(&self) -> Option<Duration> {
-        self.churn
-    }
-
     /// Frame length of every packet in the set.
     pub fn packet_len(&self) -> u16 {
         self.packet_len
@@ -425,6 +420,21 @@ impl FlowSet {
                 slot + self.flows * k as u32
             }
         }
+    }
+
+    /// The first time after `at` at which slot `slot` turns over to a new
+    /// flow index ([`FlowSet::index_at`] changes there and nowhere in
+    /// between), or `None` without churn.
+    ///
+    /// Consecutive generations always differ, even across the
+    /// wrap of the generation counter, so every lifetime boundary is a
+    /// turnover.
+    pub fn next_turnover(&self, slot: u32, at: SimTime) -> Option<SimTime> {
+        debug_assert!(slot < self.flows);
+        let life = self.churn?.as_ps();
+        let stagger = life / u64::from(self.flows) * u64::from(slot);
+        let generation = (at.as_ps() + stagger) / life;
+        Some(SimTime::from_ps((generation + 1) * life - stagger))
     }
 
     /// Inverts [`FlowSet::tuple_of`]: the active slot a five-tuple
@@ -790,6 +800,36 @@ mod tests {
             gens.iter().any(|&g| g != gens[0]),
             "staggered churn: generations {gens:?} should be mixed"
         );
+    }
+
+    #[test]
+    fn next_turnover_is_the_next_change_of_the_index() {
+        // Lifetimes shorter than the flow count (zero stagger), ragged
+        // ones, and a 3 ps one whose generation counter wraps within the
+        // walk.
+        for (flows, life_ps) in [(8u32, 10_000u64), (5, 7), (3, 3), (1, 1)] {
+            let set = FlowSet::new(0, flows, 5000, 1514, Dscp::BEST_EFFORT)
+                .with_churn(Duration::from_ps(life_ps));
+            for slot in 0..flows {
+                let mut at = SimTime::ZERO;
+                for _ in 0..600 {
+                    let next = set.next_turnover(slot, at).unwrap();
+                    assert!(next > at);
+                    let idx = set.index_at(slot, at);
+                    for ps in [
+                        at.as_ps(),
+                        (at.as_ps() + next.as_ps()) / 2,
+                        next.as_ps() - 1,
+                    ] {
+                        assert_eq!(set.index_at(slot, SimTime::from_ps(ps)), idx);
+                    }
+                    assert_ne!(set.index_at(slot, next), idx, "slot {slot} at {next}");
+                    at = next;
+                }
+            }
+        }
+        let still = FlowSet::new(0, 8, 5000, 1514, Dscp::BEST_EFFORT);
+        assert_eq!(still.next_turnover(3, SimTime::ZERO), None);
     }
 
     #[test]

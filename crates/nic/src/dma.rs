@@ -23,10 +23,9 @@ pub const DESC_WRITEBACK_DELAY: Duration = Duration::from_ns(1900);
 /// The schedule of one multi-line DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaSchedule {
-    /// Time the first line transaction issues.
+    /// Time the first line transaction issues; the others follow
+    /// [`LINE_TIME`] apart.
     pub first: SimTime,
-    /// Gap between consecutive line transactions.
-    pub gap: Duration,
     /// Number of line transactions.
     pub lines: u32,
 }
@@ -39,12 +38,12 @@ impl DmaSchedule {
     /// Panics in debug builds if `i` is out of range.
     pub fn line_time(&self, i: u32) -> SimTime {
         debug_assert!(i < self.lines);
-        self.first + self.gap * u64::from(i)
+        self.first + LINE_TIME * u64::from(i)
     }
 
     /// Completion time of the last line transaction.
     pub fn done(&self) -> SimTime {
-        self.first + self.gap * u64::from(self.lines)
+        self.first + LINE_TIME * u64::from(self.lines)
     }
 
     /// Iterates over the issue times of all lines.
@@ -82,11 +81,7 @@ impl DmaEngine {
     pub fn schedule(&mut self, now: SimTime, lines: u32) -> DmaSchedule {
         assert!(lines > 0, "empty DMA transfer");
         let first = self.next_free.max(now);
-        let sched = DmaSchedule {
-            first,
-            gap: LINE_TIME,
-            lines,
-        };
+        let sched = DmaSchedule { first, lines };
         self.next_free = sched.done();
         sched
     }

@@ -14,7 +14,7 @@ use idio_engine::time::{Duration, SimTime};
 use idio_net::packet::Packet;
 
 use crate::classifier::{IdioClassifier, PacketClass};
-use crate::dma::{DmaEngine, DmaSchedule, DESC_WRITEBACK_DELAY, LINE_TIME};
+use crate::dma::{DmaEngine, DmaSchedule, DESC_WRITEBACK_DELAY};
 use crate::flow_director::{FlowDirector, QueueId, SteeringSource, DEFAULT_FILTER_TABLE_ENTRIES};
 use crate::ring::{RxRing, RxSlot, DESC_BYTES};
 #[cfg(test)]
@@ -337,7 +337,6 @@ impl Nic {
         let desc_start = payload.done() + DESC_WRITEBACK_DELAY;
         let descriptor = DmaSchedule {
             first: desc_start,
-            gap: LINE_TIME,
             lines: desc_lines,
         };
         self.stats.desc_writebacks.inc();

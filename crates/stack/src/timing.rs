@@ -40,9 +40,6 @@ pub const BATCH_CYCLES: u64 = 80;
 /// Cost of one self-invalidate instruction (per line), in cycles.
 pub const INVALIDATE_CYCLES: u64 = 1;
 
-/// The DRAM latency charged when the caller has no queue-aware one.
-const DEFAULT_DRAM_LATENCY: Duration = Duration::from_ns(52);
-
 const fn cycles(c: u64) -> Duration {
     FREQ.cycles_to_duration(c)
 }
@@ -53,44 +50,50 @@ const fn cycles(c: u64) -> Duration {
 ///
 /// ```
 /// use idio_cache::hierarchy::HitLevel;
+/// use idio_engine::time::Duration;
 /// use idio_stack::timing::CoreTiming;
 ///
-/// let mlc = CoreTiming::access_cost(HitLevel::Mlc, None);
-/// let llc = CoreTiming::access_cost(HitLevel::Llc, None);
+/// let mlc = CoreTiming::hit_cost(HitLevel::Mlc);
+/// let llc = CoreTiming::hit_cost(HitLevel::Llc);
 /// assert!(llc > mlc, "LLC residency costs more than MLC residency");
+/// let dram = CoreTiming::dram_cost(Duration::from_ns(60));
+/// assert!(dram > llc);
 /// ```
 pub struct CoreTiming;
 
 impl CoreTiming {
-    /// Cost of one demand line access that hit at `level`. For
-    /// [`HitLevel::Dram`], `dram_latency` is the memory model's
-    /// queue-aware completion latency for this request.
-    pub fn access_cost(level: HitLevel, dram_latency: Option<Duration>) -> Duration {
-        let work = cycles(PER_LINE_WORK_CYCLES);
-        match level {
-            HitLevel::L1 => cycles(L1_CYCLES) + work,
-            HitLevel::Mlc => cycles(MLC_CYCLES) + work,
-            HitLevel::Llc => cycles(LLC_CYCLES) + work,
-            HitLevel::RemoteMlc => cycles(REMOTE_CYCLES) + work,
-            HitLevel::Dram => {
-                let dram = dram_latency.unwrap_or(DEFAULT_DRAM_LATENCY);
-                let overlapped = Duration::from_ps(dram.as_ps() / DRAM_MLP);
-                cycles(LLC_MISS_OVERHEAD_CYCLES) + overlapped + work
-            }
-        }
+    /// Cost of one demand line access that a cache served at `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is [`HitLevel::Dram`]: a DRAM access costs the
+    /// memory model's latency, so it is charged by
+    /// [`CoreTiming::dram_cost`].
+    pub fn hit_cost(level: HitLevel) -> Duration {
+        let hit = match level {
+            HitLevel::L1 => L1_CYCLES,
+            HitLevel::Mlc => MLC_CYCLES,
+            HitLevel::Llc => LLC_CYCLES,
+            HitLevel::RemoteMlc => REMOTE_CYCLES,
+            HitLevel::Dram => panic!("a DRAM access is charged by dram_cost"),
+        };
+        cycles(hit + PER_LINE_WORK_CYCLES)
     }
 
-    /// Cost of one *dependent* line access (pointer-chasing style, as the
-    /// LLCAntagonist performs): DRAM latency is fully exposed, with no
-    /// memory-level-parallelism overlap.
-    pub fn access_cost_dependent(level: HitLevel, dram_latency: Option<Duration>) -> Duration {
-        match level {
-            HitLevel::Dram => {
-                let dram = dram_latency.unwrap_or(DEFAULT_DRAM_LATENCY);
-                cycles(LLC_MISS_OVERHEAD_CYCLES) + dram + cycles(PER_LINE_WORK_CYCLES)
-            }
-            other => Self::access_cost(other, None),
-        }
+    /// Cost of one demand line access served from DRAM, where `latency`
+    /// is the memory model's queue-aware completion latency for it. The
+    /// core overlaps it [`DRAM_MLP`] ways.
+    pub fn dram_cost(latency: Duration) -> Duration {
+        let overlapped = Duration::from_ps(latency.as_ps() / DRAM_MLP);
+        cycles(LLC_MISS_OVERHEAD_CYCLES + PER_LINE_WORK_CYCLES) + overlapped
+    }
+
+    /// Cost of one *dependent* line access served from DRAM
+    /// (pointer-chasing style, as the LLCAntagonist performs): the
+    /// latency is fully exposed, with no memory-level-parallelism
+    /// overlap. A dependent cache hit costs [`CoreTiming::hit_cost`].
+    pub fn dram_cost_dependent(latency: Duration) -> Duration {
+        cycles(LLC_MISS_OVERHEAD_CYCLES + PER_LINE_WORK_CYCLES) + latency
     }
 
     /// Fixed per-packet software cost.
@@ -120,11 +123,11 @@ mod tests {
 
     #[test]
     fn cost_ordering_matches_hierarchy() {
-        let l1 = CoreTiming::access_cost(HitLevel::L1, None);
-        let mlc = CoreTiming::access_cost(HitLevel::Mlc, None);
-        let llc = CoreTiming::access_cost(HitLevel::Llc, None);
-        let remote = CoreTiming::access_cost(HitLevel::RemoteMlc, None);
-        let dram = CoreTiming::access_cost(HitLevel::Dram, Some(Duration::from_ns(60)));
+        let l1 = CoreTiming::hit_cost(HitLevel::L1);
+        let mlc = CoreTiming::hit_cost(HitLevel::Mlc);
+        let llc = CoreTiming::hit_cost(HitLevel::Llc);
+        let remote = CoreTiming::hit_cost(HitLevel::RemoteMlc);
+        let dram = CoreTiming::dram_cost(Duration::from_ns(60));
         assert!(l1 < mlc && mlc < llc && llc < remote);
         // With MLP overlap DRAM may undercut a remote-MLC transfer, but it
         // must stay costlier than an LLC hit.
@@ -134,9 +137,9 @@ mod tests {
     #[test]
     fn dram_mlp_overlaps_latency() {
         // A dependent access exposes all 80 ns; an overlapped one a quarter.
-        let dram = Some(Duration::from_ns(80));
-        let serial = CoreTiming::access_cost_dependent(HitLevel::Dram, dram);
-        let overlapped = CoreTiming::access_cost(HitLevel::Dram, dram);
+        let dram = Duration::from_ns(80);
+        let serial = CoreTiming::dram_cost_dependent(dram);
+        let overlapped = CoreTiming::dram_cost(dram);
         assert_eq!(DRAM_MLP, 4);
         assert_eq!(serial - overlapped, Duration::from_ns(60));
     }
@@ -145,11 +148,11 @@ mod tests {
     fn regime_structure_holds() {
         // 1514-byte TouchDrop packet: 24 payload + 2 desc + 2 mbuf lines.
         let service_mlc = CoreTiming::per_packet()
-            + CoreTiming::access_cost(HitLevel::Mlc, None) * 28
+            + CoreTiming::hit_cost(HitLevel::Mlc) * 28
             + CoreTiming::batch() / 32;
         let service_llc = CoreTiming::per_packet()
-            + CoreTiming::access_cost(HitLevel::Llc, None) * 24
-            + CoreTiming::access_cost(HitLevel::Mlc, None) * 4
+            + CoreTiming::hit_cost(HitLevel::Llc) * 24
+            + CoreTiming::hit_cost(HitLevel::Mlc) * 4
             + CoreTiming::batch() / 32;
         let at_100g = idio_engine::time::wire_time(1514, 100.0);
         let at_25g = idio_engine::time::wire_time(1514, 25.0);
@@ -161,6 +164,12 @@ mod tests {
         assert!(service_llc > at_25g, "{service_llc} vs {at_25g}");
         // 10 Gbps: even LLC residency keeps up.
         assert!(service_llc < at_10g);
+    }
+
+    #[test]
+    #[should_panic(expected = "charged by dram_cost")]
+    fn a_dram_access_has_no_hit_cost() {
+        CoreTiming::hit_cost(HitLevel::Dram);
     }
 
     #[test]

@@ -35,11 +35,11 @@ fn cache_geometry_matches_table1() {
     assert_eq!(h.ddio_ways, 2);
 }
 
-/// The cycles `CoreTiming::access_cost` charges for a hit at `level`,
+/// The cycles `CoreTiming::hit_cost` charges for a hit at `level`,
 /// without the per-line work every access adds.
 fn charged_cycles(level: HitLevel) -> u64 {
     let work = FREQ.cycles_to_duration(PER_LINE_WORK_CYCLES);
-    (CoreTiming::access_cost(level, None) - work).as_ps() / FREQ.ps_per_cycle()
+    (CoreTiming::hit_cost(level) - work).as_ps() / FREQ.ps_per_cycle()
 }
 
 /// The latency, in cycles, that Table I prints in row `parameter`
