@@ -15,12 +15,24 @@
 //! The report is byte-identical at any `--jobs` (cell seeds derive from
 //! stable labels), so the output can be diffed against the golden copies
 //! under `tests/golden/scenario_<name>.json`.
+//!
+//! `run` can also write what the mixed cell records: its NDJSON trace
+//! (`--trace <filter> --trace-out <file>`) and its per-control-tick
+//! timeline (`--tick-metrics-out <file>`). Both are deterministic, and
+//! the report is the same with or without them:
+//!
+//! ```text
+//! cargo run -p idio-bench --release --bin scenario -- run \
+//!     tests/scenario_files/bursty-pair.toml --tick-metrics-out tick.ndjson
+//! ```
 
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use idio_core::sweep::{SweepOptions, DEFAULT_ROOT_SEED};
-use idio_scenario::{builtins, resolve, run_scenario};
+use idio_engine::telemetry::{records_to_ndjson, TraceFilter};
+use idio_scenario::{builtins, resolve, run_scenario_observed};
 
 enum Command {
     Run,
@@ -35,6 +47,9 @@ struct Args {
     seed: u64,
     out: Option<String>,
     progress: bool,
+    trace: Option<TraceFilter>,
+    trace_out: Option<String>,
+    tick_metrics_out: Option<String>,
 }
 
 impl Default for Args {
@@ -46,6 +61,9 @@ impl Default for Args {
             seed: DEFAULT_ROOT_SEED,
             out: None,
             progress: false,
+            trace: None,
+            trace_out: None,
+            tick_metrics_out: None,
         }
     }
 }
@@ -60,8 +78,22 @@ fn usage() {
          --jobs <n> | -j    worker threads (0 = all cores; default 1)\n\
          --seed <n>         root seed cell seeds derive from (default {DEFAULT_ROOT_SEED:#x})\n\
          --out <file>       write the JSON report to <file> instead of stdout\n\
-         --progress         print one line per finished cell to stderr"
+         --progress         print one line per finished cell to stderr\n\
+         --trace <filter>   trace the mixed cell: 'all' or components like 'steer,fsm'\n\
+         \x20                  (steer fsm prefetch maint event); needs --trace-out\n\
+         --trace-out <file> write the mixed cell's NDJSON trace to <file>\n\
+         --tick-metrics-out <file>\n\
+         \x20                  write the mixed cell's per-control-tick NDJSON timeline\n\
+         \x20                  (steering-mix delta, per-core FSM states, CAT) to <file>"
     );
+}
+
+/// Parses the value of numeric flag `flag`, naming the flag on error.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag} '{v}': {e}"))
 }
 
 fn parse() -> Result<Args, String> {
@@ -75,10 +107,13 @@ fn parse() -> Result<Args, String> {
                 args.command = Command::List;
                 saw_command = true;
             }
-            "--jobs" | "-j" => args.jobs = val("--jobs")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--jobs" | "-j" => args.jobs = number("--jobs", &val("--jobs")?)?,
+            "--seed" => args.seed = number("--seed", &val("--seed")?)?,
             "--out" => args.out = Some(val("--out")?),
             "--progress" => args.progress = true,
+            "--trace" => args.trace = Some(number("--trace", &val("--trace")?)?),
+            "--trace-out" => args.trace_out = Some(val("--trace-out")?),
+            "--tick-metrics-out" => args.tick_metrics_out = Some(val("--tick-metrics-out")?),
             "--help" | "-h" => {
                 usage();
                 std::process::exit(0);
@@ -100,7 +135,37 @@ fn parse() -> Result<Args, String> {
             extra => return Err(format!("unexpected argument '{extra}'")),
         }
     }
+    if args.trace.is_some() != args.trace_out.is_some() {
+        return Err("--trace and --trace-out go together".into());
+    }
     Ok(args)
+}
+
+/// An output file, created before any cell runs so that an unwritable
+/// path fails at once rather than after the sweep.
+struct Sink {
+    path: String,
+    file: File,
+}
+
+impl Sink {
+    fn create(path: &str) -> Result<Sink, String> {
+        let file = File::create(path).map_err(|e| format!("cannot create '{path}': {e}"))?;
+        let path = path.to_string();
+        Ok(Sink { path, file })
+    }
+
+    fn write(self, bytes: &[u8]) -> Result<(), String> {
+        let mut w = BufWriter::new(self.file);
+        (w.write_all(bytes).and_then(|()| w.flush()))
+            .map_err(|e| format!("cannot write to '{}': {e}", self.path))
+    }
+}
+
+/// Ends the invocation with `error: <e>` on stderr and exit code 1.
+fn fail(e: impl std::fmt::Display) -> io::Result<ExitCode> {
+    eprintln!("error: {e}");
+    Ok(ExitCode::FAILURE)
 }
 
 fn main() -> ExitCode {
@@ -131,17 +196,13 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     };
     let scenario = match resolve(&name) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        Err(e) => return fail(e),
     };
 
+    if let Err(e) = scenario.validate() {
+        return fail(format!("{name}: {e}"));
+    }
     if matches!(args.command, Command::Check) {
-        if let Err(e) = scenario.validate() {
-            eprintln!("error: {name}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
         writeln!(
             out,
             "ok: {}: {} tenants, {} cells, {} cores",
@@ -153,25 +214,49 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
         return Ok(ExitCode::SUCCESS);
     }
 
+    let open = |path: &Option<String>| path.as_deref().map(Sink::create).transpose();
+    let (report_sink, trace_sink, tick_sink) = match (
+        open(&args.out),
+        open(&args.trace_out),
+        open(&args.tick_metrics_out),
+    ) {
+        (Ok(r), Ok(t), Ok(k)) => (r, t, k),
+        (Err(e), ..) | (_, Err(e), _) | (.., Err(e)) => return fail(e),
+    };
     let opts = SweepOptions {
         jobs: args.jobs,
         root_seed: args.seed,
         progress: args.progress,
         profile_events: false,
     };
-    let report = match run_scenario(&scenario, &opts) {
+    let trace = args.trace.unwrap_or_else(TraceFilter::off);
+    let tick_metrics = tick_sink.is_some();
+    let (report, mixed) = match run_scenario_observed(&scenario, &opts, &trace, tick_metrics) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        Err(e) => return fail(e),
     };
+    if let Some(sink) = trace_sink {
+        eprintln!(
+            "[trace: {} records kept, {} evicted (filter {trace})]",
+            mixed.trace.len(),
+            mixed.trace_evicted
+        );
+        if let Err(e) = sink.write(records_to_ndjson(&mixed.trace).as_bytes()) {
+            return fail(e);
+        }
+    }
+    if let Some(sink) = tick_sink {
+        let lines = mixed.tick_metrics.iter();
+        let ndjson: String = lines.flat_map(|l| [l.as_str(), "\n"]).collect();
+        if let Err(e) = sink.write(ndjson.as_bytes()) {
+            return fail(e);
+        }
+    }
     let rendered = format!("{}\n", report.to_json());
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("error: cannot write report to '{path}': {e}");
-                return Ok(ExitCode::FAILURE);
+    match report_sink {
+        Some(sink) => {
+            if let Err(e) = sink.write(rendered.as_bytes()) {
+                return fail(e);
             }
         }
         None => write!(out, "{rendered}")?,

@@ -5,10 +5,9 @@
 //! * the **`repro` binary** (`cargo run -p idio-bench --release --bin
 //!   repro -- [fig...]`) regenerates every table and figure of the paper's
 //!   evaluation and prints them;
-//! * the **`simulate` binary** runs one scenario (a built-in or a file)
-//!   as a single system and prints its run report;
 //! * the **`scenario` binary** runs a scenario's mixed and solo cells and
-//!   prints the per-tenant report.
+//!   prints the per-tenant report, optionally writing the mixed cell's
+//!   trace and tick timeline to files.
 //!
 //! The actual experiment drivers live in [`idio_core::experiments`]; this
 //! crate only selects, times, and prints them. Simulator speed is measured

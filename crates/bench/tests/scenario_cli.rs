@@ -1,14 +1,18 @@
 //! Process-level tests of the `scenario` binary: exit codes, error
-//! rendering, and cross-process determinism of generated scenarios.
+//! rendering, output files, and cross-process determinism of generated
+//! scenarios.
 //!
 //! These run the real executable (via `CARGO_BIN_EXE_scenario`), so they
 //! cover what CI scripts and users actually observe — `scenario check`
 //! failing with `file:line:col`, `scenario list` output staying stable,
-//! and a `[generate]` scenario producing byte-identical reports in two
+//! a bad flag or output path failing before any cell runs, the mixed
+//! cell's trace and tick timeline leaving the report unchanged, and a
+//! `[generate]` scenario producing byte-identical reports in two
 //! separate invocations at different worker counts.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn scenario_bin() -> &'static str {
     env!("CARGO_BIN_EXE_scenario")
@@ -170,4 +174,139 @@ fn generated_scenario_reports_are_identical_across_processes() {
         a.stdout, b.stdout,
         "reports diverged across processes/worker counts"
     );
+}
+
+/// Per-tenant policy and pool overrides land on the queues they name: the
+/// report matches the blessed golden byte for byte.
+#[test]
+fn queue_overrides_match_the_golden() {
+    let out = run(&["run", "tests/scenario_files/queue-overrides.toml"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = repo_root().join("tests/golden/scenario_queue-overrides.json");
+    let want = std::fs::read_to_string(golden).expect("golden file exists");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+}
+
+#[test]
+fn a_bad_number_names_its_flag() {
+    for flag in ["--jobs", "--seed"] {
+        let out = run(&["run", "noisy-neighbor", flag, "x"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        let want = format!("error: {flag} 'x': invalid digit found in string\n");
+        assert!(stderr.starts_with(&want), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn trace_and_trace_out_go_together() {
+    for args in [["--trace", "all"], ["--trace-out", "t.ndjson"]] {
+        let out = run(&[&["run", "noisy-neighbor"], &args[..]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --trace and --trace-out go together"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// Every output file is created before the sweep: an unwritable path
+/// fails with exit code 1 and names the path, and no cell ran before.
+#[test]
+fn an_unwritable_output_fails_before_any_cell_runs() {
+    let path = "/nonexistent/dir/x.json";
+    for args in [
+        &["--out", path][..],
+        &["--trace", "all", "--trace-out", path],
+        &["--tick-metrics-out", path],
+    ] {
+        let out = run(&[&["run", "noisy-neighbor", "--progress"], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: cannot create '{path}'")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("scenario/"), "a cell ran: {stderr}");
+    }
+}
+
+/// Tracing the mixed cell and keeping its tick timeline change nothing in
+/// the report, and the timeline starts with the blessed golden's lines.
+#[test]
+fn the_report_is_the_same_with_and_without_trace_and_tick_outputs() {
+    let dir = std::env::temp_dir().join(format!("idio-scenario-obs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let (trace, tick) = (dir.join("trace.ndjson"), dir.join("tick.ndjson"));
+    let file = "tests/scenario_files/bursty-pair.toml";
+    let plain = run(&["run", file]);
+    let observed = run(&[
+        "run",
+        file,
+        "--trace",
+        "steer,fsm,prefetch,maint",
+        "--trace-out",
+        trace.to_str().expect("utf-8 path"),
+        "--tick-metrics-out",
+        tick.to_str().expect("utf-8 path"),
+    ]);
+    let trace = std::fs::read_to_string(&trace).expect("trace written");
+    let tick = std::fs::read_to_string(&tick).expect("tick metrics written");
+    std::fs::remove_dir_all(&dir).ok();
+    for out in [&plain, &observed] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+    }
+    assert!(!plain.stdout.is_empty());
+    assert_eq!(
+        plain.stdout, observed.stdout,
+        "the outputs changed the report"
+    );
+    assert_eq!(trace.lines().count(), 51_202);
+    assert!(trace.lines().all(|l| l.starts_with('{')), "trace is NDJSON");
+    assert_eq!(tick.lines().count(), 6000, "one line per control tick");
+    let golden = repo_root().join("tests/golden/tick_metrics_idio_1ms.head.ndjson");
+    let head = std::fs::read_to_string(golden).expect("golden file exists");
+    assert!(
+        tick.starts_with(&head),
+        "tick timeline diverged from its golden"
+    );
+}
+
+/// A reader that quits early (`scenario run … | head -1`) ends the run
+/// with exit code 0 and no panic. datacenter-200's report (about 130 KB)
+/// outgrows a pipe's buffer, so the writes after the reader left fail with
+/// a broken pipe.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(scenario_bin())
+        .args([
+            "run",
+            "examples/scenarios/datacenter-200.toml",
+            "--jobs",
+            "2",
+        ])
+        .current_dir(repo_root())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("scenario binary starts");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    assert_eq!(first, "{\n");
+    drop(stdout);
+    let mut stderr = String::new();
+    (child.stderr.take().expect("piped stderr"))
+        .read_to_string(&mut stderr)
+        .expect("stderr is UTF-8");
+    let status = child.wait().expect("scenario exits");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

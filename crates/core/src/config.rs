@@ -3,7 +3,7 @@
 use idio_cache::addr::CoreId;
 use idio_cache::config::{CacheGeometry, HierarchyConfig};
 use idio_engine::telemetry::TraceFilter;
-use idio_engine::time::{wire_time, Duration, SimTime};
+use idio_engine::time::{Duration, SimTime};
 use idio_net::gen::{Arrival, TrafficPattern, MAX_FLOW_SET_FLOWS};
 use idio_net::packet::{Dscp, MIN_FRAME_BYTES};
 use idio_pool::PoolSpec;
@@ -75,6 +75,11 @@ pub const SAMPLE_INTERVAL: Duration = Duration::from_us(10);
 /// The largest Flow Director perfect-filter table a configuration may ask
 /// for (1M entries, 128x the hardware's ~8K).
 const MAX_PERFECT_FILTERS: usize = 1 << 20;
+
+/// The fastest line rate a tenant may offer: 1.6 Tb/s, the fastest
+/// standard Ethernet (IEEE 802.3dj). A 64-byte frame then takes 320 ps on
+/// the wire, so every frame advances the picosecond clock.
+pub const MAX_RATE_GBPS: f64 = 1600.0;
 
 /// A value rule that a configuration field breaks, named by its
 /// scenario-file key so a parser can point at the offending value. Time
@@ -294,10 +299,8 @@ impl TenantSpec {
         match self.traffic {
             TrafficPattern::Steady { rate_gbps } | TrafficPattern::Poisson { rate_gbps, .. } => {
                 positive_rate("rate_gbps", rate_gbps)?;
-                // A frame that takes 0 ps would never advance the clock.
-                if wire_time(u64::from(len), rate_gbps) == Duration::ZERO {
-                    let msg =
-                        format!("rate_gbps {rate_gbps} sends a {len}-byte frame in under 1 ps");
+                if rate_gbps > MAX_RATE_GBPS {
+                    let msg = format!("rate_gbps {rate_gbps} out of range (0..={MAX_RATE_GBPS})");
                     return fail("rate_gbps", msg);
                 }
             }

@@ -6,7 +6,7 @@
 //! per-burst processing times ("Exe Time").
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use idio_cache::addr::CoreId;
 use idio_cache::stats::HierarchyStats;
@@ -326,41 +326,6 @@ impl RunReport {
     /// Worst p50 latency across NF cores.
     pub fn p50(&self) -> Option<Duration> {
         self.latency.iter().map(|(_, s)| s.p50).max()
-    }
-}
-
-impl fmt::Display for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "policy: {}", self.policy)?;
-        writeln!(
-            f,
-            "packets: rx={} drops={} completed={}",
-            self.totals.rx_packets, self.totals.rx_drops, self.totals.completed_packets
-        )?;
-        writeln!(
-            f,
-            "transactions: mlc_wb={} llc_wb={} dram_rd={} dram_wr={} prefetch={} self_inval={}",
-            self.totals.mlc_wb,
-            self.totals.llc_wb,
-            self.totals.dram_rd,
-            self.totals.dram_wr,
-            self.totals.prefetch_fills,
-            self.totals.self_inval
-        )?;
-        if let Some(exe) = self.mean_exe_time(1) {
-            writeln!(f, "mean exe time: {exe}")?;
-        }
-        for (core, lat) in &self.latency {
-            writeln!(
-                f,
-                "{core}: p50={} p99={} mean={} n={}",
-                lat.p50, lat.p99, lat.mean, lat.count
-            )?;
-        }
-        if let Some(cpa) = self.antagonist_cpa {
-            writeln!(f, "antagonist cycles/access: {cpa:.1}")?;
-        }
-        Ok(())
     }
 }
 

@@ -478,6 +478,7 @@ mod tests {
             perfect_filters: None,
             atr_lifetime: None,
             pool_idle_flush: None,
+            antagonist: false,
             tenants: Vec::new(),
         }
     }

@@ -61,6 +61,6 @@ pub use report::{
     Interference, LatencyStats, PoolAgg, ScenarioReport, ScenarioReportBuilder, SloOutcome,
     SteerMix, TenantReport,
 };
-pub use run::{run_scenario, scenario_cells};
+pub use run::{run_scenario, run_scenario_observed, scenario_cells, MixedRecords};
 pub use spec::{Scenario, SloSpec, TenantSpec};
 pub use spec_file::{load_path, parse_str, to_file_string, SpecError};

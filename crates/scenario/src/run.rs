@@ -15,6 +15,7 @@
 //! tenant) — not O(cells × histograms).
 
 use idio_core::sweep::{run_cells_map, SweepCell, SweepOptions};
+use idio_engine::telemetry::{TraceFilter, TraceRecord};
 
 use crate::report::{ScenarioReport, ScenarioReportBuilder};
 use crate::spec::Scenario;
@@ -36,6 +37,19 @@ pub fn scenario_cells(scenario: &Scenario) -> Vec<SweepCell> {
     cells
 }
 
+/// What the mixed cell recorded besides its counters: the trace records
+/// its filter kept and its per-control-tick NDJSON timeline. Both are
+/// pure functions of the scenario and the cell's seed.
+#[derive(Debug, Clone, Default)]
+pub struct MixedRecords {
+    /// The trace records the tracer's ring still held at the end.
+    pub trace: Vec<TraceRecord>,
+    /// Records the full ring evicted (oldest first) before the end.
+    pub trace_evicted: u64,
+    /// One NDJSON object per control tick.
+    pub tick_metrics: Vec<String>,
+}
+
 /// Runs `scenario` under `opts` and assembles the per-tenant report.
 ///
 /// The result is a pure function of `(scenario, opts.root_seed)`:
@@ -47,17 +61,49 @@ pub fn scenario_cells(scenario: &Scenario) -> Vec<SweepCell> {
 /// when a cell's configuration is invalid; the simulation itself cannot
 /// fail.
 pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> Result<ScenarioReport, String> {
+    run_scenario_observed(scenario, opts, &TraceFilter::off(), false).map(|(report, _)| report)
+}
+
+/// [`run_scenario`], with the mixed cell traced under `trace` and, if
+/// `tick_metrics` is set, keeping its per-tick timeline. The report is
+/// the one [`run_scenario`] returns: recording changes no counter it
+/// reads. No cell runs twice.
+///
+/// # Errors
+///
+/// As [`run_scenario`].
+pub fn run_scenario_observed(
+    scenario: &Scenario,
+    opts: &SweepOptions,
+    trace: &TraceFilter,
+    tick_metrics: bool,
+) -> Result<(ScenarioReport, MixedRecords), String> {
     scenario.validate()?;
     let mut builder = ScenarioReportBuilder::new(scenario, opts.root_seed);
-    let cells = scenario_cells(scenario);
+    let mut cells = scenario_cells(scenario);
     debug_assert_eq!(cells.len(), builder.num_cells());
+    cells[0].cfg.trace = trace.clone();
+    cells[0].cfg.tick_metrics = tick_metrics;
     // Reduce on the workers (dropping each RunReport as soon as its cell
-    // finishes), then fold the per-cell aggregates on this thread.
-    let folds = run_cells_map(cells, opts, |i, outcome| builder.reduce(i, &outcome.report))?;
-    for fold in folds {
+    // finishes, the mixed cell's records moved out first), then fold the
+    // per-cell aggregates on this thread.
+    let folds = run_cells_map(cells, opts, |i, mut outcome| {
+        let report = &mut outcome.report;
+        let records = (i == 0).then(|| MixedRecords {
+            trace: std::mem::take(&mut report.trace),
+            trace_evicted: report.metrics.counter("trace.evicted"),
+            tick_metrics: std::mem::take(&mut report.tick_metrics),
+        });
+        (builder.reduce(i, report), records)
+    })?;
+    let mut mixed = MixedRecords::default();
+    for (fold, records) in folds {
         builder.fold(fold);
+        if let Some(records) = records {
+            mixed = records;
+        }
     }
-    builder.finish()
+    Ok((builder.finish()?, mixed))
 }
 
 #[cfg(test)]
@@ -83,6 +129,7 @@ mod tests {
             perfect_filters: None,
             atr_lifetime: None,
             pool_idle_flush: None,
+            antagonist: false,
             tenants: vec![
                 TenantSpec::new(
                     "a",

@@ -8,7 +8,8 @@
 //! same cache hierarchy), which is what makes the interference report an
 //! apples-to-apples comparison.
 
-use idio_core::config::{FieldError, FlowSteering, SystemConfig};
+use idio_core::cache::addr::CoreId;
+use idio_core::config::{AntagonistSpec, FieldError, FlowSteering, SystemConfig};
 use idio_core::policy::SteeringPolicy;
 use idio_engine::time::{Duration, SimTime};
 
@@ -39,6 +40,9 @@ pub struct Scenario {
     /// Idle window after which a recycle pool self-invalidates and
     /// releases its LLC footprint. `None` = pools keep their footprint.
     pub pool_idle_flush: Option<Duration>,
+    /// Co-run the LLCAntagonist (Sec. VI) on core [`Scenario::num_cores`]
+    /// in every cell, so the mixed and solo runs share it alike.
+    pub antagonist: bool,
     /// The tenants, in declaration (report) order.
     pub tenants: Vec<TenantSpec>,
 }
@@ -54,7 +58,11 @@ impl Scenario {
             .unwrap_or(1)
     }
 
-    /// Table I defaults sized for this scenario, with no tenant yet.
+    /// Table I defaults sized for this scenario, with no tenant yet. The
+    /// antagonist, when set, sits on the first core past the tenants'.
+    /// It is placed here rather than by [`SystemConfig::with_antagonist`],
+    /// which would put it on a solo tenant's next core: a core another
+    /// tenant owns in the mixed run.
     pub(crate) fn base_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::paper_default(self.num_cores());
         cfg.policy = self.policy;
@@ -66,6 +74,10 @@ impl Scenario {
         }
         cfg.atr_lifetime = self.atr_lifetime;
         cfg.pool_idle_flush = self.pool_idle_flush;
+        if self.antagonist {
+            let core = CoreId::new(self.num_cores() as u16);
+            cfg.antagonist = Some(AntagonistSpec { core });
+        }
         cfg
     }
 
@@ -91,8 +103,8 @@ impl Scenario {
         }
     }
 
-    /// Checks the scenario's own rules: a non-empty name and at least one
-    /// tenant.
+    /// Checks the scenario's own rules: a non-empty name, at least one
+    /// tenant, and a core id left for the antagonist.
     ///
     /// # Errors
     ///
@@ -107,6 +119,10 @@ impl Scenario {
                 "tenant",
                 "scenario has no tenants (add [[tenant]] tables or a [generate] table)",
             ));
+        }
+        if self.antagonist && self.num_cores() > usize::from(u16::MAX) {
+            let msg = "antagonist needs a core past the tenants', but they own core 65535";
+            return Err(FieldError::new("antagonist", msg));
         }
         Ok(())
     }
@@ -133,7 +149,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idio_core::cache::addr::CoreId;
+    use idio_core::config::MAX_RATE_GBPS;
     use idio_core::net::gen::TrafficPattern;
     use idio_core::net::packet::Dscp;
     use idio_core::stack::nf::NfKind;
@@ -149,6 +165,7 @@ mod tests {
             perfect_filters: None,
             atr_lifetime: None,
             pool_idle_flush: None,
+            antagonist: false,
             tenants: vec![
                 TenantSpec::new(
                     "a",
@@ -212,6 +229,29 @@ mod tests {
     }
 
     #[test]
+    fn the_antagonist_sits_on_the_same_core_in_every_cell() {
+        let mut sc = two_tenants();
+        sc.antagonist = true;
+        let want = Some(AntagonistSpec {
+            core: CoreId::new(3),
+        });
+        assert_eq!(sc.mixed_config().antagonist, want);
+        for i in 0..sc.tenants.len() {
+            let solo = sc.solo_config(i);
+            assert_eq!(solo.antagonist, want, "solo cell of tenant {i}");
+            assert_eq!(solo.validate(), Ok(()));
+        }
+        assert_eq!(sc.validate(), Ok(()));
+        sc.antagonist = false;
+        assert_eq!(sc.mixed_config().antagonist, None);
+        // Core 65535 is the last a tenant can own; then no core is left.
+        sc.tenants[1].cores = vec![u16::MAX];
+        assert_eq!(sc.check(), Ok(()));
+        sc.antagonist = true;
+        assert_eq!(sc.check().unwrap_err().key, "antagonist");
+    }
+
+    #[test]
     fn scenario_rules_name_their_key() {
         let mut sc = two_tenants();
         sc.tenants.clear();
@@ -248,9 +288,10 @@ mod tests {
 
     #[test]
     fn a_rate_that_sends_a_frame_in_under_a_picosecond_is_rejected() {
-        // 1514 bytes at 3e7 Gbps take 0.40 ps: the generator's clock
-        // would never advance.
-        for rate_gbps in [3e7, 1e300] {
+        // 1514 bytes at 3e7 Gbps would take 0.40 ps, and the generator's
+        // clock would never advance. The 1.6 Tb/s ceiling rejects every
+        // such rate, and 1e7 Gbps (1.2 ps a frame) too.
+        for rate_gbps in [3e7, 1e300, 1e7, MAX_RATE_GBPS.next_up()] {
             let traffics = [
                 TrafficPattern::Steady { rate_gbps },
                 TrafficPattern::Poisson { rate_gbps, seed: 1 },
@@ -259,15 +300,14 @@ mod tests {
                 let mut sc = two_tenants();
                 sc.tenants[0].traffic = traffic;
                 let err = sc.validate().unwrap_err();
-                let want = format!(
-                    "tenant 'a': rate_gbps {rate_gbps} sends a 1514-byte frame in under 1 ps"
-                );
+                let want = format!("tenant 'a': rate_gbps {rate_gbps} out of range (0..=1600)");
                 assert!(err.ends_with(&want), "{err}");
             }
         }
-        // 1.2 ps a frame still advances the clock.
         let mut sc = two_tenants();
-        sc.tenants[0].traffic = TrafficPattern::Steady { rate_gbps: 1e7 };
+        sc.tenants[0].traffic = TrafficPattern::Steady {
+            rate_gbps: MAX_RATE_GBPS,
+        };
         assert_eq!(sc.validate(), Ok(()));
     }
 

@@ -118,10 +118,7 @@ enum Value {
     Str(String),
     Int(i128),
     Float(f64),
-    // No schema key takes a boolean today; the variant exists so
-    // `flows = true` reports "expects an integer, found boolean" instead
-    // of a lexer-level number error.
-    Bool(#[allow(dead_code)] bool),
+    Bool(bool),
     Ints(Vec<(i128, Pos)>),
     Strs(Vec<(String, Pos)>),
 }
@@ -526,6 +523,20 @@ fn want_str(e: &Entry) -> Result<&str, SpecError> {
     }
 }
 
+fn want_bool(e: &Entry) -> Result<bool, SpecError> {
+    match e.val {
+        Value::Bool(v) => Ok(v),
+        ref other => Err(SpecError::new(
+            e.val_pos,
+            format!(
+                "key '{}' expects a boolean, found {}",
+                e.key,
+                other.type_name()
+            ),
+        )),
+    }
+}
+
 fn want_int(e: &Entry) -> Result<i128, SpecError> {
     match e.val {
         Value::Int(v) => Ok(v),
@@ -825,6 +836,7 @@ const TOP_KEYS: &[&str] = &[
     "pool_idle_flush_us",
     "pool_idle_flush_ns",
     "pool_idle_flush_ps",
+    "antagonist",
 ];
 
 const TENANT_KEYS: &[&str] = &[
@@ -1211,6 +1223,10 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
         .transpose()?;
     let atr_lifetime = opt_time(&raw.top, "atr_lifetime")?;
     let pool_idle_flush = opt_time(&raw.top, "pool_idle_flush")?;
+    let antagonist = (raw.top.get("antagonist"))
+        .map(want_bool)
+        .transpose()?
+        .unwrap_or(false);
 
     let mut scenario = Scenario {
         name,
@@ -1222,6 +1238,7 @@ fn build_scenario(raw: &RawFile, replay_reader: ReplayReader<'_>) -> Result<Scen
         perfect_filters,
         atr_lifetime,
         pool_idle_flush,
+        antagonist,
         tenants: Vec::new(),
     };
 
@@ -1381,6 +1398,9 @@ pub fn to_file_string(scenario: &Scenario) -> String {
     if let Some(d) = scenario.pool_idle_flush {
         fmt_time(w, "pool_idle_flush", d.as_ps());
     }
+    if scenario.antagonist {
+        let _ = writeln!(w, "antagonist = true");
+    }
     for t in &scenario.tenants {
         let _ = writeln!(w);
         let _ = writeln!(w, "[[tenant]]");
@@ -1490,6 +1510,7 @@ rate_gbps = 10.0
         assert_eq!(t.traffic, TrafficPattern::Steady { rate_gbps: 10.0 });
         assert_eq!(t.dscp, Dscp::BEST_EFFORT);
         assert!(t.policy.is_none() && t.slo.is_none() && t.replay.is_none());
+        assert!(!sc.antagonist, "no antagonist by default");
         sc.validate().unwrap();
     }
 
@@ -1502,6 +1523,7 @@ policy = "static"
 steering = "atr"
 duration_us = 120
 drain_grace_ns = 5000
+antagonist = true
 
 [[tenant]]
 name = "poisson"
@@ -1536,6 +1558,7 @@ max_drop_rate = 0.25
         assert_eq!(sc.steering, FlowSteering::Atr);
         assert_eq!(sc.duration, SimTime::from_us(120));
         assert_eq!(sc.drain_grace, Duration::from_ns(5000));
+        assert!(sc.antagonist);
         let p = &sc.tenants[0];
         assert_eq!(
             p.traffic,
@@ -1605,6 +1628,12 @@ max_drop_rate = 0.25
             "invalid number '12q'",
         );
         err_at("name = 7\n", 1, 8, "expects a string, found integer");
+        err_at(
+            "name = \"x\"\nantagonist = 1\n",
+            2,
+            14,
+            "key 'antagonist' expects a boolean, found integer",
+        );
         err_at("name = \"\"\n", 1, 8, "scenario name must not be empty");
         err_at("name = \"x\"\n", 1, 1, "scenario has no tenants");
         err_at(
@@ -1680,9 +1709,10 @@ max_drop_rate = 0.25
             ("0", "positive finite rate"),
             ("1e999", "positive finite rate"),
             ("nan", "invalid number 'nan'"),
+            ("3e7", "rate_gbps 30000000 out of range (0..=1600)"),
             (
-                "3e7",
-                "rate_gbps 30000000 sends a 256-byte frame in under 1 ps",
+                "1600.0000000000002",
+                "rate_gbps 1600.0000000000002 out of range (0..=1600)",
             ),
         ] {
             let src = tenant(&format!("traffic = \"steady\"\nrate_gbps = {rate}\n"));
@@ -1690,6 +1720,9 @@ max_drop_rate = 0.25
             assert_eq!((e.line, e.col), (10, 13), "{e}");
             assert!(e.msg.contains(needle), "{rate}: {e}");
         }
+        // The ceiling itself is a valid rate.
+        let ceiling = tenant("traffic = \"steady\"\nrate_gbps = 1600.0\n");
+        assert_eq!(parse_str(&ceiling).map(|_| ()), Ok(()));
         // a frame below the Ethernet minimum, and a tenant without cores.
         let steady = "traffic = \"steady\"\nrate_gbps = 1.0\n";
         let e =
@@ -1873,6 +1906,7 @@ attacker_frac = 0.3
             pool_idle_flush: g
                 .bool()
                 .then(|| Duration::from_ps(g.u64(1..10_000_000_000))),
+            antagonist: g.bool(),
             tenants,
         }
     }

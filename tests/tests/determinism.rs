@@ -108,7 +108,7 @@ fn traced_cell(label: &str) -> SweepCell {
 
 /// Trace records and the metrics snapshot are part of the deterministic
 /// output contract: byte-identical run-to-run and across worker counts.
-/// This is what makes `simulate --trace` and `repro --metrics` diffable.
+/// This is what makes `scenario run --trace` and `repro --metrics` diffable.
 #[test]
 fn trace_and_metrics_are_byte_identical_across_worker_counts() {
     let cells = || {

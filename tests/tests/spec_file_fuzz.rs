@@ -1,10 +1,10 @@
 //! Mutation fuzzing of the scenario-file parser.
 //!
-//! Every `simulate` and `scenario` configuration goes through
-//! `idio_scenario::parse_str`, so no input may panic it, and every error it
-//! returns must point at a line and column of the text it was given. The
-//! property mutates the checked-in scenario files (the examples, the
-//! `simulate` files and the bad corpus) by byte flips, line deletions,
+//! Every `scenario` file goes through `idio_scenario::parse_str`, so no
+//! input may panic it, and every error it returns must point at a line and
+//! column of the text it was given. The property mutates the checked-in
+//! scenario files (the examples, the test files and the bad corpus) by
+//! byte flips, line deletions,
 //! line duplications and truncation, and parses the result.
 //!
 //! A failing case prints its seed; replay it with
@@ -110,10 +110,7 @@ fn check_parse(src: &str) -> bool {
 #[test]
 fn mutated_scenario_files_never_panic_and_errors_point_into_the_text() {
     let corpus = corpus();
-    assert!(
-        corpus.len() >= 20,
-        "examples, simulate files and bad corpus"
-    );
+    assert!(corpus.len() >= 20, "examples, test files and bad corpus");
     let (mut parsed, mut rejected) = (0, 0);
     Cases::new(1500).run(|g| {
         let (_, original) = g.choose(&corpus);
